@@ -748,17 +748,13 @@ let serve ctx =
   (* Sharded rows: the same load through a scatter-gather coordinator
      over disk-backed shard servers. coord1 isolates the coordinator's
      fan-out overhead (one shard, no cross-shard links); coord2 adds
-     the 2-shard split with live portal chasing. Each shard count runs
-     three times with a fresh coordinator per row: probe batching off
-     (coordN-nobatch), batching on but portal distances probed
-     (coordN-noclosure), and the portal closure joined in memory
-     (coordN) — so the probe counters give both the batching and the
-     closure before/after comparisons. *)
+     the 2-shard split with live portal chasing, its portal distances
+     joined from the in-memory closure. *)
   let shard_rows =
     let module SP = Fx_shard.Shard_plan in
     let module PC = Fx_shard.Portal_closure in
     let module Coord = Fx_shard.Coordinator in
-    List.concat_map
+    List.map
       (fun n_shards ->
         let plan = SP.plan ~n_shards ctx.collection in
         let deployments =
@@ -805,77 +801,64 @@ let serve ctx =
                   Array.to_list servers
                   |> List.map (fun s -> ("127.0.0.1", Fx_server.Server.port s))
                 in
-                List.map
-                  (fun (suffix, batching, use_closure) ->
-                    let coord =
-                      Coord.create ~batching ~query_cache:256
-                        ?closure:(if use_closure then Some closure else None)
-                        ~plan ~shards ()
-                    in
-                    Fun.protect
-                      ~finally:(fun () -> Coord.close coord)
-                      (fun () ->
-                        let name = Printf.sprintf "coord%d%s" (SP.n_shards plan) suffix in
-                        run_one ~backend_name:name ~workers:4
-                          ~extra:(fun ~port ->
-                            (* A small repeated EVALUATE mix: the second
-                               pass should land in the coordinator's
-                               result cache. *)
-                            let client = Fx_server.Server_client.connect ~port () in
-                            for _ = 1 to 2 do
-                              List.iter
-                                (fun (start_tag, target_tag) ->
-                                  ignore
-                                    (Fx_server.Server_client.request client
-                                       (Fx_server.Protocol.Evaluate
-                                          {
-                                            start_tag;
-                                            target_tag;
-                                            k = 100;
-                                            max_dist = None;
-                                          })))
-                                [
-                                  ("article", "author");
-                                  ("inproceedings", "cite");
-                                  ("article", "title");
-                                ]
-                            done;
-                            Fx_server.Server_client.close client;
-                            let rpcs = Coord.probe_rpcs_total coord in
-                            let subs = Coord.probe_subs_total coord in
-                            let closure_lookups = Coord.closure_lookups_total coord in
-                            let closure_fallbacks =
-                              Coord.closure_fallbacks_total coord
-                            in
-                            let hits, misses =
-                              match Coord.query_cache_stats coord with
-                              | Some s -> (s.Fx_shard.Coord_cache.hits, s.misses)
-                              | None -> (0, 0)
-                            in
-                            let hit_rate =
-                              if hits + misses = 0 then 0.0
-                              else float_of_int hits /. float_of_int (hits + misses)
-                            in
-                            Printf.printf
-                              "  %-22s %d probe rpcs carrying %d subs (%.1f \
-                               subs/rpc), cache %d/%d hits (%.0f%%)\n%!"
-                              (name ^ " probes:") rpcs subs
-                              (if rpcs = 0 then 0.0
-                               else float_of_int subs /. float_of_int rpcs)
-                              hits (hits + misses) (100.0 *. hit_rate);
+                let coord = Coord.create ~query_cache:256 ~closure ~plan ~shards () in
+                Fun.protect
+                  ~finally:(fun () -> Coord.close coord)
+                  (fun () ->
+                    let name = Printf.sprintf "coord%d" (SP.n_shards plan) in
+                    run_one ~backend_name:name ~workers:4
+                      ~extra:(fun ~port ->
+                        (* A small repeated EVALUATE mix: the second
+                           pass should land in the coordinator's
+                           result cache. *)
+                        let client = Fx_server.Server_client.connect ~port () in
+                        for _ = 1 to 2 do
+                          List.iter
+                            (fun (start_tag, target_tag) ->
+                              ignore
+                                (Fx_server.Server_client.request client
+                                   (Fx_server.Protocol.Evaluate
+                                      {
+                                        start_tag;
+                                        target_tag;
+                                        k = 100;
+                                        max_dist = None;
+                                      })))
                             [
-                              ("probe_rpcs", string_of_int rpcs);
-                              ("probe_subs", string_of_int subs);
-                              ("closure_lookups", string_of_int closure_lookups);
-                              ("closure_fallbacks", string_of_int closure_fallbacks);
-                              ("cache_hits", string_of_int hits);
-                              ("cache_misses", string_of_int misses);
-                              ("cache_hit_rate", Printf.sprintf "%.4f" hit_rate);
-                            ])
-                          (Fx_server.Server.Custom (Coord.backend coord))))
-                  [ ("-nobatch", false, false);
-                    ("-noclosure", true, false);
-                    ("", true, true) ])))
+                              ("article", "author");
+                              ("inproceedings", "cite");
+                              ("article", "title");
+                            ]
+                        done;
+                        Fx_server.Server_client.close client;
+                        let rpcs = Coord.probe_rpcs_total coord in
+                        let subs = Coord.probe_subs_total coord in
+                        let closure_lookups = Coord.closure_lookups_total coord in
+                        let hits, misses =
+                          match Coord.query_cache_stats coord with
+                          | Some s -> (s.Fx_shard.Coord_cache.hits, s.misses)
+                          | None -> (0, 0)
+                        in
+                        let hit_rate =
+                          if hits + misses = 0 then 0.0
+                          else float_of_int hits /. float_of_int (hits + misses)
+                        in
+                        Printf.printf
+                          "  %-22s %d probe rpcs carrying %d subs (%.1f \
+                           subs/rpc), cache %d/%d hits (%.0f%%)\n%!"
+                          (name ^ " probes:") rpcs subs
+                          (if rpcs = 0 then 0.0
+                           else float_of_int subs /. float_of_int rpcs)
+                          hits (hits + misses) (100.0 *. hit_rate);
+                        [
+                          ("probe_rpcs", string_of_int rpcs);
+                          ("probe_subs", string_of_int subs);
+                          ("closure_lookups", string_of_int closure_lookups);
+                          ("cache_hits", string_of_int hits);
+                          ("cache_misses", string_of_int misses);
+                          ("cache_hit_rate", Printf.sprintf "%.4f" hit_rate);
+                        ])
+                      (Fx_server.Server.Custom (Coord.backend coord))))))
       [ 1; 2 ]
   in
   Printf.printf "\nserve-json: {\"bench\":\"serve\",\"docs\":%d,\"cores\":%d,\"rows\":[%s]}\n"
@@ -886,12 +869,9 @@ let serve ctx =
   print_endline "client threads saturate; the disk rows pay the buffer-pool path on";
   print_endline "top — warm pools should track the in-memory numbers. The coord rows";
   print_endline "add a network hop and shard probes per request: coord1 prices the";
-  print_endline "fan-out machinery alone, coord2 the actual 2-shard distribution.";
-  print_endline "coordN-noclosure vs coordN-nobatch is the probe-batching win: same";
-  print_endline "answers, a fraction of the round trips (probe_rpcs in the JSON).";
-  print_endline "coordN vs coordN-noclosure is the portal-closure win: the same";
-  print_endline "answers again, with portal distances joined from precomputed labels";
-  print_endline "instead of probed (probe_subs and closure_lookups in the JSON)."
+  print_endline "fan-out machinery alone, coord2 the actual 2-shard distribution,";
+  print_endline "with portal distances joined from precomputed labels (closure_lookups";
+  print_endline "in the JSON) rather than probed."
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-suite: one Test.make per table/figure-defining

@@ -45,9 +45,8 @@ let usage () =
     \                  [--deadline-ms F] [--docs N | --xml-dir DIR] [--seed N]\n\
     \                  [--index-dir DIR] [--pool-pages N] [--pool-stripes N]\n\
     \       flix_serve --build-shards N --index-dir DIR [--docs N | --xml-dir DIR]\n\
-    \                  [--no-closure]\n\
     \       flix_serve --coordinator --index-dir DIR --shard HOST:PORT [--shard ...]\n\
-    \                  [--coord-cache N] [--no-batch] [--no-closure]";
+    \                  [--coord-cache N]";
   exit 1
 
 type source = Generate of int | Xml_dir of string
@@ -140,10 +139,10 @@ let manifest_path dir = Filename.concat dir "manifest.shards"
 
 (* Build one disk deployment per shard — each a plain --index-dir
    directory, DIR/shard<i>/index — plus the coordinator's manifest,
-   which carries the portal closure unless --no-closure. The shard
-   HOPIs are still in memory when the closure needs its within-shard
-   portal distances, so the closure build adds no probe traffic. *)
-let build_shards ~dir ~n_shards ~with_closure source seed =
+   which carries the portal closure. The shard HOPIs are still in
+   memory when the closure needs its within-shard portal distances, so
+   the closure build adds no probe traffic. *)
+let build_shards ~dir ~n_shards source seed =
   let collection = load_collection source seed in
   Printf.printf "collection: %s\n%!" (C.stats collection);
   let plan = Shard_plan.plan ~n_shards collection in
@@ -167,27 +166,18 @@ let build_shards ~dir ~n_shards ~with_closure source seed =
         hopi)
       docs
   in
+  Printf.printf "building portal closure...\n%!";
   let closure =
-    if not with_closure then begin
-      Printf.printf "portal closure skipped (--no-closure)\n%!";
-      None
-    end
-    else begin
-      Printf.printf "building portal closure...\n%!";
-      let c =
-        Portal_closure.build ~plan
-          ~local_dist:(fun ~shard ~a ~b -> Hopi.distance hopis.(shard) a b)
-      in
-      Printf.printf "%s\n%!" (Portal_closure.describe c);
-      Some c
-    end
+    Portal_closure.build ~plan
+      ~local_dist:(fun ~shard ~a ~b -> Hopi.distance hopis.(shard) a b)
   in
+  Printf.printf "%s\n%!" (Portal_closure.describe closure);
   Portal_closure.save_manifest ~path:(manifest_path dir) ~plan closure;
   Printf.printf "wrote %d shard deployments and %s\n%!" (Array.length docs)
     (manifest_path dir);
   Printf.printf "serve each shard with: flix_serve --index-dir %s/shard<i>\n%!" dir
 
-let serve_coordinator cfg ~dir ~shards ~coord_cache ~batching ~use_closure =
+let serve_coordinator cfg ~dir ~shards ~coord_cache =
   let plan, closure = Portal_closure.load_manifest (manifest_path dir) in
   List.iter print_endline (Shard_plan.describe plan);
   if List.length shards <> Shard_plan.n_shards plan then begin
@@ -198,16 +188,8 @@ let serve_coordinator cfg ~dir ~shards ~coord_cache ~batching ~use_closure =
   (match coord_cache with
   | Some n -> Printf.printf "coordinator EVALUATE cache: %d entries\n%!" n
   | None -> ());
-  if not batching then Printf.printf "probe batching disabled (--no-batch)\n%!";
-  let closure = if use_closure then closure else None in
-  (match closure with
-  | Some c -> Printf.printf "%s\n%!" (Portal_closure.describe c)
-  | None ->
-      Printf.printf "portal closure: %s; portal distances will be probed\n%!"
-        (if use_closure then "none in manifest" else "disabled (--no-closure)"));
-  let coord =
-    Coordinator.create ~batching ?query_cache:coord_cache ?closure ~plan ~shards ()
-  in
+  Printf.printf "%s\n%!" (Portal_closure.describe closure);
+  let coord = Coordinator.create ?query_cache:coord_cache ~closure ~plan ~shards () in
   let backend0 = Server.Custom (Coordinator.backend coord) in
   (* RELOAD swaps the serving coordinator, so everything that outlives
      one request — the metrics collector, the admin hooks, the exit
@@ -227,9 +209,8 @@ let serve_coordinator cfg ~dir ~shards ~coord_cache ~batching ~use_closure =
           | exception Fx_util.Codec.Corrupt msg ->
               Error ("corrupt shard manifest: " ^ msg)
           | exception Sys_error msg -> Error msg
-          | plan, manifest_closure -> (
-              let closure = if use_closure then manifest_closure else None in
-              match Coordinator.reload ?closure (snd !current) ~plan with
+          | plan, closure -> (
+              match Coordinator.reload (snd !current) ~plan ~closure with
               | Error msg -> Error msg
               | Ok fresh ->
                   let b = Server.Custom (Coordinator.backend fresh) in
@@ -359,8 +340,6 @@ let () =
   let coordinator = ref false in
   let shard_addrs = ref [] in
   let coord_cache = ref None in
-  let batching = ref true in
-  let use_closure = ref true in
   let rec parse = function
     | [] -> ()
     | "--build-shards" :: v :: rest ->
@@ -374,12 +353,6 @@ let () =
         parse rest
     | "--coord-cache" :: v :: rest ->
         coord_cache := Some (int_of_string v);
-        parse rest
-    | "--no-batch" :: rest ->
-        batching := false;
-        parse rest
-    | "--no-closure" :: rest ->
-        use_closure := false;
         parse rest
     | "--port" :: v :: rest ->
         cfg := { !cfg with port = int_of_string v };
@@ -422,7 +395,7 @@ let () =
   | Some n, _, Some dir -> (
       (* Shard building: write the deployments and the manifest, then
          exit — each shard is served by its own flix_serve process. *)
-      try build_shards ~dir ~n_shards:n ~with_closure:!use_closure !source !seed with
+      try build_shards ~dir ~n_shards:n !source !seed with
       | Invalid_argument msg | Sys_error msg ->
           Printf.eprintf "flix_serve: cannot build shards under %s: %s\n" dir msg;
           exit 1
@@ -436,7 +409,7 @@ let () =
   | None, true, Some dir -> (
       match
         serve_coordinator !cfg ~dir ~shards:(List.rev !shard_addrs)
-          ~coord_cache:!coord_cache ~batching:!batching ~use_closure:!use_closure
+          ~coord_cache:!coord_cache
       with
       | () -> ()
       | exception Fx_util.Codec.Corrupt msg ->

@@ -5,48 +5,25 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* The epoch is part of the key, not just a guard: a store computed
-   before an [invalidate] but completed after it lands under the old
-   epoch and can never be served again, so a slow in-flight merge
-   cannot resurrect pre-invalidation answers. *)
-(* [closure_epoch] rides in the key for the same reason: the merged
-   answers depend on which portal closure (if any) the coordinator
-   joins against, so a rebuilt closure must orphan the old merges
-   without a restart. *)
-type key = {
-  start_tag : string;
-  target_tag : string;
-  k : int;
-  max_dist : int option;
-  epoch : int;
-  closure_epoch : int;
-}
+type key = { start_tag : string; target_tag : string; k : int; max_dist : int option }
 
 type stats = { entries : int; hits : int; misses : int; epoch : int }
 
-type t = {
-  m : Mutex.t;
-  lru : (key, P.item list) Lru.t;
-  mutable epoch : int;
-  mutable closure_epoch : int;
-}
+(* Every resident entry belongs to the current [epoch]: [invalidate]
+   bumps it and clears the LRU under one lock, and [store] drops a
+   merge computed under an older epoch, so a slow in-flight merge
+   cannot resurrect pre-invalidation answers. *)
+type t = { m : Mutex.t; lru : (key, P.item list) Lru.t; mutable epoch : int }
 
-let create ?(closure_epoch = 0) ~capacity () =
-  { m = Mutex.create (); lru = Lru.create ~capacity (); epoch = 0; closure_epoch }
-
-let set_closure_epoch t e = with_lock t.m (fun () -> t.closure_epoch <- e)
-
-let key t ~start_tag ~target_tag ~k ~max_dist =
-  { start_tag; target_tag; k; max_dist; epoch = t.epoch;
-    closure_epoch = t.closure_epoch }
+let create ~capacity () = { m = Mutex.create (); lru = Lru.create ~capacity (); epoch = 0 }
+let epoch t = with_lock t.m (fun () -> t.epoch)
 
 let find t ~start_tag ~target_tag ~k ~max_dist =
-  with_lock t.m (fun () ->
-      Lru.find t.lru (key t ~start_tag ~target_tag ~k ~max_dist))
+  with_lock t.m (fun () -> Lru.find t.lru { start_tag; target_tag; k; max_dist })
 
-let store t ~start_tag ~target_tag ~k ~max_dist items =
+let store t ~epoch ~start_tag ~target_tag ~k ~max_dist items =
   with_lock t.m (fun () ->
-      Lru.add t.lru (key t ~start_tag ~target_tag ~k ~max_dist) items)
+      if epoch = t.epoch then Lru.add t.lru { start_tag; target_tag; k; max_dist } items)
 
 let invalidate t =
   with_lock t.m (fun () ->

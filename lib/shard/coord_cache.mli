@@ -2,11 +2,11 @@
 
     The single-server {!Fx_flix.Query_cache} lives below the shard
     boundary and never sees a cross-shard merge; this cache sits above
-    it, keyed by (start tag, target tag, [k], [max_dist], shard epoch).
-    Shard indexes are immutable for the life of a deployment, so
-    entries never go stale on their own — the epoch exists for
-    operational invalidation ({!invalidate}), e.g. after swapping a
-    shard's deployment. Only clean answers belong here: the coordinator
+    it, keyed by (start tag, target tag, [k], [max_dist]). Shard
+    indexes are immutable for the life of a deployment, so entries
+    never go stale on their own — the epoch exists for operational
+    invalidation ({!invalidate}), e.g. after a coordinator reload
+    changes the plan. Only clean answers belong here: the coordinator
     refuses to cache [TIMEOUT]/[PARTIAL] merges, so a degraded answer
     is recomputed (and hopefully repaired) on the next ask.
 
@@ -17,17 +17,13 @@ type t
 
 type stats = { entries : int; hits : int; misses : int; epoch : int }
 
-val create : ?closure_epoch:int -> capacity:int -> unit -> t
+val create : capacity:int -> unit -> t
 (** LRU capacity in entries. Raises [Invalid_argument] when
-    [capacity < 1]. [closure_epoch] (default 0) identifies the portal
-    closure the coordinator merges with — it is folded into every key,
-    so answers merged under one closure are never replayed under
-    another. *)
+    [capacity < 1]. *)
 
-val set_closure_epoch : t -> int -> unit
-(** Change the closure epoch without a restart: entries stored under
-    the old epoch become unreachable (they age out of the LRU) and
-    in-flight stores land under the epoch they were computed with. *)
+val epoch : t -> int
+(** The current epoch, starting at 0; {!invalidate} bumps it. A caller
+    reads it before computing a merge and hands it to {!store}. *)
 
 val find :
   t ->
@@ -41,17 +37,20 @@ val find :
 
 val store :
   t ->
+  epoch:int ->
   start_tag:string ->
   target_tag:string ->
   k:int ->
   max_dist:int option ->
   Fx_server.Protocol.item list ->
   unit
+(** Store a merge computed under [epoch]. Dropped when [epoch] is no
+    longer current: a merge computed before an {!invalidate} never
+    lands in the cache, however late its store arrives. *)
 
 val invalidate : t -> unit
-(** Bump the epoch and drop every entry. A store racing with the bump
-    lands under the old epoch and is unreachable afterwards. Resets the
-    hit/miss counters (they count since the last clear). *)
+(** Bump the epoch and drop every entry. Resets the hit/miss counters
+    (they count since the last clear). *)
 
 val invalidate_tags : t -> string list -> unit
 (** Scoped invalidation for a tag-bounded delta: drop only entries

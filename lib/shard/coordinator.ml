@@ -7,8 +7,7 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* A cross-shard link with both endpoints located once at create time:
-   the portal search touches every link per settled portal. *)
+(* A cross-shard link with both endpoints located once at create time. *)
 type located_link = {
   src : int;  (* global *)
   dst : int;  (* global *)
@@ -26,6 +25,10 @@ let fanout_buckets_ms =
 (* Batch-size histogram: sub-requests per probe RPC, +Inf implicit. *)
 let batch_buckets = [| 1; 2; 4; 8; 16; 32; 64; 128; 256 |]
 
+(* Each memoized probe table is reset when it reaches this many
+   entries. *)
+let probe_cache_limit = 65536
+
 (* A deduplicated portal, located once at create time. [tag] is the
    node's tag name for entry portals (link targets emit themselves into
    matching streams) and [""] for exit portals, which never do. *)
@@ -36,28 +39,19 @@ type t = {
   shards : Shard_client.t array;
   addrs : (string * int) list;  (* the addresses [shards] was built from *)
   links : located_link array;
-  by_src_shard : located_link list array;  (* links leaving each shard *)
-  by_dst_shard : located_link list array;  (* links entering each shard *)
   (* memoized probe results; shard indexes are immutable so entries
      never go stale. One mutex guards both tables (probe volume, not
      contention, is the cost being managed here). *)
   cache_m : Mutex.t;
   conn_cache : (int * int * int, int option) Hashtbl.t;  (* shard, a, b (local) *)
   start_cache : (int * int * string, int option) Hashtbl.t;  (* shard, node, tag *)
-  (* Entry-portal streams for the closure fast path, cached raw — local
+  (* Entry-portal streams, cached raw — local
      ids, no offset — so one fetch serves every start that reaches the
      portal. Keyed by everything the shard sees (shard, local, tag, k,
      remaining); only successful fetches are stored. *)
   stream_cache : (int * int * string option * int * int option, P.item list) Hashtbl.t;
-  cache_cap : int;
-  (* [batching = false] sends every probe as its own round trip — the
-     before/after lever for the bench and the equivalence tests. *)
-  batching : bool;
-  (* The portal closure, when one was loaded AND its epoch matches the
-     plan. A mismatched closure is dropped at create ([closure_stale])
-     rather than risking inexact joins. *)
-  closure : Portal_closure.t option;
-  closure_stale : bool;
+  (* The portal closure; [create] refuses one built for another plan. *)
+  closure : Portal_closure.t;
   (* Every distinct link target / link source, located once. *)
   entry_portals : portal array;
   exit_portals : portal array;
@@ -65,12 +59,14 @@ type t = {
   exits_by_shard : portal array array;
   (* Global ids the portal graph carries as sources (doc roots and
      entry portals): closure labels from these nodes are exact, so a
-     query anchored here skips its exit-probe wave. Immutable after
+     query anchored here skips its exit probes. Immutable after
      create. *)
   source_nodes : (int, unit) Hashtbl.t;
   closure_lookups : int Atomic.t;
-  closure_fallbacks : int Atomic.t;
-  query_cache : Coord_cache.t option;
+  (* The EVALUATE answer cache and the cache epoch this coordinator's
+     merges belong to: stores from a coordinator retired by a reload
+     that invalidated the cache are dropped. *)
+  query_cache : (Coord_cache.t * int) option;
   fanout_hist : int Atomic.t array;
   fanout_count : int Atomic.t;
   fanout_sum_ns : int Atomic.t;
@@ -79,13 +75,18 @@ type t = {
   batch_sum : int Atomic.t;
 }
 
-let create ?(cache_cap = 65536) ?(batching = true) ?query_cache ?closure ~plan ~shards
-    () =
+let create ?query_cache ~closure ~plan ~shards () =
   let n = Shard_plan.n_shards plan in
   if List.length shards <> n then
     invalid_arg
       (Printf.sprintf "Coordinator.create: plan has %d shards, got %d addresses" n
          (List.length shards));
+  if not (Portal_closure.matches closure plan) then
+    invalid_arg
+      (Printf.sprintf
+         "Coordinator.create: portal closure epoch %d does not match plan digest %d; \
+          rebuild with --build-shards"
+         (Portal_closure.epoch closure) (Shard_plan.digest plan));
   let clients =
     Array.of_list
       (List.mapi (fun i (host, port) -> Shard_client.create ~id:i ~host ~port ()) shards)
@@ -98,17 +99,6 @@ let create ?(cache_cap = 65536) ?(batching = true) ?query_cache ?closure ~plan ~
         { src = l.src; dst = l.dst; dst_tag = l.dst_tag; src_shard; src_local;
           dst_shard; dst_local })
       (Shard_plan.cross_links plan)
-  in
-  let bucket_by proj =
-    let buckets = Array.make n [] in
-    Array.iter (fun l -> buckets.(proj l) <- l :: buckets.(proj l)) links;
-    buckets
-  in
-  let closure_given = Option.is_some closure in
-  let closure =
-    match closure with
-    | Some c when Portal_closure.matches c plan -> Some c
-    | _ -> None
   in
   let dedup_portals proj tag =
     let seen = Hashtbl.create 64 in
@@ -142,30 +132,22 @@ let create ?(cache_cap = 65536) ?(batching = true) ?query_cache ?closure ~plan ~
     shards = clients;
     addrs = shards;
     links;
-    by_src_shard = bucket_by (fun l -> l.src_shard);
-    by_dst_shard = bucket_by (fun l -> l.dst_shard);
     cache_m = Mutex.create ();
     conn_cache = Hashtbl.create 256;
     start_cache = Hashtbl.create 256;
     stream_cache = Hashtbl.create 256;
-    cache_cap;
-    batching;
     closure;
-    closure_stale = closure_given && Option.is_none closure;
     entry_portals;
     exit_portals;
     entries_by_shard = portals_by_shard entry_portals;
     exits_by_shard = portals_by_shard exit_portals;
     source_nodes;
     closure_lookups = Atomic.make 0;
-    closure_fallbacks = Atomic.make 0;
     query_cache =
       Option.map
         (fun capacity ->
-          Coord_cache.create
-            ~closure_epoch:
-              (match closure with Some c -> Portal_closure.epoch c | None -> 0)
-            ~capacity ())
+          let qc = Coord_cache.create ~capacity () in
+          (qc, Coord_cache.epoch qc))
         query_cache;
     fanout_hist = Array.init (Array.length fanout_buckets_ms + 1) (fun _ -> Atomic.make 0);
     fanout_count = Atomic.make 0;
@@ -186,10 +168,8 @@ let probe_rpcs_total t =
 let probe_subs_total t =
   Array.fold_left (fun acc s -> acc + Shard_client.subs_total s) 0 t.shards
 
-let query_cache_stats t = Option.map Coord_cache.stats t.query_cache
-let has_closure t = Option.is_some t.closure
+let query_cache_stats t = Option.map (fun (qc, _) -> Coord_cache.stats qc) t.query_cache
 let closure_lookups_total t = Atomic.get t.closure_lookups
-let closure_fallbacks_total t = Atomic.get t.closure_fallbacks
 
 (* --- per-request context --------------------------------------------- *)
 
@@ -264,23 +244,20 @@ let shard_call t ctx shard req =
     classify ctx (Result.map inline_items result)
   end
 
-(* Run one shard's share of a probe wave: a single pipelined BATCH
-   round trip when batching is on, per-request calls otherwise. *)
+(* Run one shard's share of a probe wave as a single pipelined BATCH
+   round trip. *)
 let exec_shard t ctx shard reqs =
   let n = Array.length reqs in
   let out = Array.make n None in
-  if t.batching then begin
-    let left = remaining_ms ctx in
-    if left <= 0 then Atomic.set ctx.timed_out true
-    else begin
-      observe_batch t n;
-      let sw = Stopwatch.start () in
-      let results = Shard_client.call_many ~deadline_ms:left t.shards.(shard) reqs in
-      observe_fanout t (Stopwatch.elapsed_ns sw);
-      Array.iteri (fun i r -> out.(i) <- classify ctx r) results
-    end
-  end
-  else Array.iteri (fun i req -> out.(i) <- shard_call t ctx shard req) reqs;
+  let left = remaining_ms ctx in
+  if left <= 0 then Atomic.set ctx.timed_out true
+  else begin
+    observe_batch t n;
+    let sw = Stopwatch.start () in
+    let results = Shard_client.call_many ~deadline_ms:left t.shards.(shard) reqs in
+    observe_fanout t (Stopwatch.elapsed_ns sw);
+    Array.iteri (fun i r -> out.(i) <- classify ctx r) results
+  end;
   out
 
 (* --- memoized probes -------------------------------------------------- *)
@@ -290,21 +267,22 @@ let cache_find t table key =
 
 let cache_store t table key v =
   with_lock t.cache_m (fun () ->
-      if Hashtbl.length table >= t.cache_cap then Hashtbl.reset table;
+      if Hashtbl.length table >= probe_cache_limit then Hashtbl.reset table;
       Hashtbl.replace table key v)
 
 (* --- probe waves ------------------------------------------------------ *)
 
-(* One wave's worth of shard work, accumulated probe by probe and fired
-   as one batch per shard. Each entry pairs a request with the closure
+(* One wave of shard work — every probe a request can issue before it
+   needs their answers — accumulated probe by probe and fired as one
+   batch per shard. Each entry pairs a request with the closure
    that consumes its (classified) answer; [run_plan] executes the wire
    calls on per-shard threads but runs every [apply] sequentially on
    the calling thread, so the closures mutate caches and stream
    accumulators without any locking of their own. *)
 type wave_plan = {
   per_shard : (P.request * ((P.item list * P.response) option -> unit)) list array;
-  (* probes already queued this wave — several wave nodes can ask for
-     the same segment distance *)
+  (* probes already queued this wave — several joins can ask for the
+     same segment distance *)
   queued_conn : (int * int * int, unit) Hashtbl.t;
   queued_start : (int * int * string, unit) Hashtbl.t;
 }
@@ -335,8 +313,8 @@ let plan_conn plan t ~shard ~a ~b =
         (function
           | Some (_, P.Dist d) -> cache_store t t.conn_cache key d
           | Some _ | None ->
-              (* Failed or cut off: leave uncached so a later wave (or
-                 request) re-asks once the shard recovers. *)
+              (* Failed or cut off: leave uncached so a later request
+                 re-asks once the shard recovers. *)
               ())
     end
   end
@@ -397,10 +375,9 @@ let run_plan t ctx plan =
             Array.iteri (fun i r -> snd entries.(i) r) out)
         running
 
-(* Cache readers for the relax step that follows [run_plan]. An absent
-   entry means the probe failed this wave (the degradation flags are
-   already set); treat the segment as unreachable, like the unbatched
-   path did. *)
+(* Cache readers for the joins that follow [run_plan]. An absent entry
+   means the probe failed this wave (the degradation flags are already
+   set); treat the segment as unreachable. *)
 let conn_dist t ~shard ~a ~b =
   if a = b then Some 0
   else match cache_find t t.conn_cache (shard, a, b) with Some v -> v | None -> None
@@ -410,33 +387,25 @@ let start_dist t ~shard ~node ~tag =
 
 (* --- the portal closure ------------------------------------------------ *)
 
-(* The oracle to join against, or [None] to take the probed path. A
-   fallback is only counted when probing will actually send portal
-   probes — with no cross links both paths are identical. *)
-let closure_for t =
-  match t.closure with
-  | Some _ as c -> c
-  | None ->
-      if Array.length t.links > 0 then Atomic.incr t.closure_fallbacks;
-      None
-
-let closure_dist t cl a b =
+let closure_dist t a b =
   Atomic.incr t.closure_lookups;
-  Portal_closure.distance cl a b
+  Portal_closure.distance t.closure a b
 
 let min_opt acc d = match acc with Some a when a <= d -> acc | _ -> Some d
 
+let over_max max_dist d = match max_dist with Some m -> d > m | None -> false
+
 (* d(e) for every entry portal [e]: the exact cross-shard distance from
-   [g0], equal by construction to what the probed wave search settles
-   (see DESIGN.md). A start the portal graph carries as a source (doc
-   root or entry portal) joins labels directly and needs no probe at
-   all; any other start pays one batched conn wave to its own shard's
-   exits, then joins from there. *)
-let closure_entry_dists t ctx cl ~g0 ~shard0 ~local0 =
+   [g0] (see DESIGN.md for why the portal graph's distances are exact).
+   A start the portal graph carries as a source (doc root or entry
+   portal) joins labels directly and needs no probe at all; any other
+   start pays one batched conn wave to its own shard's exits, then
+   joins from there. *)
+let closure_entry_dists t ctx ~g0 ~shard0 ~local0 =
   if Hashtbl.mem t.source_nodes g0 then
     Array.to_list t.entry_portals
     |> List.filter_map (fun (e : portal) ->
-           Option.map (fun d -> (e, d)) (closure_dist t cl g0 e.g))
+           Option.map (fun d -> (e, d)) (closure_dist t g0 e.g))
   else begin
     let exits = t.exits_by_shard.(shard0) in
     let plan = new_plan t in
@@ -451,7 +420,7 @@ let closure_entry_dists t ctx cl ~g0 ~shard0 ~local0 =
                  match conn_dist t ~shard:shard0 ~a:local0 ~b:x.local with
                  | None -> acc
                  | Some dx -> (
-                     match closure_dist t cl x.g e.g with
+                     match closure_dist t x.g e.g with
                      | None -> acc
                      | Some dc -> min_opt acc (dx + dc)))
                None exits
@@ -517,97 +486,13 @@ let fetch_streams_on_demand t ctx ~k ~exclude ~streams ~pending =
   in
   loop ()
 
-(* --- portal search ---------------------------------------------------- *)
-
-(* Dijkstra over portal nodes, expanded a whole equal-distance wave at
-   a time: every edge has weight >= 1 (one within-shard segment plus
-   the unit link hop), so once the queue's minimum is [d], {e every}
-   entry at [d] is final — settling them together yields exactly the
-   distances of node-at-a-time Dijkstra while letting [expand] probe
-   the whole frontier in one batch per shard. [expand ~d wave] returns
-   the relaxation edges, or [`Stop] to prune the rest (safe because
-   waves settle in ascending order). *)
-let wave_search ctx ~seeds ~expand =
-  let dist = Hashtbl.create 32 in
-  let settled = Hashtbl.create 32 in
-  let pq = PQ.create () in
-  let relax v d =
-    match Hashtbl.find_opt dist v with
-    | Some d' when d' <= d -> ()
-    | _ ->
-        Hashtbl.replace dist v d;
-        PQ.insert pq d v
-  in
-  List.iter (fun (v, d) -> relax v d) seeds;
-  (* Drain every queue entry at distance [d], skipping stale
-     lazy-deletion duplicates. *)
-  let rec gather d acc =
-    match PQ.peek_min pq with
-    | Some (d', v) when d' = d ->
-        ignore (PQ.extract_min pq);
-        if Hashtbl.mem settled v then gather d acc
-        else begin
-          Hashtbl.replace settled v ();
-          gather d (v :: acc)
-        end
-    | _ -> acc
-  in
-  let rec loop () =
-    match PQ.peek_min pq with
-    | None -> ()
-    | Some (d, _) ->
-        if remaining_ms ctx <= 0 then Atomic.set ctx.timed_out true
-        else begin
-          match gather d [] with
-          | [] -> loop ()
-          | wave -> (
-              match expand ~d wave with
-              | `Stop -> ()
-              | `Continue edges ->
-                  List.iter (fun (u, du) -> relax u du) edges;
-                  loop ())
-        end
-  in
-  loop ()
-
-let over_max max_dist d = match max_dist with Some m -> d > m | None -> false
-
-(* Forward expansion: from a settled entry portal [v] (a link target)
-   at distance [d], every link leaving [v]'s shard is reachable at
-   [d + within-shard distance + 1]. [plan_forward] queues the wave's
-   segment probes; [forward_edges] reads them back after [run_plan]. *)
-let plan_forward plan t ~shard ~local =
-  List.iter (fun l -> plan_conn plan t ~shard ~a:local ~b:l.src_local) t.by_src_shard.(shard)
-
-let forward_edges t ~shard ~local ~d =
-  List.filter_map
-    (fun l ->
-      match conn_dist t ~shard ~a:local ~b:l.src_local with
-      | Some ds -> Some (l.dst, d + ds + 1)
-      | None -> None)
-    t.by_src_shard.(shard)
-
-(* Reverse expansion for ancestor queries, over exit portals (link
-   sources): a link arriving in [s]'s shard puts its own source at
-   [1 + within-shard distance to s + rdist s]. *)
-let plan_reverse plan t ~shard ~local =
-  List.iter (fun l -> plan_conn plan t ~shard ~a:l.dst_local ~b:local) t.by_dst_shard.(shard)
-
-let reverse_edges t ~shard ~local ~d =
-  List.filter_map
-    (fun l ->
-      match conn_dist t ~shard ~a:l.dst_local ~b:local with
-      | Some ds -> Some (l.src, 1 + ds + d)
-      | None -> None)
-    t.by_dst_shard.(shard)
-
 (* --- stream merge ------------------------------------------------------ *)
 
 let globalize t ~shard ~offset (it : P.item) =
   { P.node = Shard_plan.global_of t.plan ~shard ~local:it.node; dist = it.dist + offset;
     meta = shard }
 
-(* One entry portal's stream on the closure fast path: replayed from
+(* One entry portal's stream: replayed from
    the stream cache when a previous request already fetched it (the
    probe is a pure read of the shard's index, so the replay is exactly
    the bytes the probe would return), otherwise a pending fetch for
@@ -640,8 +525,8 @@ let entry_stream_pending t ~(e : portal) ~tag ~k ~max_dist ~d ~add =
    shards or portals are deduplicated on first — i.e. nearest —
    occurrence. Ties break on global node id — the key packs
    (dist, node) into one integer — so the merged bytes are a function
-   of the stream multiset alone, not of which path (probed or closure)
-   produced the streams or in what order. *)
+   of the stream multiset alone, not of the order the streams arrived
+   in. *)
 let merge_streams t ~k ~exclude ~emit streams =
   let total = Shard_plan.total_nodes t.plan in
   let pq = PQ.create () in
@@ -682,62 +567,11 @@ let node_range_err t =
 
 let in_range t v = v >= 0 && v < Shard_plan.total_nodes t.plan
 
-(* Descendants of one global node, across shards: within-shard stream
-   plus offset streams from every entry portal settled by the search.
-   Wave 0 batches the start's own stream with its seed probes; each
-   search wave batches the frontier's streams and segment probes — one
-   round trip per shard per wave. *)
-let descendants_probed t ctx ~start ~tag ~k ~max_dist ~emit =
-  let shard0, local0 = Shard_plan.locate t.plan start in
-  let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  let add_stream plan ~shard ~local ~offset ~remaining =
-    plan_add plan shard
-      (P.Node_descendants { node = local; tag; k; max_dist = remaining })
-      (function
-        | Some (items, _) -> add (List.map (globalize t ~shard ~offset) items)
-        | None -> ())
-  in
-  let plan0 = new_plan t in
-  add_stream plan0 ~shard:shard0 ~local:local0 ~offset:0 ~remaining:max_dist;
-  plan_forward plan0 t ~shard:shard0 ~local:local0;
-  run_plan t ctx plan0;
-  let tag_admits name = match tag with None -> true | Some w -> w = name in
-  let entry_tag = Hashtbl.create 16 in
-  Array.iter (fun l -> Hashtbl.replace entry_tag l.dst l.dst_tag) t.links;
-  wave_search ctx
-    ~seeds:(forward_edges t ~shard:shard0 ~local:local0 ~d:0)
-    ~expand:(fun ~d wave ->
-      if over_max max_dist d then `Stop
-      else begin
-        let located = List.map (fun v -> (v, Shard_plan.locate t.plan v)) wave in
-        let plan = new_plan t in
-        let remaining = Option.map (fun m -> m - d) max_dist in
-        List.iter
-          (fun (v, (shard, local)) ->
-            (* The portal node itself is a result when its tag matches —
-               the per-entry stream excludes its own start. *)
-            (match Hashtbl.find_opt entry_tag v with
-            | Some name when tag_admits name ->
-                add [ { P.node = v; dist = d; meta = shard } ]
-            | _ -> ());
-            add_stream plan ~shard ~local ~offset:d ~remaining;
-            plan_forward plan t ~shard ~local)
-          located;
-        run_plan t ctx plan;
-        `Continue
-          (List.concat_map
-             (fun (_, (shard, local)) -> forward_edges t ~shard ~local ~d)
-             located)
-      end);
-  merge_streams t ~k ~exclude:start ~emit !streams;
-  items_response ctx
-
-(* The closure fast path: the same streams, same offsets, same merge —
-   but every portal distance is a label join instead of a probe wave,
-   and only streams that can still contribute to the top [k] are
-   fetched at all. *)
-let descendants_closure t ctx cl ~start ~tag ~k ~max_dist ~emit =
+(* Descendants of one global node, across shards: the start's own
+   stream plus one offset stream per reachable entry portal. Every
+   portal distance is a label join, and only streams that can still
+   contribute to the top [k] are fetched at all. *)
+let descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit =
   let shard0, local0 = Shard_plan.locate t.plan start in
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
@@ -749,12 +583,12 @@ let descendants_closure t ctx cl ~start ~tag ~k ~max_dist ~emit =
       | None -> ());
   run_plan t ctx plan0;
   let entries =
-    closure_entry_dists t ctx cl ~g0:start ~shard0 ~local0
+    closure_entry_dists t ctx ~g0:start ~shard0 ~local0
     |> List.filter (fun (_, d) -> not (over_max max_dist d))
   in
   let tag_admits name = match tag with None -> true | Some w -> w = name in
-  (* Entry portals are results themselves when their tag matches, just
-     as the probed search emits each settled portal. *)
+  (* Entry portals are results themselves when their tag matches: the
+     per-entry stream excludes its own start. *)
   List.iter
     (fun ((e : portal), d) ->
       if tag_admits e.tag then add [ { P.node = e.g; dist = d; meta = e.shard } ])
@@ -770,61 +604,13 @@ let descendants_closure t ctx cl ~start ~tag ~k ~max_dist ~emit =
   merge_streams t ~k ~exclude:start ~emit !streams;
   items_response ctx
 
-let descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit =
-  match closure_for t with
-  | Some cl -> descendants_closure t ctx cl ~start ~tag ~k ~max_dist ~emit
-  | None -> descendants_probed t ctx ~start ~tag ~k ~max_dist ~emit
-
-let ancestors_probed t ctx ~node ~tag ~k ~max_dist ~emit =
-  let shard0, local0 = Shard_plan.locate t.plan node in
-  let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  let add_stream plan ~shard ~local ~offset ~remaining =
-    plan_add plan shard
-      (P.Ancestors { node = local; tag; k; max_dist = remaining })
-      (function
-        | Some (items, _) -> add (List.map (globalize t ~shard ~offset) items)
-        | None -> ())
-  in
-  (* Reverse search over exit portals: rdist(s) = distance from link
-     source [s] down to [node]. The ancestors-or-self probe from [s]
-     then reports s's side of the collection at [rdist] offsets —
-     including [s] itself at distance 0, so portals need no separate
-     emission here. *)
-  let plan0 = new_plan t in
-  add_stream plan0 ~shard:shard0 ~local:local0 ~offset:0 ~remaining:max_dist;
-  plan_reverse plan0 t ~shard:shard0 ~local:local0;
-  run_plan t ctx plan0;
-  wave_search ctx
-    ~seeds:(reverse_edges t ~shard:shard0 ~local:local0 ~d:0)
-    ~expand:(fun ~d wave ->
-      if over_max max_dist d then `Stop
-      else begin
-        let located = List.map (fun s -> Shard_plan.locate t.plan s) wave in
-        let plan = new_plan t in
-        let remaining = Option.map (fun m -> m - d) max_dist in
-        List.iter
-          (fun (shard, local) ->
-            add_stream plan ~shard ~local ~offset:d ~remaining;
-            plan_reverse plan t ~shard ~local)
-          located;
-        run_plan t ctx plan;
-        `Continue
-          (List.concat_map
-             (fun (shard, local) -> reverse_edges t ~shard ~local ~d)
-             located)
-      end);
-  merge_streams t ~k ~exclude:(-1) ~emit !streams;
-  items_response ctx
-
-(* Ancestors via the closure: rdist(x) — the probed reverse search's
-   distance from exit portal [x] down to [node] — decomposes as the
-   closure leg from [x] to some entry portal of [node]'s shard plus
-   that entry's within-shard distance down to [node]. Only the latter
-   probes, one conn batch on [node]'s own shard (the same probes the
-   probed path's wave 0 sends). Anchors cannot help here: the portal
-   graph has no edges into a doc root. *)
-let ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit =
+(* Ancestors: rdist(x), the distance from exit portal [x] down to
+   [node], decomposes as the closure leg from [x] to some entry portal
+   of [node]'s shard plus that entry's within-shard distance down to
+   [node]. Only the latter probes, one conn batch on [node]'s own
+   shard. Anchors cannot help here: the portal graph has no edges into
+   a doc root. *)
+let ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit =
   let shard0, local0 = Shard_plan.locate t.plan node in
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
@@ -847,7 +633,7 @@ let ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit =
                  match conn_dist t ~shard:shard0 ~a:e.local ~b:local0 with
                  | None -> acc
                  | Some de -> (
-                     match closure_dist t cl x.g e.g with
+                     match closure_dist t x.g e.g with
                      | None -> acc
                      | Some dc -> min_opt acc (dc + de)))
                None t.entries_by_shard.(shard0)
@@ -857,7 +643,7 @@ let ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit =
            | _ -> None)
   in
   (* No separate portal emission: the ancestors-or-self stream from [x]
-     reports [x] itself at distance 0, exactly as the probed path. *)
+     reports [x] itself at distance 0. *)
   let pending =
     rdists
     |> List.sort (fun ((x1 : portal), d1) ((x2 : portal), d2) ->
@@ -876,11 +662,6 @@ let ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit =
   fetch_streams_on_demand t ctx ~k ~exclude:(-1) ~streams ~pending;
   merge_streams t ~k ~exclude:(-1) ~emit !streams;
   items_response ctx
-
-let ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit =
-  match closure_for t with
-  | Some cl -> ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit
-  | None -> ancestors_probed t ctx ~node ~tag ~k ~max_dist ~emit
 
 let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add =
   (* Phase 1: every shard answers over its own sub-collection, in
@@ -905,63 +686,12 @@ let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add =
       | None -> ())
     phase1
 
-let evaluate_probed t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
-  let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add;
-  (* Phase 2: cross-shard reach. Seed every entry portal with the
-     nearest start-tag node above its link source — all the seed probes
-     go out as one wave, batched per source shard — then the search
-     relaxes multi-hop shard chains from there. *)
-  let seed_plan = new_plan t in
-  Array.iter
-    (fun l -> plan_start seed_plan t ~shard:l.src_shard ~node:l.src_local ~tag:start_tag)
-    t.links;
-  run_plan t ctx seed_plan;
-  let seeds =
-    Array.to_list t.links
-    |> List.filter_map (fun l ->
-           match start_dist t ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
-           | Some d0 -> Some (l.dst, d0 + 1)
-           | None -> None)
-  in
-  let entry_tag = Hashtbl.create 16 in
-  Array.iter (fun l -> Hashtbl.replace entry_tag l.dst l.dst_tag) t.links;
-  wave_search ctx ~seeds
-    ~expand:(fun ~d wave ->
-      if over_max max_dist d then `Stop
-      else begin
-        let located = List.map (fun v -> (v, Shard_plan.locate t.plan v)) wave in
-        let plan = new_plan t in
-        let remaining = Option.map (fun m -> m - d) max_dist in
-        List.iter
-          (fun (v, (shard, local)) ->
-            (match Hashtbl.find_opt entry_tag v with
-            | Some name when name = target_tag ->
-                add [ { P.node = v; dist = d; meta = shard } ]
-            | _ -> ());
-            plan_add plan shard
-              (P.Node_descendants
-                 { node = local; tag = Some target_tag; k; max_dist = remaining })
-              (function
-                | Some (items, _) -> add (List.map (globalize t ~shard ~offset:d) items)
-                | None -> ());
-            plan_forward plan t ~shard ~local)
-          located;
-        run_plan t ctx plan;
-        `Continue
-          (List.concat_map
-             (fun (_, (shard, local)) -> forward_edges t ~shard ~local ~d)
-             located)
-      end);
-  merge_streams t ~k ~exclude:(-1) ~emit !streams;
-  items_response ctx
-
-(* EVALUATE via the closure: phase 1 and the seed probes (nearest
-   start-tag node above each link source, cached across requests) are
-   unchanged; the whole phase-2 wave search collapses into label joins
-   seed-entry-by-entry. *)
-let evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit =
+(* EVALUATE: phase 1 per shard, then phase 2 for cross-shard reach.
+   Phase 2 seeds every entry portal from its links' sources (nearest
+   start-tag node above each, probed in one wave and cached across
+   requests) and reaches the other entry portals by label joins from
+   the seeded ones. *)
+let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
   evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add;
@@ -987,7 +717,7 @@ let evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit =
            let best =
              Hashtbl.fold
                (fun g d0 acc ->
-                 match closure_dist t cl g e.g with
+                 match closure_dist t g e.g with
                  | None -> acc
                  | Some dc -> min_opt acc (d0 + dc))
                seed_d None
@@ -1011,69 +741,10 @@ let evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit =
   merge_streams t ~k ~exclude:(-1) ~emit !streams;
   items_response ctx
 
-let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
-  match closure_for t with
-  | Some cl -> evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit
-  | None -> evaluate_probed t ctx ~start_tag ~target_tag ~k ~max_dist ~emit
-
-let connected_probed t ctx ~a ~b ~max_dist =
-  let shard_a, local_a = Shard_plan.locate t.plan a in
-  let shard_b, local_b = Shard_plan.locate t.plan b in
-  let best = ref None in
-  let consider = function
-    | None -> ()
-    | Some d -> ( match !best with Some d' when d' <= d -> () | _ -> best := Some d)
-  in
-  (* Wave 0: the direct same-shard probe and the seed probes share one
-     batch. *)
-  let plan0 = new_plan t in
-  if shard_a = shard_b then plan_conn plan0 t ~shard:shard_a ~a:local_a ~b:local_b;
-  plan_forward plan0 t ~shard:shard_a ~local:local_a;
-  run_plan t ctx plan0;
-  if shard_a = shard_b then
-    consider (conn_dist t ~shard:shard_a ~a:local_a ~b:local_b);
-  wave_search ctx
-    ~seeds:(forward_edges t ~shard:shard_a ~local:local_a ~d:0)
-    ~expand:(fun ~d wave ->
-      (* Waves settle in ascending order: once the frontier passes the
-         best candidate (or max_dist), no better path remains. *)
-      let beaten = match !best with Some bd -> d >= bd | None -> false in
-      if beaten || over_max max_dist d then `Stop
-      else begin
-        let located = List.map (fun v -> Shard_plan.locate t.plan v) wave in
-        let plan = new_plan t in
-        List.iter
-          (fun (shard, local) ->
-            if shard = shard_b then plan_conn plan t ~shard ~a:local ~b:local_b;
-            plan_forward plan t ~shard ~local)
-          located;
-        run_plan t ctx plan;
-        List.iter
-          (fun (shard, local) ->
-            if shard = shard_b then
-              match conn_dist t ~shard ~a:local ~b:local_b with
-              | Some db -> consider (Some (d + db))
-              | None -> ())
-          located;
-        `Continue
-          (List.concat_map
-             (fun (shard, local) -> forward_edges t ~shard ~local ~d)
-             located)
-      end);
-  match !best with
-  | Some d when not (over_max max_dist d) -> P.Dist (Some d)
-  | Some _ -> P.Dist None
-  | None ->
-      (* No path found. With a failed shard (or an expired budget) the
-         negative is unreliable, so degrade to PARTIAL instead of
-         asserting NODIST. *)
-      if Atomic.get ctx.partial || Atomic.get ctx.timed_out then items_response ctx
-      else P.Dist None
-
-(* CONNECTED via the closure: one conn batch (the same-shard direct
-   probe, [a]'s exit legs unless anchored, and the final legs from
-   [b]'s entry portals down to [b]), then label joins in between. *)
-let connected_closure t ctx cl ~a ~b ~max_dist =
+(* CONNECTED: one conn batch (the same-shard direct probe, [a]'s exit
+   legs unless anchored, and the final legs from [b]'s entry portals
+   down to [b]), then label joins in between. *)
+let connected t ctx ~a ~b ~max_dist =
   let shard_a, local_a = Shard_plan.locate t.plan a in
   let shard_b, local_b = Shard_plan.locate t.plan b in
   let anchored = Hashtbl.mem t.source_nodes a in
@@ -1094,14 +765,14 @@ let connected_closure t ctx cl ~a ~b ~max_dist =
   in
   if shard_a = shard_b then consider (conn_dist t ~shard:shard_a ~a:local_a ~b:local_b);
   let dist_to_entry (e : portal) =
-    if anchored then closure_dist t cl a e.g
+    if anchored then closure_dist t a e.g
     else
       Array.fold_left
         (fun acc (x : portal) ->
           match conn_dist t ~shard:shard_a ~a:local_a ~b:x.local with
           | None -> acc
           | Some dx -> (
-              match closure_dist t cl x.g e.g with
+              match closure_dist t x.g e.g with
               | None -> acc
               | Some dc -> min_opt acc (dx + dc)))
         None t.exits_by_shard.(shard_a)
@@ -1119,13 +790,11 @@ let connected_closure t ctx cl ~a ~b ~max_dist =
   | Some d when not (over_max max_dist d) -> P.Dist (Some d)
   | Some _ -> P.Dist None
   | None ->
+      (* No path found. With a failed shard (or an expired budget) the
+         negative is unreliable, so degrade to PARTIAL instead of
+         asserting NODIST. *)
       if Atomic.get ctx.partial || Atomic.get ctx.timed_out then items_response ctx
       else P.Dist None
-
-let connected t ctx ~a ~b ~max_dist =
-  match closure_for t with
-  | Some cl -> connected_closure t ctx cl ~a ~b ~max_dist
-  | None -> connected_probed t ctx ~a ~b ~max_dist
 
 let resolve t ctx ~doc ~anchor =
   match Shard_plan.shard_of_doc t.plan doc with
@@ -1178,7 +847,7 @@ let eval t ~emit ~deadline_ns (req : P.request) =
   | P.Evaluate { start_tag; target_tag; k; max_dist } -> (
       match t.query_cache with
       | None -> evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit
-      | Some qc -> (
+      | Some (qc, epoch) -> (
           match Coord_cache.find qc ~start_tag ~target_tag ~k ~max_dist with
           | Some items ->
               (* Replay the cached merge; no shard sees this request. *)
@@ -1193,7 +862,7 @@ let eval t ~emit ~deadline_ns (req : P.request) =
               let resp = evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit:emit' in
               (match resp with
               | P.Items { timed_out = false; partial = false; _ } ->
-                  Coord_cache.store qc ~start_tag ~target_tag ~k ~max_dist
+                  Coord_cache.store qc ~epoch ~start_tag ~target_tag ~k ~max_dist
                     (List.rev !buf)
               | _ ->
                   (* A degraded merge must not be replayed once the
@@ -1221,19 +890,11 @@ let stats_lines t =
        Printf.sprintf
          "probe cache: %d connected, %d nearest-start, %d portal-stream entries" conn
          start stream);
-      Printf.sprintf "probe rpcs: %d round trips carrying %d sub-requests (batching %s)"
-        (probe_rpcs_total t) (probe_subs_total t)
-        (if t.batching then "on" else "off");
-      (match t.closure with
-      | Some c ->
-          Printf.sprintf "%s; %d lookups, %d fallbacks" (Portal_closure.describe c)
-            (Atomic.get t.closure_lookups)
-            (Atomic.get t.closure_fallbacks)
-      | None ->
-          Printf.sprintf "portal closure: %s; %d probed fallbacks"
-            (if t.closure_stale then "stale (plan digest mismatch), dropped"
-             else "absent")
-            (Atomic.get t.closure_fallbacks));
+      Printf.sprintf "probe rpcs: %d round trips carrying %d sub-requests"
+        (probe_rpcs_total t) (probe_subs_total t);
+      Printf.sprintf "%s; %d lookups"
+        (Portal_closure.describe t.closure)
+        (Atomic.get t.closure_lookups);
       (match query_cache_stats t with
       | None -> "query cache: disabled"
       | Some s ->
@@ -1321,19 +982,14 @@ let metric_lines t () =
     "# HELP flix_coord_closure_lookups_total Portal-closure label joins.";
     "# TYPE flix_coord_closure_lookups_total counter";
     Printf.sprintf "flix_coord_closure_lookups_total %d" (Atomic.get t.closure_lookups);
-    "# HELP flix_coord_closure_fallbacks_total Requests probed for portal \
-     distances because no usable closure was loaded.";
-    "# TYPE flix_coord_closure_fallbacks_total counter";
-    Printf.sprintf "flix_coord_closure_fallbacks_total %d"
-      (Atomic.get t.closure_fallbacks);
     "# HELP flix_closure_build_seconds Build wall time of the loaded portal closure.";
     "# TYPE flix_closure_build_seconds gauge";
     Printf.sprintf "flix_closure_build_seconds %.6f"
-      (match t.closure with Some c -> Portal_closure.build_seconds c | None -> 0.);
+      (Portal_closure.build_seconds t.closure);
     "# HELP flix_closure_label_entries Label entries in the loaded portal closure.";
     "# TYPE flix_closure_label_entries gauge";
     Printf.sprintf "flix_closure_label_entries %d"
-      (match t.closure with Some c -> Portal_closure.label_entries c | None -> 0);
+      (Portal_closure.label_entries t.closure);
   ]
 
 let backend t =
@@ -1355,23 +1011,28 @@ let backend t =
    directory, so their swap is idempotent with respect to the data the
    old plan describes.
 
+   A closure that does not match the new plan is refused before any
+   shard is touched: the closure is never rebuilt here, since that
+   would need within-shard distances the shards would have to probe for.
+
    The new [t] reconnects from scratch (the old one still owns its
-   connection pools until it is retired) and re-judges the candidate
-   portal closure — the caller's re-read one, or by default the old
-   coordinator's — against the new plan: on a digest mismatch [create] drops it
-   as stale and every query takes the wave-Dijkstra probed path until a
-   closure is rebuilt offline. The merged-answer cache survives only
-   when the plan digest is unchanged — node ids and shard data are then
-   identical, so every cached merge is still byte-exact; otherwise it is
-   invalidated whole (scoped invalidation needs a tag-level delta, which
-   a reload does not have). *)
-let reload ?(probe_deadline_ms = 2_000) ?(reload_deadline_ms = 120_000) ?closure t
-    ~plan =
+   connection pools until it is retired). The merged-answer cache
+   survives only when the plan digest is unchanged — node ids and shard
+   data are then identical, so every cached merge is still byte-exact;
+   otherwise it is invalidated whole (scoped invalidation needs a
+   tag-level delta, which a reload does not have), and merges the old
+   coordinator is still finishing are dropped rather than stored. *)
+let probe_deadline_ms = 2_000
+let reload_deadline_ms = 120_000
+
+let reload t ~plan ~closure =
   let n = Shard_plan.n_shards plan in
   if n <> Array.length t.shards then
     Error
       (Printf.sprintf "new plan has %d shards, serving %d — re-deploy instead" n
          (Array.length t.shards))
+  else if not (Portal_closure.matches closure plan) then
+    Error "the manifest's portal closure does not match its plan; rebuild with --build-shards"
   else begin
     let fail_at i msg =
       Error
@@ -1395,26 +1056,13 @@ let reload ?(probe_deadline_ms = 2_000) ?(reload_deadline_ms = 120_000) ?closure
         match sweep "reload" ~deadline_ms:reload_deadline_ms P.Reload with
         | Error _ as e -> e
         | Ok () ->
-            let closure =
-              match closure with Some _ -> closure | None -> t.closure
-            in
-            let fresh =
-              create ~cache_cap:t.cache_cap ~batching:t.batching ?closure ~plan
-                ~shards:t.addrs ()
-            in
+            let fresh = create ~closure ~plan ~shards:t.addrs () in
             let query_cache =
               match t.query_cache with
-              | None -> None
-              | Some qc ->
-                  if Shard_plan.digest plan = Shard_plan.digest t.plan then Some qc
-                  else begin
-                    Coord_cache.set_closure_epoch qc
-                      (match fresh.closure with
-                      | Some c -> Portal_closure.epoch c
-                      | None -> 0);
-                    Coord_cache.invalidate qc;
-                    Some qc
-                  end
+              | Some (qc, _) when Shard_plan.digest plan <> Shard_plan.digest t.plan ->
+                  Coord_cache.invalidate qc;
+                  Some (qc, Coord_cache.epoch qc)
+              | qc -> qc
             in
             Ok { fresh with query_cache })
   end

@@ -8,42 +8,34 @@
 
     {b Query evaluation.} A path between nodes in different shards
     decomposes into within-shard segments joined by cross-shard links
-    (weight 1), and the manifest knows every such link. The coordinator
-    therefore runs a Dijkstra search over {e portals} — the cross-link
-    endpoints — using shard probes ([CONNECTED], [ANCESTORS],
-    [NDESCENDANTS]) for segment distances, which yields exact global
-    distances without any global index:
+    (weight 1), and the manifest knows every such link. The link
+    endpoints — {e portals} — and the document roots form the portal
+    graph, and the {!Portal_closure} loaded with the plan holds its
+    exact distances as 2-hop labels. Every portal-to-portal distance is
+    therefore one in-memory label join; shards are only asked for the
+    within-shard legs at either end ([CONNECTED], nearest-start
+    [ANCESTORS]) and for result streams ([NDESCENDANTS], [ANCESTORS]):
 
     - [EVALUATE]: phase 1 fans the query to every shard in parallel
       (per-shard top-[k] by shard distance covers the global top-[k]);
       phase 2 seeds entry portals from per-link [ANCESTORS] probes
-      (nearest start-tag node above each link source) and expands each
-      settled entry with an offset [NDESCENDANTS] stream.
-    - [DESCENDANTS]/[NDESCENDANTS]: same machinery seeded from the one
-      resolved start node. [ANCESTORS] runs the mirror-image search
-      over exit portals. [CONNECTED] runs the portal search with early
-      termination on the best candidate distance.
+      (nearest start-tag node above each link source), joins the seeds
+      to every other entry portal, and merges an offset [NDESCENDANTS]
+      stream per reached entry.
+    - [DESCENDANTS]/[NDESCENDANTS]: the same joins from the one
+      resolved start node — with no probe at all when the start is a
+      document root or portal. [ANCESTORS] joins exit portals to the
+      node's shard and merges their [ANCESTORS] streams. [CONNECTED]
+      joins [a]'s exit legs to [b]'s entry legs.
 
-    The search expands {e wave by wave}: every portal at the current
-    frontier distance settles together (exact, because each portal edge
-    weighs at least the unit link hop), so the wave's segment probes
-    and result streams collapse into one pipelined [BATCH] per shard
-    per wave instead of one round trip per probe. Probe round trips and
-    the batch-size distribution are exported as
+    Portal streams are fetched lazily, nearest first, stopping once the
+    remaining streams start past the merge's k-th candidate distance,
+    and each one is cached for later requests. Each round of probes
+    goes out as one pipelined [BATCH] per shard; round trips and the
+    batch-size distribution are exported as
     [flix_shard_probe_rpcs_total] / [flix_shard_probe_subs_total] /
-    [flix_shard_probe_batch_size].
-
-    {b The portal closure.} When [create] is given a {!Portal_closure}
-    whose epoch matches the plan, every portal-to-portal distance the
-    wave search would have probed for becomes one in-memory label join
-    instead, and portal result streams are fetched lazily — nearest
-    first, stopping once the remaining streams start past the merge's
-    k-th candidate distance. Answers are byte-identical to the probed
-    path's (the merge breaks distance ties on global node id, so its
-    output is a function of the stream multiset; skipped streams cannot
-    contribute to the top [k]). A missing or stale closure falls back
-    to probing, counted in [flix_coord_closure_fallbacks_total]; label
-    joins are counted in [flix_coord_closure_lookups_total].
+    [flix_shard_probe_batch_size], label joins as
+    [flix_coord_closure_lookups_total].
 
     All result streams are k-way-merged by distance with
     {!Fx_graph.Priority_queue}, deduplicating nodes on first (nearest)
@@ -63,49 +55,30 @@
 type t
 
 val create :
-  ?cache_cap:int ->
-  ?batching:bool ->
   ?query_cache:int ->
-  ?closure:Portal_closure.t ->
+  closure:Portal_closure.t ->
   plan:Shard_plan.t ->
   shards:(string * int) list ->
   unit ->
   t
-(** [shards] lists one [host, port] per plan shard, in shard order.
-    Raises [Invalid_argument] when the count does not match the plan.
-    Probe results ([CONNECTED] distances, nearest-start [ANCESTORS])
-    are memoized up to [cache_cap] entries (default 65536) — shard
-    indexes are immutable, so entries never expire.
-
-    [batching] (default [true]) sends each wave's probes as one
-    pipelined [BATCH] per shard; [false] restores one round trip per
-    probe — the distances and answers are identical either way (the
-    before/after lever for the bench and the equivalence tests).
+(** [shards] lists one [host, port] per plan shard, in shard order, and
+    [closure] is the portal closure built for [plan] (the pair
+    {!Portal_closure.load_manifest} returns). Raises [Invalid_argument]
+    when the shard count does not match the plan, or when
+    {!Portal_closure.matches} fails — a closure built for another plan
+    would join wrong distances, so it is refused, never used. Probe
+    results ([CONNECTED] distances, nearest-start [ANCESTORS], portal
+    streams) are memoized; shard indexes are immutable, so entries
+    never expire.
 
     [query_cache] enables the coordinator-side {!Coord_cache} over
     merged [EVALUATE] results with the given LRU capacity; [None]
     (the default) disables it. Only clean (non-[TIMEOUT],
-    non-[PARTIAL]) merges are cached.
-
-    [closure] supplies the portal-closure oracle. It is used only when
-    {!Portal_closure.matches} holds for [plan]; a mismatched closure is
-    dropped (and reported stale in [stats_lines]) so answers can never
-    be joined against the wrong plan. The closure's epoch is folded
-    into the [query_cache] key. *)
-
-val has_closure : t -> bool
-(** Whether a matching portal closure is loaded (a stale one does not
-    count). *)
+    non-[PARTIAL]) merges are cached. *)
 
 val closure_lookups_total : t -> int
 (** Closure label joins performed — the number behind
     [flix_coord_closure_lookups_total]. *)
-
-val closure_fallbacks_total : t -> int
-(** Requests that took the probed path because no usable closure was
-    loaded (only counted when the plan has cross links, i.e. when
-    probing actually costs something) — the number behind
-    [flix_coord_closure_fallbacks_total]. *)
 
 val backend : t -> Fx_server.Server.custom
 (** Serve with
@@ -127,38 +100,28 @@ val probe_rpcs_total : t -> int
     behind [flix_shard_probe_rpcs_total]. *)
 
 val probe_subs_total : t -> int
-(** Sub-requests carried by those round trips; with batching off the
-    two counters advance in lockstep, with batching on the spread is
-    the win ([flix_shard_probe_subs_total]). *)
+(** Sub-requests carried by those round trips; the spread to
+    {!probe_rpcs_total} is what the [BATCH] envelope saves
+    ([flix_shard_probe_subs_total]). *)
 
 val query_cache_stats : t -> Coord_cache.stats option
 (** Entries/hits/misses/epoch of the [EVALUATE] result cache, or
     [None] when [create] was not given [query_cache]. *)
 
-val reload :
-  ?probe_deadline_ms:int ->
-  ?reload_deadline_ms:int ->
-  ?closure:Portal_closure.t ->
-  t ->
-  plan:Shard_plan.t ->
-  (t, string) result
-(** Shard-by-shard hot reload: probe every shard ([EPOCH], bounded by
-    [probe_deadline_ms], default 2s), then fan [RELOAD] out to each
-    (bounded by [reload_deadline_ms], default 120s), then build a
-    replacement coordinator over [plan] (the re-read manifest's plan)
-    with fresh connections to the same addresses. Any failure — a dead
-    shard found by the probe, a shard lost or refusing mid-reload —
-    returns [Error] and leaves [t] untouched, so the caller keeps
-    serving the old epoch whole; there is no mixed state. On success
-    the caller publishes the returned coordinator (e.g. via the
-    server's snapshot swap) and eventually {!close}s the old one.
+val reload : t -> plan:Shard_plan.t -> closure:Portal_closure.t -> (t, string) result
+(** Shard-by-shard hot reload onto the re-read manifest's [plan] and
+    [closure]: probe every shard ([EPOCH], 2 s budget), then fan
+    [RELOAD] out to each (120 s budget), then build a replacement
+    coordinator with fresh connections to the same addresses. Any
+    failure — a closure that does not match [plan] (refused before any
+    shard is touched; rebuild with [--build-shards]), a dead shard
+    found by the probe, a shard lost or refusing mid-reload — returns
+    [Error] and leaves [t] untouched, so the caller keeps serving the
+    old epoch whole; there is no mixed state. On success the caller
+    publishes the returned coordinator (e.g. via the server's snapshot
+    swap) and eventually {!close}s the old one.
 
-    [closure] (default: the old coordinator's) is the candidate portal
-    closure for the new plan — pass the one from the re-read manifest.
-    Either way it is used only if it matches [plan]; a mismatch drops
-    it as stale and queries take the wave-Dijkstra probed path until a
-    new closure is planned. The
-    merged-answer cache survives only when the plan digest is
+    The merged-answer cache survives only when the plan digest is
     unchanged (node ids and shard contents identical); otherwise it is
     invalidated whole. *)
 

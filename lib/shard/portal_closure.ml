@@ -47,8 +47,6 @@ let index_of t g =
   done;
   if !found < 0 then None else Some !found
 
-let covers t g = Option.is_some (index_of t g)
-
 let distance t a b =
   match (index_of t a, index_of t b) with
   | Some i, Some j -> Two_hop.distance t.labels i j
@@ -64,17 +62,16 @@ let manifest_magic = "FXSHARDMAN2"
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Codec.Corrupt s)) fmt
 
-let save_manifest ~path ~plan closure =
+(* The closure section opens with a flag word that is always 1; the
+   loader refuses a flag-0 manifest, which carries no closure. *)
+let save_manifest ~path ~plan c =
   let w = Codec.Writer.create ~magic:manifest_magic in
   Shard_plan.write_body w plan;
-  (match closure with
-  | None -> Codec.Writer.int w 0
-  | Some c ->
-      Codec.Writer.int w 1;
-      Codec.Writer.int w c.epoch;
-      Codec.Writer.int w c.build_us;
-      Codec.Writer.int_array w c.nodes;
-      Codec.Writer.string w (Two_hop.serialize c.labels));
+  Codec.Writer.int w 1;
+  Codec.Writer.int w c.epoch;
+  Codec.Writer.int w c.build_us;
+  Codec.Writer.int_array w c.nodes;
+  Codec.Writer.string w (Two_hop.serialize c.labels);
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
@@ -82,7 +79,7 @@ let save_manifest ~path ~plan closure =
 
 let read_closure r ~total_nodes =
   match Codec.Reader.int r with
-  | 0 -> None
+  | 0 -> corrupt "manifest has no portal closure; rebuild with --build-shards"
   | 1 ->
       let epoch = Codec.Reader.int r in
       let build_us = Codec.Reader.int r in
@@ -100,7 +97,7 @@ let read_closure r ~total_nodes =
       if Two_hop.n_nodes labels <> Array.length nodes then
         corrupt "manifest: closure labels cover %d nodes, table has %d"
           (Two_hop.n_nodes labels) (Array.length nodes);
-      Some { epoch; build_us; nodes; labels }
+      { epoch; build_us; nodes; labels }
   | flag -> corrupt "manifest: bad closure flag %d" flag
 
 let load_manifest path =
@@ -110,20 +107,13 @@ let load_manifest path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let v2_prefix = manifest_magic ^ "\xff" in
-  let is_v2 =
-    String.length body >= String.length v2_prefix
-    && String.sub body 0 (String.length v2_prefix) = v2_prefix
-  in
-  if not is_v2 then
-    (* A v1 manifest (or anything else): the v1 loader owns the
-       diagnostics. Plans saved before the closure existed keep
-       loading; the coordinator just gets no oracle. *)
-    (Shard_plan.load path, None)
-  else begin
-    let r = Codec.Reader.create ~magic:manifest_magic body in
-    let plan = Shard_plan.read_body r in
-    let closure = read_closure r ~total_nodes:(Shard_plan.total_nodes plan) in
-    Codec.Reader.expect_end r;
-    (plan, closure)
-  end
+  if not (String.starts_with ~prefix:manifest_magic body) then
+    corrupt
+      "%s is not an %s manifest (v1 FXSHARDMAN1 manifests carry no portal closure); \
+       rebuild with --build-shards"
+      path manifest_magic;
+  let r = Codec.Reader.create ~magic:manifest_magic body in
+  let plan = Shard_plan.read_body r in
+  let closure = read_closure r ~total_nodes:(Shard_plan.total_nodes plan) in
+  Codec.Reader.expect_end r;
+  (plan, closure)

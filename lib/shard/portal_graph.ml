@@ -8,9 +8,9 @@
    portal or anchor root) to every exit portal (link source) of the
    same shard, weighted by the shard-local shortest-path distance
    between them. Any global path decomposes into within-shard segments
-   joined by unit link hops, so graph distance here equals the distance
-   the coordinator's probed wave search computes — the exactness
-   argument the closure rests on (see DESIGN.md). *)
+   joined by unit link hops, so graph distance here equals the exact
+   global distance — the argument the closure rests on (see
+   DESIGN.md). *)
 
 type t = {
   nodes : int array;  (* sorted distinct global node ids *)

@@ -4,13 +4,11 @@
     each source node (entry portal or anchor) to each exit portal of
     the same shard, weighted by the shard-local shortest-path distance.
 
-    Graph distance between two of its nodes equals the exact global
-    distance along the paths the coordinator's probed wave search
-    explores — within-shard segments joined by unit link hops — which
-    is what makes a distance oracle over this graph ({!Portal_closure})
-    an exact replacement for runtime probe RPCs. Anchors carry only
-    outgoing edges: they let root-anchored queries skip even the
-    initial exit-probe wave. *)
+    Graph distance between two of its nodes equals their exact global
+    distance — every global path is within-shard segments joined by
+    unit link hops — which is what makes a distance oracle over this
+    graph ({!Portal_closure}) exact. Anchors carry only outgoing edges:
+    they let root-anchored queries skip even their exit probes. *)
 
 type t
 

@@ -74,7 +74,7 @@ let shard_of_doc t name =
 (* --- construction ---------------------------------------------------- *)
 
 (* Derive [by_shard] (with local bases) from the flat doc array; shared
-   by [plan] and [load]. *)
+   by [plan] and [read_body]. *)
 let finish ~n_shards ~total_nodes ~docs ~cross =
   let by_shard =
     Array.init n_shards (fun s ->
@@ -221,10 +221,8 @@ let digest t =
 
 (* --- persistence ------------------------------------------------------ *)
 
-let magic = "FXSHARDMAN1"
-
-(* The body codec is shared between the v1 manifest ([save]/[load]) and
-   the v2 container {!Portal_closure.save_manifest} wraps around it. *)
+(* The plan half of the manifest; {!Portal_closure.save_manifest} owns
+   the file framing and the closure half. *)
 let write_body w t =
   Codec.Writer.int w t.n_shards;
   Codec.Writer.int w t.total_nodes;
@@ -243,14 +241,6 @@ let write_body w t =
       Codec.Writer.int w l.dst;
       Codec.Writer.string w l.dst_tag)
     t.cross
-
-let save ~path t =
-  let w = Codec.Writer.create ~magic in
-  write_body w t;
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Codec.Writer.contents w))
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Codec.Corrupt s)) fmt
 
@@ -291,18 +281,6 @@ let read_body r =
         { src; dst; dst_tag })
   in
   finish ~n_shards ~total_nodes ~docs ~cross
-
-let load path =
-  let ic = open_in_bin path in
-  let body =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let r = Codec.Reader.create ~magic body in
-  let t = read_body r in
-  Codec.Reader.expect_end r;
-  t
 
 let describe t =
   Printf.sprintf "shard plan: %d shards over %d documents, %d nodes, %d cross-shard links"

@@ -82,19 +82,12 @@ val digest : t -> int
 
 (** {1 Persistence} *)
 
-val save : path:string -> t -> unit
-(** Raises [Sys_error] on I/O failure. *)
-
-val load : string -> t
-(** @raise Fx_util.Codec.Corrupt on a mangled manifest.
-    @raise Sys_error if the file cannot be read. *)
-
 val write_body : Fx_util.Codec.Writer.t -> t -> unit
 val read_body : Fx_util.Codec.Reader.t -> t
-(** The manifest body without file framing, for container formats that
-    wrap a plan in a versioned envelope ({!Portal_closure}'s
-    [FXSHARDMAN2] manifest). [read_body] validates like {!load} but
-    does not require end-of-input.
+(** The plan half of the shard manifest, without file framing:
+    {!Portal_closure.save_manifest} and {!Portal_closure.load_manifest}
+    wrap it, with the closure, in the [FXSHARDMAN2] file. [read_body]
+    validates the plan but does not require end-of-input.
     @raise Fx_util.Codec.Corrupt on a mangled body. *)
 
 val describe : t -> string list

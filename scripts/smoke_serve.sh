@@ -9,7 +9,8 @@
 # server), with the snapshot epoch / pin / reload-duration metrics
 # asserted on METRICS. Then the sharded path: build a 2-shard
 # deployment, boot both shard servers plus a coordinator, query through
-# the coordinator (including a coordinator-wide RELOAD sweep), and
+# the coordinator (including a coordinator-wide RELOAD sweep), check
+# that a manifest without a portal closure is refused at boot, and
 # verify that killing a shard degrades answers to PARTIAL — and RELOAD
 # to a clean ERR — instead of failing them.
 #
@@ -192,10 +193,7 @@ echo "== sharded deployment: build 2 shards + manifest =="
 EXTRA_DIR=$(mktemp -d)
 SPORT0=$((PORT + 1))
 SPORT1=$((PORT + 2))
-# 600 documents, not 40: the closure ratio check below needs a portal
-# graph dense enough that probe volume, not fixed per-request cost,
-# dominates the --no-closure run.
-"$BIN" --build-shards 2 --docs 600 --index-dir "$EXTRA_DIR" >"$EXTRA_DIR/build.log" 2>&1 \
+"$BIN" --build-shards 2 --docs 40 --index-dir "$EXTRA_DIR" >"$EXTRA_DIR/build.log" 2>&1 \
   || { cat "$EXTRA_DIR/build.log" >&2; fail "shard build failed"; }
 [ -s "$EXTRA_DIR/manifest.shards" ] || fail "manifest.shards missing"
 for s in shard0 shard1; do
@@ -239,7 +237,7 @@ hits=$(ask METRICS | awk '/^flix_coord_cache_hits_total / { print $2 }')
 [ "${hits:-0}" -gt 0 ] || fail "coordinator cache never hit (hits=${hits:-0})"
 echo "coordinator cache hits=$hits"
 
-echo "== portal closure: label joins replace portal probe waves =="
+echo "== portal closure: label joins answer portal distances =="
 grep -q "portal closure:" "$EXTRA_DIR/coord.log" || fail "coordinator boot log says nothing about the closure"
 lookups=$(ask METRICS | awk '/^flix_coord_closure_lookups_total / { print $2 }')
 [ "${lookups:-0}" -gt 0 ] || fail "closure never consulted (lookups=${lookups:-0})"
@@ -254,65 +252,24 @@ echo "== coordinator RELOAD: shard-by-shard sweep, single swap =="
 ask "EVALUATE article author 5" | grep -q "^DONE " || fail "EVALUATE after coordinator reload"
 ask METRICS | grep -q "^flix_snapshot_epoch 2$" || fail "coordinator epoch gauge after reload"
 
-# The same fixed cross-shard load against this coordinator and then a
-# --no-closure one, measured at steady state: each gets an unmeasured
-# warm-up pass over one set of documents (the memoized conn/seed
-# probes are shared machinery), then a measured pass over *different*
-# documents — distinct requests, so the coordinator's query cache
-# cannot answer them, and what's left is the per-request price of the
-# portal legs. Label joins must undercut the probe waves by 100x.
-read_subs() {
-  ask METRICS | awk '/^flix_shard_probe_subs_total\{/ { sum += $2 } END { print sum + 0 }'
-}
-warm_load() {
-  local i
-  for i in $(seq 0 19); do
-    ask "DESCENDANTS $(printf 'dblp_%04d' "$i") - author 10" >/dev/null
-  done
-}
-measure_load() {
-  local i
-  for i in $(seq 20 34); do
-    ask "DESCENDANTS $(printf 'dblp_%04d' "$i") - author 10" >/dev/null
-  done
-}
-warm_load
-before=$(read_subs)
-measure_load
-with_subs=$(( $(read_subs) - before ))
-
-kill "$SRV_PID" && wait "$SRV_PID" 2>/dev/null
-"$BIN" --coordinator --no-closure --index-dir "$EXTRA_DIR" --coord-cache 64 \
-  --shard "127.0.0.1:$SPORT0" --shard "127.0.0.1:$SPORT1" \
-  --port "$PORT" >"$EXTRA_DIR/coord_nc.log" 2>&1 &
-SRV_PID=$!
-wait_port || { cat "$EXTRA_DIR/coord_nc.log" >&2; fail "--no-closure coordinator did not come up"; }
-grep -q "portal distances will be probed" "$EXTRA_DIR/coord_nc.log" \
-  || fail "--no-closure boot should announce the probed path"
-warm_load
-before=$(read_subs)
-measure_load
-without_subs=$(( $(read_subs) - before ))
-echo "steady-state probe subs for the same load: closure=$with_subs no-closure=$without_subs"
-[ "$without_subs" -gt 0 ] || fail "no-closure load produced no probe subs"
-[ $((with_subs * 100)) -le "$without_subs" ] \
-  || fail "closure did not cut probe subs 100x (closure=$with_subs no-closure=$without_subs)"
-
-# Back on the closure coordinator for the fault-injection finale; the
-# replacement process starts with a cold cache, so re-warm EVALUATE.
-kill "$SRV_PID" && wait "$SRV_PID" 2>/dev/null
-"$BIN" --coordinator --index-dir "$EXTRA_DIR" --coord-cache 64 \
-  --shard "127.0.0.1:$SPORT0" --shard "127.0.0.1:$SPORT1" \
-  --port "$PORT" >"$EXTRA_DIR/coord2.log" 2>&1 &
-SRV_PID=$!
-wait_port || { cat "$EXTRA_DIR/coord2.log" >&2; fail "closure coordinator did not come back up"; }
-ask "EVALUATE article author 5" | grep -q "^DONE " || fail "EVALUATE after closure reboot"
+echo "== a v1 manifest is refused at boot =="
+# The same manifest under the pre-closure FXSHARDMAN1 magic: the
+# coordinator must exit nonzero and say how to rebuild, not fall back.
+mkdir "$EXTRA_DIR/v1"
+cp "$EXTRA_DIR/manifest.shards" "$EXTRA_DIR/v1/manifest.shards"
+printf 'FXSHARDMAN1' | dd of="$EXTRA_DIR/v1/manifest.shards" bs=1 count=11 conv=notrunc 2>/dev/null
+out=$("$BIN" --coordinator --index-dir "$EXTRA_DIR/v1" \
+  --shard "127.0.0.1:$SPORT0" --shard "127.0.0.1:$SPORT1" --port "$((PORT + 4))" 2>&1)
+status=$?
+[ "$status" -ne 0 ] || fail "v1 manifest accepted (exit 0)"
+echo "$out" | grep -q -- "--build-shards" || fail "v1 refusal does not say to rebuild with --build-shards"
+echo "$out" | grep -q "Raised at\|Fatal error" && fail "backtrace leaked for a v1 manifest"
 
 echo "== kill one shard: answers degrade to PARTIAL =="
 kill "$S1_PID" && wait "$S1_PID" 2>/dev/null
 EXTRA_PIDS=$S0_PID
-# The warmed query replays from the coordinator cache even with the
-# shard down; a cold query must degrade to PARTIAL.
+# The query warmed after the reload replays from the coordinator cache
+# even with the shard down; a cold query must degrade to PARTIAL.
 ask "EVALUATE article author 5" | grep -q "^DONE " || fail "cached EVALUATE should survive the dead shard"
 ask "EVALUATE inproceedings cite 5" | grep -q "^PARTIAL " || fail "dead shard should answer PARTIAL"
 [ "$(ask PING)" = "PONG" ] || fail "coordinator PING after shard death"
@@ -323,7 +280,7 @@ case $reload_reply in
   ERR*shard*) : ;;
   *) fail "RELOAD with a dead shard answered '$reload_reply', want ERR" ;;
 esac
-[ "$(ask EPOCH)" = "EPOCH 1" ] || fail "failed reload must not swap the coordinator"
+[ "$(ask EPOCH)" = "EPOCH 2" ] || fail "failed reload must not swap the coordinator"
 [ "$(ask PING)" = "PONG" ] || fail "coordinator PING after refused RELOAD"
 
 kill "$SRV_PID" "$S0_PID" 2>/dev/null

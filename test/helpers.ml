@@ -94,3 +94,20 @@ let sorted_by_dist_list dists =
     | [ _ ] | [] -> true
   in
   go dists
+
+(* --- shard fixtures ------------------------------------------------- *)
+
+(* One HOPI per shard sub-collection, and the portal closure a plan's
+   coordinator joins against, built from those indexes the way
+   --build-shards builds it. *)
+let hopis_of colls =
+  Array.map
+    (fun sub ->
+      Fx_index.Hopi.build
+        { Fx_index.Path_index.graph = Fx_xml.Collection.graph sub;
+          tag = Fx_xml.Collection.tag sub })
+    colls
+
+let closure_of plan hopis =
+  Fx_shard.Portal_closure.build ~plan ~local_dist:(fun ~shard ~a ~b ->
+      Fx_index.Hopi.distance hopis.(shard) a b)

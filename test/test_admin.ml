@@ -2,7 +2,7 @@
    scoping, the scoped EVALUATE/query caches, incremental Flix
    maintenance checked byte-for-byte against cold rebuilds, the admin
    verbs over a live server (including wire framing failure modes), and
-   coordinator reload rollback with a dead shard. *)
+   coordinator reload rollback with a dead shard or a stale closure. *)
 
 module C = Fx_xml.Collection
 module X = Fx_xml.Xml_types
@@ -277,7 +277,9 @@ let query_cache_scoped () =
 
 let coord_cache_scoped () =
   let t = Coord_cache.create ~capacity:8 () in
-  let store s tt = Coord_cache.store t ~start_tag:s ~target_tag:tt ~k:5 ~max_dist:None [] in
+  let store ?(epoch = Coord_cache.epoch t) s tt =
+    Coord_cache.store t ~epoch ~start_tag:s ~target_tag:tt ~k:5 ~max_dist:None []
+  in
   let find s tt = Coord_cache.find t ~start_tag:s ~target_tag:tt ~k:5 ~max_dist:None in
   store "a" "b";
   store "c" "d";
@@ -287,7 +289,15 @@ let coord_cache_scoped () =
   Alcotest.(check bool) "touched start dropped" false (find "c" "d" <> None);
   Alcotest.(check bool) "touched target dropped" false (find "e" "c" <> None);
   let s = Coord_cache.stats t in
-  Alcotest.(check int) "no epoch bump" 0 s.epoch
+  Alcotest.(check int) "no epoch bump" 0 s.epoch;
+  (* A merge computed before a full invalidate but stored after it is
+     orphaned, not served. *)
+  let before = Coord_cache.epoch t in
+  Coord_cache.invalidate t;
+  store ~epoch:before "g" "h";
+  Alcotest.(check bool) "pre-invalidate merge orphaned" true (find "g" "h" = None);
+  store "g" "h";
+  Alcotest.(check bool) "fresh merge stored" true (find "g" "h" <> None)
 
 (* --- admin verbs over a live server ----------------------------------- *)
 
@@ -542,12 +552,23 @@ let server_ingest_framing () =
 
 (* --- coordinator hot reload ------------------------------------------- *)
 
+(* The portal closure a coordinator over [plan] needs, and one built
+   for an unrelated plan. *)
+let closures_for plan shard_colls =
+  let other = Dblp.collection { Dblp.default with n_docs = 20; seed = 5 } in
+  let other_plan = Plan.plan ~n_shards:2 other in
+  ( Helpers.closure_of plan (Helpers.hopis_of shard_colls),
+    Helpers.closure_of other_plan
+      (Helpers.hopis_of (Plan.shard_documents other_plan other |> Array.map C.build)) )
+
 let coordinator_reload () =
   let coll = Dblp.collection { Dblp.default with n_docs = 60; seed = 3 } in
   let plan = Plan.plan ~n_shards:2 coll in
-  let shard_flixes =
-    Plan.shard_documents plan coll |> Array.map (fun docs -> Flix.build (C.build docs))
-  in
+  let shard_colls = Plan.shard_documents plan coll |> Array.map C.build in
+  let shard_flixes = Array.map Flix.build shard_colls in
+  let closure, stale_closure = closures_for plan shard_colls in
+  (* The closure the next RELOAD finds in the re-read manifest. *)
+  let manifest_closure = ref closure in
   let admin_for fx =
     {
       Server.admin_reload = (fun () -> Ok (Server.In_memory fx));
@@ -572,12 +593,12 @@ let coordinator_reload () =
       List.iter Coordinator.close !coords;
       Array.iter Server.stop shard_servers)
     (fun () ->
-      let coord = ref (track (Coordinator.create ~plan ~shards ())) in
+      let coord = ref (track (Coordinator.create ~closure ~plan ~shards ())) in
       let admin =
         {
           Server.admin_reload =
             (fun () ->
-              match Coordinator.reload !coord ~plan with
+              match Coordinator.reload !coord ~plan ~closure:!manifest_closure with
               | Error e -> Error e
               | Ok fresh ->
                   coord := track fresh;
@@ -610,6 +631,19 @@ let coordinator_reload () =
                 (expect_value "reload" (Client.reload c));
               Alcotest.(check string) "post-swap answer identical" before
                 (render (Client.request c q));
+              (* a manifest whose closure does not match its plan is
+                 refused: ERR, and the old epoch keeps serving *)
+              manifest_closure := stale_closure;
+              let msg = expect_server_error "stale-closure reload" (Client.reload c) in
+              Alcotest.(check bool)
+                (Printf.sprintf "refusal names --build-shards: %s" msg)
+                true
+                (Astring.String.is_infix ~affix:"--build-shards" msg);
+              Alcotest.(check int) "stale closure keeps the old epoch" 2
+                (expect_value "epoch" (Client.epoch c));
+              Alcotest.(check string) "old epoch still answers" before
+                (render (Client.request c q));
+              manifest_closure := closure;
               (* a dead shard fails the probe: clean ERR naming the
                  shard, framing intact, no mixed state *)
               Server.stop shard_servers.(1);
@@ -626,16 +660,16 @@ let coordinator_reload () =
 let coordinator_reload_rollback () =
   let coll = Dblp.collection { Dblp.default with n_docs = 40; seed = 8 } in
   let plan = Plan.plan ~n_shards:2 coll in
-  let shard_flixes =
-    Plan.shard_documents plan coll |> Array.map (fun docs -> Flix.build (C.build docs))
-  in
+  let shard_colls = Plan.shard_documents plan coll |> Array.map C.build in
+  let shard_flixes = Array.map Flix.build shard_colls in
+  let closure = Helpers.closure_of plan (Helpers.hopis_of shard_colls) in
   let shard_servers =
     Array.map (fun fx -> Server.start_backend (Server.In_memory fx)) shard_flixes
   in
   let shards =
     Array.to_list shard_servers |> List.map (fun s -> ("127.0.0.1", Server.port s))
   in
-  let coord = Coordinator.create ~plan ~shards () in
+  let coord = Coordinator.create ~closure ~plan ~shards () in
   Fun.protect
     ~finally:(fun () ->
       Coordinator.close coord;
@@ -643,7 +677,7 @@ let coordinator_reload_rollback () =
     (fun () ->
       (* these shard servers have no admin hooks: the RELOAD sweep is
          refused mid-flight and the caller keeps the old coordinator *)
-      (match Coordinator.reload coord ~plan with
+      (match Coordinator.reload coord ~plan ~closure with
       | Ok _ -> Alcotest.fail "reload must fail when a shard refuses"
       | Error msg ->
           Alcotest.(check bool)
@@ -652,7 +686,7 @@ let coordinator_reload_rollback () =
             (Astring.String.is_infix ~affix:"shard 0" msg));
       (* shard-count mismatch is rejected before any shard is touched *)
       let plan1 = Plan.plan ~n_shards:1 coll in
-      (match Coordinator.reload coord ~plan:plan1 with
+      (match Coordinator.reload coord ~plan:plan1 ~closure with
       | Ok _ -> Alcotest.fail "shard-count mismatch must fail"
       | Error _ -> ());
       (* the old coordinator still answers *)
