@@ -801,7 +801,7 @@ let serve ctx =
                   Array.to_list servers
                   |> List.map (fun s -> ("127.0.0.1", Fx_server.Server.port s))
                 in
-                let coord = Coord.create ~query_cache:256 ~closure ~plan ~shards () in
+                let coord = Coord.create ~closure ~plan ~shards () in
                 Fun.protect
                   ~finally:(fun () -> Coord.close coord)
                   (fun () ->
@@ -809,8 +809,8 @@ let serve ctx =
                     run_one ~backend_name:name ~workers:4
                       ~extra:(fun ~port ->
                         (* A small repeated EVALUATE mix: the second
-                           pass should land in the coordinator's
-                           result cache. *)
+                           pass should land in the front server's
+                           answer cache. *)
                         let client = Fx_server.Server_client.connect ~port () in
                         for _ = 1 to 2 do
                           List.iter
@@ -830,15 +830,24 @@ let serve ctx =
                               ("article", "title");
                             ]
                         done;
+                        let metric name =
+                          match Fx_server.Server_client.metrics client with
+                          | Ok (Fx_server.Server_client.Value lines) ->
+                              List.find_map
+                                (fun l ->
+                                  match String.split_on_char ' ' l with
+                                  | [ n; v ] when n = name -> int_of_string_opt v
+                                  | _ -> None)
+                                lines
+                              |> Option.value ~default:0
+                          | _ -> 0
+                        in
+                        let hits = metric "flix_eval_cache_hits_total" in
+                        let misses = metric "flix_eval_cache_misses_total" in
                         Fx_server.Server_client.close client;
                         let rpcs = Coord.probe_rpcs_total coord in
                         let subs = Coord.probe_subs_total coord in
                         let closure_lookups = Coord.closure_lookups_total coord in
-                        let hits, misses =
-                          match Coord.query_cache_stats coord with
-                          | Some s -> (s.Fx_shard.Coord_cache.hits, s.misses)
-                          | None -> (0, 0)
-                        in
                         let hit_rate =
                           if hits + misses = 0 then 0.0
                           else float_of_int hits /. float_of_int (hits + misses)

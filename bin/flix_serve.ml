@@ -42,11 +42,14 @@ let with_lock m f =
 let usage () =
   print_endline
     "usage: flix_serve [--port N] [--host A] [--workers N] [--queue N]\n\
-    \                  [--deadline-ms F] [--docs N | --xml-dir DIR] [--seed N]\n\
+    \                  [--deadline-ms F] [--coord-cache N]\n\
+    \                  [--docs N | --xml-dir DIR] [--seed N]\n\
     \                  [--index-dir DIR] [--pool-pages N] [--pool-stripes N]\n\
     \       flix_serve --build-shards N --index-dir DIR [--docs N | --xml-dir DIR]\n\
     \       flix_serve --coordinator --index-dir DIR --shard HOST:PORT [--shard ...]\n\
-    \                  [--coord-cache N]";
+    \n\
+    --coord-cache N sizes the EVALUATE answer cache (N >= 1 entries, default 256)\n\
+    in every mode: in-memory, disk, and coordinator.";
   exit 1
 
 type source = Generate of int | Xml_dir of string
@@ -113,6 +116,7 @@ let open_deployment ~prefix ~pool_pages ~pool_stripes () =
 let serve ?(register = fun _ -> ()) ?admin ?(shutdown = fun _ -> ()) cfg backend =
   let server = Server.start_backend ~config:cfg ?admin backend in
   register server;
+  Printf.printf "EVALUATE answer cache: %d entries\n%!" cfg.Server.eval_cache_capacity;
   Printf.printf "serving on %s:%d (%d workers, queue %d, deadline %.0f ms)\n%!"
     cfg.Server.host (Server.port server) cfg.Server.workers cfg.Server.queue_capacity
     cfg.Server.deadline_ms;
@@ -177,7 +181,7 @@ let build_shards ~dir ~n_shards source seed =
     (manifest_path dir);
   Printf.printf "serve each shard with: flix_serve --index-dir %s/shard<i>\n%!" dir
 
-let serve_coordinator cfg ~dir ~shards ~coord_cache =
+let serve_coordinator cfg ~dir ~shards =
   let plan, closure = Portal_closure.load_manifest (manifest_path dir) in
   List.iter print_endline (Shard_plan.describe plan);
   if List.length shards <> Shard_plan.n_shards plan then begin
@@ -185,11 +189,8 @@ let serve_coordinator cfg ~dir ~shards ~coord_cache =
       (Shard_plan.n_shards plan) (List.length shards);
     exit 1
   end;
-  (match coord_cache with
-  | Some n -> Printf.printf "coordinator EVALUATE cache: %d entries\n%!" n
-  | None -> ());
   Printf.printf "%s\n%!" (Portal_closure.describe closure);
-  let coord = Coordinator.create ?query_cache:coord_cache ~closure ~plan ~shards () in
+  let coord = Coordinator.create ~closure ~plan ~shards () in
   let backend0 = Server.Custom (Coordinator.backend coord) in
   (* RELOAD swaps the serving coordinator, so everything that outlives
      one request — the metrics collector, the admin hooks, the exit
@@ -339,7 +340,6 @@ let () =
   let build_n = ref None in
   let coordinator = ref false in
   let shard_addrs = ref [] in
-  let coord_cache = ref None in
   let rec parse = function
     | [] -> ()
     | "--build-shards" :: v :: rest ->
@@ -352,7 +352,12 @@ let () =
         shard_addrs := parse_host_port v :: !shard_addrs;
         parse rest
     | "--coord-cache" :: v :: rest ->
-        coord_cache := Some (int_of_string v);
+        let n = int_of_string v in
+        if n < 1 then begin
+          Printf.eprintf "flix_serve: --coord-cache needs at least 1 entry, got %d\n" n;
+          exit 1
+        end;
+        cfg := { !cfg with eval_cache_capacity = n };
         parse rest
     | "--port" :: v :: rest ->
         cfg := { !cfg with port = int_of_string v };
@@ -409,7 +414,6 @@ let () =
   | None, true, Some dir -> (
       match
         serve_coordinator !cfg ~dir ~shards:(List.rev !shard_addrs)
-          ~coord_cache:!coord_cache
       with
       | () -> ()
       | exception Fx_util.Codec.Corrupt msg ->

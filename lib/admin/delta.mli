@@ -4,7 +4,7 @@
     cross the old/new boundary, or documents were evicted and node ids
     shifted); every cached entry must go. [Tags ts] — only answers
     mentioning one of the tags [ts] can differ; everything else stays
-    warm (see {!Eval_cache.invalidate_tags}). *)
+    warm (see {!Eval_cache.swap}). *)
 
 type scope = All | Tags of string list
 

@@ -1,20 +1,23 @@
 (* Server-side cache over clean EVALUATE answers, with invalidation
    scoped to the tag pairs touched by an ingest delta instead of a
    whole-epoch flush. All state sits behind one mutex (never held across
-   anything blocking); hit/miss counters come from the LRU itself. *)
+   anything blocking); hit/miss counters come from the LRU itself.
+
+   Every resident entry belongs to the current epoch: [swap] drops what
+   the delta touches and moves the survivors along with the epoch, and
+   [store] refuses an answer computed under any other epoch. So a
+   request pinned to a retired snapshot can never plant its answer in
+   the new epoch's cache. *)
 
 module Lru = Fx_util.Lru
 
-type key = {
-  start_tag : string;
-  target_tag : string option;  (* None = wildcard target *)
-  k : int;
-  max_dist : int;
-}
+type key = { start_tag : string; target_tag : string; k : int; max_dist : int }
 
 type 'v t = {
   m : Mutex.t;
   lru : (key, 'v) Lru.t;
+  enabled : bool;
+  mutable epoch : int;
   mutable invalidated : int;
 }
 
@@ -22,46 +25,39 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let create ~capacity =
-  { m = Mutex.create (); lru = Lru.create ~capacity (); invalidated = 0 }
+let create ~capacity ~epoch =
+  {
+    m = Mutex.create ();
+    lru = Lru.create ~capacity:(max 1 capacity) ();
+    enabled = capacity > 0;
+    epoch;
+    invalidated = 0;
+  }
 
-let find t key = with_lock t.m (fun () -> Lru.find t.lru key)
-let store t key v = with_lock t.m (fun () -> Lru.add t.lru key v)
+let find t ~epoch key =
+  with_lock t.m (fun () -> if epoch = t.epoch then Lru.find t.lru key else None)
 
-(* A wildcard-target entry may contain nodes of any tag, so every delta
-   touches it. A concrete entry is touched only when its start or target
-   tag is in the delta's tag set. *)
+let store t ~epoch key v =
+  with_lock t.m (fun () -> if t.enabled && epoch = t.epoch then Lru.add t.lru key v)
+
+(* An entry is touched when its start or target tag is in the delta's
+   tag set. *)
 let touches tags key =
-  List.exists (String.equal key.start_tag) tags
-  ||
-  match key.target_tag with
-  | None -> true
-  | Some tg -> List.exists (String.equal tg) tags
+  List.exists (fun tag -> String.equal tag key.start_tag || String.equal tag key.target_tag) tags
 
-let invalidate_tags t tags =
+let swap t ~epoch (scope : Delta.scope) =
   with_lock t.m (fun () ->
+      (* [Lru.clear] would also reset the hit/miss counters, which must
+         survive a swap (they are the evidence that scoped invalidation
+         kept unaffected entries warm) — drop entries one by one. *)
       let doomed = ref [] in
-      Lru.iter t.lru (fun key _ -> if touches tags key then doomed := key :: !doomed);
+      Lru.iter t.lru (fun key _ ->
+          match scope with
+          | Delta.All -> doomed := key :: !doomed
+          | Delta.Tags tags -> if touches tags key then doomed := key :: !doomed);
       List.iter (Lru.remove t.lru) !doomed;
-      t.invalidated <- t.invalidated + List.length !doomed)
-
-let clear t =
-  with_lock t.m (fun () ->
-      t.invalidated <- t.invalidated + Lru.length t.lru;
-      (* [Lru.clear] also resets hit/miss counters, which must survive a
-         swap (they are the evidence that scoped invalidation kept
-         unaffected entries warm) — drop entries one by one instead. *)
-      let keys = ref [] in
-      Lru.iter t.lru (fun key _ -> keys := key :: !keys);
-      List.iter (Lru.remove t.lru) !keys)
-
-let map_values t f =
-  with_lock t.m (fun () ->
-      let pairs = ref [] in
-      Lru.iter t.lru (fun key v -> pairs := (key, v) :: !pairs);
-      (* [Lru.set] replaces in place without touching the hit/miss
-         counters (recency order is perturbed, which is harmless). *)
-      List.iter (fun (key, v) -> Lru.set t.lru key (f v)) !pairs)
+      t.invalidated <- t.invalidated + List.length !doomed;
+      t.epoch <- epoch)
 
 let hits t = with_lock t.m (fun () -> Lru.hits t.lru)
 let misses t = with_lock t.m (fun () -> Lru.misses t.lru)

@@ -2,15 +2,10 @@ module Lru = Fx_util.Lru
 
 type key = { start : int; tag : int option; max_dist : int }
 
-type t = {
-  pee : Pee.t;
-  cache : (key, Pee.item list) Lru.t;
-  capacity : int;
-  max_results : int;
-}
+type t = { pee : Pee.t; cache : (key, Pee.item list) Lru.t; max_results : int }
 
 let create ?(capacity = 256) ?(max_results = 10_000) pee =
-  { pee; cache = Lru.create ~capacity (); capacity; max_results }
+  { pee; cache = Lru.create ~capacity (); max_results }
 
 let stream_of_list items =
   let rest = ref items in
@@ -48,33 +43,6 @@ let descendants ?tag ?(max_dist = max_int) t ~start =
               Some x)
 
 let invalidate t = Lru.clear t.cache
-
-(* Scoped invalidation: an entry restricted to a tag the delta did not
-   touch still lists exactly the right nodes (ids are stable and no new
-   link reaches the old range when the scope is tag-bounded), so only
-   entries on touched tags — and wildcard entries, which may contain any
-   tag — have to go. *)
-let invalidate_tags t tags =
-  let doomed = ref [] in
-  Lru.iter t.cache (fun key _ ->
-      let touched =
-        match key.tag with None -> true | Some tg -> List.exists (Int.equal tg) tags
-      in
-      if touched then doomed := key :: !doomed);
-  List.iter (Lru.remove t.cache) !doomed
-
-let rebase t ~pee ~keep =
-  let fresh =
-    {
-      pee;
-      cache = Lru.create ~capacity:t.capacity ();
-      capacity = t.capacity;
-      max_results = t.max_results;
-    }
-  in
-  Lru.iter t.cache (fun key items ->
-      if keep ~tag:key.tag then Lru.add fresh.cache key items);
-  fresh
 
 type cache_stats = { entries : int; hits : int; misses : int; hit_rate : float }
 

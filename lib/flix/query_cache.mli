@@ -26,18 +26,6 @@ val descendants :
 val invalidate : t -> unit
 (** Drop everything — call after the underlying index is rebuilt. *)
 
-val invalidate_tags : t -> int list -> unit
-(** Scoped invalidation: drop entries restricted to one of the given
-    tag ids, plus wildcard entries; everything else stays warm. Sound
-    when the delta is tag-bounded (see {!Fx_admin.Delta.extend_scope}):
-    node ids are stable and no link crosses into the old range, so an
-    entry on an untouched tag still lists exactly the right nodes. *)
-
-val rebase : t -> pee:Pee.t -> keep:(tag:int option -> bool) -> t
-(** A cache over the rebuilt engine [pee] (same capacity and result
-    cap) carrying over the entries whose tag restriction satisfies
-    [keep] — how a snapshot swap keeps unaffected entries warm. *)
-
 type cache_stats = { entries : int; hits : int; misses : int; hit_rate : float }
 
 val stats : t -> cache_stats

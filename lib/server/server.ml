@@ -89,13 +89,6 @@ type admin = {
   admin_retire : backend -> unit;
 }
 
-(* An EVALUATE answer cached with the epoch it was computed on: a hit
-   replays only when the entry's epoch matches the requester's pinned
-   epoch, so an in-flight store racing a snapshot swap can never leak a
-   stale answer — the swap retags surviving entries to the new epoch
-   (under the admin lock) and anything stored late simply misses. *)
-type cached = { centry_epoch : int; citems : Protocol.item list }
-
 (* flix_reload_duration_seconds: swap latencies are seconds-scale and
    rare, so a small mutex-guarded histogram (observed only by the
    admin-serialized swap path) is enough. *)
@@ -113,7 +106,7 @@ type t = {
   snapshot : backend Snapshot.t;
   admin : admin option;
   admin_m : Mutex.t; (* serializes INGEST/EVICT/RELOAD *)
-  eval_cache : cached Eval_cache.t;
+  eval_cache : Protocol.item list Eval_cache.t; (* keyed and epoch-checked by [eval] *)
   reload_hist : reload_hist;
   listen_fd : Unix.file_descr;
   bound_port : int;
@@ -154,7 +147,16 @@ let nap ~deadline_ns ms =
   in
   go ms
 
+(* The error texts every backend shares, the coordinator included. *)
 let node_range_err n = Protocol.Err (Printf.sprintf "node id out of range [0, %d)" n)
+
+let unknown_doc_err doc anchor =
+  Protocol.Err
+    (Printf.sprintf "unknown document or anchor %s%s" doc
+       (match anchor with None -> "" | Some a -> "#" ^ a))
+
+(* What a backend answers for a verb the front ({!eval}) never hands it. *)
+let not_routed = Protocol.Err "internal: verb not routed to the backend"
 
 let resolved_node = function
   | None -> no_items ()
@@ -162,10 +164,9 @@ let resolved_node = function
       Protocol.Items
         { items = [ { Protocol.node; dist = 0; meta = 0 } ]; timed_out = false; partial = false }
 
-let evaluate_memory t ~epoch flix pee ~emit (job : job) : Protocol.response =
+let evaluate_memory flix pee ~emit (job : job) : Protocol.response =
   let coll = Flix.collection flix in
   let n_nodes = Collection.n_nodes coll in
-  let k_cap k = min k t.cfg.max_results in
   (* Emit up to [k] items, checking the deadline after each one: a query
      that finds anything always returns at least its first item, and a
      zero deadline still times out deterministically. *)
@@ -187,99 +188,42 @@ let evaluate_memory t ~epoch flix pee ~emit (job : job) : Protocol.response =
       (* Expired while queued: answer TIMEOUT up front rather than burn
          worker time on a full answer the deadline policy has already
          cut — under overload that work only amplifies the backlog. The
-         streaming verbs (and SLEEP) below check per item and keep their
+         streaming verbs below check per item and keep their
          at-least-one-item guarantee. *)
       no_items ~timed_out:true ()
-  | Protocol.Ping -> Protocol.Pong
-  | Protocol.Metrics -> Protocol.Lines (Metrics.render t.metrics)
   | Protocol.Stats ->
       Protocol.Lines (String.split_on_char '\n' (Flix.report flix))
-  | Protocol.Sleep ms -> nap ~deadline_ns:job.deadline_ns ms
   | Protocol.Connected { a; b; max_dist } ->
       if a < 0 || a >= n_nodes || b < 0 || b >= n_nodes then node_range_err n_nodes
       else Protocol.Dist (Pee.connected ?max_dist pee a b)
   | Protocol.Descendants { doc; anchor; tag; k; max_dist } -> (
       match Flix.node_of flix ~doc ~anchor with
-      | None ->
-          Protocol.Err
-            (Printf.sprintf "unknown document or anchor %s%s" doc
-               (match anchor with None -> "" | Some a -> "#" ^ a))
+      | None -> unknown_doc_err doc anchor
       | Some start ->
-          stream_out ~k:(k_cap k)
-            (Pee.descendants ?tag:(tag_arg coll tag) ?max_dist pee ~start))
+          stream_out ~k (Pee.descendants ?tag:(tag_arg coll tag) ?max_dist pee ~start))
   | Protocol.Node_descendants { node; tag; k; max_dist } ->
       if node < 0 || node >= n_nodes then node_range_err n_nodes
-      else
-        stream_out ~k:(k_cap k)
-          (Pee.descendants ?tag:(tag_arg coll tag) ?max_dist pee ~start:node)
+      else stream_out ~k (Pee.descendants ?tag:(tag_arg coll tag) ?max_dist pee ~start:node)
   | Protocol.Ancestors { node; tag; k; max_dist } ->
       if node < 0 || node >= n_nodes then node_range_err n_nodes
       else
         (* ancestors-or-self: the probed node itself counts at distance
            0 when it matches — see the protocol contract. *)
-        stream_out ~k:(k_cap k)
+        stream_out ~k
           (Pee.ancestors ?tag:(tag_arg coll tag) ?max_dist ~include_self:true pee
              ~start:node)
-  | Protocol.Evaluate { start_tag; target_tag; k; max_dist } -> (
-      let key =
-        {
-          Eval_cache.start_tag;
-          target_tag = Some target_tag;
-          k = k_cap k;
-          max_dist = Option.value max_dist ~default:(-1);
-        }
-      in
-      match Eval_cache.find t.eval_cache key with
-      | Some { centry_epoch; citems } when centry_epoch = epoch ->
-          List.iter emit citems;
-          no_items ()
-      | _ ->
-          (* Buffer what goes out so a clean (complete, in-deadline)
-             answer can be replayed; the per-item [emit] still streams
-             incrementally. *)
-          let buf = ref [] in
-          let emit_buffered it =
-            buf := it :: !buf;
-            emit it
-          in
-          let starts = Collection.find_by_tag coll start_tag in
-          let resp =
-            let rec go n stream =
-              if n >= k_cap k then false
-              else
-                match RS.next stream with
-                | None -> false
-                | Some (it : Pee.item) ->
-                    emit_buffered
-                      { Protocol.node = it.node; dist = it.dist; meta = it.meta };
-                    if expired job.deadline_ns then true else go (n + 1) stream
-            in
-            let timed_out =
-              go 0
-                (Pee.descendants_multi
-                   ?tag:(tag_arg coll (Some target_tag))
-                   ?max_dist pee ~starts)
-            in
-            no_items ~timed_out ()
-          in
-          (match resp with
-          | Protocol.Items { timed_out = false; partial = false; _ } ->
-              Eval_cache.store t.eval_cache key
-                { centry_epoch = epoch; citems = List.rev !buf }
-          | _ -> ());
-          resp)
+  | Protocol.Evaluate { start_tag; target_tag; k; max_dist } ->
+      stream_out ~k
+        (Pee.descendants_multi
+           ?tag:(tag_arg coll (Some target_tag))
+           ?max_dist pee
+           ~starts:(Collection.find_by_tag coll start_tag))
   | Protocol.Resolve { doc; anchor } -> resolved_node (Flix.node_of flix ~doc ~anchor)
-  | Protocol.Evict _ | Protocol.Reload | Protocol.Epoch_query ->
-      (* Admin verbs are answered inline on the connection thread; they
-         are never pool-bound (see Protocol.pool_bound). *)
-      Protocol.Err "admin verb on the worker path"
+  | Protocol.Ping | Protocol.Metrics | Protocol.Sleep _ | Protocol.Evict _ | Protocol.Reload
+  | Protocol.Epoch_query ->
+      not_routed
 
 (* --- disk-backed evaluation ----------------------------------------- *)
-
-let unknown_doc_err doc anchor =
-  Protocol.Err
-    (Printf.sprintf "unknown document or anchor %s%s" doc
-       (match anchor with None -> "" | Some a -> "#" ^ a))
 
 let within_dist max_dist d =
   match max_dist with None -> true | Some m -> d <= m
@@ -353,8 +297,7 @@ let pool_metric_lines hopi () =
    queued-expiry TIMEOUT up front, and EVALUATE re-checks the deadline
    between start nodes. Result blocks are still emitted item by item so
    the wire sees an incremental stream. *)
-let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
-  let k_cap k = min k t.cfg.max_results in
+let evaluate_disk hopi catalog ~emit (job : job) : Protocol.response =
   let emit_pairs ?timed_out ?partial pairs =
     List.iter (fun (node, dist) -> emit { Protocol.node; dist; meta = 0 }) pairs;
     no_items ?timed_out ?partial ()
@@ -373,15 +316,12 @@ let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
           probe node want
           |> List.filter (fun (v, d) ->
                  ((not drop_self) || not (v = node && d = 0)) && within_dist max_dist d)
-          |> take (k_cap k)
+          |> take k
           |> emit_pairs
   in
   match job.req with
-  | Protocol.Ping -> Protocol.Pong
-  | Protocol.Metrics -> Protocol.Lines (Metrics.render t.metrics)
   | _ when expired job.deadline_ns -> no_items ~timed_out:true ()
   | Protocol.Stats -> Protocol.Lines (disk_report hopi catalog)
-  | Protocol.Sleep ms -> nap ~deadline_ns:job.deadline_ns ms
   | Protocol.Connected { a; b; max_dist } ->
       let n = Catalog.n_nodes catalog in
       if a < 0 || a >= n || b < 0 || b >= n then node_range_err n
@@ -436,11 +376,60 @@ let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
           Hashtbl.fold (fun v d acc -> (v, d) :: acc) best []
           |> List.sort (fun (v1, d1) (v2, d2) ->
                  match Int.compare d1 d2 with 0 -> Int.compare v1 v2 | c -> c)
-          |> take (k_cap k)
+          |> take k
           |> emit_pairs ~timed_out)
   | Protocol.Resolve { doc; anchor } -> resolved_node (Catalog.node_of catalog ~doc ~anchor)
+  | Protocol.Ping | Protocol.Metrics | Protocol.Sleep _ | Protocol.Evict _ | Protocol.Reload
+  | Protocol.Epoch_query ->
+      not_routed
+
+(* --- the request front ---------------------------------------------- *)
+
+let cap_k cap (req : Protocol.request) =
+  match req with
+  | Protocol.Descendants r -> Protocol.Descendants { r with k = min r.k cap }
+  | Protocol.Node_descendants r -> Protocol.Node_descendants { r with k = min r.k cap }
+  | Protocol.Ancestors r -> Protocol.Ancestors { r with k = min r.k cap }
+  | Protocol.Evaluate r -> Protocol.Evaluate { r with k = min r.k cap }
+  | req -> req
+
+(* The one front every backend sits behind. It answers the
+   backend-independent verbs, caps [k] so the backend and the cache key
+   both see the capped request, and runs every EVALUATE through the
+   answer cache; [run] is the backend's own evaluation of the rest. A
+   miss streams through a buffering [emit], and only a clean answer (no
+   TIMEOUT or PARTIAL trailer) is stored, under the pinned [epoch] —
+   which the cache refuses once a swap has moved past it. *)
+let eval t ~epoch ~run ~emit (job : job) =
+  match cap_k t.cfg.max_results job.req with
+  | Protocol.Ping -> Protocol.Pong
+  | Protocol.Metrics -> Protocol.Lines (Metrics.render t.metrics)
+  | Protocol.Sleep ms -> nap ~deadline_ns:job.deadline_ns ms
   | Protocol.Evict _ | Protocol.Reload | Protocol.Epoch_query ->
+      (* Admin verbs are answered inline on the connection thread; they
+         are never pool-bound (see Protocol.pool_bound). *)
       Protocol.Err "admin verb on the worker path"
+  | Protocol.Evaluate { start_tag; target_tag; k; max_dist } as req -> (
+      let key =
+        { Eval_cache.start_tag; target_tag; k; max_dist = Option.value max_dist ~default:(-1) }
+      in
+      match Eval_cache.find t.eval_cache ~epoch key with
+      | Some items ->
+          List.iter emit items;
+          no_items ()
+      | None ->
+          let buf = ref [] in
+          let emit_buffered it =
+            buf := it :: !buf;
+            emit it
+          in
+          let resp = run ~emit:emit_buffered { job with req } in
+          (match resp with
+          | Protocol.Items { items; timed_out = false; partial = false } ->
+              Eval_cache.store t.eval_cache ~epoch key (List.rev_append !buf items)
+          | _ -> ());
+          resp)
+  | req -> run ~emit { job with req }
 
 let worker_loop t () =
   (* Every job pins the snapshot for its whole evaluation: a swap
@@ -460,21 +449,16 @@ let worker_loop t () =
         Hashtbl.add pees epoch pee;
         pee
   in
-  let eval ~epoch ~backend ~emit job =
+  let run ~epoch backend ~emit job =
     match backend with
-    | In_memory flix -> evaluate_memory t ~epoch flix (pee_for epoch flix) ~emit job
+    | In_memory flix -> evaluate_memory flix (pee_for epoch flix) ~emit job
     | On_disk { hopi; catalog } ->
         (* The pager under [hopi] is domain-safe, so every worker shares
            the one deployment handle — and its buffer pool. *)
-        evaluate_disk t hopi catalog ~emit job
+        evaluate_disk hopi catalog ~emit job
     | Custom c -> (
         match job.req with
-        | Protocol.Ping -> Protocol.Pong
-        | Protocol.Metrics -> Protocol.Lines (Metrics.render t.metrics)
         | Protocol.Stats -> Protocol.Lines (c.custom_stats ())
-        | Protocol.Sleep ms -> nap ~deadline_ns:job.deadline_ns ms
-        | Protocol.Evict _ | Protocol.Reload | Protocol.Epoch_query ->
-            Protocol.Err "admin verb on the worker path"
         | req -> c.custom_eval ~emit ~deadline_ns:job.deadline_ns req)
   in
   let rec loop () =
@@ -491,7 +475,7 @@ let worker_loop t () =
           Fun.protect
             ~finally:(fun () -> Snapshot.unpin t.snapshot epoch)
             (fun () ->
-              try eval ~epoch ~backend ~emit job with
+              try eval t ~epoch ~run:(run ~epoch backend) ~emit job with
               | (Out_of_memory | Stack_overflow) as fatal ->
                   (* Fatal resource exhaustion must not be flattened into
                      an ERR line (FL004); let it take the domain down so
@@ -589,18 +573,13 @@ let snapshot_metric_lines t () =
   @ gauge "flix_eval_cache_entries" "Resident EVALUATE cache entries."
       [ Printf.sprintf "flix_eval_cache_entries %d" (Eval_cache.length t.eval_cache) ]
 
-(* Publish [next] as the serving snapshot, applying the delta's cache
-   scope first: entries the delta cannot affect are retagged to the new
-   epoch and stay warm; everything else is dropped. Runs under the admin
-   lock, so the epoch arithmetic cannot race another swap — and a worker
-   storing a result concurrently stores it under its own (old) pinned
-   epoch, which the epoch check on the read side rejects. *)
+(* Publish [next] as the serving snapshot, moving the answer cache to
+   the new epoch first: entries the delta cannot affect stay warm,
+   everything else is dropped. Runs under the admin lock, so the epoch
+   arithmetic cannot race another swap; a worker still pinned to the old
+   epoch can neither read nor store across it (see Eval_cache). *)
 let publish_swap t ~scope next =
-  let next_epoch = Snapshot.epoch t.snapshot + 1 in
-  (match (scope : Delta.scope) with
-  | Delta.All -> Eval_cache.clear t.eval_cache
-  | Delta.Tags tags -> Eval_cache.invalidate_tags t.eval_cache tags);
-  Eval_cache.map_values t.eval_cache (fun c -> { c with centry_epoch = next_epoch });
+  Eval_cache.swap t.eval_cache ~epoch:(Snapshot.epoch t.snapshot + 1) scope;
   Snapshot.publish t.snapshot next
 
 (* Run one admin mutation under the admin lock, timing successful swaps
@@ -1210,13 +1189,16 @@ let start_backend ?(config = default_config) ?admin backend =
   let retire old =
     match admin with Some a -> a.admin_retire old | None -> ()
   in
+  let snapshot = Snapshot.create ~retire backend in
   let t =
     {
       cfg = config;
-      snapshot = Snapshot.create ~retire backend;
+      snapshot;
       admin;
       admin_m = Mutex.create ();
-      eval_cache = Eval_cache.create ~capacity:config.eval_cache_capacity;
+      eval_cache =
+        Eval_cache.create ~capacity:config.eval_cache_capacity
+          ~epoch:(Snapshot.epoch snapshot);
       reload_hist =
         {
           rh_m = Mutex.create ();

@@ -9,7 +9,19 @@
     Request flow: a per-connection thread parses request lines and
     enqueues jobs onto a bounded {!Work_queue} ([BUSY] when full —
     admission control); a worker domain evaluates the job under the
-    per-request deadline. Stream verbs are flushed incrementally: the
+    per-request deadline.
+
+    One request front: every job passes through the same worker-side
+    front whatever the {!backend}. The front answers [PING], [METRICS]
+    and [SLEEP], refuses admin verbs, caps [k] at [max_results], and
+    runs every [EVALUATE] through the one answer cache — a hit replays
+    the cached items; a miss streams the backend's answer and stores it
+    only when it is clean (no [TIMEOUT] or [PARTIAL] trailer). A backend
+    contributes only its verb-specific evaluation, its [STATS] lines, and
+    its queued-expiry rule (below), and all backends share the
+    {!unknown_doc_err} and {!node_range_err} texts.
+
+    Stream verbs are flushed incrementally: the
     worker hands each [ITEM] to the connection thread as it is
     produced, and the connection thread writes and flushes it
     immediately, so a downstream consumer (e.g. the sharded
@@ -23,10 +35,14 @@
     request with the [DEADLINE <ms>] envelope prefix. They bound the
     verbs that stream results ([DESCENDANTS], [EVALUATE], ...) and
     [SLEEP]; single-probe verbs ([CONNECTED], [STATS]) run to
-    completion once started — their work is already bounded — but a
-    job whose deadline expired while it sat in the queue is answered
-    [TIMEOUT 0] without being evaluated, so an overloaded worker pool
-    does not amplify its own backlog.
+    completion once started — their work is already bounded. The
+    queued-expiry rule is the backend's: a job whose deadline expired
+    while it sat in the queue is answered [TIMEOUT 0] without being
+    evaluated — by the in-memory backend for [STATS]/[CONNECTED]/
+    [RESOLVE], by the disk backend for every pool verb, and not at all
+    by a [Custom] backend — so an overloaded worker pool does not
+    amplify its own backlog. An [EVALUATE] cache hit is replayed
+    whatever its deadline.
 
     Batches: a [BATCH <n>] header fans its [n] sub-requests across the
     worker pool as [n] independent jobs and answers each with a
@@ -55,11 +71,14 @@
     Workers pin the snapshot per job, so in-flight requests finish on
     the epoch they started on and no connection is ever dropped by a
     swap; the old backend is retired (see {!admin}) once its last pin
-    drains. Clean [EVALUATE] answers are cached per epoch with
-    invalidation scoped to the tag pairs an ingest delta touched
-    (see {!Fx_admin.Delta}), so unaffected entries stay warm across
-    swaps. The epoch, per-epoch pin counts, swap-duration histogram,
-    and cache counters are exported on [METRICS]. *)
+    drains. The answer cache is tied to the epoch
+    ({!Fx_admin.Eval_cache}): a swap drops the entries the delta touched
+    (every entry for [EVICT] and [RELOAD], only the touched tag pairs
+    for a tag-bounded [INGEST] — see {!Fx_admin.Delta}) and keeps the
+    rest warm, and an answer computed on a retired epoch is never
+    stored. The epoch, per-epoch pin counts, swap-duration histogram,
+    and cache counters ([flix_eval_cache_*]) are exported on
+    [METRICS]. *)
 
 type config = {
   host : string;            (** bind address, default ["127.0.0.1"] *)
@@ -73,7 +92,8 @@ type config = {
   max_batch : int;          (** [BATCH] sub-request cap, default 1024 *)
   max_ingest_lines : int;   (** per-document [INGEST] line cap, default 65_536 *)
   eval_cache_capacity : int;
-      (** [EVALUATE] answer cache entries, default 256 *)
+      (** entries of the [EVALUATE] answer cache, for every backend;
+          default 256, and 0 turns the cache off *)
 }
 
 val default_config : config
@@ -109,10 +129,11 @@ type backend =
   | Custom of custom
       (** Delegate pool-bound requests to an external evaluator while
           keeping the server's socket handling, admission control,
-          deadlines, metrics, and incremental flushing. The sharded
-          scatter-gather coordinator ({!Fx_shard.Coordinator}) plugs in
-          here. [PING]/[METRICS] stay inline; [SLEEP] is served by the
-          worker itself. *)
+          deadlines, metrics, incremental flushing, and the request
+          front (with its [EVALUATE] cache). The sharded scatter-gather
+          coordinator ({!Fx_shard.Coordinator}) plugs in here; it
+          receives neither [PING]/[METRICS]/[SLEEP] nor admin verbs, and
+          [STATS] goes to [custom_stats]. *)
 
 type admin = {
   admin_reload : unit -> (backend, string) result;
@@ -130,6 +151,14 @@ type admin = {
     resources ({!Fx_bin} deployments, file handles). Without them
     [RELOAD] answers [ERR]; [INGEST]/[EVICT] still work on the
     in-memory backend (the old {!Fx_flix.Flix.t} needs no cleanup). *)
+
+val unknown_doc_err : string -> string option -> Protocol.response
+(** [unknown_doc_err doc anchor]: the [ERR] every backend answers for a
+    [DESCENDANTS] start that names no known document or anchor. *)
+
+val node_range_err : int -> Protocol.response
+(** [node_range_err n]: the [ERR] every backend answers for a node id
+    outside [[0, n)]. *)
 
 type t
 

@@ -63,10 +63,6 @@ type t = {
      create. *)
   source_nodes : (int, unit) Hashtbl.t;
   closure_lookups : int Atomic.t;
-  (* The EVALUATE answer cache and the cache epoch this coordinator's
-     merges belong to: stores from a coordinator retired by a reload
-     that invalidated the cache are dropped. *)
-  query_cache : (Coord_cache.t * int) option;
   fanout_hist : int Atomic.t array;
   fanout_count : int Atomic.t;
   fanout_sum_ns : int Atomic.t;
@@ -75,7 +71,7 @@ type t = {
   batch_sum : int Atomic.t;
 }
 
-let create ?query_cache ~closure ~plan ~shards () =
+let create ~closure ~plan ~shards () =
   let n = Shard_plan.n_shards plan in
   if List.length shards <> n then
     invalid_arg
@@ -143,12 +139,6 @@ let create ?query_cache ~closure ~plan ~shards () =
     exits_by_shard = portals_by_shard exit_portals;
     source_nodes;
     closure_lookups = Atomic.make 0;
-    query_cache =
-      Option.map
-        (fun capacity ->
-          let qc = Coord_cache.create ~capacity () in
-          (qc, Coord_cache.epoch qc))
-        query_cache;
     fanout_hist = Array.init (Array.length fanout_buckets_ms + 1) (fun _ -> Atomic.make 0);
     fanout_count = Atomic.make 0;
     fanout_sum_ns = Atomic.make 0;
@@ -168,7 +158,6 @@ let probe_rpcs_total t =
 let probe_subs_total t =
   Array.fold_left (fun acc s -> acc + Shard_client.subs_total s) 0 t.shards
 
-let query_cache_stats t = Option.map (fun (qc, _) -> Coord_cache.stats qc) t.query_cache
 let closure_lookups_total t = Atomic.get t.closure_lookups
 
 (* --- per-request context --------------------------------------------- *)
@@ -277,10 +266,17 @@ let cache_store t table key v =
    batch per shard. Each entry pairs a request with the closure
    that consumes its (classified) answer; [run_plan] executes the wire
    calls on per-shard threads but runs every [apply] sequentially on
-   the calling thread, so the closures mutate caches and stream
-   accumulators without any locking of their own. *)
+   the calling thread, so the closures mutate the plan, the caches and
+   stream accumulators without any locking of their own. *)
 type wave_plan = {
   per_shard : (P.request * ((P.item list * P.response) option -> unit)) list array;
+  (* The request's own probe answers: shared-cache hits are copied in
+     when a probe is planned and wire answers recorded as they arrive.
+     The joins read only these, so a reset of a shared table — even one
+     this wave's own stores trigger — cannot lose an answer between its
+     store and its read. *)
+  conn : (int * int * int, int option) Hashtbl.t;
+  start : (int * int * string, int option) Hashtbl.t;
   (* probes already queued this wave — several joins can ask for the
      same segment distance *)
   queued_conn : (int * int * int, unit) Hashtbl.t;
@@ -290,6 +286,8 @@ type wave_plan = {
 let new_plan t =
   {
     per_shard = Array.make (Array.length t.shards) [];
+    conn = Hashtbl.create 16;
+    start = Hashtbl.create 8;
     queued_conn = Hashtbl.create 16;
     queued_start = Hashtbl.create 8;
   }
@@ -297,48 +295,49 @@ let new_plan t =
 let plan_add plan shard req apply =
   plan.per_shard.(shard) <- (req, apply) :: plan.per_shard.(shard)
 
-(* Queue a within-shard distance probe unless it is trivial, cached, or
+(* Plan one memoized probe: an answer already in this wave or in the
+   shared [cache] is copied into [answers]; otherwise the probe is
+   queued (once per wave), and its answer — when [answer_of] accepts
+   the reply — lands in both. *)
+let plan_probe plan t ~cache ~answers ~queued ~shard key req answer_of =
+  if not (Hashtbl.mem answers key || Hashtbl.mem queued key) then
+    match cache_find t cache key with
+    | Some v -> Hashtbl.replace answers key v
+    | None ->
+        Hashtbl.replace queued key ();
+        plan_add plan shard req (fun reply ->
+            match answer_of reply with
+            | Some v ->
+                Hashtbl.replace answers key v;
+                cache_store t cache key v
+            | None -> ())
+
+(* Queue a within-shard distance probe unless it is trivial, known, or
    already part of this wave. Probes carry no max_dist so one cache
-   entry serves every request; readers prune. *)
+   entry serves every request; readers prune. A failed or cut-off probe
+   stays unrecorded, so a later request re-asks once the shard
+   recovers. *)
 let plan_conn plan t ~shard ~a ~b =
-  if a <> b then begin
-    let key = (shard, a, b) in
-    if
-      (not (Hashtbl.mem plan.queued_conn key))
-      && Option.is_none (cache_find t t.conn_cache key)
-    then begin
-      Hashtbl.replace plan.queued_conn key ();
-      plan_add plan shard
-        (P.Connected { a; b; max_dist = None })
-        (function
-          | Some (_, P.Dist d) -> cache_store t t.conn_cache key d
-          | Some _ | None ->
-              (* Failed or cut off: leave uncached so a later request
-                 re-asks once the shard recovers. *)
-              ())
-    end
-  end
+  if a <> b then
+    plan_probe plan t ~cache:t.conn_cache ~answers:plan.conn ~queued:plan.queued_conn
+      ~shard (shard, a, b)
+      (P.Connected { a; b; max_dist = None })
+      (function Some (_, P.Dist d) -> Some d | Some _ | None -> None)
 
 (* Queue a nearest-start probe: distance from the closest [tag]-named
    node above [node] (ancestors-or-self) within its shard. *)
 let plan_start plan t ~shard ~node ~tag =
-  let key = (shard, node, tag) in
-  if
-    (not (Hashtbl.mem plan.queued_start key))
-    && Option.is_none (cache_find t t.start_cache key)
-  then begin
-    Hashtbl.replace plan.queued_start key ();
-    plan_add plan shard
-      (P.Ancestors { node; tag = Some tag; k = 1; max_dist = None })
-      (function
-        | Some (it :: _, _) -> cache_store t t.start_cache key (Some it.P.dist)
-        | Some ([], P.Items { timed_out = false; partial = false; _ }) ->
-            (* Only a clean empty answer is a real negative: an empty
-               TIMEOUT/PARTIAL answer must stay uncached or a slow probe
-               would poison the cache with a false "no start above". *)
-            cache_store t t.start_cache key None
-        | Some _ | None -> ())
-  end
+  plan_probe plan t ~cache:t.start_cache ~answers:plan.start ~queued:plan.queued_start
+    ~shard (shard, node, tag)
+    (P.Ancestors { node; tag = Some tag; k = 1; max_dist = None })
+    (function
+      | Some (it :: _, _) -> Some (Some it.P.dist)
+      | Some ([], P.Items { timed_out = false; partial = false; _ }) ->
+          (* Only a clean empty answer is a real negative: an empty
+             TIMEOUT/PARTIAL answer must stay unrecorded or a slow probe
+             would poison the cache with a false "no start above". *)
+          Some None
+      | Some _ | None -> None)
 
 (* Fire the wave: one batch per shard, shards in parallel, then the
    applies in order on this thread. *)
@@ -375,15 +374,14 @@ let run_plan t ctx plan =
             Array.iteri (fun i r -> snd entries.(i) r) out)
         running
 
-(* Cache readers for the joins that follow [run_plan]. An absent entry
-   means the probe failed this wave (the degradation flags are already
-   set); treat the segment as unreachable. *)
-let conn_dist t ~shard ~a ~b =
-  if a = b then Some 0
-  else match cache_find t t.conn_cache (shard, a, b) with Some v -> v | None -> None
+(* Readers of the plan's answers for the joins that follow [run_plan].
+   An absent entry means the probe failed this wave (the degradation
+   flags are already set); treat the segment as unreachable. *)
+let conn_dist plan ~shard ~a ~b =
+  if a = b then Some 0 else Option.join (Hashtbl.find_opt plan.conn (shard, a, b))
 
-let start_dist t ~shard ~node ~tag =
-  match cache_find t t.start_cache (shard, node, tag) with Some v -> v | None -> None
+let start_dist plan ~shard ~node ~tag =
+  Option.join (Hashtbl.find_opt plan.start (shard, node, tag))
 
 (* --- the portal closure ------------------------------------------------ *)
 
@@ -417,7 +415,7 @@ let closure_entry_dists t ctx ~g0 ~shard0 ~local0 =
            let best =
              Array.fold_left
                (fun acc (x : portal) ->
-                 match conn_dist t ~shard:shard0 ~a:local0 ~b:x.local with
+                 match conn_dist plan ~shard:shard0 ~a:local0 ~b:x.local with
                  | None -> acc
                  | Some dx -> (
                      match closure_dist t x.g e.g with
@@ -562,8 +560,7 @@ let items_response ctx =
 
 (* --- the verbs --------------------------------------------------------- *)
 
-let node_range_err t =
-  P.Err (Printf.sprintf "node id out of range [0, %d)" (Shard_plan.total_nodes t.plan))
+let node_range_err t = Server.node_range_err (Shard_plan.total_nodes t.plan)
 
 let in_range t v = v >= 0 && v < Shard_plan.total_nodes t.plan
 
@@ -630,7 +627,7 @@ let ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit =
            let best =
              Array.fold_left
                (fun acc (e : portal) ->
-                 match conn_dist t ~shard:shard0 ~a:e.local ~b:local0 with
+                 match conn_dist plan0 ~shard:shard0 ~a:e.local ~b:local0 with
                  | None -> acc
                  | Some de -> (
                      match closure_dist t x.g e.g with
@@ -703,7 +700,7 @@ let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
   let seed_d = Hashtbl.create 32 in
   Array.iter
     (fun l ->
-      match start_dist t ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
+      match start_dist seed_plan ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
       | Some d0 -> (
           let d = d0 + 1 in
           match Hashtbl.find_opt seed_d l.dst with
@@ -763,13 +760,13 @@ let connected t ctx ~a ~b ~max_dist =
     | None -> ()
     | Some d -> ( match !best with Some d' when d' <= d -> () | _ -> best := Some d)
   in
-  if shard_a = shard_b then consider (conn_dist t ~shard:shard_a ~a:local_a ~b:local_b);
+  if shard_a = shard_b then consider (conn_dist plan0 ~shard:shard_a ~a:local_a ~b:local_b);
   let dist_to_entry (e : portal) =
     if anchored then closure_dist t a e.g
     else
       Array.fold_left
         (fun acc (x : portal) ->
-          match conn_dist t ~shard:shard_a ~a:local_a ~b:x.local with
+          match conn_dist plan0 ~shard:shard_a ~a:local_a ~b:x.local with
           | None -> acc
           | Some dx -> (
               match closure_dist t x.g e.g with
@@ -782,7 +779,7 @@ let connected t ctx ~a ~b ~max_dist =
       match dist_to_entry e with
       | None -> ()
       | Some d -> (
-          match conn_dist t ~shard:shard_b ~a:e.local ~b:local_b with
+          match conn_dist plan0 ~shard:shard_b ~a:e.local ~b:local_b with
           | None -> ()
           | Some de -> consider (Some (d + de))))
     t.entries_by_shard.(shard_b);
@@ -809,19 +806,13 @@ let resolve t ctx ~doc ~anchor =
 
 let descendants_by_name t ctx ~doc ~anchor ~tag ~k ~max_dist ~emit =
   match Shard_plan.shard_of_doc t.plan doc with
-  | None ->
-      P.Err
-        (Printf.sprintf "unknown document or anchor %s%s" doc
-           (match anchor with None -> "" | Some a -> "#" ^ a))
+  | None -> Server.unknown_doc_err doc anchor
   | Some shard -> (
       match shard_call t ctx shard (P.Resolve { doc; anchor }) with
       | Some (it :: _, _) ->
           let start = Shard_plan.global_of t.plan ~shard ~local:it.P.node in
           descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit
-      | Some ([], _) ->
-          P.Err
-            (Printf.sprintf "unknown document or anchor %s%s" doc
-               (match anchor with None -> "" | Some a -> "#" ^ a))
+      | Some ([], _) -> Server.unknown_doc_err doc anchor
       | None -> items_response ctx)
 
 (* --- the backend ------------------------------------------------------- *)
@@ -830,8 +821,8 @@ let eval t ~emit ~deadline_ns (req : P.request) =
   let ctx = make_ctx deadline_ns in
   match req with
   | P.Ping | P.Stats | P.Metrics | P.Sleep _ | P.Evict _ | P.Reload | P.Epoch_query ->
-      (* Inline and admin verbs are handled by the server (Custom
-         dispatch, admin plane) before reaching here. *)
+      (* The server's front answers these (STATS through
+         [custom_stats]) before reaching here. *)
       P.Err "internal: verb not routed to the coordinator"
   | P.Connected { a; b; max_dist } ->
       if not (in_range t a && in_range t b) then node_range_err t
@@ -844,31 +835,8 @@ let eval t ~emit ~deadline_ns (req : P.request) =
   | P.Ancestors { node; tag; k; max_dist } ->
       if not (in_range t node) then node_range_err t
       else ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit
-  | P.Evaluate { start_tag; target_tag; k; max_dist } -> (
-      match t.query_cache with
-      | None -> evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit
-      | Some (qc, epoch) -> (
-          match Coord_cache.find qc ~start_tag ~target_tag ~k ~max_dist with
-          | Some items ->
-              (* Replay the cached merge; no shard sees this request. *)
-              List.iter emit items;
-              P.Items { items = []; timed_out = false; partial = false }
-          | None ->
-              let buf = ref [] in
-              let emit' it =
-                buf := it :: !buf;
-                emit it
-              in
-              let resp = evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit:emit' in
-              (match resp with
-              | P.Items { timed_out = false; partial = false; _ } ->
-                  Coord_cache.store qc ~epoch ~start_tag ~target_tag ~k ~max_dist
-                    (List.rev !buf)
-              | _ ->
-                  (* A degraded merge must not be replayed once the
-                     shard recovers — leave it uncached. *)
-                  ());
-              resp))
+  | P.Evaluate { start_tag; target_tag; k; max_dist } ->
+      evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit
   | P.Resolve { doc; anchor } -> resolve t ctx ~doc ~anchor
 
 let stats_lines t =
@@ -895,11 +863,6 @@ let stats_lines t =
       Printf.sprintf "%s; %d lookups"
         (Portal_closure.describe t.closure)
         (Atomic.get t.closure_lookups);
-      (match query_cache_stats t with
-      | None -> "query cache: disabled"
-      | Some s ->
-          Printf.sprintf "query cache: %d entries, %d hits, %d misses, epoch %d"
-            s.Coord_cache.entries s.hits s.misses s.epoch);
     ]
 
 let metric_lines t () =
@@ -966,19 +929,7 @@ let metric_lines t () =
       Printf.sprintf "flix_shard_probe_batch_size_sum %d" (Atomic.get t.batch_sum);
       Printf.sprintf "flix_shard_probe_batch_size_count %d" (Atomic.get t.batch_count);
     ]
-  @
-  let hits, misses =
-    match query_cache_stats t with
-    | None -> (0, 0)
-    | Some s -> (s.Coord_cache.hits, s.Coord_cache.misses)
-  in
-  [
-    "# HELP flix_coord_cache_hits_total Coordinator EVALUATE cache hits.";
-    "# TYPE flix_coord_cache_hits_total counter";
-    Printf.sprintf "flix_coord_cache_hits_total %d" hits;
-    "# HELP flix_coord_cache_misses_total Coordinator EVALUATE cache misses.";
-    "# TYPE flix_coord_cache_misses_total counter";
-    Printf.sprintf "flix_coord_cache_misses_total %d" misses;
+  @ [
     "# HELP flix_coord_closure_lookups_total Portal-closure label joins.";
     "# TYPE flix_coord_closure_lookups_total counter";
     Printf.sprintf "flix_coord_closure_lookups_total %d" (Atomic.get t.closure_lookups);
@@ -1016,12 +967,9 @@ let backend t =
    would need within-shard distances the shards would have to probe for.
 
    The new [t] reconnects from scratch (the old one still owns its
-   connection pools until it is retired). The merged-answer cache
-   survives only when the plan digest is unchanged — node ids and shard
-   data are then identical, so every cached merge is still byte-exact;
-   otherwise it is invalidated whole (scoped invalidation needs a
-   tag-level delta, which a reload does not have), and merges the old
-   coordinator is still finishing are dropped rather than stored. *)
+   connection pools until it is retired) and starts with empty probe
+   caches. Merged answers are cached by the front server, whose RELOAD
+   swap clears them. *)
 let probe_deadline_ms = 2_000
 let reload_deadline_ms = 120_000
 
@@ -1055,14 +1003,5 @@ let reload t ~plan ~closure =
     | Ok () -> (
         match sweep "reload" ~deadline_ms:reload_deadline_ms P.Reload with
         | Error _ as e -> e
-        | Ok () ->
-            let fresh = create ~closure ~plan ~shards:t.addrs () in
-            let query_cache =
-              match t.query_cache with
-              | Some (qc, _) when Shard_plan.digest plan <> Shard_plan.digest t.plan ->
-                  Coord_cache.invalidate qc;
-                  Some (qc, Coord_cache.epoch qc)
-              | qc -> qc
-            in
-            Ok { fresh with query_cache })
+        | Ok () -> Ok (create ~closure ~plan ~shards:t.addrs ()))
   end

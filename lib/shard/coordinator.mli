@@ -2,9 +2,13 @@
     line-protocol endpoint.
 
     The coordinator plugs into {!Fx_server.Server} as a [Custom]
-    backend, so admission control, deadlines, metrics, and incremental
-    [ITEM] flushing come from the server; this module owns the fan-out
-    and the distributed-distance arithmetic.
+    backend behind the server's single request front. The front owns
+    everything backend-independent — admission control, deadlines,
+    [PING]/[METRICS]/[SLEEP], the [k] cap, the shared error texts,
+    metrics, incremental [ITEM] flushing, and the one [EVALUATE] answer
+    cache (so a repeated [EVALUATE] is replayed by the front and never
+    reaches this module). This module owns the fan-out and the
+    distributed-distance arithmetic.
 
     {b Query evaluation.} A path between nodes in different shards
     decomposes into within-shard segments joined by cross-shard links
@@ -55,7 +59,6 @@
 type t
 
 val create :
-  ?query_cache:int ->
   closure:Portal_closure.t ->
   plan:Shard_plan.t ->
   shards:(string * int) list ->
@@ -68,13 +71,10 @@ val create :
     {!Portal_closure.matches} fails — a closure built for another plan
     would join wrong distances, so it is refused, never used. Probe
     results ([CONNECTED] distances, nearest-start [ANCESTORS], portal
-    streams) are memoized; shard indexes are immutable, so entries
-    never expire.
-
-    [query_cache] enables the coordinator-side {!Coord_cache} over
-    merged [EVALUATE] results with the given LRU capacity; [None]
-    (the default) disables it. Only clean (non-[TIMEOUT],
-    non-[PARTIAL]) merges are cached. *)
+    streams) are memoized in shared tables; shard indexes are
+    immutable, so entries never go stale, and a table is reset whole
+    when it fills. Each request joins only the probe answers of its own
+    waves, so a reset never changes an answer. *)
 
 val closure_lookups_total : t -> int
 (** Closure label joins performed — the number behind
@@ -104,10 +104,6 @@ val probe_subs_total : t -> int
     {!probe_rpcs_total} is what the [BATCH] envelope saves
     ([flix_shard_probe_subs_total]). *)
 
-val query_cache_stats : t -> Coord_cache.stats option
-(** Entries/hits/misses/epoch of the [EVALUATE] result cache, or
-    [None] when [create] was not given [query_cache]. *)
-
 val reload : t -> plan:Shard_plan.t -> closure:Portal_closure.t -> (t, string) result
 (** Shard-by-shard hot reload onto the re-read manifest's [plan] and
     [closure]: probe every shard ([EPOCH], 2 s budget), then fan
@@ -119,11 +115,9 @@ val reload : t -> plan:Shard_plan.t -> closure:Portal_closure.t -> (t, string) r
     [Error] and leaves [t] untouched, so the caller keeps serving the
     old epoch whole; there is no mixed state. On success the caller
     publishes the returned coordinator (e.g. via the server's snapshot
-    swap) and eventually {!close}s the old one.
-
-    The merged-answer cache survives only when the plan digest is
-    unchanged (node ids and shard contents identical); otherwise it is
-    invalidated whole. *)
+    swap) and eventually {!close}s the old one. The returned coordinator
+    starts with empty probe caches; the front server's swap clears its
+    [EVALUATE] answer cache. *)
 
 val close : t -> unit
 (** Close pooled shard connections. *)

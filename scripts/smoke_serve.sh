@@ -2,8 +2,9 @@
 # Smoke test for persistent serving: save a small deployment, boot
 # flix_serve from it (twice — the second boot must reuse the files and
 # skip the index build), drive PING / DESCENDANTS / CONNECTED / METRICS
-# over the wire, and check that a mangled store dies with a one-line
-# error instead of a backtrace. Then hot reload: INGEST and RELOAD
+# over the wire, check that a repeated disk EVALUATE is an answer-cache
+# hit, and check that a mangled store (or a zero-entry --coord-cache)
+# dies with a one-line error instead of a backtrace. Then hot reload: INGEST and RELOAD
 # against a live in-memory server under concurrent query load (zero
 # dropped connections, post-reload answers byte-identical to a fresh
 # server), with the snapshot epoch / pin / reload-duration metrics
@@ -100,6 +101,13 @@ grep -q "opening deployment" "$DIR/boot2.log" || fail "second boot rebuilt the i
 
 [ "$(ask PING)" = "PONG" ] || fail "PING after reuse"
 ask "DESCENDANTS dblp_0003 - author 5" | grep -q "^DONE " || fail "DESCENDANTS after reuse"
+# The disk backend answers EVALUATE through the server's one answer
+# cache: the repeat must be a hit.
+ask "EVALUATE article author 5" | grep -q "^DONE " || fail "disk EVALUATE"
+ask "EVALUATE article author 5" | grep -q "^DONE " || fail "repeat disk EVALUATE"
+hits=$(ask METRICS | awk '/^flix_eval_cache_hits_total / { print $2 }')
+[ "${hits:-0}" -ge 1 ] || fail "repeated disk EVALUATE missed the answer cache (hits=${hits:-0})"
+echo "disk answer cache hits=$hits"
 # RELOAD re-opens the deployment and swaps it in; the retired pager is
 # closed once its last pinned request drains.
 [ "$(ask RELOAD)" = "EPOCH 2" ] || fail "RELOAD on the disk deployment"
@@ -115,6 +123,11 @@ status=$?
 [ "$status" -ne 0 ] || fail "mangled store accepted (exit 0)"
 echo "$out" | grep -q "corrupt index store" || fail "no diagnostic for mangled store"
 echo "$out" | grep -q "Raised at\|Fatal error" && fail "backtrace leaked for mangled store"
+
+out=$("$BIN" --coord-cache 0 --docs 40 --port "$PORT" 2>&1)
+status=$?
+[ "$status" -eq 1 ] || fail "--coord-cache 0 accepted (exit $status)"
+echo "$out" | grep -q "needs at least 1 entry" || fail "no diagnostic for --coord-cache 0"
 
 rm -rf "$DIR"
 
@@ -231,11 +244,11 @@ subs=$(echo "$metrics" | awk '/^flix_shard_probe_subs_total\{/ { sum += $2 } END
 echo "probe rpcs=$rpcs subs=$subs"
 echo "$metrics" | grep -q "^flix_shard_probe_batch_size_bucket" || fail "batch-size histogram missing"
 
-echo "== repeated EVALUATE lands in the coordinator cache =="
+echo "== repeated EVALUATE lands in the front's answer cache =="
 ask "EVALUATE article author 5" | grep -q "^DONE " || fail "repeat EVALUATE"
-hits=$(ask METRICS | awk '/^flix_coord_cache_hits_total / { print $2 }')
-[ "${hits:-0}" -gt 0 ] || fail "coordinator cache never hit (hits=${hits:-0})"
-echo "coordinator cache hits=$hits"
+hits=$(ask METRICS | awk '/^flix_eval_cache_hits_total / { print $2 }')
+[ "${hits:-0}" -gt 0 ] || fail "coordinator answer cache never hit (hits=${hits:-0})"
+echo "coordinator answer cache hits=$hits"
 
 echo "== portal closure: label joins answer portal distances =="
 grep -q "portal closure:" "$EXTRA_DIR/coord.log" || fail "coordinator boot log says nothing about the closure"
@@ -268,8 +281,8 @@ echo "$out" | grep -q "Raised at\|Fatal error" && fail "backtrace leaked for a v
 echo "== kill one shard: answers degrade to PARTIAL =="
 kill "$S1_PID" && wait "$S1_PID" 2>/dev/null
 EXTRA_PIDS=$S0_PID
-# The query warmed after the reload replays from the coordinator cache
-# even with the shard down; a cold query must degrade to PARTIAL.
+# The query warmed after the reload replays from the front's answer
+# cache even with the shard down; a cold query must degrade to PARTIAL.
 ask "EVALUATE article author 5" | grep -q "^DONE " || fail "cached EVALUATE should survive the dead shard"
 ask "EVALUATE inproceedings cite 5" | grep -q "^PARTIAL " || fail "dead shard should answer PARTIAL"
 [ "$(ask PING)" = "PONG" ] || fail "coordinator PING after shard death"

@@ -111,3 +111,14 @@ let hopis_of colls =
 let closure_of plan hopis =
   Fx_shard.Portal_closure.build ~plan ~local_dist:(fun ~shard ~a ~b ->
       Fx_index.Hopi.distance hopis.(shard) a b)
+
+(* --- server metrics ------------------------------------------------ *)
+
+(* The value of an unlabelled series in a METRICS payload. *)
+let metric_value lines name =
+  List.find_map
+    (fun l ->
+      match String.split_on_char ' ' (String.trim l) with
+      | [ n; v ] when n = name -> int_of_string_opt v
+      | _ -> None)
+    lines

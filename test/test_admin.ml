@@ -1,5 +1,5 @@
 (* The hot-reload admin subsystem: snapshot pin/swap lifecycle, delta
-   scoping, the scoped EVALUATE/query caches, incremental Flix
+   scoping, the epoch-tied scoped EVALUATE cache, incremental Flix
    maintenance checked byte-for-byte against cold rebuilds, the admin
    verbs over a live server (including wire framing failure modes), and
    coordinator reload rollback with a dead shard or a stale closure. *)
@@ -11,7 +11,6 @@ module MB = Fx_flix.Meta_builder
 module IB = Fx_flix.Index_builder
 module RS = Fx_flix.Result_stream
 module Pee = Fx_flix.Pee
-module Query_cache = Fx_flix.Query_cache
 module Snapshot = Fx_admin.Snapshot
 module Delta = Fx_admin.Delta
 module Eval_cache = Fx_admin.Eval_cache
@@ -22,7 +21,6 @@ module Rng = Fx_util.Rng
 module Dblp = Fx_workload.Dblp_gen
 module Plan = Fx_shard.Shard_plan
 module Coordinator = Fx_shard.Coordinator
-module Coord_cache = Fx_shard.Coord_cache
 
 (* --- snapshot -------------------------------------------------------- *)
 
@@ -108,47 +106,50 @@ let delta_scope () =
 
 (* --- eval cache ------------------------------------------------------- *)
 
-let key ?(target = Some "b") ?(k = 10) ?(max_dist = -1) start =
+let key ?(target = "b") ?(k = 10) ?(max_dist = -1) start =
   { Eval_cache.start_tag = start; target_tag = target; k; max_dist }
 
 let eval_cache_scoped_invalidation () =
-  let t = Eval_cache.create ~capacity:16 in
-  Alcotest.(check (option int)) "cold miss" None (Eval_cache.find t (key "a"));
-  Eval_cache.store t (key "a") 1;
-  Eval_cache.store t (key ~target:(Some "c") "b") 2;
-  Eval_cache.store t (key ~target:None "d") 3;
-  Eval_cache.store t (key "e") 4;
-  Alcotest.(check int) "resident" 4 (Eval_cache.length t);
-  Alcotest.(check (option int)) "hit" (Some 1) (Eval_cache.find t (key "a"));
+  let t = Eval_cache.create ~capacity:16 ~epoch:1 in
+  let find epoch k = Eval_cache.find t ~epoch k in
+  Alcotest.(check (option int)) "cold miss" None (find 1 (key "a"));
+  Eval_cache.store t ~epoch:1 (key "a") 1;
+  Eval_cache.store t ~epoch:1 (key ~target:"c" "b") 2;
+  Eval_cache.store t ~epoch:1 (key "e") 4;
+  Alcotest.(check int) "resident" 3 (Eval_cache.length t);
+  Alcotest.(check (option int)) "hit" (Some 1) (find 1 (key "a"));
   Alcotest.(check int) "hits" 1 (Eval_cache.hits t);
   Alcotest.(check int) "misses" 1 (Eval_cache.misses t);
-  (* touching tag "c" drops the entry with target "c" and the wildcard *)
-  Eval_cache.invalidate_tags t [ "c" ];
+  (* a swap touching tag "c" drops the entry with target "c" and keeps
+     the rest warm under the new epoch *)
+  Eval_cache.swap t ~epoch:2 (Delta.Tags [ "c" ]);
   Alcotest.(check (option int))
     "start/target disjoint from delta stays warm" (Some 1)
-    (Eval_cache.find t (key "a"));
+    (find 2 (key "a"));
   Alcotest.(check (option int))
     "touched target dropped" None
-    (Eval_cache.find t (key ~target:(Some "c") "b"));
-  Alcotest.(check (option int))
-    "wildcard target dropped" None
-    (Eval_cache.find t (key ~target:None "d"));
-  Alcotest.(check int) "two entries invalidated" 2 (Eval_cache.invalidated t);
+    (find 2 (key ~target:"c" "b"));
+  Alcotest.(check int) "one entry invalidated" 1 (Eval_cache.invalidated t);
+  Alcotest.(check (option int)) "a retired epoch misses" None (find 1 (key "a"));
   (* start-tag matches invalidate too *)
-  Eval_cache.invalidate_tags t [ "e" ];
-  Alcotest.(check (option int))
-    "touched start dropped" None
-    (Eval_cache.find t (key "e"));
-  (* map_values rewrites in place without touching the counters *)
-  let hits = Eval_cache.hits t and misses = Eval_cache.misses t in
-  Eval_cache.map_values t (fun v -> v + 100);
-  Alcotest.(check (option int)) "rewritten" (Some 101) (Eval_cache.find t (key "a"));
-  Alcotest.(check int) "hits preserved" (hits + 1) (Eval_cache.hits t);
-  Alcotest.(check int) "misses preserved" misses (Eval_cache.misses t);
-  (* clear keeps the counters but drops everything *)
-  Eval_cache.clear t;
+  Eval_cache.swap t ~epoch:3 (Delta.Tags [ "e" ]);
+  Alcotest.(check (option int)) "touched start dropped" None (find 3 (key "e"));
+  (* An answer computed under the epoch before a swap but stored after
+     it is never served. *)
+  Eval_cache.swap t ~epoch:4 (Delta.Tags [ "zz" ]);
+  Eval_cache.store t ~epoch:3 (key "g") 7;
+  Alcotest.(check (option int)) "stale-epoch store not served" None (find 4 (key "g"));
+  Eval_cache.store t ~epoch:4 (key "g") 7;
+  Alcotest.(check (option int)) "current-epoch store served" (Some 7) (find 4 (key "g"));
+  (* a scope-All swap keeps the counters but drops everything *)
+  Eval_cache.swap t ~epoch:5 Delta.All;
   Alcotest.(check int) "empty" 0 (Eval_cache.length t);
-  Alcotest.(check bool) "counters survive clear" true (Eval_cache.hits t > 0)
+  Alcotest.(check bool) "counters survive the swap" true (Eval_cache.hits t > 0);
+  (* capacity 0 is a cache that never stores *)
+  let off = Eval_cache.create ~capacity:0 ~epoch:1 in
+  Eval_cache.store off ~epoch:1 (key "a") 1;
+  Alcotest.(check (option int)) "capacity 0 stores nothing" None
+    (Eval_cache.find off ~epoch:1 (key "a"))
 
 (* --- incremental Flix vs cold rebuild -------------------------------- *)
 
@@ -240,65 +241,6 @@ let extend_reuses_and_extends () =
   check_equivalent "spanning-ppo extend" ppo
     (Flix.build ~config:MB.Spanning_ppo (C.build (base @ fresh)))
 
-(* --- query cache: scoped invalidation and rebase ---------------------- *)
-
-let query_cache_scoped () =
-  let rng = Rng.create 17 in
-  let docs =
-    List.init 4 (fun i -> gen_doc rng ~name:(Printf.sprintf "q%d" i) ~link_targets:[])
-  in
-  let coll = C.build docs in
-  let flix = Flix.build coll in
-  let cite = Option.get (C.tag_id coll "cite")
-  and para = Option.get (C.tag_id coll "para") in
-  let qc = Query_cache.create (Flix.pee flix) in
-  let start = 0 in
-  let run tag = Query_cache.descendants ~tag qc ~start |> RS.take 50 in
-  let r_cite = run cite and r_para = run para in
-  ignore (run cite);
-  let s = Query_cache.stats qc in
-  Alcotest.(check int) "two entries" 2 s.entries;
-  Alcotest.(check int) "one hit" 1 s.hits;
-  Query_cache.invalidate_tags qc [ cite ];
-  let s = Query_cache.stats qc in
-  Alcotest.(check int) "cite entry dropped, para kept" 1 s.entries;
-  Alcotest.(check bool)
-    "recomputed answer identical" true
-    (run cite = r_cite);
-  (* rebase carries the kept entries to a cache over a new engine *)
-  let qc' =
-    Query_cache.rebase qc ~pee:(Flix.pee flix)
-      ~keep:(fun ~tag -> match tag with Some t -> t = para | None -> false)
-  in
-  let s' = Query_cache.stats qc' in
-  Alcotest.(check int) "rebase kept the para entry" 1 s'.entries;
-  Alcotest.(check bool) "rebased entry replays" true (Query_cache.descendants ~tag:para qc' ~start |> RS.take 50 = r_para);
-  Alcotest.(check int) "replay was a hit" (s'.hits + 1) ((Query_cache.stats qc').hits)
-
-let coord_cache_scoped () =
-  let t = Coord_cache.create ~capacity:8 () in
-  let store ?(epoch = Coord_cache.epoch t) s tt =
-    Coord_cache.store t ~epoch ~start_tag:s ~target_tag:tt ~k:5 ~max_dist:None []
-  in
-  let find s tt = Coord_cache.find t ~start_tag:s ~target_tag:tt ~k:5 ~max_dist:None in
-  store "a" "b";
-  store "c" "d";
-  store "e" "c";
-  Coord_cache.invalidate_tags t [ "c" ];
-  Alcotest.(check bool) "untouched pair stays warm" true (find "a" "b" <> None);
-  Alcotest.(check bool) "touched start dropped" false (find "c" "d" <> None);
-  Alcotest.(check bool) "touched target dropped" false (find "e" "c" <> None);
-  let s = Coord_cache.stats t in
-  Alcotest.(check int) "no epoch bump" 0 s.epoch;
-  (* A merge computed before a full invalidate but stored after it is
-     orphaned, not served. *)
-  let before = Coord_cache.epoch t in
-  Coord_cache.invalidate t;
-  store ~epoch:before "g" "h";
-  Alcotest.(check bool) "pre-invalidate merge orphaned" true (find "g" "h" = None);
-  store "g" "h";
-  Alcotest.(check bool) "fresh merge stored" true (find "g" "h" <> None)
-
 (* --- admin verbs over a live server ----------------------------------- *)
 
 let render = function
@@ -340,14 +282,6 @@ let expect_server_error what = function
   | Ok (Client.Value _) -> Alcotest.failf "%s: unexpectedly succeeded" what
   | Ok Client.Busy -> Alcotest.failf "%s: busy" what
   | Error e -> Alcotest.failf "%s: transport error %s" what e
-
-let metric_value lines name =
-  List.find_map
-    (fun l ->
-      match String.split_on_char ' ' (String.trim l) with
-      | [ n; v ] when n = name -> int_of_string_opt v
-      | _ -> None)
-    lines
 
 let server_ingest_evict_epoch () =
   let flix = Flix.build (C.build (parse_docs base_xml)) in
@@ -414,9 +348,9 @@ let server_ingest_evict_epoch () =
       in
       Alcotest.(check (option int))
         "flix_snapshot_epoch gauge" (Some 3)
-        (metric_value lines "flix_snapshot_epoch");
+        (Helpers.metric_value lines "flix_snapshot_epoch");
       Alcotest.(check bool) "reload histogram counted the swaps" true
-        (match metric_value lines "flix_reload_duration_seconds_count" with
+        (match Helpers.metric_value lines "flix_reload_duration_seconds_count" with
         | Some n -> n >= 2
         | None -> false);
       Alcotest.(check bool) "pinned gauge present" true
@@ -435,7 +369,7 @@ let server_eval_cache_warm_across_swap () =
         match Client.metrics c with
         | Ok (Client.Value ls) ->
             Option.value ~default:(-1)
-              (metric_value ls "flix_eval_cache_hits_total")
+              (Helpers.metric_value ls "flix_eval_cache_hits_total")
         | _ -> Alcotest.fail "metrics"
       in
       let ask () =
@@ -721,8 +655,6 @@ let () =
         [
           Alcotest.test_case "eval cache scoped invalidation" `Quick
             eval_cache_scoped_invalidation;
-          Alcotest.test_case "query cache scoped + rebase" `Quick query_cache_scoped;
-          Alcotest.test_case "coord cache scoped" `Quick coord_cache_scoped;
         ] );
       ( "incremental",
         [

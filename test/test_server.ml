@@ -764,6 +764,43 @@ let disk_backend_matches_memory () =
       | _ -> Alcotest.fail "STATS failed");
       Client.close c)
 
+(* The disk backend sits behind the same front EVALUATE answer cache as
+   the in-memory one: a repeated EVALUATE replays byte-identical items
+   as a cache hit, and an answer cut off by its deadline is never
+   stored. *)
+let disk_evaluate_cached () =
+  with_disk_server ~workers:2 (fun server _ _ ->
+      let c = Client.connect ~port:(Server.port server) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let metric name =
+            match Client.metrics c with
+            | Ok (Client.Value ls) -> Option.value ~default:(-1) (Helpers.metric_value ls name)
+            | _ -> Alcotest.fail "METRICS failed"
+          in
+          let q =
+            P.Evaluate { start_tag = "article"; target_tag = "author"; k = 50; max_dist = None }
+          in
+          (match Client.request ~deadline_ms:0 c q with
+          | Ok (P.Items { timed_out = true; _ }) -> ()
+          | _ -> Alcotest.fail "a zero deadline should answer TIMEOUT");
+          Alcotest.(check int) "a TIMEOUT answer is not cached" 0
+            (metric "flix_eval_cache_entries");
+          let ask () =
+            match Client.request c q with
+            | Ok (P.Items { timed_out = false; partial = false; items }) ->
+                List.map P.item_line items
+            | _ -> Alcotest.fail "EVALUATE should answer DONE"
+          in
+          let first = ask () in
+          Alcotest.(check bool) "answer nonempty" true (first <> []);
+          Alcotest.(check int) "no hit before the repeat" 0
+            (metric "flix_eval_cache_hits_total");
+          let second = ask () in
+          Alcotest.(check (list string)) "replay is byte-identical" first second;
+          Alcotest.(check int) "the repeat was a hit" 1 (metric "flix_eval_cache_hits_total")))
+
 let () =
   Alcotest.run "server"
     [
@@ -789,6 +826,7 @@ let () =
           Alcotest.test_case "connection cap" `Quick connection_cap;
           Alcotest.test_case "disconnect mid-response" `Quick disconnect_mid_response;
           Alcotest.test_case "disk backend" `Quick disk_backend_matches_memory;
+          Alcotest.test_case "disk EVALUATE cached" `Quick disk_evaluate_cached;
           Alcotest.test_case "concurrent clients vs direct" `Quick concurrent_clients;
           Alcotest.test_case "deadline timeout" `Quick deadline_timeout;
           Alcotest.test_case "admission control BUSY" `Quick admission_busy;

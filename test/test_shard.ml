@@ -231,8 +231,11 @@ let rec with_disk_servers colls f =
   | c :: rest -> with_disk_server c (fun s -> with_disk_servers rest (fun ss -> f (s :: ss)))
 
 (* Boot one in-memory server per shard, a coordinator in front of them,
-   and hand the test the coordinator plus a client per endpoint. *)
-let with_cluster ?query_cache f =
+   and hand the test the coordinator plus a client per endpoint. The
+   front server's EVALUATE answer cache stays off unless [eval_cache]
+   sizes it, so the fault tests see every request reach the
+   coordinator. *)
+let with_cluster ?(eval_cache = 0) f =
   let plan = Lazy.force shared_plan in
   let shard_servers = Array.map Server.start (Lazy.force shard_flixes) in
   Fun.protect
@@ -242,13 +245,16 @@ let with_cluster ?query_cache f =
         Array.to_list shard_servers |> List.map (fun s -> ("127.0.0.1", Server.port s))
       in
       let coord =
-        Coordinator.create ?query_cache ~closure:(Lazy.force shared_closure) ~plan ~shards
-          ()
+        Coordinator.create ~closure:(Lazy.force shared_closure) ~plan ~shards ()
       in
       Fun.protect
         ~finally:(fun () -> Coordinator.close coord)
         (fun () ->
-          let front = Server.start_backend (Server.Custom (Coordinator.backend coord)) in
+          let front =
+            Server.start_backend
+              ~config:{ Server.default_config with eval_cache_capacity = eval_cache }
+              (Server.Custom (Coordinator.backend coord))
+          in
           Fun.protect
             ~finally:(fun () -> Server.stop front)
             (fun () -> f ~coord ~front ~shard_servers)))
@@ -426,11 +432,18 @@ let dead_shard_degrades () =
           (* The coordinator endpoint itself stays healthy. *)
           Alcotest.(check bool) "front survives" true (Client.ping c)))
 
-(* The EVALUATE result cache: a repeated query replays the very same
-   merge without touching a shard; degraded answers are never cached. *)
+(* The front server's EVALUATE answer cache over the coordinator: a
+   repeated query replays the very same merge without touching a shard;
+   degraded answers are never cached. *)
 let query_cache_hits () =
-  with_cluster ~query_cache:16 (fun ~coord ~front ~shard_servers ->
+  with_cluster ~eval_cache:16 (fun ~coord ~front ~shard_servers ->
       let c = Client.connect ~port:(Server.port front) () in
+      let metric name =
+        match Client.metrics c with
+        | Ok (Client.Value ls) ->
+            Option.value ~default:(-1) (Helpers.metric_value ls name)
+        | _ -> Alcotest.fail "front METRICS failed"
+      in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
@@ -451,15 +464,9 @@ let query_cache_hits () =
           | _ -> Alcotest.fail "second ask should answer DONE");
           Alcotest.(check int) "replay asked no shard" rpcs_after_miss
             (Coordinator.probe_rpcs_total coord);
-          (match Coordinator.query_cache_stats coord with
-          | Some s ->
-              Alcotest.(check int) "one hit" 1 s.Fx_shard.Coord_cache.hits;
-              Alcotest.(check int) "one miss" 1 s.misses;
-              Alcotest.(check bool) "entry stored" true (s.entries >= 1)
-          | None -> Alcotest.fail "cache stats should be available");
-          let metrics = String.concat "\n" (Coordinator.metric_lines coord ()) in
-          Alcotest.(check bool) "hits exported" true
-            (Astring.String.is_infix ~affix:"flix_coord_cache_hits_total 1" metrics);
+          Alcotest.(check int) "one hit" 1 (metric "flix_eval_cache_hits_total");
+          Alcotest.(check int) "one miss" 1 (metric "flix_eval_cache_misses_total");
+          Alcotest.(check bool) "entry stored" true (metric "flix_eval_cache_entries" >= 1);
           (* A degraded merge must not land in the cache: kill a shard,
              ask a fresh query, and check only the clean entry remains. *)
           Server.stop shard_servers.(1);
@@ -473,10 +480,8 @@ let query_cache_hits () =
               Alcotest.failf "expected PARTIAL with a dead shard, got %s"
                 (String.concat "|" (P.response_lines r))
           | Error e -> Alcotest.failf "coordinator must not fail the query: %s" e);
-          match Coordinator.query_cache_stats coord with
-          | Some s ->
-              Alcotest.(check int) "degraded merge not cached" 1 s.Fx_shard.Coord_cache.entries
-          | None -> Alcotest.fail "cache stats should be available"))
+          Alcotest.(check int) "degraded merge not cached" 1
+            (metric "flix_eval_cache_entries")))
 
 (* A shard dying mid-pipeline must not poison the probe caches: after it
    comes back (same port), the same questions get the same answers a
@@ -719,6 +724,66 @@ let closure_matches_single_server () =
           Coordinator.close stale;
           Alcotest.fail "a closure built for another plan must be refused")
 
+(* The coordinator's shared probe tables are reset whole when they reach
+   65,536 entries. A reset must never change an answer, not even one
+   that a request's own probe stores trigger between its wave's stores
+   and its joins. Push the shared CONNECTED table past that limit at
+   least twice with CONNECTED from non-anchored starts (each pays a
+   full exit-leg wave), holding every answer to the unsharded server.
+   Close to the limit only cross-shard reachable pairs are asked, so
+   the request whose own stores trip the reset has an answer to lose. *)
+let probe_cache_overflow () =
+  let coll = Lazy.force shared_collection in
+  let plan = Lazy.force shared_plan in
+  with_coordinator_and_truth ~plan ~closure:(Lazy.force shared_closure) coll
+    (Lazy.force shard_collections)
+    (fun ~coord:_ ~cc ~sc ->
+      let conn_entries () =
+        match Client.stats cc with
+        | Ok (Client.Value lines) -> (
+            match
+              List.find_map
+                (fun l -> Scanf.sscanf_opt l "probe cache: %d connected" Fun.id)
+                lines
+            with
+            | Some n -> n
+            | None -> Alcotest.fail "STATS has no probe cache line")
+        | _ -> Alcotest.fail "coordinator STATS failed"
+      in
+      let anchored = Hashtbl.create 256 in
+      Array.iter (fun g -> Hashtbl.replace anchored g ()) (Plan.doc_roots plan);
+      Array.iter
+        (fun (l : Plan.cross_link) -> Hashtbl.replace anchored l.dst ())
+        (Plan.cross_links plan);
+      let shard_of g = fst (Plan.locate plan g) in
+      let n = Plan.total_nodes plan in
+      (* The target for start [a]: its farthest descendant in the other
+         shard, if any. *)
+      let cross_target a =
+        let best = ref None in
+        Array.iteri
+          (fun v d ->
+            if d > 0 && shard_of v <> shard_of a then
+              match !best with Some (_, d') when d' >= d -> () | _ -> best := Some (v, d))
+          (Fx_graph.Traversal.bfs_distances (C.graph coll) a);
+        Option.map fst !best
+      in
+      let resets = ref 0 and last = ref 0 and a = ref 0 in
+      while !resets < 2 && !a < n do
+        (if not (Hashtbl.mem anchored !a) then
+           let near_limit = !last > 65_536 - 512 in
+           match (cross_target !a, near_limit) with
+           | None, true -> ()
+           | target, _ ->
+               check_connected ~cc ~sc
+                 (!a, Option.value target ~default:((!a * 613) mod n));
+               let now = conn_entries () in
+               if now < !last then incr resets;
+               last := now);
+        incr a
+      done;
+      Alcotest.(check bool) "the shared table was reset at least twice" true (!resets >= 2))
+
 (* Same exactness contract on a fresh randomized 3-shard split, so the
    2-shard topology is not a lucky special case. *)
 let closure_three_shards () =
@@ -870,6 +935,8 @@ let () =
           Alcotest.test_case "closure matches single server" `Quick
             closure_matches_single_server;
           Alcotest.test_case "closure exact on three shards" `Quick closure_three_shards;
+          Alcotest.test_case "probe cache overflow keeps answers" `Quick
+            probe_cache_overflow;
         ] );
       ( "cluster",
         [
