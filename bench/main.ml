@@ -624,8 +624,8 @@ let disk ctx =
           Fx_index.Disk_hopi.close d)
         [ ("cold-256", 256, false); ("warm-16k", 16_384, true) ];
       print_newline ();
-      print_endline "the cold run is the paper's regime: every candidate probe may fetch";
-      print_endline "pages, so the full block costs orders of magnitude more than in RAM.")
+      print_endline "the hub query is one L_out fetch plus a merge over its hops' article";
+      print_endline "runs; the cold run pays a page fetch per run window it opens.")
 
 (* ------------------------------------------------------------------ *)
 (* serve: the query service under concurrent client load — throughput

@@ -1,5 +1,7 @@
 module Pager = Fx_store.Pager
 module Btree = Fx_store.Btree
+module PQ = Fx_graph.Priority_queue
+module Int_tbl = Hashtbl.Make (Int)
 
 type t = {
   labels : Disk_labels.t;
@@ -15,18 +17,31 @@ let labels_path path = path ^ ".labels"
 let tags_path path = path ^ ".tags"
 
 let save ?page_size ~path (dg : Path_index.data_graph) hopi =
-  Disk_labels.save ?page_size ~path:(labels_path path) (Hopi.labels hopi);
+  Disk_labels.save ?page_size ~tags:dg.tag ~path:(labels_path path) (Hopi.labels hopi);
   let tp = tags_path path in
   if Sys.file_exists tp then Sys.remove tp;
+  (* Grouped by tag, ascending within: the keys come out sorted. *)
+  let entries =
+    Path_index.nodes_by_tag dg
+    |> Array.mapi (fun tag nodes -> Array.map (fun node -> (tag_key ~tag ~node, node)) nodes)
+    |> Array.to_list |> Array.concat
+  in
   let pager = Pager.create ?page_size tp in
-  let tree = Btree.create pager in
-  Array.iteri
-    (fun node tag -> Btree.insert tree ~key:(tag_key ~tag ~node) ~value:node)
-    dg.tag;
+  ignore (Btree.bulk_load pager entries);
   Pager.close pager
 
 let open_ ?pool_pages ?page_size ?stripes ~path () =
-  let labels = Disk_labels.open_ ?pool_pages ?page_size ?stripes (labels_path path) in
+  let lp = labels_path path in
+  let labels = Disk_labels.open_ ?pool_pages ?page_size ?stripes lp in
+  if not (Disk_labels.has_runs labels) then begin
+    Disk_labels.close labels;
+    raise
+      (Fx_util.Codec.Corrupt
+         (Printf.sprintf
+            "%s has no inverted hop runs (an older store layout); rebuild the \
+             deployment into a fresh --index-dir"
+            lp))
+  end;
   let tag_pager = Pager.create ?pool_pages ?page_size ?stripes (tags_path path) in
   let tags = Btree.create tag_pager in
   { labels; tag_pager; tags; n = Disk_labels.n_nodes labels }
@@ -35,40 +50,101 @@ let n_nodes t = t.n
 let distance t x y = Disk_labels.distance t.labels x y
 let reachable t x y = distance t x y <> None
 
-let descendants_by_tag t x want =
-  let acc = ref [] in
-  let probe node =
-    match distance t x node with Some d -> acc := (node, d) :: !acc | None -> ()
-  in
-  (match want with
-  | Some w -> Btree.iter_range t.tags ~lo:(tag_key ~tag:w ~node:0)
-                ~hi:(tag_key ~tag:w ~node:((1 lsl shift) - 1))
-                (fun _ node -> probe node)
-  | None ->
-      (* Wildcard sweep: every label record gets touched in handle
-         (file) order — announce the scan so the pool fills with large
-         sequential reads instead of per-probe misses. *)
-      Disk_labels.prefetch_all t.labels;
-      for node = 0 to t.n - 1 do
-        probe node
-      done);
-  Path_index.sort_results !acc
+(* --- the hop-run merge ------------------------------------------------- *)
 
-let ancestors_by_tag t x want =
-  let acc = ref [] in
-  let probe node =
-    match distance t node x with Some d -> acc := (node, d) :: !acc | None -> ()
+type stream = unit -> (int * int) option
+
+(* Heap keys pack (d, y) so that integer order is Path_index.sort_results
+   order; node ids and distances stay below 2^31. *)
+let node_bits = 31
+let node_mask = (1 lsl node_bits) - 1
+
+(* One label entry (hop, d1) of a start: its run's entries reach their
+   node at [d1 + d2], and [skip] (the start, or -1) is never emitted. *)
+type source = { hop : int; d1 : int; skip : int }
+
+type live = { cursor : Disk_labels.cursor; src : source }
+
+(* The distance-ordered k-way merge behind every tag query. By the
+   2-hop cover property every (y, d1 + d2) is a real path and the
+   shortest one is among them, so popping by (d, y) yields each node
+   first at its exact distance, in sort_results order; later pops of it
+   are dropped. A source's run is opened only once the merge front
+   reaches its d1, so a top-k answer reads the runs of the nearest hops
+   and no others. *)
+let merge t dir ?max_dist want sources : stream =
+  let limit = Option.value max_dist ~default:max_int in
+  Array.stable_sort (fun a b -> Int.compare a.d1 b.d1) sources;
+  let opened = ref 0 in
+  let heap = PQ.create () in
+  let seen = Int_tbl.create 16 in
+  let rec push l =
+    if Disk_labels.advance l.cursor then begin
+      let y = Disk_labels.cursor_node l.cursor in
+      let d = l.src.d1 + Disk_labels.cursor_dist l.cursor in
+      if y = l.src.skip then push l
+      else if d <= limit then PQ.insert heap ((d lsl node_bits) lor y) l
+    end
   in
-  (match want with
-  | Some w -> Btree.iter_range t.tags ~lo:(tag_key ~tag:w ~node:0)
-                ~hi:(tag_key ~tag:w ~node:((1 lsl shift) - 1))
-                (fun _ node -> probe node)
-  | None ->
-      Disk_labels.prefetch_all t.labels;
-      for node = 0 to t.n - 1 do
-        probe node
-      done);
-  Path_index.sort_results !acc
+  let rec next () =
+    let front =
+      match PQ.peek_min heap with Some (key, _) -> key lsr node_bits | None -> limit
+    in
+    if !opened < Array.length sources && sources.(!opened).d1 <= front then begin
+      let src = sources.(!opened) in
+      incr opened;
+      List.iter
+        (fun cursor -> push { cursor; src })
+        (Disk_labels.open_runs t.labels dir ~hop:src.hop want);
+      next ()
+    end
+    else
+      match PQ.extract_min heap with
+      | None -> None
+      | Some (key, l) ->
+          push l;
+          let y = key land node_mask in
+          if Int_tbl.mem seen y then next ()
+          else begin
+            Int_tbl.add seen y ();
+            Some (y, key lsr node_bits)
+          end
+  in
+  next
+
+(* One source per label entry of every start, each skipping its own
+   start when [strict]. *)
+let sources ~strict starts =
+  Array.concat
+    (List.map
+       (fun (s, label) ->
+         Array.map (fun (hop, d1) -> { hop; d1; skip = (if strict then s else -1) }) label)
+       starts)
+
+let descendants t ?max_dist ?(strict = false) x want =
+  let label = Disk_labels.hops t.labels Disk_labels.Down x in
+  merge t Disk_labels.Down ?max_dist want (sources ~strict [ (x, label) ])
+
+let ancestors t ?max_dist x want =
+  let label = Disk_labels.hops t.labels Disk_labels.Up x in
+  merge t Disk_labels.Up ?max_dist want (sources ~strict:false [ (x, label) ])
+
+let descendants_of_starts t ?max_dist ?(expired = fun () -> false) starts want =
+  let rec gather acc = function
+    | [] -> Some acc
+    | _ :: _ when expired () -> None
+    | s :: rest -> gather ((s, Disk_labels.hops t.labels Disk_labels.Down s) :: acc) rest
+  in
+  Option.map
+    (fun labels -> merge t Disk_labels.Down ?max_dist want (sources ~strict:true labels))
+    (gather [] starts)
+
+let drain (next : stream) =
+  let rec go acc = match next () with None -> List.rev acc | Some p -> go (p :: acc) in
+  go []
+
+let descendants_by_tag t x want = drain (descendants t x want)
+let ancestors_by_tag t x want = drain (ancestors t x want)
 
 let nodes_by_tag t tag =
   if tag < 0 then []

@@ -4,11 +4,25 @@ module Codec = Fx_util.Codec
 
 (* File layout (records in one heap file):
      [label record]*          one per non-empty L_in / L_out
+     [run record]*            one per hop rank and direction (run
+                              layout only): the hop's inverted label,
+                              grouped by the target node's tag
      [directory record]       n, then per node: in handle, out handle
-                              (-1 = empty label)
-     [trailer record]         "DIR" + directory handle
+                              (-1 = empty label); with runs, then per
+                              hop rank: down-run handle, up-run handle
+     [trailer record]         directory handle [+ layout 1]
    The trailer is always the last record, so reopen finds the directory
-   without any side file. *)
+   without any side file. A trailer without the layout field is a
+   label-only store.
+
+   A run record, every number an unsigned LEB128 varint:
+     ngroups, then per group: tag, count, payload bytes
+     then the groups' payloads in header order, each [count] entries
+     (d, y) ascending by (d, y)
+   The down run of hop h holds every (y, d) with (h, d) in L_in(y): the
+   nodes h reaches, by distance. The up run mirrors it over L_out. *)
+
+type runs = { down : int array; up : int array } (* hop rank -> run handle *)
 
 type t = {
   pager : Pager.t;
@@ -16,20 +30,20 @@ type t = {
   n : int;
   in_handle : int array;  (* -1 = empty label *)
   out_handle : int array;
+  runs : runs option;
 }
 
 let label_magic = "fxlab"
 let dir_magic = "fxdir"
 let trailer_magic = "fxend"
+let runs_layout = 1
 
-let encode_label entries =
+let encode_label labels side v =
   let w = Codec.Writer.create ~magic:label_magic in
-  Codec.Writer.int w (Array.length entries);
-  Array.iter
-    (fun (hop, dist) ->
+  Codec.Writer.int w (Two_hop.label_length labels side v);
+  Two_hop.iter_label labels side v (fun hop dist ->
       Codec.Writer.int w hop;
-      Codec.Writer.int w dist)
-    entries;
+      Codec.Writer.int w dist);
   Codec.Writer.contents w
 
 let decode_label data =
@@ -44,48 +58,239 @@ let decode_label data =
   Codec.Reader.expect_end r;
   entries
 
-let save ?page_size ~path labels =
+(* --- run construction ------------------------------------------------ *)
+
+let add_uvarint b v =
+  let rec go v =
+    if v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (v land 0x7f lor 0x80));
+      go (v lsr 7)
+    end
+  in
+  go v
+
+(* Entries in flight pack (d, y) into one int, d above bit 31, so
+   integer order is (d, y) order. *)
+let node_bits = 31
+let node_mask = (1 lsl node_bits) - 1
+
+(* Sort a tag group's packed keys. They arrive ascending by y, so a
+   stable counting pass over the group's few distinct distances
+   finishes the (d, y) order in linear time; tiny groups take an
+   insertion sort. *)
+let sort_group a lo hi =
+  let len = hi - lo in
+  if len <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    let d_lo = ref max_int and d_hi = ref 0 in
+    for i = lo to hi - 1 do
+      let d = a.(i) lsr node_bits in
+      if d < !d_lo then d_lo := d;
+      if d > !d_hi then d_hi := d
+    done;
+    let range = !d_hi - !d_lo + 1 in
+    let sorted =
+      if range > len then begin
+        let sub = Array.sub a lo len in
+        Array.sort Int.compare sub;
+        sub
+      end
+      else begin
+        let next = Array.make (range + 1) 0 in
+        for i = lo to hi - 1 do
+          let k = (a.(i) lsr node_bits) - !d_lo + 1 in
+          next.(k) <- next.(k) + 1
+        done;
+        for k = 1 to range do
+          next.(k) <- next.(k) + next.(k - 1)
+        done;
+        let out = Array.make len 0 in
+        for i = lo to hi - 1 do
+          let k = (a.(i) lsr node_bits) - !d_lo in
+          out.(next.(k)) <- a.(i);
+          next.(k) <- next.(k) + 1
+        done;
+        out
+      end
+    in
+    Array.blit sorted 0 a lo len
+  end
+
+(* Invert one side of the labels into one run record per hop rank and
+   return the handles. Targets are visited in (tag, id) order and their
+   entries bucketed by hop, which leaves every bucket ordered by
+   (tag, y); each tag group then sorts its packed (d, y) keys. One int
+   per entry in flight, no per-entry tuples. *)
+let write_runs batch labels side ~tags =
+  let n = Two_hop.n_nodes labels in
+  let n_tags = 1 + Array.fold_left max (-1) tags in
+  let by_tag =
+    let next = Array.make (n_tags + 1) 0 in
+    Array.iter (fun tag -> next.(tag + 1) <- next.(tag + 1) + 1) tags;
+    for tag = 1 to n_tags do
+      next.(tag) <- next.(tag) + next.(tag - 1)
+    done;
+    let order = Array.make n 0 in
+    Array.iteri
+      (fun y tag ->
+        order.(next.(tag)) <- y;
+        next.(tag) <- next.(tag) + 1)
+      tags;
+    order
+  in
+  let start = Array.make (n + 1) 0 in
+  for y = 0 to n - 1 do
+    Two_hop.iter_label labels side y (fun h _ -> start.(h + 1) <- start.(h + 1) + 1)
+  done;
+  for h = 1 to n do
+    start.(h) <- start.(h) + start.(h - 1)
+  done;
+  let fill = Array.sub start 0 n in
+  let dy = Array.make start.(n) 0 in
+  Array.iter
+    (fun y ->
+      Two_hop.iter_label labels side y (fun h d ->
+          if d > node_mask then invalid_arg "Disk_labels.save: distance too large";
+          dy.(fill.(h)) <- (d lsl node_bits) lor y;
+          fill.(h) <- fill.(h) + 1))
+    by_tag;
+  let handles = Array.make n (-1) in
+  let record = Buffer.create 4096 and payload = Buffer.create 4096 in
+  let groups = Buffer.create 64 in
+  for h = 0 to n - 1 do
+    if start.(h + 1) > start.(h) then begin
+      Buffer.clear record;
+      Buffer.clear payload;
+      Buffer.clear groups;
+      let n_groups = ref 0 and p = ref start.(h) in
+      while !p < start.(h + 1) do
+        let tag = tags.(dy.(!p) land node_mask) in
+        let first = !p and bytes = Buffer.length payload in
+        while !p < start.(h + 1) && tags.(dy.(!p) land node_mask) = tag do
+          incr p
+        done;
+        sort_group dy first !p;
+        for i = first to !p - 1 do
+          add_uvarint payload (dy.(i) lsr node_bits);
+          add_uvarint payload (dy.(i) land node_mask)
+        done;
+        add_uvarint groups tag;
+        add_uvarint groups (!p - first);
+        add_uvarint groups (Buffer.length payload - bytes);
+        incr n_groups
+      done;
+      add_uvarint record !n_groups;
+      Buffer.add_buffer record groups;
+      Buffer.add_buffer record payload;
+      handles.(h) <- Heap.add batch (Buffer.contents record)
+    end
+  done;
+  handles
+
+let save ?page_size ?tags ~path labels =
+  let n = Two_hop.n_nodes labels in
+  (match tags with
+  | Some tags when Array.length tags <> n ->
+      invalid_arg "Disk_labels.save: tag array length mismatch"
+  | Some tags when Array.exists (fun tag -> tag < 0) tags ->
+      invalid_arg "Disk_labels.save: negative tag id"
+  | _ -> ());
+  if n > node_mask then invalid_arg "Disk_labels.save: too many nodes";
   if Sys.file_exists path then Sys.remove path;
   let pager = Pager.create ?page_size path in
   let heap = Heap.create pager in
-  let n = Two_hop.n_nodes labels in
+  let batch = Heap.batch heap in
   let store side =
     Array.init n (fun v ->
-        let entries = side v in
-        if Array.length entries = 0 then -1 else Heap.append heap (encode_label entries))
+        if Two_hop.label_length labels side v = 0 then -1
+        else Heap.add batch (encode_label labels side v))
   in
-  let in_handle = store (Two_hop.raw_in_label labels) in
-  let out_handle = store (Two_hop.raw_out_label labels) in
+  let in_handle = store Two_hop.In in
+  let out_handle = store Two_hop.Out in
+  let runs =
+    Option.map
+      (fun tags ->
+        (* Down runs invert L_in, up runs invert L_out. *)
+        let down = write_runs batch labels Two_hop.In ~tags in
+        let up = write_runs batch labels Two_hop.Out ~tags in
+        { down; up })
+      tags
+  in
+  Heap.flush_batch batch;
   let w = Codec.Writer.create ~magic:dir_magic in
   Codec.Writer.int w n;
   Codec.Writer.int_array w in_handle;
   Codec.Writer.int_array w out_handle;
+  Option.iter
+    (fun { down; up } ->
+      Codec.Writer.int_array w down;
+      Codec.Writer.int_array w up)
+    runs;
   let dir = Heap.append heap (Codec.Writer.contents w) in
   let tw = Codec.Writer.create ~magic:trailer_magic in
   Codec.Writer.int tw dir;
+  if Option.is_some runs then Codec.Writer.int tw runs_layout;
   ignore (Heap.append heap (Codec.Writer.contents tw));
   Pager.close pager
 
-let open_ ?pool_pages ?page_size ?stripes path =
-  let pager = Pager.create ?pool_pages ?page_size ?stripes path in
-  let heap = Heap.create pager in
+let read_directory heap =
   match Heap.last_handle heap with
   | None -> raise (Codec.Corrupt "Disk_labels: empty store")
   | Some trailer ->
       let tr = Codec.Reader.create ~magic:trailer_magic (Heap.read heap trailer) in
       let dir_handle = Codec.Reader.int tr in
-      Codec.Reader.expect_end tr;
+      let has_runs =
+        if Codec.Reader.at_end tr then false
+        else begin
+          if Codec.Reader.int tr <> runs_layout then
+            raise (Codec.Corrupt "Disk_labels: unknown store layout");
+          Codec.Reader.expect_end tr;
+          true
+        end
+      in
       let dr = Codec.Reader.create ~magic:dir_magic (Heap.read heap dir_handle) in
       let n = Codec.Reader.int dr in
       if n < 0 then raise (Codec.Corrupt "Disk_labels: negative node count");
       let in_handle = Codec.Reader.int_array dr in
       let out_handle = Codec.Reader.int_array dr in
+      let runs =
+        if has_runs then begin
+          let down = Codec.Reader.int_array dr in
+          let up = Codec.Reader.int_array dr in
+          if Array.length down <> n || Array.length up <> n then
+            raise (Codec.Corrupt "Disk_labels: run directory length mismatch");
+          Some { down; up }
+        end
+        else None
+      in
       Codec.Reader.expect_end dr;
       if Array.length in_handle <> n || Array.length out_handle <> n then
         raise (Codec.Corrupt "Disk_labels: directory length mismatch");
-      { pager; heap; n; in_handle; out_handle }
+      (n, in_handle, out_handle, runs)
+
+let open_ ?pool_pages ?page_size ?stripes path =
+  let pager = Pager.create ?pool_pages ?page_size ?stripes path in
+  match
+    let heap = Heap.create pager in
+    (heap, read_directory heap)
+  with
+  | exception e ->
+      Pager.close pager;
+      raise e
+  | heap, (n, in_handle, out_handle, runs) -> { pager; heap; n; in_handle; out_handle; runs }
 
 let n_nodes t = t.n
+let has_runs t = Option.is_some t.runs
 
 let check_node t v =
   if v < 0 || v >= t.n then invalid_arg "Disk_labels: node out of range"
@@ -118,10 +323,80 @@ let distance t x y =
 
 let reachable t x y = distance t x y <> None
 
-(* Full-sweep readahead: a caller about to probe every node walks the
-   label records in handle order, which is file order — pull the whole
-   file through the pool's free room with large sequential reads. *)
-let prefetch_all t = Pager.prefetch t.pager ~page:0 ~count:(Pager.n_pages t.pager)
+(* --- hop runs --------------------------------------------------------- *)
+
+type direction = Down | Up
+
+let hops t dir v =
+  check_node t v;
+  fetch t (match dir with Down -> t.out_handle | Up -> t.in_handle) v
+
+type cursor = {
+  r : Heap.reader;
+  bound : int; (* node ids must stay below it *)
+  mutable left : int;
+  mutable dist : int;
+  mutable node : int;
+}
+
+let uvarint r =
+  let rec go acc shift =
+    if shift > 49 then raise (Codec.Corrupt "Disk_labels: run varint too long");
+    let b = Heap.byte r in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else go acc (shift + 7)
+  in
+  go 0 0
+
+let open_runs t dir ~hop tag =
+  let runs =
+    match t.runs with
+    | Some runs -> runs
+    | None -> invalid_arg "Disk_labels.open_runs: store has no hop runs"
+  in
+  if hop < 0 || hop >= t.n then raise (Codec.Corrupt "Disk_labels: hop rank out of range");
+  let handle = (match dir with Down -> runs.down | Up -> runs.up).(hop) in
+  if handle < 0 then []
+  else begin
+    let r = Heap.reader t.heap handle in
+    let n_groups = uvarint r in
+    let header = List.init n_groups (fun _ ->
+        let g_tag = uvarint r in
+        let count = uvarint r in
+        let bytes = uvarint r in
+        (g_tag, count, bytes))
+    in
+    if
+      List.fold_left (fun off (_, _, bytes) -> off + bytes) (Heap.offset r) header
+      <> Heap.reader_length r
+    then raise (Codec.Corrupt "Disk_labels: run header does not match its record");
+    let _, cursors =
+      List.fold_left
+        (fun (off, acc) (g_tag, count, bytes) ->
+          let acc =
+            match tag with
+            | Some w when w <> g_tag -> acc
+            | _ ->
+                { r = Heap.fork r off; bound = t.n; left = count; dist = 0; node = 0 } :: acc
+          in
+          (off + bytes, acc))
+        (Heap.offset r, []) header
+    in
+    cursors
+  end
+
+let advance c =
+  if c.left = 0 then false
+  else begin
+    c.dist <- uvarint c.r;
+    c.node <- uvarint c.r;
+    if c.node >= c.bound then raise (Codec.Corrupt "Disk_labels: run node out of range");
+    c.left <- c.left - 1;
+    true
+  end
+
+let cursor_dist c = c.dist
+let cursor_node c = c.node
 
 let stats t = Pager.stats t.pager
 let stripe_stats t = Pager.stripe_stats t.pager

@@ -295,11 +295,17 @@ let deserialize data =
   R.expect_end r;
   { n; rank_of; node_of; in_lab; out_lab }
 
-let raw_label vec =
-  Array.init vec.Vec.len (fun i -> (vec.Vec.hop.(i), vec.Vec.dist.(i)))
+type side = In | Out
 
-let raw_in_label t v = raw_label t.in_lab.(v)
-let raw_out_label t v = raw_label t.out_lab.(v)
+let side_labels t = function In -> t.in_lab | Out -> t.out_lab
+let label_length t side v = (side_labels t side).(v).Vec.len
+
+let iter_label t side v f =
+  let vec = (side_labels t side).(v) in
+  for i = 0 to vec.Vec.len - 1 do
+    f vec.Vec.hop.(i) vec.Vec.dist.(i)
+  done
+
 let n_nodes t = t.n
 
 let label_nodes t vec =

@@ -57,10 +57,14 @@ val deserialize : string -> t
 
 val n_nodes : t -> int
 
-val raw_in_label : t -> int -> (int * int) array
-val raw_out_label : t -> int -> (int * int) array
-(** The (hop rank, distance) entries of a label, ascending by rank —
-    the wire format {!Disk_labels} stores and merge-joins. *)
+type side = In | Out  (** [L_in] or [L_out] *)
+
+val label_length : t -> side -> int -> int
+
+val iter_label : t -> side -> int -> (int -> int -> unit) -> unit
+(** [iter_label t side v f] calls [f hop_rank dist] for every entry of
+    [v]'s label on [side], ascending by hop rank, without copying — what
+    {!Disk_labels} stores, merge-joins and inverts. *)
 
 val in_label_nodes : t -> int -> int list
 val out_label_nodes : t -> int -> int list

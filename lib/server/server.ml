@@ -164,23 +164,30 @@ let resolved_node = function
       Protocol.Items
         { items = [ { Protocol.node; dist = 0; meta = 0 } ]; timed_out = false; partial = false }
 
+(* Emit up to [k] items pulled from [next], checking the deadline after
+   each one: a query that finds anything always returns at least its
+   first item, and a zero deadline still times out deterministically.
+   Both backends stream through it. *)
+let stream_out ~emit ~deadline_ns ~k next =
+  let rec go n =
+    if n >= k then false
+    else
+      match next () with
+      | None -> false
+      | Some it ->
+          emit it;
+          if expired deadline_ns then true else go (n + 1)
+  in
+  no_items ~timed_out:(go 0) ()
+
 let evaluate_memory flix pee ~emit (job : job) : Protocol.response =
   let coll = Flix.collection flix in
   let n_nodes = Collection.n_nodes coll in
-  (* Emit up to [k] items, checking the deadline after each one: a query
-     that finds anything always returns at least its first item, and a
-     zero deadline still times out deterministically. *)
   let stream_out ~k stream =
-    let rec go n =
-      if n >= k then false
-      else
-        match RS.next stream with
-        | None -> false
-        | Some (it : Pee.item) ->
-            emit { Protocol.node = it.node; dist = it.dist; meta = it.meta };
-            if expired job.deadline_ns then true else go (n + 1)
-    in
-    no_items ~timed_out:(go 0) ()
+    stream_out ~emit ~deadline_ns:job.deadline_ns ~k (fun () ->
+        Option.map
+          (fun (it : Pee.item) -> { Protocol.node = it.node; dist = it.dist; meta = it.meta })
+          (RS.next stream))
   in
   match job.req with
   | (Protocol.Stats | Protocol.Connected _ | Protocol.Resolve _)
@@ -227,8 +234,6 @@ let evaluate_memory flix pee ~emit (job : job) : Protocol.response =
 
 let within_dist max_dist d =
   match max_dist with None -> true | Some m -> d <= m
-
-let take k l = List.filteri (fun i _ -> i < k) l
 
 let disk_report hopi catalog =
   let module P = Fx_store.Pager in
@@ -292,39 +297,33 @@ let pool_metric_lines hopi () =
       "Pool segment bound of each stripe." "gauge"
       (fun s -> s.P.capacity_pages)
 
-(* Unlike the PEE stream, a disk probe computes whole result blocks —
-   there is no per-item deadline cut — so every pool verb answers the
-   queued-expiry TIMEOUT up front, and EVALUATE re-checks the deadline
-   between start nodes. Result blocks are still emitted item by item so
-   the wire sees an incremental stream. *)
+(* Every disk tag query is a pull stream over the hop-run merge, so
+   the disk verbs get the memory path's per-item deadline cut; only the
+   queued-expiry TIMEOUT is answered up front, for every verb. EVALUATE
+   fetches one label per start before its first item and checks the
+   deadline between fetches: an expiry there answers TIMEOUT with no
+   items, since a merge over only some starts could overstate a
+   distance. *)
 let evaluate_disk hopi catalog ~emit (job : job) : Protocol.response =
-  let emit_pairs ?timed_out ?partial pairs =
-    List.iter (fun (node, dist) -> emit { Protocol.node; dist; meta = 0 }) pairs;
-    no_items ?timed_out ?partial ()
+  let stream_out ~k next =
+    stream_out ~emit ~deadline_ns:job.deadline_ns ~k (fun () ->
+        Option.map (fun (node, dist) -> { Protocol.node; dist; meta = 0 }) (next ()))
   in
+  let n_nodes = Catalog.n_nodes catalog in
   (* Unknown tag names match nothing, like the in-memory path's
-     sentinel — and never reach the tag B-tree with a bogus id. *)
-  let resolve_tag tag = Option.map (Catalog.tag_id catalog) tag in
-  let node_stream ~probe ~drop_self node tag k max_dist =
-    if node < 0 || node >= Catalog.n_nodes catalog then
-      node_range_err (Catalog.n_nodes catalog)
+     sentinel — and never reach the hop runs with a bogus id. *)
+  let node_stream ~query node tag k =
+    if node < 0 || node >= n_nodes then node_range_err n_nodes
     else
-      match resolve_tag tag with
+      match Option.map (Catalog.tag_id catalog) tag with
       | Some None -> no_items ()
-      | (None | Some (Some _)) as resolved ->
-          let want = Option.join resolved in
-          probe node want
-          |> List.filter (fun (v, d) ->
-                 ((not drop_self) || not (v = node && d = 0)) && within_dist max_dist d)
-          |> take k
-          |> emit_pairs
+      | resolved -> stream_out ~k (query node (Option.join resolved))
   in
   match job.req with
   | _ when expired job.deadline_ns -> no_items ~timed_out:true ()
   | Protocol.Stats -> Protocol.Lines (disk_report hopi catalog)
   | Protocol.Connected { a; b; max_dist } ->
-      let n = Catalog.n_nodes catalog in
-      if a < 0 || a >= n || b < 0 || b >= n then node_range_err n
+      if a < 0 || a >= n_nodes || b < 0 || b >= n_nodes then node_range_err n_nodes
       else
         Protocol.Dist
           (match Disk_hopi.distance hopi a b with
@@ -334,50 +333,28 @@ let evaluate_disk hopi catalog ~emit (job : job) : Protocol.response =
       match Catalog.node_of catalog ~doc ~anchor with
       | None -> unknown_doc_err doc anchor
       | Some start ->
-          node_stream ~probe:(Disk_hopi.descendants_by_tag hopi) ~drop_self:true start
-            tag k max_dist)
+          node_stream ~query:(Disk_hopi.descendants hopi ?max_dist ~strict:true) start tag k)
   | Protocol.Node_descendants { node; tag; k; max_dist } ->
-      node_stream ~probe:(Disk_hopi.descendants_by_tag hopi) ~drop_self:true node tag k
-        max_dist
+      node_stream ~query:(Disk_hopi.descendants hopi ?max_dist ~strict:true) node tag k
   | Protocol.Ancestors { node; tag; k; max_dist } ->
-      (* ancestors-or-self, so keep the node itself at distance 0. *)
-      node_stream ~probe:(Disk_hopi.ancestors_by_tag hopi) ~drop_self:false node tag k
-        max_dist
+      (* ancestors-or-self, so the node itself stays at distance 0. *)
+      node_stream ~query:(Disk_hopi.ancestors hopi ?max_dist) node tag k
   | Protocol.Evaluate { start_tag; target_tag; k; max_dist } -> (
       match Catalog.tag_id catalog target_tag with
       | None -> no_items ()
-      | Some target ->
+      | Some target -> (
           let starts =
             match Catalog.tag_id catalog start_tag with
             | None -> []
             | Some id -> Disk_hopi.nodes_by_tag hopi id
           in
-          let rec sweep acc timed = function
-            | [] -> (acc, timed)
-            | _ :: _ when expired job.deadline_ns -> (acc, true)
-            | s :: rest ->
-                let rs =
-                  List.filter
-                    (fun (_, d) -> d > 0 && within_dist max_dist d)
-                    (Disk_hopi.descendants_by_tag hopi s (Some target))
-                in
-                sweep (List.rev_append rs acc) timed rest
-          in
-          let all, timed_out = sweep [] false starts in
-          (* Several starts can reach one node; keep its best distance,
-             like the engine's duplicate elimination. *)
-          let best = Hashtbl.create 64 in
-          List.iter
-            (fun (v, d) ->
-              match Hashtbl.find_opt best v with
-              | Some d' when d' <= d -> ()
-              | _ -> Hashtbl.replace best v d)
-            all;
-          Hashtbl.fold (fun v d acc -> (v, d) :: acc) best []
-          |> List.sort (fun (v1, d1) (v2, d2) ->
-                 match Int.compare d1 d2 with 0 -> Int.compare v1 v2 | c -> c)
-          |> take k
-          |> emit_pairs ~timed_out)
+          match
+            Disk_hopi.descendants_of_starts hopi ?max_dist
+              ~expired:(fun () -> expired job.deadline_ns)
+              starts (Some target)
+          with
+          | None -> no_items ~timed_out:true ()
+          | Some next -> stream_out ~k next))
   | Protocol.Resolve { doc; anchor } -> resolved_node (Catalog.node_of catalog ~doc ~anchor)
   | Protocol.Ping | Protocol.Metrics | Protocol.Sleep _ | Protocol.Evict _ | Protocol.Reload
   | Protocol.Epoch_query ->
@@ -657,13 +634,65 @@ let apply_reload t =
 
 (* --- connection handling (thread side) ------------------------------ *)
 
+(* Buffered I/O straight on a connection's socket. Stdlib channels
+   declare their 64 KiB buffers to the GC as out-of-heap memory, so
+   opening two per connection forces minor collections at connection
+   rate — and an OCaml 5 minor collection stops every domain, idle
+   workers included. With short requests on a small host that cost more
+   than the requests themselves. *)
+module Conn_io = struct
+  type input = {
+    in_fd : Unix.file_descr;
+    ibuf : Bytes.t;
+    mutable ipos : int;
+    mutable ilen : int;
+  }
+
+  type output = { out_fd : Unix.file_descr; obuf : Buffer.t }
+
+  let input fd = { in_fd = fd; ibuf = Bytes.create 4096; ipos = 0; ilen = 0 }
+  let output fd = { out_fd = fd; obuf = Buffer.create 1024 }
+
+  (* @raise End_of_file once the peer has closed. *)
+  let rec input_char ci =
+    if ci.ipos < ci.ilen then begin
+      let c = Bytes.get ci.ibuf ci.ipos in
+      ci.ipos <- ci.ipos + 1;
+      c
+    end
+    else
+      match Unix.read ci.in_fd ci.ibuf 0 (Bytes.length ci.ibuf) with
+      | 0 -> raise End_of_file
+      | n ->
+          ci.ipos <- 0;
+          ci.ilen <- n;
+          input_char ci
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> input_char ci
+
+  let output_string co s = Buffer.add_string co.obuf s
+  let output_char co c = Buffer.add_char co.obuf c
+
+  (* Write everything buffered; Unix_error (EPIPE, ECONNRESET) escapes
+     to the connection loop, which treats it as a vanished client. *)
+  let flush co =
+    let b = Buffer.to_bytes co.obuf in
+    Buffer.clear co.obuf;
+    let rec go off =
+      if off < Bytes.length b then
+        match Unix.single_write co.out_fd b off (Bytes.length b - off) with
+        | n -> go (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+    in
+    go 0
+end
+
 let write_line oc line =
-  output_string oc line;
-  output_char oc '\n'
+  Conn_io.output_string oc line;
+  Conn_io.output_char oc '\n'
 
 let write_response oc resp =
   List.iter (write_line oc) (Protocol.response_lines resp);
-  flush oc
+  Conn_io.flush oc
 
 (* Drain the mailbox, writing and flushing ITEM lines as they arrive —
    the incremental half of the streaming contract. Returns the emitted
@@ -684,7 +713,7 @@ let drain_stream mb oc =
     in
     if batch <> [] then begin
       List.iter (fun it -> write_line oc (Protocol.item_line it)) batch;
-      flush oc;
+      Conn_io.flush oc;
       emitted := !emitted + List.length batch
     end;
     match fin with Some r -> r | None -> loop ()
@@ -700,7 +729,7 @@ let finish_stream oc ~emitted resp =
         (Protocol.items_trailer
            ~count:(emitted + List.length items)
            ~timed_out ~partial);
-      flush oc
+      Conn_io.flush oc
   | resp when emitted = 0 -> write_response oc resp
   | _ ->
       (* Items already went out, so the framing is committed to a stream:
@@ -708,7 +737,7 @@ let finish_stream oc ~emitted resp =
          line into the item stream. The condition is recorded in the
          error metrics by the caller. *)
       write_line oc (Protocol.items_trailer ~count:emitted ~timed_out:false ~partial:true);
-      flush oc
+      Conn_io.flush oc
 
 let handle_request t oc line =
   match Protocol.parse_envelope line with
@@ -787,7 +816,7 @@ let write_sub oc i items resp =
       write_line oc
         (Protocol.items_trailer ~count:(List.length items) ~timed_out:false
            ~partial:true));
-  flush oc
+  Conn_io.flush oc
 
 (* Fan the [n] parsed-or-failed sub-request lines of one batch across
    the worker pool and write SUB-tagged answers back in completion
@@ -918,7 +947,7 @@ let handle_batch t oc ~deadline_ms lines =
 let read_request_line ic ~max_bytes =
   let buf = Buffer.create 128 in
   let rec go overflowed =
-    match input_char ic with
+    match Conn_io.input_char ic with
     | '\n' -> if overflowed then `Overflow else `Line (Buffer.contents buf)
     | c ->
         if overflowed || Buffer.length buf >= max_bytes then go true
@@ -934,8 +963,8 @@ let read_request_line ic ~max_bytes =
   go false
 
 let conn_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
+  let ic = Conn_io.input fd in
+  let oc = Conn_io.output fd in
   let cleanup () =
     with_lock t.conns_lock (fun () -> Hashtbl.remove t.conns fd);
     (try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1113,9 +1142,8 @@ let conn_loop t fd =
     in
     (* The try must wrap the whole loop body, not just the read: with
        SIGPIPE ignored, a client that vanishes mid-response surfaces as
-       EPIPE/ECONNRESET (Sys_error or Unix_error) from write_response's
-       flush, and that too must fall through to cleanup, not escape the
-       thread. *)
+       EPIPE/ECONNRESET (Unix_error) from write_response's flush, and
+       that too must fall through to cleanup, not escape the thread. *)
     try loop () with End_of_file | Sys_error _ | Unix.Unix_error _ -> ()
   in
   Fun.protect ~finally:cleanup serve

@@ -236,6 +236,83 @@ let insert t ~key ~value =
       t.height <- t.height + 1;
       write_meta t
 
+(* --- bulk load ------------------------------------------------------------ *)
+
+(* Split [len] items into [ceil (len / cap)] consecutive chunks of
+   near-equal size (each at most [cap]); returns the chunk starts. *)
+let chunk_starts len cap =
+  let m = (len + cap - 1) / cap in
+  Array.init m (fun i -> i * len / m)
+
+(* Bottom-up build: leaves packed in key order on consecutive pages
+   (the first reuses the empty root leaf of a fresh tree), then each
+   internal level over the one below, separators being each child's
+   smallest key. One page write per node instead of a root-to-leaf
+   read-modify-write per entry. *)
+let bulk_load pager entries =
+  if Pager.n_pages pager <> 0 then invalid_arg "Btree.bulk_load: file not empty";
+  Array.iteri
+    (fun i (key, _) ->
+      if key < 0 then invalid_arg "Btree.bulk_load: negative key";
+      if i > 0 && fst entries.(i - 1) >= key then
+        invalid_arg "Btree.bulk_load: keys not strictly ascending")
+    entries;
+  let t = create pager in
+  let len = Array.length entries in
+  if len > 0 then begin
+    let ps = Pager.page_size pager in
+    let starts = chunk_starts len t.leaf_cap in
+    let n_leaves = Array.length starts in
+    let pages =
+      Array.init n_leaves (fun i -> if i = 0 then t.root else Pager.append_page pager)
+    in
+    Array.iteri
+      (fun i first ->
+        let last = if i + 1 < n_leaves then starts.(i + 1) else len in
+        let b = Bytes.make ps '\000' in
+        set_kind b 0;
+        set_nkeys b (last - first);
+        set_next_leaf b (if i + 1 < n_leaves then pages.(i + 1) else -1);
+        for j = first to last - 1 do
+          let key, value = entries.(j) in
+          set_leaf_entry b (j - first) ~key ~value
+        done;
+        store t pages.(i) b)
+      starts;
+    (* (smallest key, page) of every node on the level being grouped. *)
+    let rec build level height =
+      let n = Array.length level in
+      if n = 1 then begin
+        t.root <- snd level.(0);
+        t.height <- height
+      end
+      else begin
+        let starts = chunk_starts n (t.int_cap + 1) in
+        let parents =
+          Array.mapi
+            (fun i first ->
+              let last = if i + 1 < Array.length starts then starts.(i + 1) else n in
+              let page = Pager.append_page pager in
+              let b = Bytes.make ps '\000' in
+              set_kind b 1;
+              set_nkeys b (last - first - 1);
+              for j = first to last - 1 do
+                if j > first then set_int_key b (j - first - 1) (fst level.(j));
+                set_int_child t b (j - first) (snd level.(j))
+              done;
+              store t page b;
+              (fst level.(first), page))
+            starts
+        in
+        build parents (height + 1)
+      end
+    in
+    build (Array.mapi (fun i first -> (fst entries.(first), pages.(i))) starts) 1;
+    t.count <- len;
+    write_meta t
+  end;
+  t
+
 (* --- range scans --------------------------------------------------------- *)
 
 (* Leaves are appended in key order during a sequential build, so the

@@ -23,6 +23,14 @@ val create : Pager.t -> t
 val insert : t -> key:int -> value:int -> unit
 (** Insert or overwrite. Keys must fit 62 bits ([0 <= key < 2^62]). *)
 
+val bulk_load : Pager.t -> (int * int) array -> t
+(** Build a tree in a fresh (empty) file from entries strictly
+    ascending by key, packing the leaves full — a write-once index
+    built in one pass instead of one {!insert} per entry. The result
+    is an ordinary tree: it reopens with {!create} and accepts later
+    inserts. Raises [Invalid_argument] on a non-empty file, a negative
+    key, or keys out of order. *)
+
 val find : t -> int -> int option
 
 val range : t -> lo:int -> hi:int -> (int * int) list

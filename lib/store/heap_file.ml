@@ -113,6 +113,37 @@ let append t s =
   t.last <- Some handle;
   handle
 
+(* Batched appends: records accumulate in one buffer and reach the
+   pager in large page-chunked writes, instead of one pool write per
+   record fragment. The heap's cursor advances at [add], so handles are
+   known at once; the bytes land by [flush_batch]. *)
+type batch = { owner : t; buf : Buffer.t; mutable at : int (* file position of buf.[0] *) }
+
+let batch_bytes = 1 lsl 16
+
+let batch t = { owner = t; buf = Buffer.create batch_bytes; at = t.cursor }
+
+let flush_batch b =
+  if Buffer.length b.buf > 0 then begin
+    write_bytes b.owner b.at (Buffer.contents b.buf);
+    b.at <- b.at + Buffer.length b.buf;
+    Buffer.clear b.buf
+  end
+
+let add b s =
+  if s = "" then invalid_arg "Heap_file.add: empty record";
+  let t = b.owner in
+  if b.at + Buffer.length b.buf <> t.cursor then
+    invalid_arg "Heap_file.add: heap appended behind the batch";
+  let handle = t.cursor in
+  Buffer.add_int32_be b.buf (Int32.of_int (String.length s));
+  Buffer.add_string b.buf s;
+  t.cursor <- handle + 4 + String.length s;
+  t.payload <- t.payload + String.length s;
+  t.last <- Some handle;
+  if Buffer.length b.buf >= batch_bytes then flush_batch b;
+  handle
+
 let read t handle =
   if handle < 0 || handle > capacity t - 4 then corrupt "Heap_file.read: bad handle";
   let len = read_length t handle in
@@ -122,3 +153,56 @@ let read t handle =
 
 let size_bytes t = t.payload
 let last_handle t = t.last
+
+(* --- windowed record readers ------------------------------------------ *)
+
+(* A reader pulls a record's bytes through the pool one window at a
+   time — from the read position to the end of its page or of the
+   record — so a caller that decodes only a prefix of a large record
+   pays only for the pages it touches. Windows are fresh copies (see
+   Pager.read) and never mutated, so forks can share them. *)
+type reader = {
+  heap : t;
+  base : int; (* position of payload byte 0 *)
+  len : int;
+  mutable pos : int; (* payload offset of the next byte *)
+  mutable win : bytes;
+  mutable win_at : int; (* file position of win.[0] *)
+}
+
+let window t pos limit =
+  let n = min (Pager.page_size t.pager - off_of t pos) (limit - pos) in
+  Pager.read t.pager ~page:(page_of t pos) ~offset:(off_of t pos) ~len:n
+
+(* Bytes fetched with the length prefix, before the record's length is
+   known: enough that a small record costs one pool read in all, small
+   enough not to copy a page for it. *)
+let first_window = 256
+
+let reader t handle =
+  if handle < 0 || handle > capacity t - 4 then corrupt "Heap_file.reader: bad handle";
+  let win = window t handle (min (capacity t) (handle + first_window)) in
+  let len =
+    if Bytes.length win >= 4 then Int32.to_int (Bytes.get_int32_be win 0)
+    else read_length t handle
+  in
+  if len <= 0 || len > capacity t - handle - 4 then
+    corrupt "Heap_file.reader: mangled length prefix";
+  { heap = t; base = handle + 4; len; pos = 0; win; win_at = handle }
+
+let fork r off =
+  if off < 0 || off > r.len then corrupt "Heap_file.fork: offset out of range";
+  { r with pos = off }
+
+let reader_length r = r.len
+let offset r = r.pos
+
+let byte r =
+  if r.pos >= r.len then corrupt "Heap_file: read past the record end";
+  let at = r.base + r.pos in
+  if at < r.win_at || at >= r.win_at + Bytes.length r.win then begin
+    r.win <- window r.heap at (r.base + r.len);
+    r.win_at <- at
+  end;
+  r.pos <- r.pos + 1;
+  Bytes.get_uint8 r.win (at - r.win_at)

@@ -80,6 +80,8 @@ module Reader = struct
     t.pos <- t.pos + n;
     s
 
+  let at_end t = t.pos >= String.length t.data
+
   let expect_end t =
     if t.pos <> String.length t.data then
       corrupt "%d trailing bytes" (String.length t.data - t.pos)

@@ -27,6 +27,9 @@ module Reader : sig
   val int_array : t -> int array
   val string : t -> string
 
+  val at_end : t -> bool
+  (** No bytes remain — lets a format grow an optional trailing field. *)
+
   val expect_end : t -> unit
   (** @raise Corrupt when trailing bytes remain. *)
 end

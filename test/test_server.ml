@@ -269,6 +269,14 @@ let raw_malformed_lines () =
       output_string oc "PING\n";
       flush oc;
       Alcotest.(check string) "still serving" "PONG" (input_line ic);
+      (* A line split across packets, then two lines in one. *)
+      output_string oc "PI";
+      flush oc;
+      Thread.delay 0.02;
+      output_string oc "NG\nPING\n";
+      flush oc;
+      Alcotest.(check string) "fragmented line" "PONG" (input_line ic);
+      Alcotest.(check string) "pipelined line" "PONG" (input_line ic);
       Unix.close fd)
 
 let raw_connect port =
@@ -801,6 +809,91 @@ let disk_evaluate_cached () =
           Alcotest.(check (list string)) "replay is byte-identical" first second;
           Alcotest.(check int) "the repeat was a hit" 1 (metric "flix_eval_cache_hits_total")))
 
+(* Disk EVALUATE is one merge over every start's hops: each target at
+   its least distance from a start other than itself, in (distance,
+   node) order — checked against the per-start in-memory answers,
+   including start tag = target tag and an unknown target tag. *)
+let disk_evaluate_matches_oracle () =
+  with_disk_server ~workers:2 (fun server hopi coll ->
+      let c = Client.connect ~port:(Server.port server) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let oracle start_tag target_tag k =
+            match C.tag_id coll target_tag with
+            | None -> []
+            | Some target ->
+                let best = Hashtbl.create 64 in
+                List.iter
+                  (fun s ->
+                    List.iter
+                      (fun (v, d) ->
+                        if d > 0 then
+                          match Hashtbl.find_opt best v with
+                          | Some d' when d' <= d -> ()
+                          | _ -> Hashtbl.replace best v d)
+                      (Idx.Hopi.descendants_by_tag hopi s (Some target)))
+                  (C.find_by_tag coll start_tag);
+                Hashtbl.fold (fun v d acc -> (v, d) :: acc) best []
+                |> Idx.Path_index.sort_results
+                |> List.filteri (fun i _ -> i < k)
+                |> List.map (fun (node, dist) -> { P.node; dist; meta = 0 })
+          in
+          List.iter
+            (fun (start_tag, target_tag, k) ->
+              let q = P.Evaluate { start_tag; target_tag; k; max_dist = None } in
+              match Client.request c q with
+              | Ok (P.Items { timed_out = false; partial = false; items }) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "EVALUATE %s %s %d" start_tag target_tag k)
+                    true
+                    (items = oracle start_tag target_tag k)
+              | _ -> Alcotest.failf "EVALUATE %s %s %d should answer DONE" start_tag target_tag k)
+            [
+              ("article", "author", 20);
+              ("inproceedings", "cite", 50);
+              ("article", "article", 30);
+              ("cite", "cite", 10);
+              ("article", "no-such-tag", 5);
+            ]))
+
+(* A deployment whose label file has no hop runs (the earlier layout)
+   stops flix_serve at boot: exit 1, one diagnostic line naming the
+   file and how to rebuild, no backtrace. *)
+let flix_serve_refuses_runless_deployment () =
+  let coll = Lazy.force shared_collection in
+  let dg = { Idx.Path_index.graph = C.graph coll; tag = C.tag coll } in
+  let hopi = Idx.Hopi.build dg in
+  let dir = Filename.temp_file "fxstale" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let prefix = Filename.concat dir "index" in
+  let files = List.map (fun ext -> prefix ^ ext) [ ".labels"; ".tags"; ".catalog" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) files;
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      Idx.Disk_hopi.save ~path:prefix dg hopi;
+      Idx.Disk_labels.save ~path:(prefix ^ ".labels") (Idx.Hopi.labels hopi);
+      Idx.Catalog.save ~path:(prefix ^ ".catalog") (Idx.Catalog.of_collection coll);
+      let ic =
+        Unix.open_process_in
+          (Printf.sprintf "../bin/flix_serve.exe --index-dir %s --port 0 2>&1 >/dev/null"
+             (Filename.quote dir))
+      in
+      let lines = In_channel.input_lines ic in
+      let status = Unix.close_process_in ic in
+      Alcotest.(check bool) "exit status 1" true (status = Unix.WEXITED 1);
+      match lines with
+      | [ line ] ->
+          Alcotest.(check bool) "names the label file" true
+            (Astring.String.is_infix ~affix:(prefix ^ ".labels") line);
+          Alcotest.(check bool) "says to rebuild with --index-dir" true
+            (Astring.String.is_infix ~affix:"--index-dir" line)
+      | _ ->
+          Alcotest.failf "expected one diagnostic line, got:\n%s" (String.concat "\n" lines))
+
 let () =
   Alcotest.run "server"
     [
@@ -827,6 +920,9 @@ let () =
           Alcotest.test_case "disconnect mid-response" `Quick disconnect_mid_response;
           Alcotest.test_case "disk backend" `Quick disk_backend_matches_memory;
           Alcotest.test_case "disk EVALUATE cached" `Quick disk_evaluate_cached;
+          Alcotest.test_case "disk EVALUATE matches oracle" `Quick disk_evaluate_matches_oracle;
+          Alcotest.test_case "stale deployment refused" `Quick
+            flix_serve_refuses_runless_deployment;
           Alcotest.test_case "concurrent clients vs direct" `Quick concurrent_clients;
           Alcotest.test_case "deadline timeout" `Quick deadline_timeout;
           Alcotest.test_case "admission control BUSY" `Quick admission_busy;

@@ -411,6 +411,53 @@ let test_heap_roundtrip () =
         (Heap.size_bytes h);
       Pager.close p)
 
+(* Batched appends land where their handles say once flushed, and a
+   windowed reader walks records that span pages byte for byte. *)
+let test_heap_batch_and_reader () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let p = Pager.create ~page_size:128 path in
+      let h = Heap.create p in
+      let first = Heap.append h "plain" in
+      let b = Heap.batch h in
+      let records =
+        List.init 40 (fun i ->
+            String.init (1 + (i * 37 mod 300)) (fun j -> Char.chr (97 + ((i + j) mod 26))))
+      in
+      let handles = List.map (Heap.add b) records in
+      Heap.flush_batch b;
+      check_str "plain record intact" "plain" (Heap.read h first);
+      List.iter2 (fun r hd -> check_str "batched record" r (Heap.read h hd)) records handles;
+      check "last handle is the last batched record" true
+        (Heap.last_handle h = Some (List.nth handles 39));
+      check "append behind a batch is refused" true
+        (ignore (Heap.append h "late");
+         match Heap.add b "x" with
+         | _ -> false
+         | exception Invalid_argument _ -> true);
+      List.iter2
+        (fun r hd ->
+          let rd = Heap.reader h hd in
+          check_int "reader length" (String.length r) (Heap.reader_length rd);
+          let got = String.init (String.length r) (fun _ -> Char.chr (Heap.byte rd)) in
+          check_str "reader bytes" r got;
+          check "read past the end raises" true
+            (match Heap.byte rd with
+            | _ -> false
+            | exception Fx_util.Codec.Corrupt _ -> true);
+          let off = String.length r / 2 in
+          let fk = Heap.fork rd off in
+          check_int "fork offset" off (Heap.offset fk);
+          if off < String.length r then
+            check_int "fork byte" (Char.code r.[off]) (Heap.byte fk))
+        records handles;
+      Pager.close p;
+      (* Batched records survive a reopen like appended ones. *)
+      let p2 = Pager.create ~page_size:128 path in
+      let h2 = Heap.create p2 in
+      List.iter2 (fun r hd -> check_str "reopened" r (Heap.read h2 hd)) records handles;
+      Pager.close p2)
+
 let test_heap_reopen () =
   with_temp_file (fun path ->
       Sys.remove path;
@@ -564,6 +611,48 @@ let test_btree_persistence () =
       check "insert after reopen" true (Btree.find t2 701 = Some (-1));
       Pager.close p2)
 
+(* A bulk-loaded tree answers like the inserted one, survives reopen and
+   takes inserts afterwards. *)
+let prop_btree_bulk_load =
+  Helpers.qtest ~count:30 "btree bulk load ≡ Map oracle"
+    QCheck.(list (pair (int_bound 5_000) (int_bound 10_000)))
+    (fun pairs ->
+      with_temp_file (fun path ->
+          Sys.remove path;
+          let module M = Map.Make (Int) in
+          let oracle = List.fold_left (fun m (k, v) -> M.add k v m) M.empty pairs in
+          let p = Pager.create ~page_size:256 path in
+          let t = Btree.bulk_load p (Array.of_list (M.bindings oracle)) in
+          let ok_len = Btree.length t = M.cardinal oracle in
+          let ok_range = Btree.range t ~lo:0 ~hi:max_int = M.bindings oracle in
+          let ok_sub =
+            Btree.range t ~lo:1000 ~hi:3000
+            = List.filter (fun (k, _) -> k >= 1000 && k <= 3000) (M.bindings oracle)
+          in
+          Pager.close p;
+          let p2 = Pager.create ~page_size:256 path in
+          let t2 = Btree.create p2 in
+          let ok_find = M.for_all (fun k v -> Btree.find t2 k = Some v) oracle in
+          Btree.insert t2 ~key:7_000 ~value:7;
+          List.iter (fun (k, v) -> Btree.insert t2 ~key:(k + 1) ~value:v) pairs;
+          let ok_insert = Btree.find t2 7_000 = Some 7 in
+          let ok_sorted =
+            let keys = List.map fst (Btree.range t2 ~lo:0 ~hi:max_int) in
+            keys = List.sort_uniq Int.compare keys
+          in
+          Pager.close p2;
+          ok_len && ok_range && ok_sub && ok_find && ok_insert && ok_sorted))
+
+let test_btree_bulk_load_rejects () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let p = Pager.create ~page_size:256 path in
+      check "unsorted keys refused" true
+        (match Btree.bulk_load p [| (2, 0); (1, 0) |] with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      Pager.close p)
+
 let prop_btree_vs_map =
   Helpers.qtest ~count:30 "btree ≡ Map oracle (insert/find/range)"
     QCheck.(list (pair (int_bound 500) (int_bound 10_000)))
@@ -684,6 +773,21 @@ let test_disk_hopi_full () =
         (Fx_index.Disk_hopi.reachable disk 0 7);
       Fx_index.Disk_hopi.close disk)
 
+let pull k (next : Fx_index.Disk_hopi.stream) =
+  let rec go acc i =
+    if i >= k then List.rev acc
+    else match next () with None -> List.rev acc | Some p -> go (p :: acc) (i + 1)
+  in
+  go [] 0
+
+let take k l = List.filteri (fun i _ -> i < k) l
+let within max_dist l =
+  match max_dist with None -> l | Some m -> List.filter (fun (_, d) -> d <= m) l
+
+(* Every stream — each node, tag (wildcard, each tag, an unknown id),
+   k and max_dist, both directions, strict or not — is the filtered
+   prefix of the in-memory answer. Two pool pages force evictions in
+   the middle of the merge. *)
 let prop_disk_hopi_random =
   Helpers.qtest ~count:15 "disk HOPI = memory HOPI on random digraphs"
     (Helpers.digraph_arb ~max_n:10 ())
@@ -693,15 +797,136 @@ let prop_disk_hopi_random =
           let hopi = Fx_index.Hopi.build dg in
           Fx_index.Disk_hopi.save ~page_size:256 ~path dg hopi;
           let disk = Fx_index.Disk_hopi.open_ ~page_size:256 ~pool_pages:2 ~path () in
-          let ok =
-            List.for_all
-              (fun u ->
-                Fx_index.Disk_hopi.descendants_by_tag disk u (Some 1)
-                = Fx_index.Hopi.descendants_by_tag hopi u (Some 1))
-              (List.init n (fun i -> i))
-          in
+          let module D = Fx_index.Disk_hopi in
+          let ok = ref true in
+          let expect got want = if got <> want then ok := false in
+          for u = 0 to n - 1 do
+            List.iter
+              (fun want ->
+                let down = Fx_index.Hopi.descendants_by_tag hopi u want in
+                let up = Fx_index.Hopi.ancestors_by_tag hopi u want in
+                expect (D.descendants_by_tag disk u want) down;
+                expect (D.ancestors_by_tag disk u want) up;
+                List.iter
+                  (fun k ->
+                    List.iter
+                      (fun max_dist ->
+                        expect (pull k (D.descendants disk ?max_dist u want))
+                          (take k (within max_dist down));
+                        expect
+                          (pull k (D.descendants disk ?max_dist ~strict:true u want))
+                          (take k
+                             (within max_dist (List.filter (fun (v, _) -> v <> u) down)));
+                        expect (pull k (D.ancestors disk ?max_dist u want))
+                          (take k (within max_dist up)))
+                      [ None; Some 0; Some 1; Some 2 ])
+                  [ 1; 3; n ])
+              [ None; Some 0; Some 1; Some 2; Some 3; Some 99 ]
+          done;
           Fx_index.Disk_hopi.close disk;
-          ok))
+          !ok))
+
+(* Multi-start EVALUATE: each target at its least distance from a start
+   other than itself, against the per-start in-memory answers. Random
+   digraphs have cycles, so a start can reach itself and other starts;
+   start and target tags may coincide. *)
+let prop_disk_hopi_multi_start =
+  Helpers.qtest ~count:15 "disk multi-start merge = per-start oracle"
+    (Helpers.digraph_arb ~max_n:12 ~edge_factor:2.5 ())
+    (fun (n, edges) ->
+      with_temp_prefix (fun path ->
+          let dg = Helpers.data_graph_of (n, edges) ~tag_seed:5 in
+          let hopi = Fx_index.Hopi.build dg in
+          Fx_index.Disk_hopi.save ~page_size:256 ~path dg hopi;
+          let disk = Fx_index.Disk_hopi.open_ ~page_size:256 ~pool_pages:2 ~path () in
+          let oracle starts target =
+            let best = Hashtbl.create 16 in
+            List.iter
+              (fun s ->
+                List.iter
+                  (fun (v, d) ->
+                    if d > 0 then
+                      match Hashtbl.find_opt best v with
+                      | Some d' when d' <= d -> ()
+                      | _ -> Hashtbl.replace best v d)
+                  (Fx_index.Hopi.descendants_by_tag hopi s (Some target)))
+              starts;
+            Fx_index.Path_index.sort_results (Hashtbl.fold (fun v d acc -> (v, d) :: acc) best [])
+          in
+          let ok = ref true in
+          for start_tag = 0 to 3 do
+            let starts = Fx_index.Disk_hopi.nodes_by_tag disk start_tag in
+            List.iter
+              (fun target ->
+                let want = oracle starts target in
+                List.iter
+                  (fun (k, max_dist) ->
+                    match
+                      Fx_index.Disk_hopi.descendants_of_starts disk ?max_dist starts
+                        (Some target)
+                    with
+                    | None -> ok := false
+                    | Some next ->
+                        if pull k next <> take k (within max_dist want) then ok := false)
+                  [ (1, None); (3, None); (n, None); (n, Some 1); (3, Some 2) ])
+              [ 0; 1; 2; 3; 99 ]
+          done;
+          (* An expired deadline stops the label fetches: no answer. *)
+          if n > 0 then begin
+            match
+              Fx_index.Disk_hopi.descendants_of_starts disk ~expired:(fun () -> true)
+                [ 0 ] (Some 0)
+            with
+            | None -> ()
+            | Some _ -> ok := false
+          end;
+          Fx_index.Disk_hopi.close disk;
+          !ok))
+
+(* The merge streams: the first answer of a wildcard query from a hub
+   reads a handful of pages, the full drain reads the whole run. *)
+let test_disk_hopi_stream_is_lazy () =
+  with_temp_prefix (fun path ->
+      let n = 20_000 in
+      let rng = Fx_util.Rng.create 11 in
+      let edges = List.init (n - 1) (fun i -> (Fx_util.Rng.int rng (i + 1), i + 1)) in
+      let dg = Helpers.data_graph_of (n, edges) ~tag_seed:7 in
+      let hopi = Fx_index.Hopi.build dg in
+      Fx_index.Disk_hopi.save ~page_size:256 ~path dg hopi;
+      let disk = Fx_index.Disk_hopi.open_ ~page_size:256 ~pool_pages:64 ~path () in
+      let reads () = (fst (Fx_index.Disk_hopi.stats disk)).Pager.logical_reads in
+      let r0 = reads () in
+      let first = pull 1 (Fx_index.Disk_hopi.descendants disk 0 None) in
+      let r1 = reads () in
+      let all = Fx_index.Disk_hopi.descendants_by_tag disk 0 None in
+      let r2 = reads () in
+      check "first answer is the hub itself" true (first = [ (0, 0) ]);
+      check_int "the drain reaches every node" n (List.length all);
+      check
+        (Printf.sprintf "first item cheap (%d reads) against the drain (%d)" (r1 - r0)
+           (r2 - r1))
+        true
+        ((r1 - r0) * 10 < r2 - r1);
+      Fx_index.Disk_hopi.close disk)
+
+(* A label file without hop runs — what the earlier layout wrote, and
+   what a bare Disk_labels.save still writes — is refused at open with
+   a diagnostic naming the file and how to rebuild. *)
+let test_disk_hopi_refuses_runless_store () =
+  with_temp_prefix (fun path ->
+      let dg =
+        { Fx_index.Path_index.graph = Helpers.small_graph (); tag = [| 0; 1; 1; 2; 1; 0; 2; 1 |] }
+      in
+      let hopi = Fx_index.Hopi.build dg in
+      Fx_index.Disk_hopi.save ~path dg hopi;
+      Fx_index.Disk_labels.save ~path:(path ^ ".labels") (Fx_index.Hopi.labels hopi);
+      match Fx_index.Disk_hopi.open_ ~path () with
+      | d ->
+          Fx_index.Disk_hopi.close d;
+          Alcotest.fail "a store without hop runs opened"
+      | exception Fx_util.Codec.Corrupt msg ->
+          check "names the file" true (Astring.String.is_infix ~affix:(path ^ ".labels") msg);
+          check "says how to rebuild" true (Astring.String.is_infix ~affix:"--index-dir" msg))
 
 let () =
   Alcotest.run "fx_store"
@@ -729,6 +954,7 @@ let () =
           Alcotest.test_case "reopen" `Quick test_heap_reopen;
           Alcotest.test_case "bad handles" `Quick test_heap_bad_handles;
           Alcotest.test_case "smashed length prefix" `Quick test_heap_smashed_prefix;
+          Alcotest.test_case "batch and reader" `Quick test_heap_batch_and_reader;
         ] );
       ( "btree",
         [
@@ -737,6 +963,8 @@ let () =
           Alcotest.test_case "sequential insert orders" `Quick test_btree_sequential_orders;
           Alcotest.test_case "persistence" `Quick test_btree_persistence;
           prop_btree_vs_map;
+          prop_btree_bulk_load;
+          Alcotest.test_case "bulk load rejects unsorted" `Quick test_btree_bulk_load_rejects;
         ] );
       ( "disk_labels",
         [
@@ -748,5 +976,9 @@ let () =
         [
           Alcotest.test_case "full deployment" `Quick test_disk_hopi_full;
           prop_disk_hopi_random;
+          prop_disk_hopi_multi_start;
+          Alcotest.test_case "stream is lazy" `Quick test_disk_hopi_stream_is_lazy;
+          Alcotest.test_case "refuses a store without runs" `Quick
+            test_disk_hopi_refuses_runless_store;
         ] );
     ]
