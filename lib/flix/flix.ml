@@ -88,9 +88,14 @@ let describe t (item : Pee.item) =
 let index_size_bytes t = Index_builder.total_size_bytes t.built
 
 let report t =
-  Printf.sprintf "FliX [%s]\ncollection: %s\n%s"
+  let reach = t.registry.Meta_document.reach in
+  Printf.sprintf
+    "FliX [%s]\ncollection: %s\n%sreach filter: %d documents, %d components (built in %.1f ms)\n"
     (Meta_builder.config_to_string t.config)
     (Collection.stats t.collection)
     (Index_builder.report t.built)
+    (Fx_graph.Reach_filter.n_groups reach)
+    (Fx_graph.Reach_filter.n_components reach)
+    (Fx_graph.Reach_filter.build_ms reach)
 
 let true_distance t a b = Fx_graph.Traversal.distance (Collection.graph t.collection) a b

@@ -20,7 +20,21 @@ let data_graph t = { Fx_index.Path_index.graph = t.graph; tag = t.tag }
 let n_out_links t =
   Array.fold_left (fun acc l -> acc + List.length l) 0 t.out_links
 
-type registry = { metas : t array; meta_of_node : int array; local_of_node : int array }
+type registry = {
+  metas : t array;
+  meta_of_node : int array;
+  local_of_node : int array;
+  reach : Fx_graph.Reach_filter.t;
+}
+
+(* The document-grain filter is built from the collection's links, not
+   from the meta documents, so every partition (element-level included)
+   gets the same sound filter. Intra-document links fall inside one group
+   and the filter drops them. *)
+let reach_filter c =
+  Fx_graph.Reach_filter.build ~n_groups:(Collection.n_docs c)
+    ~group_of:(Array.init (Collection.n_nodes c) (Collection.doc_of_node c))
+    (List.map (fun (l : Collection.link) -> (l.src, l.dst)) (Collection.links c))
 
 let build_registry c ~part ~n_parts ~include_link =
   let n = Collection.n_nodes c in
@@ -88,7 +102,7 @@ let build_registry c ~part ~n_parts ~include_link =
           in_link_nodes;
         })
   in
-  { metas; meta_of_node = Array.copy part; local_of_node }
+  { metas; meta_of_node = Array.copy part; local_of_node; reach = reach_filter c }
 
 let total_out_links reg = Array.fold_left (fun acc m -> acc + n_out_links m) 0 reg.metas
 

@@ -32,6 +32,10 @@ type registry = {
   metas : t array;
   meta_of_node : int array;   (** global node -> meta document id *)
   local_of_node : int array;  (** global node -> local id inside its meta *)
+  reach : Fx_graph.Reach_filter.t;
+      (** document-level reachability filter over the collection: one
+          group per document, one edge per inter-document link. A pair it
+          rules out has no path in {!Fx_xml.Collection.graph}. *)
 }
 
 val build_registry :
@@ -44,7 +48,9 @@ val build_registry :
     are always internal (a partition never splits a document). A link
     becomes an internal edge when both endpoints share a partition {e
     and} [include_link] accepts it; otherwise it is kept as an out-link
-    to be followed at query time. *)
+    to be followed at query time. The registry also carries the
+    collection's document-level reachability filter, so every rebuild
+    ([Flix.extend], [Flix.remove], ...) rebuilds it with the snapshot. *)
 
 val total_out_links : registry -> int
 val find : registry -> int -> t * int

@@ -295,10 +295,17 @@ let ancestors_exact ?tag ?(max_dist = max_int) ?(include_self = false) pee ~star
   let eng = make_exact_engine pee backward ~tag ~max_dist [ start ] in
   exact_stream eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
 
+(* The document-level filter: a pair it rules out has no path in the
+   collection graph, so the search below would answer "unreachable"
+   after exhausting everything within [max_dist]. *)
+let ruled_out pee a b =
+  not (Fx_graph.Reach_filter.may_reach pee.built.Index_builder.registry.Meta_document.reach a b)
+
 (* Connection test (Section 5.2): same loop, but each visited meta
    document is probed directly for the target. *)
 let connected ?(max_dist = max_int) pee a b =
   if a = b then Some 0
+  else if ruled_out pee a b then None
   else begin
     let reg = pee.built.Index_builder.registry in
     let target_meta = reg.Meta_document.meta_of_node.(b) in
@@ -328,6 +335,7 @@ let connected ?(max_dist = max_int) pee a b =
 
 let connected_bidir ?(max_dist = max_int) pee a b =
   if a = b then true
+  else if ruled_out pee a b then false
   else begin
     let reg = pee.built.Index_builder.registry in
     (* Lockstep: forward search from [a] towards [b], backward search

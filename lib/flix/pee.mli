@@ -67,12 +67,17 @@ val connected : ?max_dist:int -> t -> int -> int -> int option
 (** [connected t a b] is [Some d] when [b] is reachable from [a] with a
     path of length [d <= max_dist] (d is exact within one meta document
     and an upper bound across several). The connection test of
-    Section 5.2. *)
+    Section 5.2, behind one addition the paper does not have: a pair the
+    registry's document-level reachability filter rules out answers
+    [None] without searching (see {!Meta_document.registry}). Every other
+    pair runs the search, so answers are the same either way. *)
 
 val connected_bidir : ?max_dist:int -> t -> int -> int -> bool
 (** The optimisation sketched in Section 5.2: run a descendants search
     from [a] and an ancestors search from [b] in lockstep, stopping as
-    soon as either side finds the other. Reachability only. *)
+    soon as either side finds the other. Reachability only. Pairs the
+    document-level filter rules out answer [false] without searching,
+    as in {!connected}. *)
 
 val queue_stats : t -> int * int
 (** (total queue insertions, total entry-point drops) since creation —

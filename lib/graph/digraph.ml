@@ -14,71 +14,82 @@ let check_endpoint n u =
   if u < 0 || u >= n then
     invalid_arg (Printf.sprintf "Digraph: node %d out of range [0,%d)" u n)
 
-(* Lexicographic on (src, dst) without the polymorphic-compare detour
-   through the tuple representation (FL003). *)
-let compare_edge (u1, v1) (u2, v2) =
-  match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
-
-(* Build one CSR direction by counting sort on the key extracted by [key],
-   storing the value extracted by [value]. *)
-let csr_of ~n ~key ~value edges =
-  let off = Array.make (n + 1) 0 in
-  Array.iter (fun e -> off.(key e + 1) <- off.(key e + 1) + 1) edges;
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i + 1) + off.(i)
-  done;
-  let dst = Array.make (Array.length edges) 0 in
-  let cursor = Array.copy off in
-  Array.iter
-    (fun e ->
-      let k = key e in
-      dst.(cursor.(k)) <- value e;
-      cursor.(k) <- cursor.(k) + 1)
-    edges;
-  (* Sort each row so that membership tests can binary-search. *)
-  for i = 0 to n - 1 do
-    let lo = off.(i) and hi = off.(i + 1) in
-    if hi - lo > 1 then begin
-      let row = Array.sub dst lo (hi - lo) in
-      Array.sort Int.compare row;
-      Array.blit row 0 dst lo (hi - lo)
-    end
-  done;
-  (off, dst)
-
-let dedup_sorted_edges edges =
-  let m = Array.length edges in
-  if m = 0 then edges
-  else begin
-    Array.sort compare_edge edges;
-    let count = ref 1 in
-    for i = 1 to m - 1 do
-      if edges.(i) <> edges.(i - 1) then incr count
-    done;
-    if !count = m then edges
-    else begin
-      let out = Array.make !count edges.(0) in
-      let j = ref 0 in
-      for i = 1 to m - 1 do
-        if edges.(i) <> edges.(i - 1) then begin
-          incr j;
-          out.(!j) <- edges.(i)
-        end
+(* Sorts [a.(lo) .. a.(hi - 1)] in place: insertion sort for the short
+   rows that dominate linked XML graphs, the library sort otherwise. *)
+let sort_range a lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
       done;
-      out
-    end
+      a.(!j + 1) <- x
+    done
+  else begin
+    let row = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare row;
+    Array.blit row 0 a lo (hi - lo)
   end
 
+(* Prefix sums turning per-node counts at [off.(u + 1)] into row offsets. *)
+let accumulate off =
+  for i = 1 to Array.length off - 1 do
+    off.(i) <- off.(i) + off.(i - 1)
+  done
+
+(* Successor rows by counting sort on the source, each row then sorted
+   and deduplicated in place; predecessor rows by a second counting sort
+   over the finished successor rows, which visits sources in ascending
+   order and so leaves every predecessor row sorted. No comparison sort
+   runs over the whole edge array. *)
 let of_edges_array ~n edges =
+  let raw_off = Array.make (n + 1) 0 in
   Array.iter
     (fun (u, v) ->
       check_endpoint n u;
-      check_endpoint n v)
+      check_endpoint n v;
+      raw_off.(u + 1) <- raw_off.(u + 1) + 1)
     edges;
-  let edges = dedup_sorted_edges (Array.copy edges) in
-  let succ_off, succ_dst = csr_of ~n ~key:fst ~value:snd edges in
-  let pred_off, pred_src = csr_of ~n ~key:snd ~value:fst edges in
-  { n; m = Array.length edges; succ_off; succ_dst; pred_off; pred_src }
+  accumulate raw_off;
+  let dst = Array.make (Array.length edges) 0 in
+  let cursor = Array.sub raw_off 0 n in
+  Array.iter
+    (fun (u, v) ->
+      dst.(cursor.(u)) <- v;
+      cursor.(u) <- cursor.(u) + 1)
+    edges;
+  (* Compact the deduplicated rows towards the front: row [u] is written
+     at or before its raw start, so no unread entry is overwritten. *)
+  let succ_off = Array.make (n + 1) 0 in
+  let m = ref 0 in
+  for u = 0 to n - 1 do
+    let lo = raw_off.(u) and hi = raw_off.(u + 1) in
+    sort_range dst lo hi;
+    for i = lo to hi - 1 do
+      if i = lo || dst.(i) <> dst.(i - 1) then begin
+        dst.(!m) <- dst.(i);
+        incr m
+      end
+    done;
+    succ_off.(u + 1) <- !m
+  done;
+  let m = !m in
+  let succ_dst = Array.sub dst 0 m in
+  let pred_off = Array.make (n + 1) 0 in
+  Array.iter (fun v -> pred_off.(v + 1) <- pred_off.(v + 1) + 1) succ_dst;
+  accumulate pred_off;
+  let pred_src = Array.make m 0 in
+  let cursor = Array.sub pred_off 0 n in
+  for u = 0 to n - 1 do
+    for i = succ_off.(u) to succ_off.(u + 1) - 1 do
+      let v = succ_dst.(i) in
+      pred_src.(cursor.(v)) <- u;
+      cursor.(v) <- cursor.(v) + 1
+    done
+  done;
+  { n; m; succ_off; succ_dst; pred_off; pred_src }
 
 let of_edges ~n edges = of_edges_array ~n (Array.of_list edges)
 let empty n = of_edges_array ~n [||]

@@ -360,6 +360,51 @@ let server_ingest_evict_epoch () =
            lines);
       Alcotest.(check bool) "connection survived every swap" true (Client.ping c))
 
+(* No stale reachability filter across swaps. "ra" cites "rb", which is
+   not in the collection yet, and "rb" cites "rc": rc's root is out of
+   ra's reach until rb arrives, and again once rb leaves. The filter
+   rules the pair out exactly when no path exists. *)
+let chain_xml =
+  [
+    ("ra", "<doc><cite href=\"rb\"></cite></doc>");
+    ("rc", "<doc><sec></sec></doc>");
+  ]
+
+let chain_middle = [ ("rb", "<doc><cite href=\"rc\"></cite></doc>") ]
+
+(* Appending keeps node ids, so ra's and rc's roots keep theirs in every
+   epoch: 0 and 2. *)
+let chain_a = 0 and chain_c = 2
+
+let reach_filter_follows_extend_remove () =
+  let may_reach f = Fx_graph.Reach_filter.may_reach (Flix.registry f).reach chain_a chain_c in
+  let base = Flix.build (C.build (parse_docs chain_xml)) in
+  Alcotest.(check bool) "dangling: ruled out" false (may_reach base);
+  Alcotest.(check (option int)) "dangling: NODIST" None (Flix.connected base chain_a chain_c);
+  let extended = Flix.extend base (parse_docs chain_middle) in
+  Alcotest.(check bool) "extended: kept" true (may_reach extended);
+  Alcotest.(check (option int)) "extended: distance"
+    (Flix.true_distance extended chain_a chain_c)
+    (Flix.connected extended chain_a chain_c);
+  Alcotest.(check bool) "extended: bidir" true (Flix.connected_bidir extended chain_a chain_c);
+  let removed = Flix.remove extended [ "rb" ] in
+  Alcotest.(check bool) "removed: ruled out again" false (may_reach removed);
+  Alcotest.(check (option int)) "removed: NODIST" None (Flix.connected removed chain_a chain_c);
+  Alcotest.(check bool) "removed: bidir" false (Flix.connected_bidir removed chain_a chain_c)
+
+let server_connected_across_swaps () =
+  let flix = Flix.build (C.build (parse_docs chain_xml)) in
+  with_backend_server (Server.In_memory flix) (fun _ c ->
+      let ask () = expect_value "connected" (Client.connected c chain_a chain_c) in
+      Alcotest.(check (option int)) "before INGEST" None (ask ());
+      ignore (expect_value "ingest" (Client.ingest c chain_middle));
+      let cold = Flix.build (C.build (parse_docs (chain_xml @ chain_middle))) in
+      let want = Flix.connected cold chain_a chain_c in
+      Alcotest.(check bool) "reachable after INGEST" true (want <> None);
+      Alcotest.(check (option int)) "after INGEST" want (ask ());
+      ignore (expect_value "evict" (Client.evict c [ "rb" ]));
+      Alcotest.(check (option int)) "after EVICT" None (ask ()))
+
 (* Scoped invalidation keeps unaffected EVALUATE entries warm across a
    tag-bounded swap: the second ask after the swap is still a cache hit. *)
 let server_eval_cache_warm_across_swap () =
@@ -666,6 +711,10 @@ let () =
       ( "server",
         [
           Alcotest.test_case "ingest/evict/epoch" `Quick server_ingest_evict_epoch;
+          Alcotest.test_case "reach filter follows extend/remove" `Quick
+            reach_filter_follows_extend_remove;
+          Alcotest.test_case "CONNECTED across INGEST/EVICT" `Quick
+            server_connected_across_swaps;
           Alcotest.test_case "eval cache warm across swap" `Quick
             server_eval_cache_warm_across_swap;
           Alcotest.test_case "reload hook" `Quick server_reload_hook;

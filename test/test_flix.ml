@@ -557,6 +557,75 @@ let prop_pee_random_collections =
         [ MB.Naive; MB.Maximal_ppo; MB.Unconnected_hopi { max_size = 8 };
           MB.Hybrid { max_size = 8; min_tree_size = 3 } ])
 
+(* --- document-level reachability filter ------------------------------------ *)
+
+module RF = Fx_graph.Reach_filter
+
+(* [random_collection] plus a leading document with an element that
+   links to itself, a link into doc0 and a dangling reference. *)
+let random_linked_collection params =
+  let extra =
+    parse "extra" {|<x id="s" idref="s"><y href="doc0#e1"/><z href="nowhere"/></x>|}
+  in
+  C.build (extra :: C.documents (random_collection params))
+
+(* For every configuration, Element_level included: each pair the filter
+   rules out is BFS-unreachable, and the filtered connection tests still
+   agree with BFS reachability (as [test_pee_connected] checks on fig1). *)
+let prop_reach_filter_sound =
+  H.qtest ~count:30 "reach filter rejects only BFS-unreachable pairs"
+    (QCheck.make ~print:(fun (a, b, c) -> Printf.sprintf "(%d,%d,%d)" a b c) random_collection_gen)
+    (fun ((_, _, seed) as params) ->
+      let c = random_linked_collection params in
+      let n = C.n_nodes c in
+      let truth = Array.init n (fun a -> Traversal.bfs_distances (C.graph c) a) in
+      let rng = Fx_util.Rng.create seed in
+      let sample = List.init 150 (fun _ -> (Fx_util.Rng.int rng n, Fx_util.Rng.int rng n)) in
+      List.for_all
+        (fun cfg ->
+          let reg = MB.build cfg c in
+          let pee = Pee.create (IB.build reg) in
+          let sound = ref true in
+          for a = 0 to n - 1 do
+            for b = 0 to n - 1 do
+              if (not (RF.may_reach reg.MD.reach a b)) && truth.(a).(b) >= 0 then
+                sound := false
+            done
+          done;
+          !sound
+          && List.for_all
+               (fun (a, b) ->
+                 let reachable = truth.(a).(b) >= 0 in
+                 (match Pee.connected pee a b with
+                 | Some d -> reachable && d >= truth.(a).(b)
+                 | None -> not reachable)
+                 && Pee.connected_bidir pee a b = reachable)
+               sample)
+        (MB.Element_level { max_size = 4 } :: all_configs))
+
+(* Guard against the filter silently becoming a no-op: DBLP citations
+   only point backwards, so a node of a later document is unreachable
+   from an earlier document's root, and the filter must say so. *)
+let test_reach_filter_rejects_later_docs () =
+  let c = Fx_workload.Dblp_gen.collection { Fx_workload.Dblp_gen.default with n_docs = 200 } in
+  let reg = MB.build MB.default_hybrid c in
+  let rng = Fx_util.Rng.create 11 in
+  let n_docs = C.n_docs c and pairs = 400 in
+  let rejected = ref 0 in
+  for _ = 1 to pairs do
+    let d = Fx_util.Rng.int rng (n_docs - 1) in
+    let later = d + 1 + Fx_util.Rng.int rng (n_docs - d - 1) in
+    let a = C.root_of_doc c d in
+    let b = C.root_of_doc c later + Fx_util.Rng.int rng 3 in
+    if not (RF.may_reach reg.MD.reach a b) then begin
+      incr rejected;
+      check "rejected pair unreachable" true (Traversal.distance (C.graph c) a b = None)
+    end
+  done;
+  check (Printf.sprintf "rejects >= 90%% of later-document pairs (%d/%d)" !rejected pairs) true
+    (10 * !rejected >= 9 * pairs);
+  check_int "one group per document" n_docs (RF.n_groups reg.MD.reach)
+
 let prop_pee_block_order =
   H.qtest ~count:30 "link-free queries stream in exact distance order"
     (QCheck.make ~print:(fun (a, b, c) -> Printf.sprintf "(%d,%d,%d)" a b c) random_collection_gen)
@@ -971,6 +1040,12 @@ let () =
           Alcotest.test_case "connection max_dist" `Quick test_pee_connected_max_dist;
           prop_pee_random_collections;
           prop_pee_block_order;
+        ] );
+      ( "reach_filter",
+        [
+          prop_reach_filter_sound;
+          Alcotest.test_case "rejects later-document pairs" `Quick
+            test_reach_filter_rejects_later_docs;
         ] );
       ( "element_level",
         [

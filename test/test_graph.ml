@@ -78,6 +78,23 @@ let prop_mem_edge_consistent =
       List.for_all (fun (u, v) -> Digraph.mem_edge g u v) (Digraph.edges g)
       && List.for_all (fun (u, v) -> Digraph.mem_edge g u v) edges)
 
+(* Dense rows (some above the insertion-sort cut-off) with duplicates:
+   every successor and predecessor row is the sorted, deduplicated set
+   the edge list gives. *)
+let prop_rows_sorted_unique =
+  H.qtest "succ/pred rows = sorted unique edge endpoints"
+    (H.digraph_arb ~max_n:30 ~edge_factor:25.0 ())
+    (fun (n, edges) ->
+      let g = Digraph.of_edges ~n edges in
+      let row key value u =
+        Array.of_list
+          (List.sort_uniq Int.compare
+             (List.filter_map (fun e -> if key e = u then Some (value e) else None) edges))
+      in
+      List.for_all
+        (fun u -> Digraph.succ g u = row fst snd u && Digraph.pred g u = row snd fst u)
+        (List.init n Fun.id))
+
 (* --- Bitset ---------------------------------------------------------- *)
 
 let test_bitset_basic () =
@@ -273,6 +290,43 @@ let prop_condensation_edge_direction =
       Digraph.iter_edges dag (fun c c' -> ok := !ok && c > c');
       !ok)
 
+(* --- Reach_filter ------------------------------------------------------------- *)
+
+module RF = Fx_graph.Reach_filter
+
+(* A seeded random map of [n] nodes onto at most [n] groups. *)
+let random_groups n seed =
+  let rng = Fx_util.Rng.create seed in
+  (n, Array.init n (fun _ -> Fx_util.Rng.int rng n))
+
+let prop_reach_filter_sound =
+  H.qtest "reach filter never rejects a reachable pair" (H.digraph_arb ~max_n:16 ())
+    (fun (n, edges) ->
+      let g = Digraph.of_edges ~n edges in
+      List.for_all
+        (fun (n_groups, group_of) ->
+          let f = RF.build ~n_groups ~group_of edges in
+          List.for_all
+            (fun (u, v) -> RF.may_reach f u v || not (Traversal.reachable g u v))
+            (H.all_pairs n))
+        [ (n, Array.init n Fun.id); random_groups n (List.length edges); (1, Array.make n 0) ])
+
+let test_reach_filter_small () =
+  (* 0 -> 1 -> 2 and 0 -> 3, one node per group *)
+  let f = RF.build ~n_groups:4 ~group_of:[| 0; 1; 2; 3 |] [ (0, 1); (1, 2); (0, 3) ] in
+  check "forward path" true (RF.may_reach f 0 2);
+  check "against the edges" false (RF.may_reach f 2 0);
+  check "sibling branches" false (RF.may_reach f 2 3 || RF.may_reach f 3 2);
+  check_int "groups" 4 (RF.n_groups f);
+  check_int "components" 4 (RF.n_components f);
+  (* one group {0,1}: the pair is kept even without an edge 1 -> 0 *)
+  let g = RF.build ~n_groups:2 ~group_of:[| 0; 0; 1 |] [ (0, 2) ] in
+  check "same group" true (RF.may_reach g 1 0);
+  check "no edge back" false (RF.may_reach g 2 0);
+  match RF.build ~n_groups:2 ~group_of:[| 0; 1; 2 |] [ (0, 2) ] with
+  | _ -> Alcotest.fail "group out of range accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- Partition -------------------------------------------------------------- *)
 
 let test_partition_bounds () =
@@ -389,6 +443,7 @@ let () =
           prop_reverse_involution;
           prop_degree_sum;
           prop_mem_edge_consistent;
+          prop_rows_sorted_unique;
         ] );
       ( "bitset",
         [
@@ -421,6 +476,11 @@ let () =
           Alcotest.test_case "condensation" `Quick test_scc_condensation_dag;
           prop_scc_mutual_reach;
           prop_condensation_edge_direction;
+        ] );
+      ( "reach_filter",
+        [
+          Alcotest.test_case "small" `Quick test_reach_filter_small;
+          prop_reach_filter_sound;
         ] );
       ( "partition",
         [

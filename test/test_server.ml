@@ -487,7 +487,9 @@ let stats_and_metrics_verbs () =
       | Ok (Client.Value lines) ->
           Alcotest.(check bool) "stats nonempty" true (List.length lines > 0);
           Alcotest.(check bool) "stats mentions FliX" true
-            (List.exists (fun l -> Astring.String.is_infix ~affix:"FliX" l) lines)
+            (List.exists (fun l -> Astring.String.is_infix ~affix:"FliX" l) lines);
+          Alcotest.(check bool) "stats has the reach filter line" true
+            (List.exists (fun l -> Astring.String.is_prefix ~affix:"reach filter: " l) lines)
       | _ -> Alcotest.fail "STATS failed");
       (match Client.metrics c with
       | Ok (Client.Value lines) ->
