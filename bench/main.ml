@@ -721,7 +721,7 @@ let serve ctx =
     "req/s" "p50 [ms]" "p95 [ms]" "p99 [ms]";
   let memory_rows =
     List.map
-      (fun w -> run_one ~backend_name:"memory" ~workers:w (Fx_server.Server.In_memory flix))
+      (fun w -> run_one ~backend_name:"memory" ~workers:w (Fx_server.Server.memory flix))
       [ 1; 2; 4 ]
   in
   (* Disk rows: persist a global-HOPI deployment once and share the
@@ -761,7 +761,7 @@ let serve ctx =
             List.map
               (fun w ->
                 run_one ~backend_name:"disk" ~workers:w ~extra:stripe_extra
-                  (Fx_server.Server.On_disk { hopi = d; catalog }))
+                  (Fx_server.Server.disk ~hopi:d ~catalog))
               [ 1; 2; 4 ]))
   in
   (* Sharded rows: the same load through a scatter-gather coordinator
@@ -810,7 +810,7 @@ let serve ctx =
                 (fun (_, d, catalog, _) ->
                   Fx_server.Server.start_backend
                     ~config:{ Fx_server.Server.default_config with workers = 2 }
-                    (Fx_server.Server.On_disk { hopi = d; catalog }))
+                    (Fx_server.Server.disk ~hopi:d ~catalog))
                 deployments
             in
             Fun.protect
@@ -886,7 +886,7 @@ let serve ctx =
                           ("cache_misses", string_of_int misses);
                           ("cache_hit_rate", Printf.sprintf "%.4f" hit_rate);
                         ])
-                      (Fx_server.Server.Custom (Coord.backend coord))))))
+                      (Coord.backend coord)))))
       [ 1; 2 ]
   in
   Printf.printf "\nserve-json: {\"bench\":\"serve\",\"docs\":%d,\"cores\":%d,\"rows\":[%s]}\n"

@@ -35,10 +35,6 @@ module Shard_plan = Fx_shard.Shard_plan
 module Portal_closure = Fx_shard.Portal_closure
 module Coordinator = Fx_shard.Coordinator
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let usage () =
   print_endline
     "usage: flix_serve [--port N] [--host A] [--workers N] [--queue N]\n\
@@ -113,9 +109,8 @@ let open_deployment ~prefix ~pool_pages ~pool_stripes () =
   let disk = Disk_hopi.open_ ?pool_pages ?stripes:pool_stripes ~path:prefix () in
   (disk, catalog)
 
-let serve ?(register = fun _ -> ()) ?admin ?(shutdown = fun _ -> ()) cfg backend =
-  let server = Server.start_backend ~config:cfg ?admin backend in
-  register server;
+let serve ~reload cfg backend =
+  let server = Server.start_backend ~config:cfg ~reload backend in
   Printf.printf "EVALUATE answer cache: %d entries\n%!" cfg.Server.eval_cache_capacity;
   Printf.printf "serving on %s:%d (%d workers, queue %d, deadline %.0f ms)\n%!"
     cfg.Server.host (Server.port server) cfg.Server.workers cfg.Server.queue_capacity
@@ -134,10 +129,9 @@ let serve ?(register = fun _ -> ()) ?admin ?(shutdown = fun _ -> ()) cfg backend
   done;
   Printf.printf "\nshutting down...\n%!";
   Server.stop server;
-  (* Resource cleanup happens against whatever backend is serving {e
-     now} — after a RELOAD the one this process originally opened was
-     already retired and closed by the swap. *)
-  shutdown server
+  (* Every backend a RELOAD replaced was closed as its last request
+     drained; close the one serving now. *)
+  (Server.current_backend server).Server.close ()
 
 let manifest_path dir = Filename.concat dir "manifest.shards"
 
@@ -191,56 +185,22 @@ let serve_coordinator cfg ~dir ~shards =
   end;
   Printf.printf "%s\n%!" (Portal_closure.describe closure);
   let coord = Coordinator.create ~closure ~plan ~shards () in
-  let backend0 = Server.Custom (Coordinator.backend coord) in
-  (* RELOAD swaps the serving coordinator, so everything that outlives
-     one request — the metrics collector, the admin hooks, the exit
-     cleanup — reads through [current]. A replaced coordinator waits in
-     [retired] until the snapshot's retire callback reports its last
-     pinned request drained; that callback runs on whichever thread
-     drops the last pin, hence the lock and the physical-identity
-     lookup from the retired backend value to its coordinator. *)
-  let current = ref (backend0, coord) in
-  let retired_m = Mutex.create () in
-  let retired = ref [] in
-  let admin =
-    {
-      Server.admin_reload =
-        (fun () ->
-          match Portal_closure.load_manifest (manifest_path dir) with
-          | exception Fx_util.Codec.Corrupt msg ->
-              Error ("corrupt shard manifest: " ^ msg)
-          | exception Sys_error msg -> Error msg
-          | plan, closure -> (
-              match Coordinator.reload (snd !current) ~plan ~closure with
-              | Error msg -> Error msg
-              | Ok fresh ->
-                  let b = Server.Custom (Coordinator.backend fresh) in
-                  with_lock retired_m (fun () -> retired := !current :: !retired);
-                  current := (b, fresh);
-                  Ok b));
-      admin_retire =
-        (fun old ->
-          let found =
-            with_lock retired_m (fun () ->
-                match List.partition (fun (b, _) -> b == old) !retired with
-                | [ (_, c) ], rest ->
-                    retired := rest;
-                    Some c
-                | _ -> None)
-          in
-          match found with Some c -> Coordinator.close c | None -> ());
-    }
+  (* RELOAD builds the next coordinator from the serving one. Only the
+     reload hook, serialized by the server's admin lock, touches
+     [current]; the swap closes each replaced coordinator. *)
+  let current = ref coord in
+  let reload () =
+    match Portal_closure.load_manifest (manifest_path dir) with
+    | exception Fx_util.Codec.Corrupt msg -> Error ("corrupt shard manifest: " ^ msg)
+    | exception Sys_error msg -> Error msg
+    | plan, closure -> (
+        match Coordinator.reload !current ~plan ~closure with
+        | Error msg -> Error msg
+        | Ok fresh ->
+            current := fresh;
+            Ok (Coordinator.backend fresh))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Coordinator.close (snd !current);
-      with_lock retired_m (fun () ->
-          List.iter (fun (_, c) -> Coordinator.close c) !retired))
-    (fun () ->
-      serve cfg backend0 ~admin
-        ~register:(fun server ->
-          Fx_server.Metrics.register_collector (Server.metrics server) (fun () ->
-              Coordinator.metric_lines (snd !current) ())))
+  serve cfg ~reload (Coordinator.backend coord)
 
 let serve_plain cfg source seed index_dir pool_pages pool_stripes =
   match index_dir with
@@ -269,34 +229,17 @@ let serve_plain cfg source seed index_dir pool_pages pool_stripes =
       | disk, catalog ->
           Printf.printf "deployment: %d nodes, %d documents, %d tag names\n%!"
             (Catalog.n_nodes catalog) (Catalog.n_docs catalog) (Catalog.n_tags catalog);
-          (* RELOAD reopens the deployment from disk; the retired pager
-             is closed only after its last pinned request drains. The
-             exit path closes whatever backend is serving at that point,
-             not the handle opened above (already gone after a swap). *)
-          let admin =
-            {
-              Server.admin_reload =
-                (fun () ->
-                  match open_deployment ~prefix ~pool_pages ~pool_stripes () with
-                  | exception Fx_util.Codec.Corrupt msg ->
-                      Error ("corrupt index store: " ^ msg)
-                  | exception Unix.Unix_error (err, fn, arg) ->
-                      Error
-                        (Printf.sprintf "%s (%s %s)" (Unix.error_message err) fn arg)
-                  | exception Sys_error msg -> Error msg
-                  | disk, catalog -> Ok (Server.On_disk { hopi = disk; catalog }));
-              admin_retire =
-                (function
-                | Server.On_disk { hopi; _ } -> Disk_hopi.close hopi
-                | Server.In_memory _ | Server.Custom _ -> ());
-            }
+          (* RELOAD reopens the deployment from disk; the replaced pager
+             is closed only after its last pinned request drains. *)
+          let reload () =
+            match open_deployment ~prefix ~pool_pages ~pool_stripes () with
+            | exception Fx_util.Codec.Corrupt msg -> Error ("corrupt index store: " ^ msg)
+            | exception Unix.Unix_error (err, fn, arg) ->
+                Error (Printf.sprintf "%s (%s %s)" (Unix.error_message err) fn arg)
+            | exception Sys_error msg -> Error msg
+            | hopi, catalog -> Ok (Server.disk ~hopi ~catalog)
           in
-          serve cfg ~admin
-            (Server.On_disk { hopi = disk; catalog })
-            ~shutdown:(fun server ->
-              match Server.current_backend server with
-              | Server.On_disk { hopi; _ } -> Disk_hopi.close hopi
-              | Server.In_memory _ | Server.Custom _ -> ()))
+          serve cfg ~reload (Server.disk ~hopi:disk ~catalog))
   | None ->
       let collection = load_collection source seed in
       Printf.printf "collection: %s\n%!" (C.stats collection);
@@ -308,19 +251,14 @@ let serve_plain cfg source seed index_dir pool_pages pool_stripes =
       (* In-memory RELOAD rebuilds from the original source (useful when
          --xml-dir contents changed); INGEST/EVICT mutate the collection
          incrementally without it. *)
-      let admin =
-        {
-          Server.admin_reload =
-            (fun () ->
-              match Flix.build (load_collection source seed) with
-              | exception (Failure msg | Sys_error msg) -> Error msg
-              | exception Unix.Unix_error (err, fn, arg) ->
-                  Error (Printf.sprintf "%s (%s %s)" (Unix.error_message err) fn arg)
-              | flix -> Ok (Server.In_memory flix));
-          admin_retire = (fun _ -> ());
-        }
+      let reload () =
+        match Flix.build (load_collection source seed) with
+        | exception (Failure msg | Sys_error msg) -> Error msg
+        | exception Unix.Unix_error (err, fn, arg) ->
+            Error (Printf.sprintf "%s (%s %s)" (Unix.error_message err) fn arg)
+        | flix -> Ok (Server.memory flix)
       in
-      serve cfg ~admin (Server.In_memory flix)
+      serve cfg ~reload (Server.memory flix)
 
 let parse_host_port s =
   match String.rindex_opt s ':' with

@@ -63,30 +63,34 @@ type mailbox = {
 
 type job = { req : Protocol.request; deadline_ns : int64; reply : mailbox }
 
-type custom = {
-  custom_eval :
-    emit:(Protocol.item -> unit) ->
+type flags = { timed_out : bool; partial : bool }
+
+type stream = { next : unit -> Protocol.item option; flags : flags }
+
+type backend = {
+  n_nodes : int;
+  resolve :
     deadline_ns:int64 ->
-    Protocol.request ->
-    Protocol.response;
-  custom_stats : unit -> string list;
-}
-
-(* What the worker pool evaluates against. [In_memory] is the original
-   regime: shared immutable indexes, a private PEE per domain.
-   [On_disk] serves straight from a persistent {!Disk_hopi} deployment —
-   the thread-safe pager lets every domain share one handle, and the
-   catalog resolves document/anchor/tag names without the collection.
-   [Custom] delegates to an external evaluator — the scatter-gather
-   coordinator of a sharded deployment plugs in here. *)
-type backend =
-  | In_memory of Flix.t
-  | On_disk of { hopi : Disk_hopi.t; catalog : Catalog.t }
-  | Custom of custom
-
-type admin = {
-  admin_reload : unit -> (backend, string) result;
-  admin_retire : backend -> unit;
+    doc:string ->
+    anchor:string option ->
+    (Protocol.item option, flags) result;
+  connected :
+    deadline_ns:int64 -> max_dist:int option -> int -> int -> (int option, flags) result;
+  descendants :
+    deadline_ns:int64 -> tag:string option -> k:int -> max_dist:int option -> int -> stream;
+  ancestors :
+    deadline_ns:int64 -> tag:string option -> k:int -> max_dist:int option -> int -> stream;
+  evaluate :
+    deadline_ns:int64 ->
+    start_tag:string ->
+    target_tag:string ->
+    k:int ->
+    max_dist:int option ->
+    stream;
+  stats : unit -> string list;
+  metric_lines : unit -> string list;
+  close : unit -> unit;
+  flix : Flix.t option;
 }
 
 (* flix_reload_duration_seconds: swap latencies are seconds-scale and
@@ -104,7 +108,7 @@ type reload_hist = {
 type t = {
   cfg : config;
   snapshot : backend Snapshot.t;
-  admin : admin option;
+  reload : (unit -> (backend, string) result) option;
   admin_m : Mutex.t; (* serializes INGEST/EVICT/RELOAD *)
   eval_cache : Protocol.item list Eval_cache.t; (* keyed and epoch-checked by [eval] *)
   reload_hist : reload_hist;
@@ -119,12 +123,17 @@ type t = {
   conns_lock : Mutex.t;
 }
 
-(* --- evaluation (worker side) --------------------------------------- *)
-
 let expired deadline_ns = Stopwatch.now_ns () > deadline_ns
 
 let no_items ?(timed_out = false) ?(partial = false) () =
   Protocol.Items { items = []; timed_out; partial }
+
+let clean = { timed_out = false; partial = false }
+let degraded (f : flags) = no_items ~timed_out:f.timed_out ~partial:f.partial ()
+let empty flags = { next = (fun () -> None); flags }
+let node_item node = { Protocol.node; dist = 0; meta = 0 }
+
+(* --- the in-memory backend ------------------------------------------ *)
 
 (* Tag names resolve like Flix.tag_arg: unknown tag -> the PEE's
    "match nothing" sentinel, not an error — heterogeneous collections
@@ -133,107 +142,51 @@ let tag_arg coll = function
   | None -> None
   | Some name -> Some (Option.value ~default:(-1) (Collection.tag_id coll name))
 
-(* Sleep in short slices so the deadline can cut it off — the
-   diagnostic stand-in for a long-running query. *)
-let nap ~deadline_ns ms =
-  let rec go remaining =
-    if expired deadline_ns then no_items ~timed_out:true ()
-    else if remaining <= 0 then Protocol.Ok_done
-    else begin
-      let slice = min remaining 5 in
-      Thread.delay (float_of_int slice /. 1000.0);
-      go (remaining - slice)
-    end
-  in
-  go ms
-
-(* The error texts every backend shares, the coordinator included. *)
-let node_range_err n = Protocol.Err (Printf.sprintf "node id out of range [0, %d)" n)
-
-let unknown_doc_err doc anchor =
-  Protocol.Err
-    (Printf.sprintf "unknown document or anchor %s%s" doc
-       (match anchor with None -> "" | Some a -> "#" ^ a))
-
-(* What a backend answers for a verb the front ({!eval}) never hands it. *)
-let not_routed = Protocol.Err "internal: verb not routed to the backend"
-
-let resolved_node = function
-  | None -> no_items ()
-  | Some node ->
-      Protocol.Items
-        { items = [ { Protocol.node; dist = 0; meta = 0 } ]; timed_out = false; partial = false }
-
-(* Emit up to [k] items pulled from [next], checking the deadline after
-   each one: a query that finds anything always returns at least its
-   first item, and a zero deadline still times out deterministically.
-   Both backends stream through it. *)
-let stream_out ~emit ~deadline_ns ~k next =
-  let rec go n =
-    if n >= k then false
-    else
-      match next () with
-      | None -> false
-      | Some it ->
-          emit it;
-          if expired deadline_ns then true else go (n + 1)
-  in
-  no_items ~timed_out:(go 0) ()
-
-let evaluate_memory flix pee ~emit (job : job) : Protocol.response =
-  let coll = Flix.collection flix in
-  let n_nodes = Collection.n_nodes coll in
-  let stream_out ~k stream =
-    stream_out ~emit ~deadline_ns:job.deadline_ns ~k (fun () ->
+let of_pee rs =
+  {
+    next =
+      (fun () ->
         Option.map
           (fun (it : Pee.item) -> { Protocol.node = it.node; dist = it.dist; meta = it.meta })
-          (RS.next stream))
-  in
-  match job.req with
-  | (Protocol.Stats | Protocol.Connected _ | Protocol.Resolve _)
-    when expired job.deadline_ns ->
-      (* Expired while queued: answer TIMEOUT up front rather than burn
-         worker time on a full answer the deadline policy has already
-         cut — under overload that work only amplifies the backlog. The
-         streaming verbs below check per item and keep their
-         at-least-one-item guarantee. *)
-      no_items ~timed_out:true ()
-  | Protocol.Stats ->
-      Protocol.Lines (String.split_on_char '\n' (Flix.report flix))
-  | Protocol.Connected { a; b; max_dist } ->
-      if a < 0 || a >= n_nodes || b < 0 || b >= n_nodes then node_range_err n_nodes
-      else Protocol.Dist (Pee.connected ?max_dist pee a b)
-  | Protocol.Descendants { doc; anchor; tag; k; max_dist } -> (
-      match Flix.node_of flix ~doc ~anchor with
-      | None -> unknown_doc_err doc anchor
-      | Some start ->
-          stream_out ~k (Pee.descendants ?tag:(tag_arg coll tag) ?max_dist pee ~start))
-  | Protocol.Node_descendants { node; tag; k; max_dist } ->
-      if node < 0 || node >= n_nodes then node_range_err n_nodes
-      else stream_out ~k (Pee.descendants ?tag:(tag_arg coll tag) ?max_dist pee ~start:node)
-  | Protocol.Ancestors { node; tag; k; max_dist } ->
-      if node < 0 || node >= n_nodes then node_range_err n_nodes
-      else
+          (RS.next rs));
+    flags = clean;
+  }
+
+(* Shared immutable indexes behind a fresh PEE per request: a [Pee.t]
+   is the shared index plus two counters, so one costs an allocation. *)
+let memory flix =
+  let coll = Flix.collection flix in
+  let pee () = Pee.create (Flix.built flix) in
+  {
+    n_nodes = Collection.n_nodes coll;
+    resolve =
+      (fun ~deadline_ns:_ ~doc ~anchor ->
+        Ok (Option.map node_item (Flix.node_of flix ~doc ~anchor)));
+    connected =
+      (fun ~deadline_ns:_ ~max_dist a b -> Ok (Pee.connected ?max_dist (pee ()) a b));
+    descendants =
+      (fun ~deadline_ns:_ ~tag ~k:_ ~max_dist start ->
+        of_pee (Pee.descendants ?tag:(tag_arg coll tag) ?max_dist (pee ()) ~start));
+    ancestors =
+      (fun ~deadline_ns:_ ~tag ~k:_ ~max_dist start ->
         (* ancestors-or-self: the probed node itself counts at distance
            0 when it matches — see the protocol contract. *)
-        stream_out ~k
-          (Pee.ancestors ?tag:(tag_arg coll tag) ?max_dist ~include_self:true pee
-             ~start:node)
-  | Protocol.Evaluate { start_tag; target_tag; k; max_dist } ->
-      stream_out ~k
-        (Pee.descendants_multi
-           ?tag:(tag_arg coll (Some target_tag))
-           ?max_dist pee
-           ~starts:(Collection.find_by_tag coll start_tag))
-  | Protocol.Resolve { doc; anchor } -> resolved_node (Flix.node_of flix ~doc ~anchor)
-  | Protocol.Ping | Protocol.Metrics | Protocol.Sleep _ | Protocol.Evict _ | Protocol.Reload
-  | Protocol.Epoch_query ->
-      not_routed
+        of_pee
+          (Pee.ancestors ?tag:(tag_arg coll tag) ?max_dist ~include_self:true (pee ()) ~start));
+    evaluate =
+      (fun ~deadline_ns:_ ~start_tag ~target_tag ~k:_ ~max_dist ->
+        of_pee
+          (Pee.descendants_multi
+             ?tag:(tag_arg coll (Some target_tag))
+             ?max_dist (pee ())
+             ~starts:(Collection.find_by_tag coll start_tag)));
+    stats = (fun () -> String.split_on_char '\n' (Flix.report flix));
+    metric_lines = (fun () -> []);
+    close = ignore;
+    flix = Some flix;
+  }
 
-(* --- disk-backed evaluation ----------------------------------------- *)
-
-let within_dist max_dist d =
-  match max_dist with None -> true | Some m -> d <= m
+(* --- the disk backend ----------------------------------------------- *)
 
 let disk_report hopi catalog =
   let module P = Fx_store.Pager in
@@ -297,70 +250,106 @@ let pool_metric_lines hopi () =
       "Pool segment bound of each stripe." "gauge"
       (fun s -> s.P.capacity_pages)
 
-(* Every disk tag query is a pull stream over the hop-run merge, so
-   the disk verbs get the memory path's per-item deadline cut; only the
-   queued-expiry TIMEOUT is answered up front, for every verb. EVALUATE
-   fetches one label per start before its first item and checks the
-   deadline between fetches: an expiry there answers TIMEOUT with no
-   items, since a merge over only some starts could overstate a
-   distance. *)
-let evaluate_disk hopi catalog ~emit (job : job) : Protocol.response =
-  let stream_out ~k next =
-    stream_out ~emit ~deadline_ns:job.deadline_ns ~k (fun () ->
-        Option.map (fun (node, dist) -> { Protocol.node; dist; meta = 0 }) (next ()))
+let of_pairs next =
+  {
+    next = (fun () -> Option.map (fun (node, dist) -> { Protocol.node; dist; meta = 0 }) (next ()));
+    flags = clean;
+  }
+
+(* Every disk tag query is a pull stream over the hop-run merge; the
+   domain-safe pager lets every worker share the one handle and its
+   buffer pool, and the catalog resolves names without the collection.
+   EVALUATE fetches one label per start before its first item and checks
+   the deadline between fetches: an expiry there yields no items, since
+   a merge over only some starts could overstate a distance. *)
+let disk ~hopi ~catalog =
+  (* Unknown tag names match nothing, like the in-memory sentinel — and
+     never reach the hop runs with a bogus id. *)
+  let tag_stream query tag node =
+    match Option.map (Catalog.tag_id catalog) tag with
+    | Some None -> empty clean
+    | resolved -> of_pairs (query node (Option.join resolved))
   in
-  let n_nodes = Catalog.n_nodes catalog in
-  (* Unknown tag names match nothing, like the in-memory path's
-     sentinel — and never reach the hop runs with a bogus id. *)
-  let node_stream ~query node tag k =
-    if node < 0 || node >= n_nodes then node_range_err n_nodes
-    else
-      match Option.map (Catalog.tag_id catalog) tag with
-      | Some None -> no_items ()
-      | resolved -> stream_out ~k (query node (Option.join resolved))
-  in
-  match job.req with
-  | _ when expired job.deadline_ns -> no_items ~timed_out:true ()
-  | Protocol.Stats -> Protocol.Lines (disk_report hopi catalog)
-  | Protocol.Connected { a; b; max_dist } ->
-      if a < 0 || a >= n_nodes || b < 0 || b >= n_nodes then node_range_err n_nodes
-      else
-        Protocol.Dist
-          (match Disk_hopi.distance hopi a b with
-          | Some d when not (within_dist max_dist d) -> None
-          | d -> d)
-  | Protocol.Descendants { doc; anchor; tag; k; max_dist } -> (
-      match Catalog.node_of catalog ~doc ~anchor with
-      | None -> unknown_doc_err doc anchor
-      | Some start ->
-          node_stream ~query:(Disk_hopi.descendants hopi ?max_dist ~strict:true) start tag k)
-  | Protocol.Node_descendants { node; tag; k; max_dist } ->
-      node_stream ~query:(Disk_hopi.descendants hopi ?max_dist ~strict:true) node tag k
-  | Protocol.Ancestors { node; tag; k; max_dist } ->
-      (* ancestors-or-self, so the node itself stays at distance 0. *)
-      node_stream ~query:(Disk_hopi.ancestors hopi ?max_dist) node tag k
-  | Protocol.Evaluate { start_tag; target_tag; k; max_dist } -> (
-      match Catalog.tag_id catalog target_tag with
-      | None -> no_items ()
-      | Some target -> (
-          let starts =
-            match Catalog.tag_id catalog start_tag with
-            | None -> []
-            | Some id -> Disk_hopi.nodes_by_tag hopi id
-          in
-          match
-            Disk_hopi.descendants_of_starts hopi ?max_dist
-              ~expired:(fun () -> expired job.deadline_ns)
-              starts (Some target)
-          with
-          | None -> no_items ~timed_out:true ()
-          | Some next -> stream_out ~k next))
-  | Protocol.Resolve { doc; anchor } -> resolved_node (Catalog.node_of catalog ~doc ~anchor)
-  | Protocol.Ping | Protocol.Metrics | Protocol.Sleep _ | Protocol.Evict _ | Protocol.Reload
-  | Protocol.Epoch_query ->
-      not_routed
+  {
+    n_nodes = Catalog.n_nodes catalog;
+    resolve =
+      (fun ~deadline_ns:_ ~doc ~anchor ->
+        Ok (Option.map node_item (Catalog.node_of catalog ~doc ~anchor)));
+    connected =
+      (fun ~deadline_ns:_ ~max_dist a b ->
+        Ok
+          (match (Disk_hopi.distance hopi a b, max_dist) with
+          | Some d, Some m when d > m -> None
+          | d, _ -> d));
+    descendants =
+      (fun ~deadline_ns:_ ~tag ~k:_ ~max_dist ->
+        tag_stream (Disk_hopi.descendants hopi ?max_dist ~strict:true) tag);
+    ancestors =
+      (fun ~deadline_ns:_ ~tag ~k:_ ~max_dist ->
+        (* ancestors-or-self, so the node itself stays at distance 0. *)
+        tag_stream (Disk_hopi.ancestors hopi ?max_dist) tag);
+    evaluate =
+      (fun ~deadline_ns ~start_tag ~target_tag ~k:_ ~max_dist ->
+        match Catalog.tag_id catalog target_tag with
+        | None -> empty clean
+        | Some target -> (
+            let starts =
+              match Catalog.tag_id catalog start_tag with
+              | None -> []
+              | Some id -> Disk_hopi.nodes_by_tag hopi id
+            in
+            match
+              Disk_hopi.descendants_of_starts hopi ?max_dist
+                ~expired:(fun () -> expired deadline_ns)
+                starts (Some target)
+            with
+            | None -> empty { clean with timed_out = true }
+            | Some next -> of_pairs next));
+    stats = (fun () -> disk_report hopi catalog);
+    metric_lines = pool_metric_lines hopi;
+    close = (fun () -> Disk_hopi.close hopi);
+    flix = None;
+  }
 
 (* --- the request front ---------------------------------------------- *)
+
+(* Sleep in short slices so the deadline can cut it off — the
+   diagnostic stand-in for a long-running query. *)
+let nap ~deadline_ns ms =
+  let rec go remaining =
+    if expired deadline_ns then no_items ~timed_out:true ()
+    else if remaining <= 0 then Protocol.Ok_done
+    else begin
+      let slice = min remaining 5 in
+      Thread.delay (float_of_int slice /. 1000.0);
+      go (remaining - slice)
+    end
+  in
+  go ms
+
+let node_range_err n = Protocol.Err (Printf.sprintf "node id out of range [0, %d)" n)
+
+let unknown_doc_err doc anchor =
+  Protocol.Err
+    (Printf.sprintf "unknown document or anchor %s%s" doc
+       (match anchor with None -> "" | Some a -> "#" ^ a))
+
+(* Emit up to [k] items pulled from [s], checking the deadline after
+   each one: a query that finds anything always returns at least its
+   first item, and a zero deadline still times out deterministically.
+   The stream's own flags join the trailer. *)
+let stream_out ~emit ~deadline_ns ~k (s : stream) =
+  let rec go n =
+    if n >= k then false
+    else
+      match s.next () with
+      | None -> false
+      | Some it ->
+          emit it;
+          if expired deadline_ns then true else go (n + 1)
+  in
+  let cut = go 0 in
+  no_items ~timed_out:(cut || s.flags.timed_out) ~partial:s.flags.partial ()
 
 let cap_k cap (req : Protocol.request) =
   match req with
@@ -370,23 +359,57 @@ let cap_k cap (req : Protocol.request) =
   | Protocol.Evaluate r -> Protocol.Evaluate { r with k = min r.k cap }
   | req -> req
 
-(* The one front every backend sits behind. It answers the
-   backend-independent verbs, caps [k] so the backend and the cache key
-   both see the capped request, and runs every EVALUATE through the
-   answer cache; [run] is the backend's own evaluation of the rest. A
-   miss streams through a buffering [emit], and only a clean answer (no
-   TIMEOUT or PARTIAL trailer) is stored, under the pinned [epoch] —
-   which the cache refuses once a swap has moved past it. *)
-let eval t ~epoch ~run ~emit (job : job) =
+(* The only verb dispatcher, for every backend. It caps [k] so the
+   backend and the cache key both see the capped request, range-checks
+   node ids, resolves DESCENDANTS names through [resolve], applies the
+   queued-expiry rule, streams every answer through [stream_out], and
+   runs every EVALUATE through the answer cache. A miss streams through
+   a buffering [emit], and only a clean answer (no TIMEOUT or PARTIAL
+   trailer) is stored, under the pinned [epoch] — which the cache
+   refuses once a swap has moved past it. *)
+let eval t (backend : backend) ~epoch ~emit (job : job) =
+  let deadline_ns = job.deadline_ns in
+  let in_range v = v >= 0 && v < backend.n_nodes in
+  let stream_out ~emit ~k s = stream_out ~emit ~deadline_ns ~k s in
   match cap_k t.cfg.max_results job.req with
-  | Protocol.Ping -> Protocol.Pong
-  | Protocol.Metrics -> Protocol.Lines (Metrics.render t.metrics)
-  | Protocol.Sleep ms -> nap ~deadline_ns:job.deadline_ns ms
-  | Protocol.Evict _ | Protocol.Reload | Protocol.Epoch_query ->
-      (* Admin verbs are answered inline on the connection thread; they
-         are never pool-bound (see Protocol.pool_bound). *)
-      Protocol.Err "admin verb on the worker path"
-  | Protocol.Evaluate { start_tag; target_tag; k; max_dist } as req -> (
+  | Protocol.Ping | Protocol.Metrics | Protocol.Evict _ | Protocol.Reload
+  | Protocol.Epoch_query ->
+      (* Answered inline on the connection thread: never pool-bound
+         (see Protocol.pool_bound). *)
+      Protocol.Err "internal: verb not served by the worker pool"
+  | Protocol.Sleep ms -> nap ~deadline_ns ms
+  | (Protocol.Stats | Protocol.Connected _ | Protocol.Resolve _) when expired deadline_ns ->
+      (* The one queued-expiry rule. A job that expired while queued
+         answers TIMEOUT 0 up front for the single-answer verbs rather
+         than burn worker time on a full answer the deadline policy has
+         already cut — under overload that work only amplifies the
+         backlog. The stream verbs below keep their at-least-one-item
+         guarantee through [stream_out]. *)
+      no_items ~timed_out:true ()
+  | Protocol.Stats -> Protocol.Lines (backend.stats ())
+  | Protocol.Connected { a; b; max_dist } -> (
+      if not (in_range a && in_range b) then node_range_err backend.n_nodes
+      else
+        match backend.connected ~deadline_ns ~max_dist a b with
+        | Ok d -> Protocol.Dist d
+        | Error f -> degraded f)
+  | Protocol.Resolve { doc; anchor } -> (
+      match backend.resolve ~deadline_ns ~doc ~anchor with
+      | Ok it -> Protocol.Items { items = Option.to_list it; timed_out = false; partial = false }
+      | Error f -> degraded f)
+  | Protocol.Descendants { doc; anchor; tag; k; max_dist } -> (
+      match backend.resolve ~deadline_ns ~doc ~anchor with
+      | Ok (Some start) ->
+          stream_out ~emit ~k (backend.descendants ~deadline_ns ~tag ~k ~max_dist start.node)
+      | Ok None -> unknown_doc_err doc anchor
+      | Error f -> degraded f)
+  | Protocol.Node_descendants { node; tag; k; max_dist } ->
+      if not (in_range node) then node_range_err backend.n_nodes
+      else stream_out ~emit ~k (backend.descendants ~deadline_ns ~tag ~k ~max_dist node)
+  | Protocol.Ancestors { node; tag; k; max_dist } ->
+      if not (in_range node) then node_range_err backend.n_nodes
+      else stream_out ~emit ~k (backend.ancestors ~deadline_ns ~tag ~k ~max_dist node)
+  | Protocol.Evaluate { start_tag; target_tag; k; max_dist } -> (
       let key =
         { Eval_cache.start_tag; target_tag; k; max_dist = Option.value max_dist ~default:(-1) }
       in
@@ -400,44 +423,21 @@ let eval t ~epoch ~run ~emit (job : job) =
             buf := it :: !buf;
             emit it
           in
-          let resp = run ~emit:emit_buffered { job with req } in
+          let resp =
+            stream_out ~emit:emit_buffered ~k
+              (backend.evaluate ~deadline_ns ~start_tag ~target_tag ~k ~max_dist)
+          in
           (match resp with
-          | Protocol.Items { items; timed_out = false; partial = false } ->
-              Eval_cache.store t.eval_cache ~epoch key (List.rev_append !buf items)
+          | Protocol.Items { timed_out = false; partial = false; _ } ->
+              Eval_cache.store t.eval_cache ~epoch key (List.rev !buf)
           | _ -> ());
           resp)
-  | req -> run ~emit { job with req }
 
 let worker_loop t () =
   (* Every job pins the snapshot for its whole evaluation: a swap
-     published mid-request retires the old state only after this pin
+     published mid-request retires the old backend only after this pin
      (and every other) drains, so the request finishes on the epoch it
-     started on. The in-memory evaluator still gets a private PEE per
-     domain — cached per epoch, rebuilt (cheaply) when a swap lands. *)
-  let pees : (int, Pee.t) Hashtbl.t = Hashtbl.create 8 in
-  let pee_for epoch flix =
-    match Hashtbl.find_opt pees epoch with
-    | Some pee -> pee
-    | None ->
-        (* A domain only ever serves the current epoch plus briefly the
-           one being retired; drop stale evaluators wholesale. *)
-        if Hashtbl.length pees >= 8 then Hashtbl.reset pees;
-        let pee = Pee.create (Flix.built flix) in
-        Hashtbl.add pees epoch pee;
-        pee
-  in
-  let run ~epoch backend ~emit job =
-    match backend with
-    | In_memory flix -> evaluate_memory flix (pee_for epoch flix) ~emit job
-    | On_disk { hopi; catalog } ->
-        (* The pager under [hopi] is domain-safe, so every worker shares
-           the one deployment handle — and its buffer pool. *)
-        evaluate_disk hopi catalog ~emit job
-    | Custom c -> (
-        match job.req with
-        | Protocol.Stats -> Protocol.Lines (c.custom_stats ())
-        | req -> c.custom_eval ~emit ~deadline_ns:job.deadline_ns req)
-  in
+     started on. *)
   let rec loop () =
     match Work_queue.pop t.queue with
     | None -> ()
@@ -452,7 +452,7 @@ let worker_loop t () =
           Fun.protect
             ~finally:(fun () -> Snapshot.unpin t.snapshot epoch)
             (fun () ->
-              try eval t ~epoch ~run:(run ~epoch backend) ~emit job with
+              try eval t backend ~epoch ~emit job with
               | (Out_of_memory | Stack_overflow) as fatal ->
                   (* Fatal resource exhaustion must not be flattened into
                      an ERR line (FL004); let it take the domain down so
@@ -576,10 +576,9 @@ let admin_op t f =
 
 let apply_ingest t (docs : Fx_xml.Xml_types.document list) =
   admin_op t (fun () ->
-      match Snapshot.current t.snapshot with
-      | On_disk _ | Custom _ ->
-          Protocol.Err "INGEST requires the in-memory backend (use RELOAD)"
-      | In_memory flix -> (
+      match (Snapshot.current t.snapshot).flix with
+      | None -> Protocol.Err "INGEST requires the in-memory backend (use RELOAD)"
+      | Some flix -> (
           let coll = Flix.collection flix in
           let seen = Hashtbl.create 8 in
           let clash =
@@ -603,13 +602,13 @@ let apply_ingest t (docs : Fx_xml.Xml_types.document list) =
               let scope =
                 Delta.extend_scope ~old_n_nodes:old_n (Flix.collection next)
               in
-              Protocol.Epoch (publish_swap t ~scope (In_memory next))))
+              Protocol.Epoch (publish_swap t ~scope (memory next))))
 
 let apply_evict t names =
   admin_op t (fun () ->
-      match Snapshot.current t.snapshot with
-      | On_disk _ | Custom _ -> Protocol.Err "EVICT requires the in-memory backend"
-      | In_memory flix -> (
+      match (Snapshot.current t.snapshot).flix with
+      | None -> Protocol.Err "EVICT requires the in-memory backend"
+      | Some flix -> (
           let coll = Flix.collection flix in
           match
             List.find_opt
@@ -621,14 +620,14 @@ let apply_evict t names =
               let next = Flix.remove flix names in
               (* Node ids shift after the first removed document, so no
                  tag-scoped survival argument holds: flush everything. *)
-              Protocol.Epoch (publish_swap t ~scope:Delta.All (In_memory next))))
+              Protocol.Epoch (publish_swap t ~scope:Delta.All (memory next))))
 
 let apply_reload t =
-  match t.admin with
+  match t.reload with
   | None -> Protocol.Err "RELOAD is not configured for this server"
-  | Some a ->
+  | Some reload ->
       admin_op t (fun () ->
-          match a.admin_reload () with
+          match reload () with
           | Error msg -> Protocol.Err ("reload failed: " ^ msg)
           | Ok next -> Protocol.Epoch (publish_swap t ~scope:Delta.All next))
 
@@ -1194,7 +1193,7 @@ let accept_loop t () =
 
 (* --- lifecycle ------------------------------------------------------ *)
 
-let start_backend ?(config = default_config) ?admin backend =
+let start_backend ?(config = default_config) ?reload backend =
   (* A client that closes before its response is fully written must
      surface as EPIPE on the write — the default SIGPIPE disposition
      would terminate the whole process. Invalid_argument covers
@@ -1214,15 +1213,13 @@ let start_backend ?(config = default_config) ?admin backend =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> config.port
   in
-  let retire old =
-    match admin with Some a -> a.admin_retire old | None -> ()
-  in
-  let snapshot = Snapshot.create ~retire backend in
+  (* A replaced backend is closed once its last pinned request drains. *)
+  let snapshot = Snapshot.create ~retire:(fun b -> b.close ()) backend in
   let t =
     {
       cfg = config;
       snapshot;
-      admin;
+      reload;
       admin_m = Mutex.create ();
       eval_cache =
         Eval_cache.create ~capacity:config.eval_cache_capacity
@@ -1245,26 +1242,18 @@ let start_backend ?(config = default_config) ?admin backend =
       conns_lock = Mutex.create ();
     }
   in
-  (* The disk pool collector pins the snapshot per scrape: after a
-     RELOAD swaps the deployment out, the retire hook may close the old
-     handle, so the collector must read whichever handle is current. *)
-  (match backend with
-  | In_memory _ | Custom _ -> ()
-  | On_disk _ ->
-      Metrics.register_collector t.metrics (fun () ->
-          let epoch, b = Snapshot.pin t.snapshot in
-          Fun.protect
-            ~finally:(fun () -> Snapshot.unpin t.snapshot epoch)
-            (fun () ->
-              match b with
-              | On_disk { hopi; _ } -> pool_metric_lines hopi ()
-              | In_memory _ | Custom _ -> [])));
+  (* The backend's own series, read from a pinned snapshot: a swap may
+     close the backend it replaced, so a scrape must read whichever
+     backend is current and keep it open while it reads. *)
+  Metrics.register_collector t.metrics (fun () ->
+      let epoch, b = Snapshot.pin t.snapshot in
+      Fun.protect ~finally:(fun () -> Snapshot.unpin t.snapshot epoch) b.metric_lines);
   Metrics.register_collector t.metrics (snapshot_metric_lines t);
   t.workers <- List.init (max 1 config.workers) (fun _ -> Domain.spawn (worker_loop t));
   t.acceptor <- Some (Thread.create (accept_loop t) ());
   t
 
-let start ?config flix = start_backend ?config (In_memory flix)
+let start ?config flix = start_backend ?config (memory flix)
 
 let port t = t.bound_port
 let metrics t = t.metrics

@@ -3,23 +3,27 @@
     [start flix] binds a TCP socket and serves the {!Protocol} over it.
     Since {!Fx_flix.Flix.t} is immutable after [build], serving is a
     shared-read problem: each worker runs on its own OCaml 5 [Domain]
-    with a private {!Fx_flix.Pee} evaluator over the shared index, so
-    queries proceed truly in parallel.
+    and every request gets its own {!Fx_flix.Pee} evaluator over the
+    shared index, so queries proceed truly in parallel.
 
     Request flow: a per-connection thread parses request lines and
     enqueues jobs onto a bounded {!Work_queue} ([BUSY] when full —
     admission control); a worker domain evaluates the job under the
     per-request deadline.
 
-    One request front: every job passes through the same worker-side
-    front whatever the {!backend}. The front answers [PING], [METRICS]
-    and [SLEEP], refuses admin verbs, caps [k] at [max_results], and
-    runs every [EVALUATE] through the one answer cache — a hit replays
-    the cached items; a miss streams the backend's answer and stores it
-    only when it is clean (no [TIMEOUT] or [PARTIAL] trailer). A backend
-    contributes only its verb-specific evaluation, its [STATS] lines, and
-    its queued-expiry rule (below), and all backends share the
-    {!unknown_doc_err} and {!node_range_err} texts.
+    One request front over one backend record: every job passes
+    through the same worker-side front whatever serves it. A
+    {!backend} is a record of node-level primitives — name resolution,
+    [CONNECTED], pull streams for descendants, ancestors and
+    [EVALUATE], [STATS] and [METRICS] lines, and [close] — built by
+    {!memory}, {!disk}, or {!Fx_shard.Coordinator.backend}. The front
+    is the only verb dispatcher: it refuses verbs that never reach the
+    pool, caps [k] at [max_results], range-checks node ids, resolves a
+    [DESCENDANTS] document name through [resolve] and then streams
+    [descendants] from the node, and runs every [EVALUATE] through the
+    one answer cache — a hit replays the cached items; a miss streams
+    the backend's answer and stores it only when it is clean (no
+    [TIMEOUT] or [PARTIAL] trailer).
 
     Stream verbs are flushed incrementally: the
     worker hands each [ITEM] to the connection thread as it is
@@ -32,16 +36,21 @@
     server.
 
     Deadlines default to [config.deadline_ms] and can be overridden per
-    request with the [DEADLINE <ms>] envelope prefix. They bound the
-    verbs that stream results ([DESCENDANTS], [EVALUATE], ...) and
-    [SLEEP]; single-probe verbs ([CONNECTED], [STATS]) run to
-    completion once started — their work is already bounded. The
-    queued-expiry rule is the backend's: a job whose deadline expired
-    while it sat in the queue is answered [TIMEOUT 0] without being
-    evaluated — by the in-memory backend for [STATS]/[CONNECTED]/
-    [RESOLVE], by the disk backend for every pool verb, and not at all
-    by a [Custom] backend — so an overloaded worker pool does not
-    amplify its own backlog. An [EVALUATE] cache hit is replayed
+    request with the [DEADLINE <ms>] envelope prefix. The front checks
+    a stream's deadline after every item it pulls, so a stream verb
+    ([DESCENDANTS], [EVALUATE], ...) always returns the first item its
+    backend yields and then ends [TIMEOUT] once the deadline has
+    passed; [SLEEP] is cut the same way. Single-answer verbs
+    ([CONNECTED], [RESOLVE], [STATS]) run to completion once started —
+    their work is already bounded. One queued-expiry rule holds for
+    every backend: a job whose deadline expired while it sat in the
+    queue answers [TIMEOUT 0] for [STATS], [CONNECTED] and [RESOLVE]
+    without being evaluated, so an overloaded worker pool does not
+    amplify its own backlog, while a stream verb still streams its
+    first item. A backend that needs deadline-bound work before its
+    first item — the disk [EVALUATE]'s start labels, the coordinator's
+    shard requests — yields none once the budget is gone, and the
+    answer is [TIMEOUT 0]. An [EVALUATE] cache hit is replayed
     whatever its deadline.
 
     Batches: a [BATCH <n>] header fans its [n] sub-requests across the
@@ -70,7 +79,7 @@
     off the worker path — and publish it with a single atomic swap.
     Workers pin the snapshot per job, so in-flight requests finish on
     the epoch they started on and no connection is ever dropped by a
-    swap; the old backend is retired (see {!admin}) once its last pin
+    swap; the old backend is closed (its [close]) once its last pin
     drains. The answer cache is tied to the epoch
     ({!Fx_admin.Eval_cache}): a swap drops the entries the delta touched
     (every entry for [EVICT] and [RELOAD], only the touched tag pairs
@@ -98,80 +107,88 @@ type config = {
 
 val default_config : config
 
-type custom = {
-  custom_eval :
-    emit:(Protocol.item -> unit) ->
+type flags = { timed_out : bool; partial : bool }
+(** How an answer was degraded: cut by the deadline ([TIMEOUT]) or
+    missing a failed shard's part ([PARTIAL]). *)
+
+type stream = { next : unit -> Protocol.item option; flags : flags }
+(** A pull stream of answer items, nearest first, and the degradation
+    the backend already knows of when it hands the stream over. The
+    front pulls at most [k] items on one worker domain and stops
+    pulling at the deadline. *)
+
+type backend = {
+  n_nodes : int;  (** node ids are [[0, n_nodes)]; the front rejects others *)
+  resolve :
     deadline_ns:int64 ->
-    Protocol.request ->
-    Protocol.response;
-      (** Evaluate one pool-bound request. Stream verbs push their
-          items through [emit] — each is flushed to the client as an
-          [ITEM] line immediately — and return
-          [Items { items = []; ... }] whose flags select the trailer.
-          [deadline_ns] is the absolute {!Fx_util.Stopwatch.now_ns}
-          deadline. Runs on a worker domain: it must be safe to call
-          from several domains at once. *)
-  custom_stats : unit -> string list;
-      (** The [STATS] payload. *)
+    doc:string ->
+    anchor:string option ->
+    (Protocol.item option, flags) result;
+      (** The [RESOLVE] contract: [Ok (Some item)] for the node, [Ok None]
+          for an unknown document or anchor, [Error] when the lookup
+          itself was cut or lost a shard. *)
+  connected :
+    deadline_ns:int64 -> max_dist:int option -> int -> int -> (int option, flags) result;
+      (** [CONNECTED] over in-range ids: [Ok] is the [DIST]/[NODIST]
+          answer, [Error] an unreliable negative. *)
+  descendants :
+    deadline_ns:int64 -> tag:string option -> k:int -> max_dist:int option -> int -> stream;
+      (** Descendants of an in-range node, the node itself excluded. *)
+  ancestors :
+    deadline_ns:int64 -> tag:string option -> k:int -> max_dist:int option -> int -> stream;
+      (** Ancestors-or-self of an in-range node. *)
+  evaluate :
+    deadline_ns:int64 ->
+    start_tag:string ->
+    target_tag:string ->
+    k:int ->
+    max_dist:int option ->
+    stream;
+      (** [EVALUATE start_tag//target_tag]. *)
+  stats : unit -> string list;  (** the [STATS] payload *)
+  metric_lines : unit -> string list;
+      (** extra Prometheus series appended to [METRICS] *)
+  close : unit -> unit;
+      (** Release the backend's resources. The server calls it exactly
+          once per replaced backend, after its last pinned request
+          finishes; it never closes the serving one (see {!stop}). *)
+  flix : Fx_flix.Flix.t option;
+      (** The index [INGEST]/[EVICT] extend; [None] refuses both. *)
 }
+(** What the worker pool evaluates against. Every function runs on a
+    worker domain and must be safe to call from several at once;
+    [deadline_ns] is the absolute {!Fx_util.Stopwatch.now_ns} deadline,
+    and [k] (already capped) is the most items the front will pull.
+    Tag names a backend does not know match nothing. *)
 
-type backend =
-  | In_memory of Fx_flix.Flix.t
-      (** The original regime: shared immutable indexes, a private
-          {!Fx_flix.Pee} evaluator per worker domain. *)
-  | On_disk of { hopi : Fx_index.Disk_hopi.t; catalog : Fx_index.Catalog.t }
-      (** Serve from a persistent {!Fx_index.Disk_hopi} deployment: the
-          thread-safe pager lets every worker domain share one handle
-          (and one buffer pool), and the {!Fx_index.Catalog} resolves
-          document, anchor, and tag names without the collection. The
-          deployment's pool hit/miss counters are exported on the
-          [METRICS] endpoint. *)
-  | Custom of custom
-      (** Delegate pool-bound requests to an external evaluator while
-          keeping the server's socket handling, admission control,
-          deadlines, metrics, incremental flushing, and the request
-          front (with its [EVALUATE] cache). The sharded scatter-gather
-          coordinator ({!Fx_shard.Coordinator}) plugs in here; it
-          receives neither [PING]/[METRICS]/[SLEEP] nor admin verbs, and
-          [STATS] goes to [custom_stats]. *)
+val memory : Fx_flix.Flix.t -> backend
+(** Shared immutable indexes behind a fresh {!Fx_flix.Pee} per request. *)
 
-type admin = {
-  admin_reload : unit -> (backend, string) result;
-      (** Build a fresh backend for [RELOAD] (typically by re-reading
-          the deployment the server was started from). Runs on the
-          connection thread under the admin lock; an [Error] answers
-          [ERR] and leaves the serving snapshot untouched. *)
-  admin_retire : backend -> unit;
-      (** Called exactly once per replaced backend, after its last
-          pinned request finishes — the place to close an [On_disk]
-          deployment handle. Never called while the backend can still
-          serve a request. *)
-}
-(** The reload hooks wired in by the process that owns the backend's
-    resources ({!Fx_bin} deployments, file handles). Without them
-    [RELOAD] answers [ERR]; [INGEST]/[EVICT] still work on the
-    in-memory backend (the old {!Fx_flix.Flix.t} needs no cleanup). *)
-
-val unknown_doc_err : string -> string option -> Protocol.response
-(** [unknown_doc_err doc anchor]: the [ERR] every backend answers for a
-    [DESCENDANTS] start that names no known document or anchor. *)
-
-val node_range_err : int -> Protocol.response
-(** [node_range_err n]: the [ERR] every backend answers for a node id
-    outside [[0, n)]. *)
+val disk : hopi:Fx_index.Disk_hopi.t -> catalog:Fx_index.Catalog.t -> backend
+(** Serve from a persistent {!Fx_index.Disk_hopi} deployment: the
+    thread-safe pager lets every worker domain share one handle (and
+    one buffer pool), and the {!Fx_index.Catalog} resolves document,
+    anchor, and tag names without the collection. The pool's hit/miss
+    counters are its [metric_lines]; [close] closes [hopi]. *)
 
 type t
 
-val start_backend : ?config:config -> ?admin:admin -> backend -> t
+val start_backend :
+  ?config:config -> ?reload:(unit -> (backend, string) result) -> backend -> t
 (** Binds, listens, and spawns the acceptor thread and worker domains.
     Returns once the server accepts connections. Raises [Unix_error]
-    when the port cannot be bound. The {e initial} backend (and for
-    [On_disk], the deployment handle) must outlive the server until a
-    swap retires it; {!stop} does not close it — use
-    {!current_backend} to find what is live at shutdown. *)
+    when the port cannot be bound. [reload] builds the backend [RELOAD]
+    swaps in (typically by re-reading the deployment the server was
+    started from); it runs on the connection thread under the admin
+    lock, and an [Error] answers [ERR] and leaves the serving snapshot
+    untouched. Without it [RELOAD] answers [ERR]; [INGEST]/[EVICT]
+    still work on a backend with a [flix]. The {e initial} backend's
+    resources must outlive the server until a swap replaces it; {!stop}
+    does not close the serving backend — close {!current_backend}
+    after it. *)
 
 val start : ?config:config -> Fx_flix.Flix.t -> t
-(** [start flix] is [start_backend (In_memory flix)]. *)
+(** [start flix] is [start_backend (memory flix)]. *)
 
 val port : t -> int
 (** The actual bound port — useful with [port = 0]. *)
@@ -182,8 +199,8 @@ val config : t -> config
 val current_backend : t -> backend
 (** The serving backend right now — after reloads this is not the one
     passed to {!start_backend}. The caller that owns backend resources
-    should close {e this} one at shutdown (retired ones were already
-    handed to [admin_retire]). *)
+    should close {e this} one at shutdown (replaced ones were already
+    closed by the swap). *)
 
 val epoch : t -> int
 (** The serving snapshot's epoch (starts at 1, +1 per swap). *)

@@ -517,15 +517,22 @@ let entry_stream_pending t ~(e : portal) ~tag ~k ~max_dist ~d ~add =
                     admit items
                 | None -> ()) )
 
+let flags ctx =
+  { Server.timed_out = Atomic.get ctx.timed_out; partial = Atomic.get ctx.partial }
+
+let degraded ctx = Atomic.get ctx.timed_out || Atomic.get ctx.partial
+
 (* k-way merge of per-shard streams (each ascending by distance) with
    the same priority queue the PEE uses, preserving the approximately-
-   ascending contract end to end. Nodes reachable through several
+   ascending contract end to end: a pull stream, so the front's deadline
+   and [k] cut it like any other. Nodes reachable through several
    shards or portals are deduplicated on first — i.e. nearest —
    occurrence. Ties break on global node id — the key packs
    (dist, node) into one integer — so the merged bytes are a function
    of the stream multiset alone, not of the order the streams arrived
-   in. *)
-let merge_streams t ~k ~exclude ~emit streams =
+   in. Every shard wave is over by the time the merge starts, so the
+   request's degradation flags are final. *)
+let merge_streams t ctx ~exclude streams =
   let total = Shard_plan.total_nodes t.plan in
   let pq = PQ.create () in
   let push = function
@@ -534,41 +541,26 @@ let merge_streams t ~k ~exclude ~emit streams =
   in
   List.iter push streams;
   let seen = Hashtbl.create 64 in
-  let emitted = ref 0 in
-  let rec loop () =
-    if !emitted < k then
-      match PQ.extract_min pq with
-      | None -> ()
-      | Some (_, (it, rest)) ->
-          push rest;
-          if it.node <> exclude && not (Hashtbl.mem seen it.node) then begin
-            Hashtbl.replace seen it.node ();
-            emit it;
-            incr emitted
-          end;
-          loop ()
+  let rec next () =
+    match PQ.extract_min pq with
+    | None -> None
+    | Some (_, ((it : P.item), rest)) ->
+        push rest;
+        if it.node = exclude || Hashtbl.mem seen it.node then next ()
+        else begin
+          Hashtbl.replace seen it.node ();
+          Some it
+        end
   in
-  loop ()
-
-let items_response ctx =
-  P.Items
-    {
-      items = [];
-      timed_out = Atomic.get ctx.timed_out;
-      partial = Atomic.get ctx.partial;
-    }
+  { Server.next; flags = flags ctx }
 
 (* --- the verbs --------------------------------------------------------- *)
-
-let node_range_err t = Server.node_range_err (Shard_plan.total_nodes t.plan)
-
-let in_range t v = v >= 0 && v < Shard_plan.total_nodes t.plan
 
 (* Descendants of one global node, across shards: the start's own
    stream plus one offset stream per reachable entry portal. Every
    portal distance is a label join, and only streams that can still
    contribute to the top [k] are fetched at all. *)
-let descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit =
+let descendants_of_node t ctx ~start ~tag ~k ~max_dist =
   let shard0, local0 = Shard_plan.locate t.plan start in
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
@@ -598,8 +590,7 @@ let descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit =
            entry_stream_pending t ~e ~tag ~k ~max_dist ~d ~add)
   in
   fetch_streams_on_demand t ctx ~k ~exclude:start ~streams ~pending;
-  merge_streams t ~k ~exclude:start ~emit !streams;
-  items_response ctx
+  merge_streams t ctx ~exclude:start !streams
 
 (* Ancestors: rdist(x), the distance from exit portal [x] down to
    [node], decomposes as the closure leg from [x] to some entry portal
@@ -607,7 +598,7 @@ let descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit =
    [node]. Only the latter probes, one conn batch on [node]'s own
    shard. Anchors cannot help here: the portal graph has no edges into
    a doc root. *)
-let ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit =
+let ancestors_of_node t ctx ~node ~tag ~k ~max_dist =
   let shard0, local0 = Shard_plan.locate t.plan node in
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
@@ -657,8 +648,7 @@ let ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit =
                    | None -> ()) ))
   in
   fetch_streams_on_demand t ctx ~k ~exclude:(-1) ~streams ~pending;
-  merge_streams t ~k ~exclude:(-1) ~emit !streams;
-  items_response ctx
+  merge_streams t ctx ~exclude:(-1) !streams
 
 let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add =
   (* Phase 1: every shard answers over its own sub-collection, in
@@ -688,7 +678,7 @@ let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add =
    start-tag node above each, probed in one wave and cached across
    requests) and reaches the other entry portals by label joins from
    the seeded ones. *)
-let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
+let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist =
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
   evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add;
@@ -735,8 +725,7 @@ let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
            entry_stream_pending t ~e ~tag:(Some target_tag) ~k ~max_dist ~d ~add)
   in
   fetch_streams_on_demand t ctx ~k ~exclude:(-1) ~streams ~pending;
-  merge_streams t ~k ~exclude:(-1) ~emit !streams;
-  items_response ctx
+  merge_streams t ctx ~exclude:(-1) !streams
 
 (* CONNECTED: one conn batch (the same-shard direct probe, [a]'s exit
    legs unless anchored, and the final legs from [b]'s entry portals
@@ -784,60 +773,23 @@ let connected t ctx ~a ~b ~max_dist =
           | Some de -> consider (Some (d + de))))
     t.entries_by_shard.(shard_b);
   match !best with
-  | Some d when not (over_max max_dist d) -> P.Dist (Some d)
-  | Some _ -> P.Dist None
+  | Some d when not (over_max max_dist d) -> Ok (Some d)
+  | Some _ -> Ok None
   | None ->
       (* No path found. With a failed shard (or an expired budget) the
          negative is unreliable, so degrade to PARTIAL instead of
          asserting NODIST. *)
-      if Atomic.get ctx.partial || Atomic.get ctx.timed_out then items_response ctx
-      else P.Dist None
+      if degraded ctx then Error (flags ctx) else Ok None
 
+(* A document name lives on one shard: ask that shard alone. An empty
+   answer is an unknown name only when nothing degraded it. *)
 let resolve t ctx ~doc ~anchor =
   match Shard_plan.shard_of_doc t.plan doc with
-  | None ->
-      P.Items { items = []; timed_out = false; partial = false }
+  | None -> Ok None
   | Some shard -> (
       match shard_call t ctx shard (P.Resolve { doc; anchor }) with
-      | Some (items, P.Items { timed_out; partial; _ }) ->
-          P.Items
-            { items = List.map (globalize t ~shard ~offset:0) items; timed_out; partial }
-      | Some _ | None -> items_response ctx)
-
-let descendants_by_name t ctx ~doc ~anchor ~tag ~k ~max_dist ~emit =
-  match Shard_plan.shard_of_doc t.plan doc with
-  | None -> Server.unknown_doc_err doc anchor
-  | Some shard -> (
-      match shard_call t ctx shard (P.Resolve { doc; anchor }) with
-      | Some (it :: _, _) ->
-          let start = Shard_plan.global_of t.plan ~shard ~local:it.P.node in
-          descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit
-      | Some ([], _) -> Server.unknown_doc_err doc anchor
-      | None -> items_response ctx)
-
-(* --- the backend ------------------------------------------------------- *)
-
-let eval t ~emit ~deadline_ns (req : P.request) =
-  let ctx = make_ctx deadline_ns in
-  match req with
-  | P.Ping | P.Stats | P.Metrics | P.Sleep _ | P.Evict _ | P.Reload | P.Epoch_query ->
-      (* The server's front answers these (STATS through
-         [custom_stats]) before reaching here. *)
-      P.Err "internal: verb not routed to the coordinator"
-  | P.Connected { a; b; max_dist } ->
-      if not (in_range t a && in_range t b) then node_range_err t
-      else connected t ctx ~a ~b ~max_dist
-  | P.Descendants { doc; anchor; tag; k; max_dist } ->
-      descendants_by_name t ctx ~doc ~anchor ~tag ~k ~max_dist ~emit
-  | P.Node_descendants { node; tag; k; max_dist } ->
-      if not (in_range t node) then node_range_err t
-      else descendants_of_node t ctx ~start:node ~tag ~k ~max_dist ~emit
-  | P.Ancestors { node; tag; k; max_dist } ->
-      if not (in_range t node) then node_range_err t
-      else ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit
-  | P.Evaluate { start_tag; target_tag; k; max_dist } ->
-      evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit
-  | P.Resolve { doc; anchor } -> resolve t ctx ~doc ~anchor
+      | Some (it :: _, _) -> Ok (Some (globalize t ~shard ~offset:0 it))
+      | Some ([], _) | None -> if degraded ctx then Error (flags ctx) else Ok None)
 
 let stats_lines t =
   ("backend: coordinator (scatter-gather over shard servers)"
@@ -943,9 +895,30 @@ let metric_lines t () =
       (Portal_closure.label_entries t.closure);
   ]
 
+(* --- the backend ------------------------------------------------------- *)
+
+(* Every primitive gets its own request context: its deadline and the
+   degradation flags its shard calls raise. *)
 let backend t =
-  { Server.custom_eval = (fun ~emit ~deadline_ns req -> eval t ~emit ~deadline_ns req);
-    custom_stats = (fun () -> stats_lines t) }
+  {
+    Server.n_nodes = Shard_plan.total_nodes t.plan;
+    resolve = (fun ~deadline_ns ~doc ~anchor -> resolve t (make_ctx deadline_ns) ~doc ~anchor);
+    connected =
+      (fun ~deadline_ns ~max_dist a b -> connected t (make_ctx deadline_ns) ~a ~b ~max_dist);
+    descendants =
+      (fun ~deadline_ns ~tag ~k ~max_dist start ->
+        descendants_of_node t (make_ctx deadline_ns) ~start ~tag ~k ~max_dist);
+    ancestors =
+      (fun ~deadline_ns ~tag ~k ~max_dist node ->
+        ancestors_of_node t (make_ctx deadline_ns) ~node ~tag ~k ~max_dist);
+    evaluate =
+      (fun ~deadline_ns ~start_tag ~target_tag ~k ~max_dist ->
+        evaluate t (make_ctx deadline_ns) ~start_tag ~target_tag ~k ~max_dist);
+    stats = (fun () -> stats_lines t);
+    metric_lines = metric_lines t;
+    close = (fun () -> close t);
+    flix = None;
+  }
 
 (* --- hot reload -------------------------------------------------------- *)
 

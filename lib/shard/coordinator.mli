@@ -1,10 +1,11 @@
 (** The scatter-gather coordinator: N shard servers behind one FliX
     line-protocol endpoint.
 
-    The coordinator plugs into {!Fx_server.Server} as a [Custom]
-    backend behind the server's single request front. The front owns
-    everything backend-independent — admission control, deadlines,
-    [PING]/[METRICS]/[SLEEP], the [k] cap, the shared error texts,
+    The coordinator plugs into {!Fx_server.Server} as one more
+    {!Fx_server.Server.backend} record behind the server's single
+    request front. The front owns everything backend-independent —
+    admission control, deadlines, node-range checks, resolving a
+    [DESCENDANTS] name to its node, the [k] cap, the error texts,
     metrics, incremental [ITEM] flushing, and the one [EVALUATE] answer
     cache (so a repeated [EVALUATE] is replayed by the front and never
     reaches this module). This module owns the fan-out and the
@@ -44,7 +45,9 @@
     All result streams are k-way-merged by distance with
     {!Fx_graph.Priority_queue}, deduplicating nodes on first (nearest)
     occurrence, so the merged stream keeps FliX's
-    approximately-ascending-distance contract.
+    approximately-ascending-distance contract. The merge is a pull
+    stream: the front stops it at [k] items or, after its first item,
+    at the deadline.
 
     {b Fault handling.} Shard calls carry the remaining deadline and
     ride {!Shard_client}'s retry/backoff/receive-timeout layer. When a
@@ -80,16 +83,14 @@ val closure_lookups_total : t -> int
 (** Closure label joins performed — the number behind
     [flix_coord_closure_lookups_total]. *)
 
-val backend : t -> Fx_server.Server.custom
-(** Serve with
-    [Server.start_backend (Custom (Coordinator.backend t))]. *)
+val backend : t -> Fx_server.Server.backend
+(** Serve with [Server.start_backend (Coordinator.backend t)]. Its
+    [stats] are the plan summary, shard addresses and error counters,
+    its [metric_lines] are {!metric_lines}, and its [close] is
+    {!close}. *)
 
 val metric_lines : t -> unit -> string list
-(** Prometheus series for the coordinator: register on the serving
-    server with {!Fx_server.Metrics.register_collector}. *)
-
-val stats_lines : t -> string list
-(** The STATS payload: plan summary, shard addresses, error counters. *)
+(** Prometheus series for the coordinator. *)
 
 val shard_errors_total : t -> int
 (** Failed shard attempts across all shards (sum of the per-shard

@@ -13,7 +13,9 @@
 # the coordinator (including a coordinator-wide RELOAD sweep), check
 # that a manifest without a portal closure is refused at boot, and
 # verify that killing a shard degrades answers to PARTIAL — and RELOAD
-# to a clean ERR — instead of failing them.
+# to a clean ERR — instead of failing them. The disk server after its
+# RELOAD and the coordinator after its sweep stop on SIGINT, which must
+# close the serving backend and exit 0.
 #
 # Uses bash's /dev/tcp so it needs no netcat. Run from the repo root:
 #
@@ -35,6 +37,17 @@ fail() {
   rm -rf "$DIR"
   [ -n "$EXTRA_DIR" ] && rm -rf "$EXTRA_DIR"
   exit 1
+}
+
+# Stop the server with SIGINT, flix_serve's graceful shutdown: it must
+# close the serving backend and exit 0.
+stop_gracefully() { # LOG
+  kill -INT "$SRV_PID" || fail "server already gone before SIGINT"
+  wait "$SRV_PID"
+  local status=$?
+  SRV_PID=
+  [ "$status" -eq 0 ] || { cat "$1" >&2; fail "SIGINT shutdown exited $status"; }
+  grep -q "shutting down" "$1" || fail "no shutdown line in $1"
 }
 
 wait_port() {
@@ -113,8 +126,7 @@ echo "disk answer cache hits=$hits"
 [ "$(ask RELOAD)" = "EPOCH 2" ] || fail "RELOAD on the disk deployment"
 ask "DESCENDANTS dblp_0003 - author 5" | grep -q "^DONE " || fail "DESCENDANTS after disk reload"
 
-kill "$SRV_PID" && wait "$SRV_PID" 2>/dev/null
-SRV_PID=
+stop_gracefully "$DIR/boot2.log"
 
 echo "== mangled store: one-line error, nonzero exit =="
 echo garbage >"$DIR/index.catalog"
@@ -296,9 +308,9 @@ esac
 [ "$(ask EPOCH)" = "EPOCH 2" ] || fail "failed reload must not swap the coordinator"
 [ "$(ask PING)" = "PONG" ] || fail "coordinator PING after refused RELOAD"
 
-kill "$SRV_PID" "$S0_PID" 2>/dev/null
-wait "$SRV_PID" "$S0_PID" 2>/dev/null
-SRV_PID=
+stop_gracefully "$EXTRA_DIR/coord.log"
+kill "$S0_PID" 2>/dev/null
+wait "$S0_PID" 2>/dev/null
 EXTRA_PIDS=
 PORT=$SAVE_PORT
 rm -rf "$EXTRA_DIR"

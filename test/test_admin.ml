@@ -263,8 +263,8 @@ let parse_docs docs =
             (Fx_xml.Xml_parser.error_to_string e))
     docs
 
-let with_backend_server ?config ?admin backend f =
-  let server = Server.start_backend ?config ?admin backend in
+let with_backend_server ?config ?reload backend f =
+  let server = Server.start_backend ?config ?reload backend in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
@@ -285,7 +285,7 @@ let expect_server_error what = function
 
 let server_ingest_evict_epoch () =
   let flix = Flix.build (C.build (parse_docs base_xml)) in
-  with_backend_server (Server.In_memory flix) (fun server c ->
+  with_backend_server (Server.memory flix) (fun server c ->
       Alcotest.(check int) "initial epoch" 1 (expect_value "epoch" (Client.epoch c));
       let msg = expect_server_error "reload" (Client.reload c) in
       Alcotest.(check bool) "RELOAD unconfigured says so" true
@@ -304,7 +304,7 @@ let server_ingest_evict_epoch () =
       (* post-swap answers are byte-identical to a cold-started server
          over the merged collection *)
       let cold = Flix.build (C.build (parse_docs (base_xml @ extra))) in
-      with_backend_server (Server.In_memory cold) (fun _ cc ->
+      with_backend_server (Server.memory cold) (fun _ cc ->
           List.iter
             (fun req ->
               Alcotest.(check string)
@@ -394,7 +394,7 @@ let reach_filter_follows_extend_remove () =
 
 let server_connected_across_swaps () =
   let flix = Flix.build (C.build (parse_docs chain_xml)) in
-  with_backend_server (Server.In_memory flix) (fun _ c ->
+  with_backend_server (Server.memory flix) (fun _ c ->
       let ask () = expect_value "connected" (Client.connected c chain_a chain_c) in
       Alcotest.(check (option int)) "before INGEST" None (ask ());
       ignore (expect_value "ingest" (Client.ingest c chain_middle));
@@ -409,7 +409,7 @@ let server_connected_across_swaps () =
    tag-bounded swap: the second ask after the swap is still a cache hit. *)
 let server_eval_cache_warm_across_swap () =
   let flix = Flix.build (C.build (parse_docs base_xml)) in
-  with_backend_server (Server.In_memory flix) (fun _ c ->
+  with_backend_server (Server.memory flix) (fun _ c ->
       let hits () =
         match Client.metrics c with
         | Ok (Client.Value ls) ->
@@ -440,9 +440,30 @@ let server_eval_cache_warm_across_swap () =
       ignore (ask ());
       Alcotest.(check int) "no hit after a scope-All swap" 2 (hits ()))
 
-(* RELOAD through the admin hooks: the swap serves the hook's backend,
-   the old one is retired exactly once, and a failing hook answers ERR
-   with the old epoch intact. *)
+(* A backend record that counts its [close] calls. *)
+let counting_close closes (b : Server.backend) =
+  {
+    b with
+    close =
+      (fun () ->
+        Atomic.incr closes;
+        b.close ());
+  }
+
+let wait_until what cond =
+  let rec go n =
+    if cond () then ()
+    else if n = 0 then Alcotest.failf "timed out waiting until %s" what
+    else begin
+      Thread.delay 0.01;
+      go (n - 1)
+    end
+  in
+  go 300
+
+(* RELOAD through the reload hook: the swap serves the hook's backend,
+   the replaced one is closed exactly once through its record's
+   [close], and a failing hook answers ERR with the old epoch intact. *)
 let server_reload_hook () =
   let flix = Flix.build (C.build (parse_docs base_xml)) in
   let replacement =
@@ -451,43 +472,94 @@ let server_reload_hook () =
   in
   let retired = Atomic.make 0 in
   let fail_now = ref false in
-  let admin =
-    {
-      Server.admin_reload =
-        (fun () ->
-          if !fail_now then Error "deployment directory gone"
-          else Ok (Server.In_memory replacement));
-      admin_retire = (fun _ -> Atomic.incr retired);
-    }
+  let reload () =
+    if !fail_now then Error "deployment directory gone"
+    else Ok (Server.memory replacement)
   in
-  with_backend_server ~admin (Server.In_memory flix) (fun _ c ->
+  with_backend_server ~reload (counting_close retired (Server.memory flix)) (fun _ c ->
       Alcotest.(check int) "reload swaps" 2 (expect_value "reload" (Client.reload c));
       (match Client.request c (P.Resolve { doc = "adr"; anchor = None }) with
       | Ok (P.Items { items = [ _ ]; _ }) -> ()
       | other -> Alcotest.failf "new document not served: %s" (render other));
       (* the old backend drains immediately (no pinned requests left) *)
-      let rec wait n =
-        if Atomic.get retired = 1 then ()
-        else if n = 0 then Alcotest.fail "old backend never retired"
-        else begin
-          Thread.delay 0.01;
-          wait (n - 1)
-        end
-      in
-      wait 100;
+      wait_until "the old backend is closed" (fun () -> Atomic.get retired >= 1);
       fail_now := true;
       let msg = expect_server_error "failing reload" (Client.reload c) in
       Alcotest.(check bool) "hook error surfaces" true
         (Astring.String.is_infix ~affix:"deployment directory gone" msg);
       Alcotest.(check int) "epoch unchanged after failure" 2
         (expect_value "epoch" (Client.epoch c));
-      Alcotest.(check bool) "connection alive" true (Client.ping c))
+      Alcotest.(check bool) "connection alive" true (Client.ping c);
+      Alcotest.(check int) "old backend closed exactly once" 1 (Atomic.get retired))
+
+(* The disk case: after RELOAD the old deployment handle is closed
+   exactly once, and only after a request pinned to its epoch — an
+   in-flight SLEEP — has finished. *)
+let server_reload_closes_disk () =
+  let coll = C.build (parse_docs base_xml) in
+  let dg = { Fx_index.Path_index.graph = C.graph coll; tag = C.tag coll } in
+  let prefix = Filename.temp_file "fxadm" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ prefix; prefix ^ ".labels"; prefix ^ ".tags"; prefix ^ ".catalog" ])
+    (fun () ->
+      Fx_index.Disk_hopi.save ~path:prefix dg (Fx_index.Hopi.build dg);
+      Fx_index.Catalog.save ~path:(prefix ^ ".catalog") (Fx_index.Catalog.of_collection coll);
+      let open_disk closes =
+        let hopi = Fx_index.Disk_hopi.open_ ~path:prefix () in
+        counting_close closes
+          (Server.disk ~hopi ~catalog:(Fx_index.Catalog.load (prefix ^ ".catalog")))
+      in
+      let closed_old = Atomic.make 0 and closed_new = Atomic.make 0 in
+      let reload () = Ok (open_disk closed_new) in
+      let config = { Server.default_config with workers = 2 } in
+      let server = Server.start_backend ~config ~reload (open_disk closed_old) in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.stop server;
+          (Server.current_backend server).close ())
+        (fun () ->
+          let port = Server.port server in
+          let sleeper = Client.connect ~port () and c = Client.connect ~port () in
+          Fun.protect
+            ~finally:(fun () ->
+              Client.close sleeper;
+              Client.close c)
+            (fun () ->
+              let slept = ref (Error "never answered") in
+              let th = Thread.create (fun () -> slept := Client.sleep sleeper 1_000) () in
+              let pinned () =
+                match Client.metrics c with
+                | Ok (Client.Value lines) ->
+                    Helpers.metric_value lines "flix_snapshot_pinned{epoch=\"1\"}"
+                | _ -> None
+              in
+              wait_until "the SLEEP pins epoch 1" (fun () -> pinned () = Some 1);
+              Alcotest.(check int) "reload swaps" 2 (expect_value "reload" (Client.reload c));
+              (match Client.request c (P.Resolve { doc = "ad1"; anchor = None }) with
+              | Ok (P.Items { items = [ _ ]; _ }) -> ()
+              | other -> Alcotest.failf "new deployment not served: %s" (render other));
+              Alcotest.(check int) "old deployment open while the SLEEP runs" 0
+                (Atomic.get closed_old);
+              Thread.join th;
+              (match !slept with
+              | Ok (Client.Value true) -> ()
+              | _ -> Alcotest.fail "the pinned SLEEP did not complete");
+              wait_until "the old deployment is closed" (fun () -> Atomic.get closed_old >= 1);
+              Alcotest.(check bool) "connection alive" true (Client.ping c);
+              Alcotest.(check int) "old deployment closed exactly once" 1
+                (Atomic.get closed_old);
+              Alcotest.(check int) "serving deployment still open" 0 (Atomic.get closed_new)));
+      Alcotest.(check int) "stop leaves the old deployment closed once" 1
+        (Atomic.get closed_old))
 
 (* INGEST wire framing failure modes, against a raw socket. *)
 let server_ingest_framing () =
   let flix = Flix.build (C.build (parse_docs base_xml)) in
   let config = { Server.default_config with max_ingest_lines = 4; workers = 1 } in
-  let server = Server.start_backend ~config (Server.In_memory flix) in
+  let server = Server.start_backend ~config (Server.memory flix) in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
@@ -548,15 +620,9 @@ let coordinator_reload () =
   let closure, stale_closure = closures_for plan shard_colls in
   (* The closure the next RELOAD finds in the re-read manifest. *)
   let manifest_closure = ref closure in
-  let admin_for fx =
-    {
-      Server.admin_reload = (fun () -> Ok (Server.In_memory fx));
-      admin_retire = (fun _ -> ());
-    }
-  in
   let shard_servers =
     Array.map
-      (fun fx -> Server.start_backend ~admin:(admin_for fx) (Server.In_memory fx))
+      (fun fx -> Server.start_backend ~reload:(fun () -> Ok (Server.memory fx)) (Server.memory fx))
       shard_flixes
   in
   let shards =
@@ -573,21 +639,14 @@ let coordinator_reload () =
       Array.iter Server.stop shard_servers)
     (fun () ->
       let coord = ref (track (Coordinator.create ~closure ~plan ~shards ())) in
-      let admin =
-        {
-          Server.admin_reload =
-            (fun () ->
-              match Coordinator.reload !coord ~plan ~closure:!manifest_closure with
-              | Error e -> Error e
-              | Ok fresh ->
-                  coord := track fresh;
-                  Ok (Server.Custom (Coordinator.backend fresh)));
-          admin_retire = (fun _ -> ());
-        }
+      let reload () =
+        match Coordinator.reload !coord ~plan ~closure:!manifest_closure with
+        | Error e -> Error e
+        | Ok fresh ->
+            coord := track fresh;
+            Ok (Coordinator.backend fresh)
       in
-      let front =
-        Server.start_backend ~admin (Server.Custom (Coordinator.backend !coord))
-      in
+      let front = Server.start_backend ~reload (Coordinator.backend !coord) in
       Fun.protect
         ~finally:(fun () -> Server.stop front)
         (fun () ->
@@ -643,7 +702,7 @@ let coordinator_reload_rollback () =
   let shard_flixes = Array.map Flix.build shard_colls in
   let closure = Helpers.closure_of plan (Helpers.hopis_of shard_colls) in
   let shard_servers =
-    Array.map (fun fx -> Server.start_backend (Server.In_memory fx)) shard_flixes
+    Array.map Server.start shard_flixes
   in
   let shards =
     Array.to_list shard_servers |> List.map (fun s -> ("127.0.0.1", Server.port s))
@@ -670,21 +729,15 @@ let coordinator_reload_rollback () =
       | Error _ -> ());
       (* the old coordinator still answers *)
       let stream =
-        let items = ref [] in
-        let resp =
-          (Coordinator.backend coord).Server.custom_eval
-            ~emit:(fun it -> items := it :: !items)
-            ~deadline_ns:(Int64.add (Fx_util.Stopwatch.now_ns ()) 2_000_000_000L)
-            (P.Evaluate
-               { start_tag = "article"; target_tag = "author"; k = 3; max_dist = None })
-        in
-        (resp, List.rev !items)
+        (Coordinator.backend coord).evaluate
+          ~deadline_ns:(Int64.add (Fx_util.Stopwatch.now_ns ()) 2_000_000_000L)
+          ~start_tag:"article" ~target_tag:"author" ~k:3 ~max_dist:None
       in
-      match stream with
-      | P.Items { timed_out = false; partial = false; _ }, _ -> ()
-      | resp, _ ->
-          Alcotest.failf "old coordinator degraded after failed reload: %s"
-            (String.concat "|" (P.response_lines resp)))
+      match stream.flags with
+      | { timed_out = false; partial = false } -> ()
+      | { timed_out; partial } ->
+          Alcotest.failf "old coordinator degraded after failed reload: timed_out=%b partial=%b"
+            timed_out partial)
 
 let () =
   Alcotest.run "admin"
@@ -718,6 +771,8 @@ let () =
           Alcotest.test_case "eval cache warm across swap" `Quick
             server_eval_cache_warm_across_swap;
           Alcotest.test_case "reload hook" `Quick server_reload_hook;
+          Alcotest.test_case "reload closes the disk deployment once" `Quick
+            server_reload_closes_disk;
           Alcotest.test_case "ingest framing" `Quick server_ingest_framing;
         ] );
       ( "coordinator",

@@ -694,7 +694,7 @@ let with_disk_server ~workers f =
         (fun () ->
           let config = { Server.default_config with workers } in
           let server =
-            Server.start_backend ~config (Server.On_disk { hopi = disk; catalog })
+            Server.start_backend ~config (Server.disk ~hopi:disk ~catalog)
           in
           Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server hopi coll)))
 

@@ -204,7 +204,7 @@ let manifest_v2_roundtrip () =
    sharded and unsharded answers must agree set-for-set; the in-memory
    engine is the paper's approximate one, whose distances legitimately
    depend on the partition. *)
-let with_disk_server coll f =
+let with_disk_server ?config coll f =
   let dg = { Fx_index.Path_index.graph = C.graph coll; tag = C.tag coll } in
   let hopi = Fx_index.Hopi.build dg in
   let prefix = Filename.temp_file "fxshard" "" in
@@ -222,7 +222,7 @@ let with_disk_server coll f =
       Fun.protect
         ~finally:(fun () -> Fx_index.Disk_hopi.close disk)
         (fun () ->
-          let server = Server.start_backend (Server.On_disk { hopi = disk; catalog }) in
+          let server = Server.start_backend ?config (Server.disk ~hopi:disk ~catalog) in
           Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server)))
 
 let rec with_disk_servers colls f =
@@ -232,10 +232,10 @@ let rec with_disk_servers colls f =
 
 (* Boot one in-memory server per shard, a coordinator in front of them,
    and hand the test the coordinator plus a client per endpoint. The
-   front server's EVALUATE answer cache stays off unless [eval_cache]
-   sizes it, so the fault tests see every request reach the
-   coordinator. *)
-let with_cluster ?(eval_cache = 0) f =
+   front server runs [config], but its EVALUATE answer cache stays off
+   unless [eval_cache] sizes it, so the fault tests see every request
+   reach the coordinator. *)
+let with_cluster ?(config = Server.default_config) ?(eval_cache = 0) f =
   let plan = Lazy.force shared_plan in
   let shard_servers = Array.map Server.start (Lazy.force shard_flixes) in
   Fun.protect
@@ -252,8 +252,8 @@ let with_cluster ?(eval_cache = 0) f =
         (fun () ->
           let front =
             Server.start_backend
-              ~config:{ Server.default_config with eval_cache_capacity = eval_cache }
-              (Server.Custom (Coordinator.backend coord))
+              ~config:{ config with eval_cache_capacity = eval_cache }
+              (Coordinator.backend coord)
           in
           Fun.protect
             ~finally:(fun () -> Server.stop front)
@@ -300,7 +300,7 @@ let coordinator_matches_single_server () =
             ~finally:(fun () -> Coordinator.close coord)
             (fun () ->
               let front =
-                Server.start_backend (Server.Custom (Coordinator.backend coord))
+                Server.start_backend (Coordinator.backend coord)
               in
               Fun.protect
                 ~finally:(fun () -> Server.stop front)
@@ -567,7 +567,7 @@ let with_coordinator_and_truth ~plan ~closure coll colls f =
             ~finally:(fun () -> Coordinator.close coord)
             (fun () ->
               let front =
-                Server.start_backend (Server.Custom (Coordinator.backend coord))
+                Server.start_backend (Coordinator.backend coord)
               in
               Fun.protect
                 ~finally:(fun () -> Server.stop front)
@@ -822,6 +822,130 @@ let closure_three_shards () =
       Alcotest.(check bool) "label joins happened" true
         (Coordinator.closure_lookups_total coord > 0))
 
+(* --- one front over every backend --------------------------------------- *)
+
+let lines_of = function
+  | Ok resp -> String.concat "|" (P.response_lines resp)
+  | Error e -> "transport error: " ^ e
+
+(* One request list against a memory server, a disk server and a
+   2-shard coordinator over the same documents. The request front owns
+   node-range checks, name resolution, the [k] cap and the queued-expiry
+   rule, so every backend must answer them alike. *)
+let front_rules_every_backend () =
+  let coll = Lazy.force shared_collection in
+  let n = C.n_nodes coll in
+  let config = { Server.default_config with max_results = 3 } in
+  let memory = Server.start_backend ~config (Server.memory (Lazy.force shared_flix)) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop memory)
+    (fun () ->
+      with_disk_server ~config coll (fun disk ->
+          with_cluster ~config (fun ~coord:_ ~front ~shard_servers:_ ->
+              let clients =
+                List.map
+                  (fun (name, server) -> (name, Client.connect ~port:(Server.port server) ()))
+                  [ ("memory", memory); ("disk", disk); ("coordinator", front) ]
+              in
+              Fun.protect
+                ~finally:(fun () -> List.iter (fun (_, c) -> Client.close c) clients)
+                (fun () ->
+                  let each f = List.iter (fun (name, c) -> f name c) clients in
+                  let doc0 = Dblp.doc_name 0 in
+                  let root0 = C.root_of_doc coll 0 in
+                  let desc ?anchor doc =
+                    P.Descendants { doc; anchor; tag = None; k = 100; max_dist = None }
+                  in
+                  let ndesc node =
+                    P.Node_descendants { node; tag = None; k = 100; max_dist = None }
+                  in
+                  let anc node = P.Ancestors { node; tag = None; k = 100; max_dist = None } in
+                  let eval start_tag target_tag =
+                    P.Evaluate { start_tag; target_tag; k = 100; max_dist = None }
+                  in
+                  (* The same ERR text, byte for byte. *)
+                  let range_err = Printf.sprintf "ERR node id out of range [0, %d)" n in
+                  List.iter
+                    (fun (req, want) ->
+                      each (fun name c ->
+                          Alcotest.(check string)
+                            (Printf.sprintf "%s: %s" name (P.request_line req))
+                            want
+                            (lines_of (Client.request c req))))
+                    [
+                      (P.Connected { a = n; b = 0; max_dist = None }, range_err);
+                      (P.Connected { a = 0; b = -1; max_dist = None }, range_err);
+                      (ndesc n, range_err);
+                      (anc n, range_err);
+                      (desc "no_such_doc", "ERR unknown document or anchor no_such_doc");
+                      ( desc ~anchor:"no_such_anchor" doc0,
+                        Printf.sprintf "ERR unknown document or anchor %s#no_such_anchor" doc0 );
+                    ];
+                  (* [k] is capped at max_results. *)
+                  List.iter
+                    (fun (req, at_least) ->
+                      each (fun name c ->
+                          match Client.request c req with
+                          | Ok (P.Items { items; timed_out = false; partial = false }) ->
+                              let got = List.length items in
+                              if got > 3 || got < at_least then
+                                Alcotest.failf "%s: %s answered %d items, cap 3" name
+                                  (P.request_line req) got
+                          | other ->
+                              Alcotest.failf "%s: %s answered %s" name (P.request_line req)
+                                (lines_of other)))
+                    [
+                      (desc doc0, 3);
+                      (ndesc root0, 3);
+                      (anc (root0 + 2), 1);
+                      (eval "article" "author", 3);
+                    ];
+                  (* The one queued-expiry rule at DEADLINE 0: single-answer
+                     verbs answer TIMEOUT 0 unevaluated; a stream verb ends
+                     TIMEOUT after at most its first item. Memory and disk
+                     yield that item without further deadline-bound work. *)
+                  each (fun name c ->
+                      List.iter
+                        (fun req ->
+                          Alcotest.(check string)
+                            (Printf.sprintf "%s: DEADLINE 0 %s" name (P.request_line req))
+                            "TIMEOUT 0"
+                            (lines_of (Client.request ~deadline_ms:0 c req)))
+                        [
+                          P.Stats;
+                          P.Connected { a = root0; b = root0 + 1; max_dist = None };
+                          P.Resolve { doc = doc0; anchor = None };
+                        ]);
+                  let expired_stream name c req =
+                    match Client.request ~deadline_ms:0 c req with
+                    | Ok (P.Items { items; timed_out = true; partial = false })
+                      when List.length items <= 1 ->
+                        List.length items
+                    | other ->
+                        Alcotest.failf "%s: DEADLINE 0 %s answered %s" name
+                          (P.request_line req) (lines_of other)
+                  in
+                  each (fun name c ->
+                      List.iter
+                        (fun req ->
+                          let got = expired_stream name c req in
+                          if name <> "coordinator" && got <> 1 then
+                            Alcotest.failf "%s: DEADLINE 0 %s streamed %d items, want 1" name
+                              (P.request_line req) got)
+                        [ desc doc0; ndesc root0; anc (root0 + 2) ];
+                      ignore (expired_stream name c (eval "inproceedings" "title")));
+                  (* The coordinator's merge pulls through the same cut: a
+                     document root joins its entry portals from the closure
+                     without any shard request, and a merge over several of
+                     them ends TIMEOUT after the first. *)
+                  let coordinator = List.assoc "coordinator" clients in
+                  let streamed =
+                    Array.to_list (Plan.doc_roots (Lazy.force shared_plan))
+                    |> List.map (fun root -> expired_stream "coordinator" coordinator (ndesc root))
+                  in
+                  Alcotest.(check bool) "some expired merge streamed its first item" true
+                    (List.mem 1 streamed)))))
+
 (* --- protocol satellites --------------------------------------------- *)
 
 let deadline_override () =
@@ -847,7 +971,8 @@ let deadline_override () =
           | _ -> Alcotest.fail "un-overridden sleep should complete"))
 
 let incremental_flush () =
-  (* A Custom backend that emits one item, then blocks until released.
+  (* A backend whose EVALUATE stream yields one item, then blocks until
+     released.
      If the server buffered the stream until evaluation finished, the
      client could never read the first ITEM while the worker is still
      blocked — the receive timeout below would trip instead. *)
@@ -858,25 +983,31 @@ let incremental_flush () =
     Condition.signal cond;
     Mutex.unlock m
   in
-  let custom =
+  let blocking_stream () =
+    let pulls = ref 0 in
+    let next () =
+      incr pulls;
+      match !pulls with
+      | 1 -> Some { P.node = 1; dist = 0; meta = 0 }
+      | 2 ->
+          Mutex.lock m;
+          while not !released do
+            Condition.wait cond m
+          done;
+          Mutex.unlock m;
+          Some { P.node = 2; dist = 1; meta = 0 }
+      | _ -> None
+    in
+    { Server.next; flags = { timed_out = false; partial = false } }
+  in
+  let backend =
     {
-      Server.custom_eval =
-        (fun ~emit ~deadline_ns:_ req ->
-          match req with
-          | P.Evaluate _ ->
-              emit { P.node = 1; dist = 0; meta = 0 };
-              Mutex.lock m;
-              while not !released do
-                Condition.wait cond m
-              done;
-              Mutex.unlock m;
-              emit { P.node = 2; dist = 1; meta = 0 };
-              P.Items { items = []; timed_out = false; partial = false }
-          | _ -> P.Err "unsupported");
-      custom_stats = (fun () -> [ "flush fixture" ]);
+      (Server.memory (Lazy.force shared_flix)) with
+      evaluate = (fun ~deadline_ns:_ ~start_tag:_ ~target_tag:_ ~k:_ ~max_dist:_ ->
+        blocking_stream ());
     }
   in
-  let server = Server.start_backend (Server.Custom custom) in
+  let server = Server.start_backend backend in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
@@ -946,6 +1077,10 @@ let () =
           Alcotest.test_case "query cache hits" `Quick query_cache_hits;
           Alcotest.test_case "dead shard does not poison caches" `Quick
             dead_shard_no_cache_poison;
+        ] );
+      ( "front",
+        [
+          Alcotest.test_case "same rules on every backend" `Quick front_rules_every_backend;
         ] );
       ( "protocol",
         [
