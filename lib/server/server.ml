@@ -65,7 +65,7 @@ type job = { req : Protocol.request; deadline_ns : int64; reply : mailbox }
 
 type flags = { timed_out : bool; partial : bool }
 
-type stream = { next : unit -> Protocol.item option; flags : flags }
+type stream = { next : unit -> Protocol.item option; flags : unit -> flags }
 
 type backend = {
   n_nodes : int;
@@ -130,7 +130,7 @@ let no_items ?(timed_out = false) ?(partial = false) () =
 
 let clean = { timed_out = false; partial = false }
 let degraded (f : flags) = no_items ~timed_out:f.timed_out ~partial:f.partial ()
-let empty flags = { next = (fun () -> None); flags }
+let empty flags = { next = (fun () -> None); flags = (fun () -> flags) }
 let node_item node = { Protocol.node; dist = 0; meta = 0 }
 
 (* --- the in-memory backend ------------------------------------------ *)
@@ -149,7 +149,7 @@ let of_pee rs =
         Option.map
           (fun (it : Pee.item) -> { Protocol.node = it.node; dist = it.dist; meta = it.meta })
           (RS.next rs));
-    flags = clean;
+    flags = (fun () -> clean);
   }
 
 (* Shared immutable indexes behind a fresh PEE per request: a [Pee.t]
@@ -253,7 +253,7 @@ let pool_metric_lines hopi () =
 let of_pairs next =
   {
     next = (fun () -> Option.map (fun (node, dist) -> { Protocol.node; dist; meta = 0 }) (next ()));
-    flags = clean;
+    flags = (fun () -> clean);
   }
 
 (* Every disk tag query is a pull stream over the hop-run merge; the
@@ -349,7 +349,8 @@ let stream_out ~emit ~deadline_ns ~k (s : stream) =
           if expired deadline_ns then true else go (n + 1)
   in
   let cut = go 0 in
-  no_items ~timed_out:(cut || s.flags.timed_out) ~partial:s.flags.partial ()
+  let flags = s.flags () in
+  no_items ~timed_out:(cut || flags.timed_out) ~partial:flags.partial ()
 
 let cap_k cap (req : Protocol.request) =
   match req with

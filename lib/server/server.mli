@@ -111,11 +111,12 @@ type flags = { timed_out : bool; partial : bool }
 (** How an answer was degraded: cut by the deadline ([TIMEOUT]) or
     missing a failed shard's part ([PARTIAL]). *)
 
-type stream = { next : unit -> Protocol.item option; flags : flags }
-(** A pull stream of answer items, nearest first, and the degradation
-    the backend already knows of when it hands the stream over. The
-    front pulls at most [k] items on one worker domain and stops
-    pulling at the deadline. *)
+type stream = { next : unit -> Protocol.item option; flags : unit -> flags }
+(** A pull stream of answer items, nearest first, and its degradation.
+    The front pulls at most [k] items on one worker domain, stops
+    pulling at the deadline, and reads [flags] after its last pull, so a
+    backend that fetches inside [next] reports what those fetches
+    lost. *)
 
 type backend = {
   n_nodes : int;  (** node ids are [[0, n_nodes)]; the front rejects others *)

@@ -7,7 +7,8 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* A cross-shard link with both endpoints located once at create time. *)
+(* A cross-shard link with both endpoints located once at create time;
+   [dst_ci] is the target's portal-closure index. *)
 type located_link = {
   src : int;  (* global *)
   dst : int;  (* global *)
@@ -16,6 +17,7 @@ type located_link = {
   src_local : int;
   dst_shard : int;
   dst_local : int;
+  dst_ci : int;
 }
 
 (* Fan-out latency histogram: upper bounds in ms, +Inf implicit. *)
@@ -29,10 +31,11 @@ let batch_buckets = [| 1; 2; 4; 8; 16; 32; 64; 128; 256 |]
    entries. *)
 let probe_cache_limit = 65536
 
-(* A deduplicated portal, located once at create time. [tag] is the
-   node's tag name for entry portals (link targets emit themselves into
-   matching streams) and [""] for exit portals, which never do. *)
-type portal = { g : int; shard : int; local : int; tag : string }
+(* A deduplicated portal, located once at create time, with its
+   portal-closure index [ci]. [tag] is the node's tag name for entry
+   portals (link targets emit themselves into matching streams) and
+   [""] for exit portals, which never do. *)
+type portal = { g : int; shard : int; local : int; tag : string; ci : int }
 
 type t = {
   plan : Shard_plan.t;
@@ -52,16 +55,17 @@ type t = {
   stream_cache : (int * int * string option * int * int option, P.item list) Hashtbl.t;
   (* The portal closure; [create] refuses one built for another plan. *)
   closure : Portal_closure.t;
-  (* Every distinct link target / link source, located once. *)
-  entry_portals : portal array;
-  exit_portals : portal array;
+  (* Every distinct link target / link source, located once, by shard
+     and by closure index. *)
   entries_by_shard : portal array array;
   exits_by_shard : portal array array;
-  (* Global ids the portal graph carries as sources (doc roots and
-     entry portals): closure labels from these nodes are exact, so a
-     query anchored here skips its exit probes. Immutable after
-     create. *)
-  source_nodes : (int, unit) Hashtbl.t;
+  entry_at : portal option array;
+  exit_at : portal option array;
+  (* Closure index of every global id the portal graph carries as a
+     source (doc roots and entry portals): closure labels from these
+     nodes are exact, so a query anchored here skips its exit probes.
+     Immutable after create. *)
+  source_index : (int, int) Hashtbl.t;
   closure_lookups : int Atomic.t;
   fanout_hist : int Atomic.t array;
   fanout_count : int Atomic.t;
@@ -83,6 +87,12 @@ let create ~closure ~plan ~shards () =
          "Coordinator.create: portal closure epoch %d does not match plan digest %d; \
           rebuild with --build-shards"
          (Portal_closure.epoch closure) (Shard_plan.digest plan));
+  (* A matching closure carries every link endpoint and doc root. *)
+  let ci g =
+    match Portal_closure.index closure g with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Coordinator.create: node %d not in the closure" g)
+  in
   let clients =
     Array.of_list
       (List.mapi (fun i (host, port) -> Shard_client.create ~id:i ~host ~port ()) shards)
@@ -93,36 +103,35 @@ let create ~closure ~plan ~shards () =
         let src_shard, src_local = Shard_plan.locate plan l.src in
         let dst_shard, dst_local = Shard_plan.locate plan l.dst in
         { src = l.src; dst = l.dst; dst_tag = l.dst_tag; src_shard; src_local;
-          dst_shard; dst_local })
+          dst_shard; dst_local; dst_ci = ci l.dst })
       (Shard_plan.cross_links plan)
   in
-  let dedup_portals proj tag =
-    let seen = Hashtbl.create 64 in
-    let acc = ref [] in
+  (* Per shard ascending by global id, and by closure index. *)
+  let index_portals proj tag =
+    let by_shard = Array.make n [] in
+    let at = Array.make (Portal_closure.n_nodes closure) None in
     Array.iter
       (fun l ->
         let g, shard, local = proj l in
-        if not (Hashtbl.mem seen g) then begin
-          Hashtbl.replace seen g ();
-          acc := { g; shard; local; tag = tag l } :: !acc
+        let i = ci g in
+        if Option.is_none at.(i) then begin
+          let p = { g; shard; local; tag = tag l; ci = i } in
+          at.(i) <- Some p;
+          by_shard.(shard) <- p :: by_shard.(shard)
         end)
       links;
-    Array.of_list (List.sort (fun p q -> Int.compare p.g q.g) !acc)
+    let sorted ps = Array.of_list (List.sort (fun p q -> Int.compare p.g q.g) ps) in
+    (Array.map sorted by_shard, at)
   in
-  let entry_portals =
-    dedup_portals (fun l -> (l.dst, l.dst_shard, l.dst_local)) (fun l -> l.dst_tag)
+  let entries_by_shard, entry_at =
+    index_portals (fun l -> (l.dst, l.dst_shard, l.dst_local)) (fun l -> l.dst_tag)
   in
-  let exit_portals =
-    dedup_portals (fun l -> (l.src, l.src_shard, l.src_local)) (fun _ -> "")
+  let exits_by_shard, exit_at =
+    index_portals (fun l -> (l.src, l.src_shard, l.src_local)) (fun _ -> "")
   in
-  let portals_by_shard portals =
-    let buckets = Array.make n [] in
-    Array.iter (fun p -> buckets.(p.shard) <- p :: buckets.(p.shard)) portals;
-    Array.map (fun ps -> Array.of_list (List.rev ps)) buckets
-  in
-  let source_nodes = Hashtbl.create 256 in
-  Array.iter (fun g -> Hashtbl.replace source_nodes g ()) (Shard_plan.doc_roots plan);
-  Array.iter (fun (l : located_link) -> Hashtbl.replace source_nodes l.dst ()) links;
+  let source_index = Hashtbl.create 256 in
+  Array.iter (fun g -> Hashtbl.replace source_index g (ci g)) (Shard_plan.doc_roots plan);
+  Array.iter (fun (l : located_link) -> Hashtbl.replace source_index l.dst l.dst_ci) links;
   {
     plan;
     shards = clients;
@@ -133,11 +142,11 @@ let create ~closure ~plan ~shards () =
     start_cache = Hashtbl.create 256;
     stream_cache = Hashtbl.create 256;
     closure;
-    entry_portals;
-    exit_portals;
-    entries_by_shard = portals_by_shard entry_portals;
-    exits_by_shard = portals_by_shard exit_portals;
-    source_nodes;
+    entries_by_shard;
+    exits_by_shard;
+    entry_at;
+    exit_at;
+    source_index;
     closure_lookups = Atomic.make 0;
     fanout_hist = Array.init (Array.length fanout_buckets_ms + 1) (fun _ -> Atomic.make 0);
     fanout_count = Atomic.make 0;
@@ -195,10 +204,8 @@ let observe_batch t n =
    the response degrades rather than fails, which is the whole point of
    sharded fault tolerance. Successful answers come back as
    [(items, response-with-empty-items)], the same shape whether the
-   exchange was a single call or a batch slot. *)
-(* [Shard_client.call] splits a stream into (items, trailer-response);
-   fold the items back in so single calls and batch slots classify
-   through the same shape. *)
+   exchange was a single call or a batch slot, so [inline_items] folds
+   the items [Shard_client.call] splits off back into the response. *)
 let inline_items (items, resp) =
   match resp with
   | P.Items { timed_out; partial; _ } -> P.Items { items; timed_out; partial }
@@ -340,27 +347,30 @@ let plan_start plan t ~shard ~node ~tag =
       | Some _ | None -> None)
 
 (* Fire the wave: one batch per shard, shards in parallel, then the
-   applies in order on this thread. *)
+   applies in order on this thread. A shard thread that dies before
+   its answers are in fails every slot of its shard, as a lost shard
+   does, so the request degrades to PARTIAL instead of reading those
+   segments as unreachable. *)
 let run_plan t ctx plan =
   let groups = ref [] in
   Array.iteri
     (fun shard entries ->
       if entries <> [] then groups := (shard, Array.of_list (List.rev entries)) :: !groups)
     plan.per_shard;
+  let apply entries out = Array.iteri (fun i r -> snd entries.(i) r) out in
   match !groups with
   | [] -> ()
   | [ (shard, entries) ] ->
       (* One shard: no thread hop needed. *)
-      let out = exec_shard t ctx shard (Array.map fst entries) in
-      Array.iteri (fun i r -> snd entries.(i) r) out
+      apply entries (exec_shard t ctx shard (Array.map fst entries))
   | groups ->
       let running =
         List.map
           (fun (shard, entries) ->
-            let out = ref [||] in
+            let out = ref None in
             let th =
               Thread.create
-                (fun () -> out := exec_shard t ctx shard (Array.map fst entries))
+                (fun () -> out := Some (exec_shard t ctx shard (Array.map fst entries)))
                 ()
             in
             (th, entries, out))
@@ -369,9 +379,10 @@ let run_plan t ctx plan =
       List.iter (fun (th, _, _) -> Thread.join th) running;
       List.iter
         (fun (_, entries, out) ->
-          let out = !out in
-          if Array.length out = Array.length entries then
-            Array.iteri (fun i r -> snd entries.(i) r) out)
+          apply entries
+            (match !out with
+            | Some out -> out
+            | None -> Array.map (fun _ -> classify ctx (Error "shard thread failed")) entries))
         running
 
 (* Readers of the plan's answers for the joins that follow [run_plan].
@@ -385,137 +396,47 @@ let start_dist plan ~shard ~node ~tag =
 
 (* --- the portal closure ------------------------------------------------ *)
 
-let closure_dist t a b =
-  Atomic.incr t.closure_lookups;
-  Portal_closure.distance t.closure a b
-
-let min_opt acc d = match acc with Some a when a <= d -> acc | _ -> Some d
-
 let over_max max_dist d = match max_dist with Some m -> d > m | None -> false
 
-(* d(e) for every entry portal [e]: the exact cross-shard distance from
-   [g0] (see DESIGN.md for why the portal graph's distances are exact).
-   A start the portal graph carries as a source (doc root or entry
-   portal) joins labels directly and needs no probe at all; any other
-   start pays one batched conn wave to its own shard's exits, then
-   joins from there. *)
-let closure_entry_dists t ctx ~g0 ~shard0 ~local0 =
-  if Hashtbl.mem t.source_nodes g0 then
-    Array.to_list t.entry_portals
-    |> List.filter_map (fun (e : portal) ->
-           Option.map (fun d -> (e, d)) (closure_dist t g0 e.g))
-  else begin
-    let exits = t.exits_by_shard.(shard0) in
-    let plan = new_plan t in
-    Array.iter (fun (x : portal) -> plan_conn plan t ~shard:shard0 ~a:local0 ~b:x.local)
-      exits;
-    run_plan t ctx plan;
-    Array.to_list t.entry_portals
-    |> List.filter_map (fun (e : portal) ->
-           let best =
-             Array.fold_left
-               (fun acc (x : portal) ->
-                 match conn_dist plan ~shard:shard0 ~a:local0 ~b:x.local with
-                 | None -> acc
-                 | Some dx -> (
-                     match closure_dist t x.g e.g with
-                     | None -> acc
-                     | Some dc -> min_opt acc (dx + dc)))
-               None exits
-           in
-           Option.map (fun d -> (e, d)) best)
-  end
-
-(* The merge's k-th candidate distance over the streams gathered so
-   far: the distance of the k-th item the merge would emit from this
-   pool (dedup and exclusion mirror {!merge_streams}), or [max_int]
-   when fewer than [k] distinct nodes exist yet. Adding streams can
-   only lower it, so it upper-bounds the final answer's k-th distance
-   at every point of the lazy fetch. *)
-let kth_candidate_dist ~k ~exclude streams =
-  if k <= 0 then -1
-  else begin
-    let sorted =
-      List.sort
-        (fun (a : P.item) (b : P.item) ->
-          if a.dist <> b.dist then Int.compare a.dist b.dist
-          else Int.compare a.node b.node)
-        (List.concat streams)
-    in
-    let seen = Hashtbl.create 64 in
-    let rec nth n = function
-      | [] -> max_int
-      | (it : P.item) :: rest ->
-          if it.node = exclude || Hashtbl.mem seen it.node then nth n rest
-          else begin
-            Hashtbl.replace seen it.node ();
-            if n = k then it.dist else nth (n + 1) rest
-          end
-    in
-    nth 1 sorted
-  end
-
-(* Fetch portal streams lazily, nearest offset first, one offset level
-   per batched wave. Stop once every unfetched stream starts strictly
-   past the current k-th candidate distance: each of its items would
-   sort after the k items the merge emits, so skipping it leaves the
-   answer byte-identical to fetching everything. [pending] pairs each
-   stream's offset with a closure that queues its probe; it must be
-   sorted ascending by offset. *)
-let fetch_streams_on_demand t ctx ~k ~exclude ~streams ~pending =
-  let pending = ref pending in
-  let rec loop () =
-    match !pending with
-    | [] -> ()
-    | (offset, _) :: _ ->
-        if offset > kth_candidate_dist ~k ~exclude !streams then ()
-        else begin
-          let plan = new_plan t in
-          let rec take = function
-            | (o, fetch) :: rest when o = offset ->
-                fetch plan;
-                take rest
-            | rest -> rest
-          in
-          pending := take !pending;
-          run_plan t ctx plan;
-          loop ()
-        end
+(* Portals nearest first (see DESIGN.md for why the portal graph's
+   distances are exact): entry portals reached from [seeds], or exit
+   portals reaching them, each with its distance, cut past [max_dist].
+   Every pop of the closure's enumerator counts as a closure lookup. *)
+let nearest t toward ~max_dist seeds =
+  let at = match toward with Portal_closure.Entries -> t.entry_at | Exits -> t.exit_at in
+  let next =
+    Portal_closure.nearest t.closure toward
+      ~on_pop:(fun () -> Atomic.incr t.closure_lookups)
+      seeds
   in
-  loop ()
+  fun () ->
+    match next () with
+    | Some (i, d) when not (over_max max_dist d) -> Option.map (fun p -> (p, d)) at.(i)
+    | Some _ | None -> None
+
+(* The forward seeds of global node [g]: itself when the portal graph
+   carries it as a source, else its shard's exit portals at their
+   within-shard distances, probed in [plan] — read the seeds once the
+   plan has run. *)
+let forward_seeds t plan ~g ~shard ~local =
+  match Hashtbl.find_opt t.source_index g with
+  | Some i -> fun () -> [ (i, 0) ]
+  | None ->
+      let exits = t.exits_by_shard.(shard) in
+      Array.iter (fun (x : portal) -> plan_conn plan t ~shard ~a:local ~b:x.local) exits;
+      fun () ->
+        Array.fold_right
+          (fun (x : portal) acc ->
+            match conn_dist plan ~shard ~a:local ~b:x.local with
+            | Some d -> (x.ci, d) :: acc
+            | None -> acc)
+          exits []
 
 (* --- stream merge ------------------------------------------------------ *)
 
 let globalize t ~shard ~offset (it : P.item) =
   { P.node = Shard_plan.global_of t.plan ~shard ~local:it.node; dist = it.dist + offset;
     meta = shard }
-
-(* One entry portal's stream: replayed from
-   the stream cache when a previous request already fetched it (the
-   probe is a pure read of the shard's index, so the replay is exactly
-   the bytes the probe would return), otherwise a pending fetch for
-   {!fetch_streams_on_demand}. A replayed stream joins the pool up
-   front, which can only lower the lazy fetch's cutoff — the merged
-   answer is unchanged either way. *)
-let entry_stream_pending t ~(e : portal) ~tag ~k ~max_dist ~d ~add =
-  let remaining = Option.map (fun m -> m - d) max_dist in
-  let key = (e.shard, e.local, tag, k, remaining) in
-  let admit items = add (List.map (globalize t ~shard:e.shard ~offset:d) items) in
-  match cache_find t t.stream_cache key with
-  | Some items ->
-      admit items;
-      None
-  | None ->
-      Some
-        ( d,
-          fun plan ->
-            plan_add plan e.shard
-              (P.Node_descendants { node = e.local; tag; k; max_dist = remaining })
-              (function
-                | Some (items, _) ->
-                    cache_store t t.stream_cache key items;
-                    admit items
-                | None -> ()) )
 
 let flags ctx =
   { Server.timed_out = Atomic.get ctx.timed_out; partial = Atomic.get ctx.partial }
@@ -530,9 +451,17 @@ let degraded ctx = Atomic.get ctx.timed_out || Atomic.get ctx.partial
    occurrence. Ties break on global node id — the key packs
    (dist, node) into one integer — so the merged bytes are a function
    of the stream multiset alone, not of the order the streams arrived
-   in. Every shard wave is over by the time the merge starts, so the
-   request's degradation flags are final. *)
-let merge_streams t ctx ~exclude streams =
+   in.
+
+   Portals open lazily, the PEE's entry-point expansion one level up:
+   [portals] yields them nearest first, and before an item at distance
+   [d] is emitted every portal at offset [<= d] is open — [open_portal]
+   pushes what it has at hand and queues the rest into one wave per
+   level, one BATCH per shard. Every item of an unopened portal lies
+   past the front, so the merged bytes are those of a merge over every
+   portal's stream. Shard waves run inside [next], so the front reads
+   the degradation flags after its last pull. *)
+let merge_streams t ctx ~exclude ~portals ~open_portal streams =
   let total = Shard_plan.total_nodes t.plan in
   let pq = PQ.create () in
   let push = function
@@ -540,8 +469,30 @@ let merge_streams t ctx ~exclude streams =
     | (it : P.item) :: rest -> PQ.insert pq ((it.dist * total) + it.node) (it, rest)
   in
   List.iter push streams;
+  let pending = ref (portals ()) in
+  let front () =
+    match PQ.peek_min pq with Some (_, ((it : P.item), _)) -> it.dist | None -> max_int
+  in
+  let rec settle () =
+    match !pending with
+    | Some (_, d) when d <= front () ->
+        let plan = new_plan t in
+        let rec open_level () =
+          match !pending with
+          | Some (p, d') when d' = d ->
+              open_portal plan ~push p d;
+              pending := portals ();
+              open_level ()
+          | Some _ | None -> ()
+        in
+        open_level ();
+        run_plan t ctx plan;
+        settle ()
+    | Some _ | None -> ()
+  in
   let seen = Hashtbl.create 64 in
   let rec next () =
+    settle ();
     match PQ.extract_min pq with
     | None -> None
     | Some (_, ((it : P.item), rest)) ->
@@ -552,105 +503,90 @@ let merge_streams t ctx ~exclude streams =
           Some it
         end
   in
-  { Server.next; flags = flags ctx }
+  { Server.next; flags = (fun () -> flags ctx) }
+
+(* Open an entry portal reached at distance [d]: the portal itself when
+   its tag matches, then its stream — replayed from the stream cache
+   when a previous request fetched it (the probe is a pure read of the
+   shard's index, so the replay is exactly the bytes the probe would
+   return), otherwise fetched in the level's wave. *)
+let open_entry t ~tag ~k ~max_dist plan ~push (e : portal) d =
+  if match tag with None -> true | Some w -> w = e.tag then
+    push [ { P.node = e.g; dist = d; meta = e.shard } ];
+  let remaining = Option.map (fun m -> m - d) max_dist in
+  let key = (e.shard, e.local, tag, k, remaining) in
+  let admit items = push (List.map (globalize t ~shard:e.shard ~offset:d) items) in
+  match cache_find t t.stream_cache key with
+  | Some items -> admit items
+  | None ->
+      plan_add plan e.shard
+        (P.Node_descendants { node = e.local; tag; k; max_dist = remaining })
+        (function
+          | Some (items, _) ->
+              cache_store t t.stream_cache key items;
+              admit items
+          | None -> ())
 
 (* --- the verbs --------------------------------------------------------- *)
 
 (* Descendants of one global node, across shards: the start's own
-   stream plus one offset stream per reachable entry portal. Every
-   portal distance is a label join, and only streams that can still
-   contribute to the top [k] are fetched at all. *)
+   stream, fetched with its exit legs in one wave, merged with one
+   offset stream per entry portal the merge reaches. *)
 let descendants_of_node t ctx ~start ~tag ~k ~max_dist =
   let shard0, local0 = Shard_plan.locate t.plan start in
   let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  let plan0 = new_plan t in
-  plan_add plan0 shard0
+  let plan = new_plan t in
+  plan_add plan shard0
     (P.Node_descendants { node = local0; tag; k; max_dist })
     (function
-      | Some (items, _) -> add (List.map (globalize t ~shard:shard0 ~offset:0) items)
+      | Some (items, _) ->
+          streams := List.map (globalize t ~shard:shard0 ~offset:0) items :: !streams
       | None -> ());
-  run_plan t ctx plan0;
-  let entries =
-    closure_entry_dists t ctx ~g0:start ~shard0 ~local0
-    |> List.filter (fun (_, d) -> not (over_max max_dist d))
-  in
-  let tag_admits name = match tag with None -> true | Some w -> w = name in
-  (* Entry portals are results themselves when their tag matches: the
-     per-entry stream excludes its own start. *)
-  List.iter
-    (fun ((e : portal), d) ->
-      if tag_admits e.tag then add [ { P.node = e.g; dist = d; meta = e.shard } ])
-    entries;
-  let pending =
-    entries
-    |> List.sort (fun ((e1 : portal), d1) ((e2 : portal), d2) ->
-           if d1 <> d2 then Int.compare d1 d2 else Int.compare e1.g e2.g)
-    |> List.filter_map (fun ((e : portal), d) ->
-           entry_stream_pending t ~e ~tag ~k ~max_dist ~d ~add)
-  in
-  fetch_streams_on_demand t ctx ~k ~exclude:start ~streams ~pending;
+  let seeds = forward_seeds t plan ~g:start ~shard:shard0 ~local:local0 in
+  run_plan t ctx plan;
   merge_streams t ctx ~exclude:start !streams
+    ~portals:(nearest t Entries ~max_dist (seeds ()))
+    ~open_portal:(open_entry t ~tag ~k ~max_dist)
 
 (* Ancestors: rdist(x), the distance from exit portal [x] down to
    [node], decomposes as the closure leg from [x] to some entry portal
    of [node]'s shard plus that entry's within-shard distance down to
    [node]. Only the latter probes, one conn batch on [node]'s own
-   shard. Anchors cannot help here: the portal graph has no edges into
-   a doc root. *)
+   shard; the exits then come nearest first, and each opens its
+   ancestors-or-self stream, which reports [x] itself at distance 0.
+   Anchors cannot help here: the portal graph has no edges into a doc
+   root. *)
 let ancestors_of_node t ctx ~node ~tag ~k ~max_dist =
   let shard0, local0 = Shard_plan.locate t.plan node in
   let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  let plan0 = new_plan t in
-  plan_add plan0 shard0
+  let plan = new_plan t in
+  plan_add plan shard0
     (P.Ancestors { node = local0; tag; k; max_dist })
     (function
-      | Some (items, _) -> add (List.map (globalize t ~shard:shard0 ~offset:0) items)
+      | Some (items, _) ->
+          streams := List.map (globalize t ~shard:shard0 ~offset:0) items :: !streams
       | None -> ());
-  Array.iter
-    (fun (e : portal) -> plan_conn plan0 t ~shard:shard0 ~a:e.local ~b:local0)
-    t.entries_by_shard.(shard0);
-  run_plan t ctx plan0;
-  let rdists =
-    Array.to_list t.exit_portals
-    |> List.filter_map (fun (x : portal) ->
-           let best =
-             Array.fold_left
-               (fun acc (e : portal) ->
-                 match conn_dist plan0 ~shard:shard0 ~a:e.local ~b:local0 with
-                 | None -> acc
-                 | Some de -> (
-                     match closure_dist t x.g e.g with
-                     | None -> acc
-                     | Some dc -> min_opt acc (dc + de)))
-               None t.entries_by_shard.(shard0)
-           in
-           match best with
-           | Some d when not (over_max max_dist d) -> Some (x, d)
-           | _ -> None)
+  let entries = t.entries_by_shard.(shard0) in
+  Array.iter (fun (e : portal) -> plan_conn plan t ~shard:shard0 ~a:e.local ~b:local0) entries;
+  run_plan t ctx plan;
+  let seeds =
+    Array.fold_right
+      (fun (e : portal) acc ->
+        match conn_dist plan ~shard:shard0 ~a:e.local ~b:local0 with
+        | Some d -> (e.ci, d) :: acc
+        | None -> acc)
+      entries []
   in
-  (* No separate portal emission: the ancestors-or-self stream from [x]
-     reports [x] itself at distance 0. *)
-  let pending =
-    rdists
-    |> List.sort (fun ((x1 : portal), d1) ((x2 : portal), d2) ->
-           if d1 <> d2 then Int.compare d1 d2 else Int.compare x1.g x2.g)
-    |> List.map (fun ((x : portal), d) ->
-           let remaining = Option.map (fun m -> m - d) max_dist in
-           ( d,
-             fun plan ->
-               plan_add plan x.shard
-                 (P.Ancestors { node = x.local; tag; k; max_dist = remaining })
-                 (function
-                   | Some (items, _) ->
-                       add (List.map (globalize t ~shard:x.shard ~offset:d) items)
-                   | None -> ()) ))
-  in
-  fetch_streams_on_demand t ctx ~k ~exclude:(-1) ~streams ~pending;
   merge_streams t ctx ~exclude:(-1) !streams
+    ~portals:(nearest t Exits ~max_dist seeds)
+    ~open_portal:(fun plan ~push (x : portal) d ->
+      plan_add plan x.shard
+        (P.Ancestors { node = x.local; tag; k; max_dist = Option.map (fun m -> m - d) max_dist })
+        (function
+          | Some (items, _) -> push (List.map (globalize t ~shard:x.shard ~offset:d) items)
+          | None -> ()))
 
-let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add =
+let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist =
   (* Phase 1: every shard answers over its own sub-collection, in
      parallel. Per-shard top-k by shard distance covers the global
      top-k: any node ranked above a global winner within its shard is
@@ -666,22 +602,21 @@ let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add =
           ())
   in
   List.iter Thread.join threads;
-  Array.iteri
-    (fun s result ->
-      match result with
-      | Some (items, _) -> add (List.map (globalize t ~shard:s ~offset:0) items)
-      | None -> ())
-    phase1
+  List.concat
+    (List.mapi
+       (fun s result ->
+         match result with
+         | Some (items, _) -> [ List.map (globalize t ~shard:s ~offset:0) items ]
+         | None -> [])
+       (Array.to_list phase1))
 
 (* EVALUATE: phase 1 per shard, then phase 2 for cross-shard reach.
    Phase 2 seeds every entry portal from its links' sources (nearest
    start-tag node above each, probed in one wave and cached across
-   requests) and reaches the other entry portals by label joins from
-   the seeded ones. *)
+   requests) and reaches the other entry portals nearest first from the
+   seeded ones. *)
 let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist =
-  let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add;
+  let streams = evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist in
   let seed_plan = new_plan t in
   Array.iter
     (fun l -> plan_start seed_plan t ~shard:l.src_shard ~node:l.src_local ~tag:start_tag)
@@ -693,85 +628,56 @@ let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist =
       match start_dist seed_plan ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
       | Some d0 -> (
           let d = d0 + 1 in
-          match Hashtbl.find_opt seed_d l.dst with
+          match Hashtbl.find_opt seed_d l.dst_ci with
           | Some d' when d' <= d -> ()
-          | _ -> Hashtbl.replace seed_d l.dst d)
+          | _ -> Hashtbl.replace seed_d l.dst_ci d)
       | None -> ())
     t.links;
-  let entries =
-    Array.to_list t.entry_portals
-    |> List.filter_map (fun (e : portal) ->
-           let best =
-             Hashtbl.fold
-               (fun g d0 acc ->
-                 match closure_dist t g e.g with
-                 | None -> acc
-                 | Some dc -> min_opt acc (d0 + dc))
-               seed_d None
-           in
-           match best with
-           | Some d when not (over_max max_dist d) -> Some (e, d)
-           | _ -> None)
-  in
-  List.iter
-    (fun ((e : portal), d) ->
-      if e.tag = target_tag then add [ { P.node = e.g; dist = d; meta = e.shard } ])
-    entries;
-  let pending =
-    entries
-    |> List.sort (fun ((e1 : portal), d1) ((e2 : portal), d2) ->
-           if d1 <> d2 then Int.compare d1 d2 else Int.compare e1.g e2.g)
-    |> List.filter_map (fun ((e : portal), d) ->
-           entry_stream_pending t ~e ~tag:(Some target_tag) ~k ~max_dist ~d ~add)
-  in
-  fetch_streams_on_demand t ctx ~k ~exclude:(-1) ~streams ~pending;
-  merge_streams t ctx ~exclude:(-1) !streams
+  let tag = Some target_tag in
+  merge_streams t ctx ~exclude:(-1) streams
+    ~portals:(nearest t Entries ~max_dist (Hashtbl.fold (fun i d acc -> (i, d) :: acc) seed_d []))
+    ~open_portal:(open_entry t ~tag ~k ~max_dist)
 
 (* CONNECTED: one conn batch (the same-shard direct probe, [a]'s exit
    legs unless anchored, and the final legs from [b]'s entry portals
-   down to [b]), then label joins in between. *)
+   down to [b]), then entry portals nearest first until the next one
+   is no nearer than the best path found or every final leg's portal
+   has been reached. Past [max_dist] every path answers NODIST, so the
+   walk stops there too — unless the request degraded, where only a
+   path found (however long) keeps it from answering PARTIAL. *)
 let connected t ctx ~a ~b ~max_dist =
   let shard_a, local_a = Shard_plan.locate t.plan a in
   let shard_b, local_b = Shard_plan.locate t.plan b in
-  let anchored = Hashtbl.mem t.source_nodes a in
-  let plan0 = new_plan t in
-  if shard_a = shard_b then plan_conn plan0 t ~shard:shard_a ~a:local_a ~b:local_b;
-  if not anchored then
-    Array.iter
-      (fun (x : portal) -> plan_conn plan0 t ~shard:shard_a ~a:local_a ~b:x.local)
-      t.exits_by_shard.(shard_a);
-  Array.iter
-    (fun (e : portal) -> plan_conn plan0 t ~shard:shard_b ~a:e.local ~b:local_b)
-    t.entries_by_shard.(shard_b);
-  run_plan t ctx plan0;
-  let best = ref None in
-  let consider = function
-    | None -> ()
-    | Some d -> ( match !best with Some d' when d' <= d -> () | _ -> best := Some d)
-  in
-  if shard_a = shard_b then consider (conn_dist plan0 ~shard:shard_a ~a:local_a ~b:local_b);
-  let dist_to_entry (e : portal) =
-    if anchored then closure_dist t a e.g
-    else
-      Array.fold_left
-        (fun acc (x : portal) ->
-          match conn_dist plan0 ~shard:shard_a ~a:local_a ~b:x.local with
-          | None -> acc
-          | Some dx -> (
-              match closure_dist t x.g e.g with
-              | None -> acc
-              | Some dc -> min_opt acc (dx + dc)))
-        None t.exits_by_shard.(shard_a)
-  in
+  let plan = new_plan t in
+  if shard_a = shard_b then plan_conn plan t ~shard:shard_a ~a:local_a ~b:local_b;
+  let seeds = forward_seeds t plan ~g:a ~shard:shard_a ~local:local_a in
+  let entries = t.entries_by_shard.(shard_b) in
+  Array.iter (fun (e : portal) -> plan_conn plan t ~shard:shard_b ~a:e.local ~b:local_b) entries;
+  run_plan t ctx plan;
+  let legs = Hashtbl.create 16 in
   Array.iter
     (fun (e : portal) ->
-      match dist_to_entry e with
-      | None -> ()
-      | Some d -> (
-          match conn_dist plan0 ~shard:shard_b ~a:e.local ~b:local_b with
-          | None -> ()
-          | Some de -> consider (Some (d + de))))
-    t.entries_by_shard.(shard_b);
+      Option.iter (Hashtbl.replace legs e.ci) (conn_dist plan ~shard:shard_b ~a:e.local ~b:local_b))
+    entries;
+  let best =
+    ref (if shard_a = shard_b then conn_dist plan ~shard:shard_a ~a:local_a ~b:local_b else None)
+  in
+  let beats d = match !best with Some b -> d < b | None -> true in
+  let next =
+    nearest t Entries ~max_dist:(if degraded ctx then None else max_dist) (seeds ())
+  in
+  let rec walk left =
+    if left > 0 then
+      match next () with
+      | Some ((e : portal), d) when beats d -> (
+          match Hashtbl.find_opt legs e.ci with
+          | Some de ->
+              if beats (d + de) then best := Some (d + de);
+              walk (left - 1)
+          | None -> walk left)
+      | Some _ | None -> ()
+  in
+  walk (Hashtbl.length legs);
   match !best with
   | Some d when not (over_max max_dist d) -> Ok (Some d)
   | Some _ -> Ok None
@@ -812,7 +718,7 @@ let stats_lines t =
          start stream);
       Printf.sprintf "probe rpcs: %d round trips carrying %d sub-requests"
         (probe_rpcs_total t) (probe_subs_total t);
-      Printf.sprintf "%s; %d lookups"
+      Printf.sprintf "%s; %d enumerator pops"
         (Portal_closure.describe t.closure)
         (Atomic.get t.closure_lookups);
     ]
@@ -882,7 +788,7 @@ let metric_lines t () =
       Printf.sprintf "flix_shard_probe_batch_size_count %d" (Atomic.get t.batch_count);
     ]
   @ [
-    "# HELP flix_coord_closure_lookups_total Portal-closure label joins.";
+    "# HELP flix_coord_closure_lookups_total Portal-closure enumerator pops.";
     "# TYPE flix_coord_closure_lookups_total counter";
     Printf.sprintf "flix_coord_closure_lookups_total %d" (Atomic.get t.closure_lookups);
     "# HELP flix_closure_build_seconds Build wall time of the loaded portal closure.";

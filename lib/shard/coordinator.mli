@@ -16,31 +16,34 @@
     (weight 1), and the manifest knows every such link. The link
     endpoints — {e portals} — and the document roots form the portal
     graph, and the {!Portal_closure} loaded with the plan holds its
-    exact distances as 2-hop labels. Every portal-to-portal distance is
-    therefore one in-memory label join; shards are only asked for the
+    exact distances as 2-hop labels, inverted at load so that
+    {!Portal_closure.nearest} enumerates the portals reachable from a
+    set of seeds nearest first. Shards are only asked for the
     within-shard legs at either end ([CONNECTED], nearest-start
     [ANCESTORS]) and for result streams ([NDESCENDANTS], [ANCESTORS]):
 
     - [EVALUATE]: phase 1 fans the query to every shard in parallel
       (per-shard top-[k] by shard distance covers the global top-[k]);
       phase 2 seeds entry portals from per-link [ANCESTORS] probes
-      (nearest start-tag node above each link source), joins the seeds
-      to every other entry portal, and merges an offset [NDESCENDANTS]
-      stream per reached entry.
-    - [DESCENDANTS]/[NDESCENDANTS]: the same joins from the one
+      (nearest start-tag node above each link source), enumerates the
+      entry portals nearest first from the seeds, and merges an offset
+      [NDESCENDANTS] stream per reached entry.
+    - [DESCENDANTS]/[NDESCENDANTS]: the same enumeration from the one
       resolved start node — with no probe at all when the start is a
-      document root or portal. [ANCESTORS] joins exit portals to the
-      node's shard and merges their [ANCESTORS] streams. [CONNECTED]
-      joins [a]'s exit legs to [b]'s entry legs.
+      document root or portal. [ANCESTORS] enumerates exit portals
+      backward from the node's shard and merges their [ANCESTORS]
+      streams. [CONNECTED] enumerates entry portals from [a]'s exit
+      legs until none can beat the best path through [b]'s entry legs.
 
-    Portal streams are fetched lazily, nearest first, stopping once the
-    remaining streams start past the merge's k-th candidate distance,
-    and each one is cached for later requests. Each round of probes
-    goes out as one pipelined [BATCH] per shard; round trips and the
-    batch-size distribution are exported as
-    [flix_shard_probe_rpcs_total] / [flix_shard_probe_subs_total] /
-    [flix_shard_probe_batch_size], label joins as
-    [flix_coord_closure_lookups_total].
+    The merge opens portals lazily: before it emits an item at distance
+    [d] it opens every portal at offset [<= d] — its own item, its
+    stream replayed from a cache shared by every request, or fetched
+    in that level's wave — so a top-[k] request reads only the portals
+    nearer than its [k]-th answer. Each round of probes goes out as
+    one pipelined [BATCH] per shard; round trips and the batch-size
+    distribution are exported as [flix_shard_probe_rpcs_total] /
+    [flix_shard_probe_subs_total] / [flix_shard_probe_batch_size],
+    enumerator pops as [flix_coord_closure_lookups_total].
 
     All result streams are k-way-merged by distance with
     {!Fx_graph.Priority_queue}, deduplicating nodes on first (nearest)
@@ -67,10 +70,12 @@ val create :
   shards:(string * int) list ->
   unit ->
   t
-(** [shards] lists one [host, port] per plan shard, in shard order, and
+(** [shards] lists one [host, port] per plan shard, in shard order
+    (a host name is resolved once, here), and
     [closure] is the portal closure built for [plan] (the pair
     {!Portal_closure.load_manifest} returns). Raises [Invalid_argument]
-    when the shard count does not match the plan, or when
+    when the shard count does not match the plan, when a host does not
+    resolve, or when
     {!Portal_closure.matches} fails — a closure built for another plan
     would join wrong distances, so it is refused, never used. Probe
     results ([CONNECTED] distances, nearest-start [ANCESTORS], portal
@@ -80,8 +85,8 @@ val create :
     waves, so a reset never changes an answer. *)
 
 val closure_lookups_total : t -> int
-(** Closure label joins performed — the number behind
-    [flix_coord_closure_lookups_total]. *)
+(** Portal-closure enumerator pops (see {!Portal_closure.nearest}) —
+    the number behind [flix_coord_closure_lookups_total]. *)
 
 val backend : t -> Fx_server.Server.backend
 (** Serve with [Server.start_backend (Coordinator.backend t)]. Its

@@ -1,43 +1,37 @@
 module Codec = Fx_util.Codec
 module Two_hop = Fx_index.Two_hop
 module Stopwatch = Fx_util.Stopwatch
+module PQ = Fx_graph.Priority_queue
 
 (* The portal closure: an exact distance oracle over the shard plan's
    portal graph, built at shard-plan time and shipped in the manifest.
-   Any portal-to-portal (or anchor-to-portal) distance is then one
-   2-hop label join at the coordinator instead of a cascade of probe
-   RPCs. The oracle is stamped with the plan digest ([epoch]) so a
-   closure can never be joined against a plan it was not built for. *)
+   Portal-to-portal (and anchor-to-portal) distances are then read
+   from the 2-hop labels at the coordinator, nearest first, instead of
+   from a cascade of probe RPCs. The oracle is stamped with the plan
+   digest ([epoch]) so a closure can never be joined against a plan it
+   was not built for. *)
+
+(* One inverted label side over the targets of one direction: for every
+   hub rank [h], the targets whose label holds [h], packed as
+   [d * n + target] and sorted ascending — so by (distance, index). *)
+type inverted = { heads : int array; packed : int array }
 
 type t = {
   epoch : int;
   build_us : int;
   nodes : int array;  (* sorted global ids: the portal graph's nodes *)
   labels : Two_hop.t;  (* over node indexes *)
+  is_entry : bool array;  (* link targets, by node index *)
+  is_exit : bool array;  (* link sources, by node index *)
+  to_entries : inverted;  (* hub -> (d, entry portal), from the in-labels *)
+  to_exits : inverted;  (* hub -> (d, exit portal), from the out-labels *)
 }
 
-let build ~plan ~local_dist =
-  let sw = Stopwatch.start () in
-  let g = Portal_graph.build ~plan ~local_dist in
-  let labels = Two_hop.build_weighted ~n:(Portal_graph.n_nodes g) (Portal_graph.edges g) in
-  {
-    epoch = Shard_plan.digest plan;
-    build_us = Int64.to_int (Int64.div (Stopwatch.elapsed_ns sw) 1_000L);
-    nodes = Portal_graph.nodes g;
-    labels;
-  }
-
-let epoch t = t.epoch
-let build_seconds t = float_of_int t.build_us /. 1e6
-let n_nodes t = Array.length t.nodes
-let label_entries t = Two_hop.entries t.labels
-let matches t plan = t.epoch = Shard_plan.digest plan
-
-let index_of t g =
-  let lo = ref 0 and hi = ref (Array.length t.nodes - 1) and found = ref (-1) in
+let index_of nodes g =
+  let lo = ref 0 and hi = ref (Array.length nodes - 1) and found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let v = t.nodes.(mid) in
+    let v = nodes.(mid) in
     if v = g then begin
       found := mid;
       lo := !hi + 1
@@ -47,10 +41,126 @@ let index_of t g =
   done;
   if !found < 0 then None else Some !found
 
+(* Counting sort of the targets' label entries by hub, then a sort of
+   each hub's run. *)
+let invert labels side is_target =
+  let n = Array.length is_target in
+  let heads = Array.make (n + 1) 0 in
+  let each f =
+    Array.iteri (fun v target -> if target then Two_hop.iter_label labels side v (f v)) is_target
+  in
+  each (fun _ h _ -> heads.(h + 1) <- heads.(h + 1) + 1);
+  for h = 1 to n do
+    heads.(h) <- heads.(h) + heads.(h - 1)
+  done;
+  let packed = Array.make heads.(n) 0 in
+  let fill = Array.sub heads 0 n in
+  each (fun v h d ->
+      packed.(fill.(h)) <- (d * n) + v;
+      fill.(h) <- fill.(h) + 1);
+  for h = 0 to n - 1 do
+    let run = Array.sub packed heads.(h) (heads.(h + 1) - heads.(h)) in
+    Array.sort Int.compare run;
+    Array.blit run 0 packed heads.(h) (Array.length run)
+  done;
+  { heads; packed }
+
+(* Invert the labels once, at build or load: the plan's link targets
+   are the entry portals and its link sources the exit portals. *)
+let make ~plan ~epoch ~build_us ~nodes ~labels =
+  let n = Array.length nodes in
+  let is_entry = Array.make n false and is_exit = Array.make n false in
+  let mark set g = Option.iter (fun i -> set.(i) <- true) (index_of nodes g) in
+  Array.iter
+    (fun (l : Shard_plan.cross_link) ->
+      mark is_entry l.dst;
+      mark is_exit l.src)
+    (Shard_plan.cross_links plan);
+  {
+    epoch;
+    build_us;
+    nodes;
+    labels;
+    is_entry;
+    is_exit;
+    to_entries = invert labels Two_hop.In is_entry;
+    to_exits = invert labels Two_hop.Out is_exit;
+  }
+
+let build ~plan ~local_dist =
+  let sw = Stopwatch.start () in
+  let g = Portal_graph.build ~plan ~local_dist in
+  let labels = Two_hop.build_weighted ~n:(Portal_graph.n_nodes g) (Portal_graph.edges g) in
+  make ~plan ~epoch:(Shard_plan.digest plan)
+    ~build_us:(Int64.to_int (Int64.div (Stopwatch.elapsed_ns sw) 1_000L))
+    ~nodes:(Portal_graph.nodes g) ~labels
+
+let epoch t = t.epoch
+let build_seconds t = float_of_int t.build_us /. 1e6
+let n_nodes t = Array.length t.nodes
+let label_entries t = Two_hop.entries t.labels
+let matches t plan = t.epoch = Shard_plan.digest plan
+let index t g = index_of t.nodes g
+let node t i = t.nodes.(i)
+
 let distance t a b =
-  match (index_of t a, index_of t b) with
+  match (index t a, index t b) with
   | Some i, Some j -> Two_hop.distance t.labels i j
   | _ -> None
+
+(* --- nearest-first enumeration ------------------------------------------ *)
+
+type toward = Entries | Exits
+
+(* A walk down one hub's inverted run from [base], the nearest seed's
+   offset plus its label distance to the hub. A seed that is itself a
+   target is an empty run ([pos = stop]) pushed at its offset. *)
+type cursor = { base : int; mutable pos : int; stop : int }
+
+(* A k-way merge over the seeds' hubs: each hub's run ascends, so the
+   queue pops candidates in ascending [offset + d(seed, hub) + d(hub,
+   target)], and a target's first pop is its exact distance — the
+   min-plus join {!distance} computes, over every seed at once. Only
+   the nearest seed of a hub can win through it, so each hub is walked
+   once, from that seed's base. *)
+let nearest t toward ?(on_pop = ignore) seeds =
+  let n = n_nodes t in
+  let inv, side, is_target =
+    match toward with
+    | Entries -> (t.to_entries, Two_hop.Out, t.is_entry)
+    | Exits -> (t.to_exits, Two_hop.In, t.is_exit)
+  in
+  let pq = PQ.create () in
+  let hubs = Hashtbl.create 64 in
+  List.iter
+    (fun (v, offset) ->
+      if is_target.(v) then
+        PQ.insert pq ((offset * n) + v) { base = offset; pos = 0; stop = 0 };
+      Two_hop.iter_label t.labels side v (fun h d ->
+          match Hashtbl.find_opt hubs h with
+          | Some base when base <= offset + d -> ()
+          | Some _ | None -> Hashtbl.replace hubs h (offset + d)))
+    seeds;
+  let push c = if c.pos < c.stop then PQ.insert pq ((c.base * n) + inv.packed.(c.pos)) c in
+  Hashtbl.iter
+    (fun h base -> push { base; pos = inv.heads.(h); stop = inv.heads.(h + 1) })
+    hubs;
+  let seen = Hashtbl.create 16 in
+  let rec next () =
+    match PQ.extract_min pq with
+    | None -> None
+    | Some (key, c) ->
+        on_pop ();
+        c.pos <- c.pos + 1;
+        push c;
+        let v = key mod n in
+        if Hashtbl.mem seen v then next ()
+        else begin
+          Hashtbl.replace seen v ();
+          Some (v, key / n)
+        end
+  in
+  next
 
 let describe t =
   Printf.sprintf "portal closure: %d nodes, %d label entries, built in %.3f s"
@@ -77,7 +187,8 @@ let save_manifest ~path ~plan c =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (Codec.Writer.contents w))
 
-let read_closure r ~total_nodes =
+let read_closure r ~plan =
+  let total_nodes = Shard_plan.total_nodes plan in
   match Codec.Reader.int r with
   | 0 -> corrupt "manifest has no portal closure; rebuild with --build-shards"
   | 1 ->
@@ -97,7 +208,7 @@ let read_closure r ~total_nodes =
       if Two_hop.n_nodes labels <> Array.length nodes then
         corrupt "manifest: closure labels cover %d nodes, table has %d"
           (Two_hop.n_nodes labels) (Array.length nodes);
-      { epoch; build_us; nodes; labels }
+      make ~plan ~epoch ~build_us ~nodes ~labels
   | flag -> corrupt "manifest: bad closure flag %d" flag
 
 let load_manifest path =
@@ -114,6 +225,6 @@ let load_manifest path =
       path manifest_magic;
   let r = Codec.Reader.create ~magic:manifest_magic body in
   let plan = Shard_plan.read_body r in
-  let closure = read_closure r ~total_nodes:(Shard_plan.total_nodes plan) in
+  let closure = read_closure r ~plan in
   Codec.Reader.expect_end r;
   (plan, closure)

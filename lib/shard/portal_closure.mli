@@ -2,8 +2,9 @@
     {!Portal_graph}, built on the weighted 2-hop labels of
     {!Fx_index.Two_hop.build_weighted} at shard-plan time.
 
-    The coordinator answers every cross-shard portal distance with one
-    in-memory label join. The labels hold exact global distances:
+    The coordinator reads cross-shard portal distances from it in
+    memory, nearest first ({!nearest}). The labels hold exact global
+    distances:
     every inter-shard path decomposes into within-shard segments joined
     by unit-weight cross links, which is exactly the weighted portal
     graph the labels compress (see DESIGN.md). Document roots are in
@@ -29,6 +30,35 @@ val build :
 val distance : t -> int -> int -> int option
 (** Exact global distance between two oracle nodes (global ids), [None]
     when unreachable or when either id is not in the oracle. *)
+
+val index : t -> int -> int option
+(** The oracle's node index of a global id, [None] when the id is not
+    a portal or document root. *)
+
+val node : t -> int -> int
+(** The global id at a node index. *)
+
+(** {1 Nearest-first enumeration}
+
+    When a closure is built or loaded, its labels are inverted once:
+    every hub maps to the entry portals (link targets) whose in-label
+    holds it and to the exit portals (link sources) whose out-label
+    does, each list sorted by distance. *)
+
+type toward =
+  | Entries  (** forward: seeds' out-labels against entry portals' in-labels *)
+  | Exits  (** backward: seeds' in-labels against exit portals' out-labels *)
+
+val nearest :
+  t -> toward -> ?on_pop:(unit -> unit) -> (int * int) list -> unit -> (int * int) option
+(** [nearest t toward seeds] enumerates the target portals of [toward]
+    reachable from (for [Entries]) or reaching (for [Exits]) any seed
+    [(index, offset)], as [(index, d)] pairs in ascending exact
+    distance [d = min (offset + distance)] over the seeds — one
+    priority-queue merge over the seeds' label hubs, each target
+    reported once, at its first pop. A seed that is itself a target is
+    reported at its own offset, as [distance x x = 0]. [on_pop] runs once
+    per queue pop, duplicates included. *)
 
 val epoch : t -> int
 (** The {!Shard_plan.digest} of the plan this closure was built for. *)

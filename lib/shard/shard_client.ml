@@ -4,7 +4,8 @@ module Stopwatch = Fx_util.Stopwatch
 
 type t = {
   id : int;
-  host : string;
+  host : string;  (* as given, for [address] *)
+  ip : string;  (* [host] resolved once, at create *)
   port : int;
   retries : int;
   backoff_ms : float;
@@ -25,12 +26,21 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
+(* The first IPv4 address of [host], numeric: connections open on
+   PF_INET sockets. *)
+let resolve host port =
+  let hints = [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ] in
+  match Unix.getaddrinfo host (string_of_int port) hints with
+  | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> Unix.string_of_inet_addr addr
+  | _ -> invalid_arg (Printf.sprintf "Shard_client.create: cannot resolve host %S" host)
+
 let create ?(retries = 2) ?(backoff_ms = 25.0) ?(recv_slack_s = 0.25) ?(max_batch = 512)
     ~id ~host ~port () =
   if max_batch < 1 then invalid_arg "Shard_client.create: max_batch must be positive";
   {
     id;
     host;
+    ip = resolve host port;
     port;
     retries;
     backoff_ms;
@@ -61,10 +71,14 @@ let borrow t =
   with
   | Some c -> Ok c
   | None -> (
-      match Client.connect ~host:t.host ~port:t.port () with
+      (* Any connect failure is a transport failure: the call retries
+         and the coordinator degrades the answer, never fails it. *)
+      match Client.connect ~host:t.ip ~port:t.port () with
       | c -> Ok c
       | exception Unix.Unix_error (err, _, _) ->
-          Error (Printf.sprintf "connect %s: %s" (address t) (Unix.error_message err)))
+          Error (Printf.sprintf "connect %s: %s" (address t) (Unix.error_message err))
+      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+      | exception e -> Error (Printf.sprintf "connect %s: %s" (address t) (Printexc.to_string e)))
 
 let give_back t c =
   let keep =

@@ -30,14 +30,16 @@ val create :
   port:int ->
   unit ->
   t
-(** Does not connect; the first {!call} does. [retries] (default 2) is
+(** Resolves [host] once (IPv4, [Unix.getaddrinfo]) but does not
+    connect; the first {!call} does. [retries] (default 2) is
     the number of extra attempts after a transport failure;
     [backoff_ms] (default 25) the first retry delay, doubling per
     attempt; [recv_slack_s] (default 0.25) the grace added to the
     deadline budget before a read times out. [max_batch] (default 512)
     caps the sub-requests per {!call_many} round trip; it must stay at
     or below the server's own [max_batch] or oversized waves are
-    rejected whole. Raises [Invalid_argument] when [max_batch < 1]. *)
+    rejected whole. Raises [Invalid_argument] when [max_batch < 1] or
+    when [host] does not resolve. *)
 
 val id : t -> int
 val address : t -> string

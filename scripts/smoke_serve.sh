@@ -234,8 +234,10 @@ S1_PID=$!
 EXTRA_PIDS="$S0_PID $S1_PID"
 PORT=$SPORT0 wait_port || { cat "$EXTRA_DIR/s0.log" >&2; fail "shard 0 did not come up"; }
 PORT=$SPORT1 wait_port || { cat "$EXTRA_DIR/s1.log" >&2; fail "shard 1 did not come up"; }
+# Shard 0 by host name: resolved once at boot, and every query, the
+# RELOAD sweep and the dead-shard checks below run through it.
 "$BIN" --coordinator --index-dir "$EXTRA_DIR" --coord-cache 64 \
-  --shard "127.0.0.1:$SPORT0" --shard "127.0.0.1:$SPORT1" \
+  --shard "localhost:$SPORT0" --shard "127.0.0.1:$SPORT1" \
   --port "$PORT" >"$EXTRA_DIR/coord.log" 2>&1 &
 SRV_PID=$!
 wait_port || { cat "$EXTRA_DIR/coord.log" >&2; fail "coordinator did not come up"; }
@@ -262,12 +264,12 @@ hits=$(ask METRICS | awk '/^flix_eval_cache_hits_total / { print $2 }')
 [ "${hits:-0}" -gt 0 ] || fail "coordinator answer cache never hit (hits=${hits:-0})"
 echo "coordinator answer cache hits=$hits"
 
-echo "== portal closure: label joins answer portal distances =="
+echo "== portal closure: nearest-first enumeration answers portal distances =="
 grep -q "portal closure:" "$EXTRA_DIR/coord.log" || fail "coordinator boot log says nothing about the closure"
 lookups=$(ask METRICS | awk '/^flix_coord_closure_lookups_total / { print $2 }')
 [ "${lookups:-0}" -gt 0 ] || fail "closure never consulted (lookups=${lookups:-0})"
 ask METRICS | grep -q "^flix_closure_label_entries" || fail "closure label gauge missing"
-echo "closure lookups=$lookups"
+echo "closure enumerator pops=$lookups"
 
 echo "== coordinator RELOAD: shard-by-shard sweep, single swap =="
 # After the probe/cache counters above: the swap replaces the

@@ -733,7 +733,9 @@ let coordinator_reload_rollback () =
           ~deadline_ns:(Int64.add (Fx_util.Stopwatch.now_ns ()) 2_000_000_000L)
           ~start_tag:"article" ~target_tag:"author" ~k:3 ~max_dist:None
       in
-      match stream.flags with
+      let rec drain () = if Option.is_some (stream.next ()) then drain () in
+      drain ();
+      match stream.flags () with
       | { timed_out = false; partial = false } -> ()
       | { timed_out; partial } ->
           Alcotest.failf "old coordinator degraded after failed reload: timed_out=%b partial=%b"

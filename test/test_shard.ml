@@ -552,6 +552,10 @@ let dead_shard_no_cache_poison () =
 
 (* --- the closure against ground truth --------------------------------- *)
 
+let lines_of = function
+  | Ok resp -> String.concat "|" (P.response_lines resp)
+  | Error e -> "transport error: " ^ e
+
 (* Boot a coordinator over disk shards next to one unsharded disk server
    over the whole collection: both report exact distances, so the
    unsharded server is the ground truth for every coordinator answer. *)
@@ -809,6 +813,24 @@ let closure_three_shards () =
           P.Evaluate { start_tag = "article"; target_tag = "author"; k = 10_000; max_dist = None };
           P.Evaluate
             { start_tag = "inproceedings"; target_tag = "cite"; k = 10_000; max_dist = None };
+          (* Top-k cuts, small max_dist, and targets that are document
+             roots — entry portals, emitted as items of their own at
+             tied distances — so the lazy merge stops inside a tie. *)
+          P.Descendants
+            { doc = Dblp.doc_name 2; anchor = None; tag = None; k = 1; max_dist = None };
+          P.Descendants
+            { doc = Dblp.doc_name 5; anchor = None; tag = Some "article"; k = 3; max_dist = Some 4 };
+          P.Node_descendants
+            { node = roots.(Array.length roots - 1); tag = Some "inproceedings"; k = 2;
+              max_dist = Some 3 };
+          P.Node_descendants { node = links.(1).src; tag = None; k = 1; max_dist = Some 2 };
+          P.Ancestors { node = (n - 1); tag = None; k = 1; max_dist = None };
+          P.Ancestors { node = links.(0).dst; tag = Some "article"; k = 2; max_dist = Some 3 };
+          P.Ancestors { node = 55 mod n; tag = None; k = 4; max_dist = Some 2 };
+          P.Evaluate { start_tag = "inproceedings"; target_tag = "article"; k = 1; max_dist = None };
+          P.Evaluate { start_tag = "article"; target_tag = "article"; k = 3; max_dist = Some 2 };
+          P.Evaluate
+            { start_tag = "inproceedings"; target_tag = "inproceedings"; k = 5; max_dist = Some 5 };
         ]
       in
       List.iter (check_top_k ~cc ~sc) streams;
@@ -819,14 +841,180 @@ let closure_three_shards () =
         @ List.init 16 (fun i -> ((i * 239) mod n, (i * 467) mod n))
       in
       List.iter (check_connected ~cc ~sc) pairs;
+      (* The same pairs under a small max_dist: NODIST past it. *)
+      List.iter
+        (fun (a, b) ->
+          let req = P.Connected { a; b; max_dist = Some 3 } in
+          Alcotest.(check string)
+            (P.request_line req)
+            (lines_of (Client.request sc req))
+            (lines_of (Client.request cc req)))
+        pairs;
       Alcotest.(check bool) "label joins happened" true
         (Coordinator.closure_lookups_total coord > 0))
 
-(* --- one front over every backend --------------------------------------- *)
+(* --- nearest-first enumeration ------------------------------------------ *)
 
-let lines_of = function
-  | Ok resp -> String.concat "|" (P.response_lines resp)
-  | Error e -> "transport error: " ^ e
+(* [Closure.nearest] against pairwise [Closure.distance] joins, both
+   directions, on random 2- and 3-shard plans: for single and multiple
+   seeds at random offsets, including seeds that are targets
+   themselves, the enumeration must report exactly the reachable
+   targets, each once, at its best seed-plus-distance, ascending. *)
+let enumerator_matches_pairwise =
+  let arb =
+    QCheck.make
+      ~print:(fun (shards, docs, seed) ->
+        Printf.sprintf "shards=%d docs=%d seed=%d" shards docs seed)
+      QCheck.Gen.(triple (int_range 2 3) (int_range 24 60) (int_bound 100_000))
+  in
+  Helpers.qtest ~count:10 "nearest-first enumeration = pairwise joins" arb
+    (fun (n_shards, n_docs, seed) ->
+      let coll = Dblp.collection { Dblp.default with n_docs; seed } in
+      let plan = Plan.plan ~n_shards coll in
+      let colls = Plan.shard_documents plan coll |> Array.map C.build in
+      let closure = Helpers.closure_of plan (Helpers.hopis_of colls) in
+      let distinct l = List.sort_uniq Int.compare l in
+      let links = Array.to_list (Plan.cross_links plan) in
+      let entries = distinct (List.map (fun (l : Plan.cross_link) -> l.dst) links) in
+      let exits = distinct (List.map (fun (l : Plan.cross_link) -> l.src) links) in
+      let nodes = distinct (entries @ exits @ Array.to_list (Plan.doc_roots plan)) in
+      let rng = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let check toward ~targets ~dist seeds =
+        let best target =
+          List.fold_left
+            (fun acc (g, offset) ->
+              match (dist g target, acc) with
+              | Some d, Some b when b <= offset + d -> acc
+              | Some d, _ -> Some (offset + d)
+              | None, _ -> acc)
+            None seeds
+        in
+        let want =
+          List.filter_map (fun x -> Option.map (fun d -> (x, d)) (best x)) targets
+          |> List.sort compare
+        in
+        let index g = Option.get (Closure.index closure g) in
+        let next =
+          Closure.nearest closure toward (List.map (fun (g, o) -> (index g, o)) seeds)
+        in
+        let rec drain acc =
+          match next () with
+          | Some (i, d) -> drain ((Closure.node closure i, d) :: acc)
+          | None -> List.rev acc
+        in
+        let got = drain [] in
+        let dists = List.map snd got in
+        if dists <> List.sort Int.compare dists then
+          QCheck.Test.fail_report "enumeration does not ascend";
+        if List.sort compare got <> want then
+          QCheck.Test.fail_reportf "seeds [%s]: enumeration differs from pairwise joins"
+            (String.concat "; "
+               (List.map (fun (g, o) -> Printf.sprintf "%d+%d" g o) seeds))
+      in
+      if links <> [] then
+        for _ = 1 to 6 do
+          let single = [ (pick nodes, 0) ] in
+          let several =
+            List.init (1 + Random.State.int rng 4) (fun _ ->
+                (pick nodes, Random.State.int rng 6))
+          in
+          (* Seeds that are targets of the enumeration they seed. *)
+          let on_entries = [ (pick entries, 2); (pick nodes, Random.State.int rng 4) ] in
+          let on_exits = [ (pick exits, 3); (pick nodes, Random.State.int rng 4) ] in
+          List.iter
+            (fun seeds ->
+              check Closure.Entries ~targets:entries ~dist:(Closure.distance closure) seeds;
+              check Closure.Exits ~targets:exits
+                ~dist:(fun g x -> Closure.distance closure x g)
+                seeds)
+            [ single; several; on_entries; on_exits ]
+        done;
+      true)
+
+(* The merge opens portals only as its front reaches them: a top-1
+   DESCENDANTS from the document root that reaches the most entry
+   portals pops fewer closure candidates than it can reach. *)
+let lazy_portal_opening () =
+  let plan = Lazy.force shared_plan in
+  let closure = Lazy.force shared_closure in
+  with_coordinator_and_truth ~plan ~closure (Lazy.force shared_collection)
+    (Lazy.force shard_collections)
+    (fun ~coord ~cc ~sc ->
+      let entries =
+        Plan.cross_links plan
+        |> Array.map (fun (l : Plan.cross_link) -> l.dst)
+        |> Array.to_list |> List.sort_uniq Int.compare
+      in
+      let reach r =
+        List.length (List.filter (fun e -> Closure.distance closure r e <> None) entries)
+      in
+      let root, reachable =
+        Array.fold_left
+          (fun (br, bn) r ->
+            let n = reach r in
+            if n > bn then (r, n) else (br, bn))
+          (-1, 0) (Plan.doc_roots plan)
+      in
+      Alcotest.(check bool) "some root reaches entry portals" true (reachable > 1);
+      let before = Coordinator.closure_lookups_total coord in
+      check_top_k ~cc ~sc (P.Node_descendants { node = root; tag = None; k = 1; max_dist = None });
+      let pops = Coordinator.closure_lookups_total coord - before in
+      if pops >= reachable then
+        Alcotest.failf "k=1 from root %d popped %d candidates; it reaches %d entry portals"
+          root pops reachable)
+
+(* A shard named by host name resolves once at create and answers
+   exactly as the same shard named by its address. *)
+let hostname_shards () =
+  let plan = Lazy.force shared_plan in
+  let closure = Lazy.force shared_closure in
+  with_disk_servers
+    (Array.to_list (Lazy.force shard_collections))
+    (fun shard_servers ->
+      let front host =
+        let shards = List.map (fun s -> (host, Server.port s)) shard_servers in
+        let coord = Coordinator.create ~closure ~plan ~shards () in
+        (coord, Server.start_backend (Coordinator.backend coord))
+      in
+      let by_name, name_front = front "localhost" in
+      let by_addr, addr_front = front "127.0.0.1" in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.stop name_front;
+          Server.stop addr_front;
+          Coordinator.close by_name;
+          Coordinator.close by_addr)
+        (fun () ->
+          let ask front req =
+            let c = Client.connect ~port:(Server.port front) () in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () -> lines_of (Client.request c req))
+          in
+          let roots = Plan.doc_roots plan in
+          let n = Plan.total_nodes plan in
+          List.iter
+            (fun req ->
+              let want = ask addr_front req in
+              Alcotest.(check string) (P.request_line req) want (ask name_front req);
+              Alcotest.(check bool)
+                (P.request_line req ^ ": not an error")
+                false
+                (String.starts_with ~prefix:"ERR" want))
+            [
+              P.Descendants
+                { doc = Dblp.doc_name 4; anchor = None; tag = None; k = 50; max_dist = None };
+              P.Node_descendants { node = roots.(9); tag = Some "author"; k = 20; max_dist = None };
+              P.Ancestors { node = n - 1; tag = None; k = 20; max_dist = None };
+              P.Evaluate { start_tag = "article"; target_tag = "title"; k = 30; max_dist = None };
+              P.Connected { a = n - 1; b = roots.(0); max_dist = None };
+              P.Resolve { doc = Dblp.doc_name 3; anchor = None };
+            ];
+          Alcotest.(check int) "no shard errors by name" 0
+            (Coordinator.shard_errors_total by_name)))
+
+(* --- one front over every backend --------------------------------------- *)
 
 (* One request list against a memory server, a disk server and a
    2-shard coordinator over the same documents. The request front owns
@@ -998,7 +1186,7 @@ let incremental_flush () =
           Some { P.node = 2; dist = 1; meta = 0 }
       | _ -> None
     in
-    { Server.next; flags = { timed_out = false; partial = false } }
+    { Server.next; flags = (fun () -> { timed_out = false; partial = false }) }
   in
   let backend =
     {
@@ -1066,6 +1254,9 @@ let () =
           Alcotest.test_case "closure matches single server" `Quick
             closure_matches_single_server;
           Alcotest.test_case "closure exact on three shards" `Quick closure_three_shards;
+          enumerator_matches_pairwise;
+          Alcotest.test_case "lazy portal opening" `Quick lazy_portal_opening;
+          Alcotest.test_case "shards named by host name" `Quick hostname_shards;
           Alcotest.test_case "probe cache overflow keeps answers" `Quick
             probe_cache_overflow;
         ] );
