@@ -53,35 +53,41 @@ let backward : direction =
   }
 
 (* Shared engine state for one query. [entries] records the entry points
-   per meta document for the paper's duplicate-elimination scheme. *)
+   per meta document for the paper's duplicate-elimination scheme.
+   [seeds] holds the start elements not yet expanded: the paper puts
+   them into the queue at priority 0, but every link push is >= 1, so
+   they all come out first and their order among themselves is free:
+   a cursor in the given order, no heap insert per start. *)
 type engine = {
   pee : t;
   dir : direction;
   tag : int option;
   max_dist : int;
+  mutable seeds : int list;
   queue : int PQ.t;
   entries : (int, int list) Hashtbl.t;
   pending : item Queue.t;
 }
 
 let make_engine pee dir ~tag ~max_dist starts =
-  let e =
-    {
-      pee;
-      dir;
-      tag;
-      max_dist;
-      queue = PQ.create ();
-      entries = Hashtbl.create 16;
-      pending = Queue.create ();
-    }
-  in
-  List.iter
-    (fun s ->
-      pee.insertions <- pee.insertions + 1;
-      PQ.insert e.queue 0 s)
-    starts;
-  e
+  {
+    pee;
+    dir;
+    tag;
+    max_dist;
+    seeds = starts;
+    queue = PQ.create ();
+    entries = Hashtbl.create 16;
+    pending = Queue.create ();
+  }
+
+(* The next element to expand: the seeds at priority 0, then the heap. *)
+let pop eng =
+  match eng.seeds with
+  | s :: rest ->
+      eng.seeds <- rest;
+      Some (0, s)
+  | [] -> PQ.extract_min eng.queue
 
 (* Entry-point duplicate elimination (paper, Section 5.1): [e] is dropped
    when a previous entry point of the same meta document is an ancestor
@@ -95,10 +101,11 @@ let covered_by_entries eng (idx : Path_index.instance) meta_id l =
    meta document and its local id — before results are enqueued; it lets
    the connection test short-circuit. *)
 let step eng ~on_meta =
-  match PQ.extract_min eng.queue with
+  match pop eng with
   | None -> false
   | Some (d, node) ->
       if d > eng.max_dist then begin
+        eng.seeds <- [];
         PQ.clear eng.queue;
         false
       end

@@ -42,7 +42,14 @@ val descendants_multi :
 (** The [A//B] form: "the PEE determines all elements of type A and
     inserts them into the priority queue with priority 0" (Section 5.2).
     The same element may be reported once per distinct start whose
-    subtree contains it. *)
+    subtree contains it.
+
+    Every link push has priority >= 1, so the priority-0 starts are
+    expanded before anything else and their order among themselves is
+    free: the engine consumes [starts] lazily, in the given order (document
+    order for [Flix.evaluate]), from a cursor instead of the heap. A
+    stream abandoned after [k] results has touched only the starts it
+    needed. *)
 
 val ancestors :
   ?tag:int -> ?max_dist:int -> ?include_self:bool -> t -> start:int -> item Result_stream.t
@@ -81,4 +88,7 @@ val connected_bidir : ?max_dist:int -> t -> int -> int -> bool
 
 val queue_stats : t -> int * int
 (** (total queue insertions, total entry-point drops) since creation —
-    observability for benches and tests. *)
+    observability for benches and tests. Insertions count the link
+    pushes of every engine; the approximate engine's start elements are
+    read from a cursor and are not counted, while the exact engines
+    still insert (and count) their one start. *)

@@ -34,7 +34,7 @@ let descendants ?tag ?max_dist t ~start =
       let ins1, drops1 = Pee.queue_stats t.pee in
       record t
         {
-          insertions = ins1 - ins0 - 1 (* the start element itself *);
+          insertions = ins1 - ins0;
           entry_drops = drops1 - drops0;
           results = !results;
         }

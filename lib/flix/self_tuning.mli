@@ -25,7 +25,8 @@ val descendants :
 type summary = {
   queries : int;
   mean_results : float;
-  mean_link_hops : float;    (** queue insertions per query, minus the start *)
+  mean_link_hops : float;    (** queue insertions per query (the start
+                                 element is not one) *)
   mean_entry_drops : float;
   link_pressure : float;     (** link hops per produced result; the
                                  "most queries have to follow many

@@ -11,6 +11,8 @@ type t = {
   tag : int array;
   tag_names : string array;
   tag_ids : (string, int) Hashtbl.t;
+  tag_off : int array; (* length n_tags+1: row of tag i is tag_nodes.(tag_off.(i)..) *)
+  tag_nodes : int array; (* node ids grouped by tag, ascending within a row *)
   doc_of_node : int array;
   root_of_doc : int array;
   doc_ids : (string, int) Hashtbl.t;
@@ -129,6 +131,20 @@ let build docs_list =
         raw.hrefs)
     raws;
   let links = List.rev !links in
+  (* Per-tag node rows by counting sort on the tag; ascending node order
+     within a row falls out of the ascending fill. *)
+  let tag_off = Array.make (!n_tag + 1) 0 in
+  Array.iter (fun g -> tag_off.(g + 1) <- tag_off.(g + 1) + 1) tag;
+  for i = 1 to !n_tag do
+    tag_off.(i) <- tag_off.(i) + tag_off.(i - 1)
+  done;
+  let tag_nodes = Array.make n_nodes 0 in
+  let cursor = Array.sub tag_off 0 !n_tag in
+  Array.iteri
+    (fun v g ->
+      tag_nodes.(cursor.(g)) <- v;
+      cursor.(g) <- cursor.(g) + 1)
+    tag;
   let tree_graph = Digraph.of_edges ~n:n_nodes !tree_edges in
   let all_edges = List.rev_append !tree_edges (List.map (fun l -> (l.src, l.dst)) links) in
   let graph = Digraph.of_edges ~n:n_nodes all_edges in
@@ -140,6 +156,8 @@ let build docs_list =
     tag;
     tag_names = Array.of_list (List.rev !tag_names_rev);
     tag_ids;
+    tag_off;
+    tag_nodes;
     doc_of_node;
     root_of_doc;
     doc_ids;
@@ -179,8 +197,8 @@ let find_by_tag t name =
   | None -> []
   | Some id ->
       let acc = ref [] in
-      for v = t.n_nodes - 1 downto 0 do
-        if t.tag.(v) = id then acc := v :: !acc
+      for i = t.tag_off.(id + 1) - 1 downto t.tag_off.(id) do
+        acc := t.tag_nodes.(i) :: !acc
       done;
       !acc
 

@@ -70,7 +70,10 @@ val anchors : t -> ((string * string) * int) list
     can resolve [DESCENDANTS doc#anchor] without the collection. *)
 
 val find_by_tag : t -> string -> int list
-(** All nodes with the given tag, ascending. *)
+(** All nodes with the given tag, ascending. Reads a per-tag node index
+    that {!build} fills by counting sort: one hash lookup plus
+    O(matches), independent of the collection size. An unknown name
+    yields []. *)
 
 val text_of_node : t -> int -> string
 (** Direct text content of the node's element. *)

@@ -187,9 +187,14 @@ IFS= read -r -t 30 line <&8 || fail "no response to INGEST"
 exec 8<&- 8>&-
 [ "$line" = "EPOCH 2" ] || fail "INGEST answered '$line'"
 ask "DESCENDANTS smoke_doc - author 5" | grep -q "^DONE " || fail "ingested document not served"
+# EVALUATE reads its starts from the per-tag index of the swapped-in
+# collection: the ingested document brings the only sec element.
+ask "EVALUATE sec author 5" | grep -q "^ITEM " || fail "EVALUATE missed the ingested start"
+ask "EVALUATE nosuchtag author 5" | grep -qx "DONE 0" || fail "EVALUATE with an unknown start tag"
 
 # RELOAD rebuilds from the original source, dropping the ingested doc.
 [ "$(ask RELOAD)" = "EPOCH 3" ] || fail "RELOAD on the in-memory server"
+ask "EVALUATE sec author 5" | grep -qx "DONE 0" || fail "EVALUATE still sees the dropped document"
 wait "$LOAD1" "$LOAD2"
 [ ! -s "$LOAD_ERR" ] || { cat "$LOAD_ERR" >&2; fail "requests dropped during hot reload"; }
 m=$(ask METRICS)

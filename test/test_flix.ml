@@ -393,6 +393,51 @@ let test_pee_multi () =
   let got = List.sort_uniq compare (List.map (fun (it : Pee.item) -> it.node) results) in
   check "multi covers truth" true (got = truth)
 
+(* 250 documents with one [p] root each. The first ten hold no [q] and
+   link in a ring, so each of their starts pushes one link; every later
+   document has a [q] child. *)
+let many_starts () =
+  let name i = Printf.sprintf "m%03d" i in
+  C.build
+    (List.init 250 (fun i ->
+         if i < 10 then
+           parse (name i) (Printf.sprintf {|<p><r href="%s"/></p>|} (name ((i + 1) mod 10)))
+         else parse (name i) "<p><q/></p>"))
+
+(* A//B reads its starts lazily: one result costs the starts before the
+   first productive one, not a queue insertion per start, and ties among
+   the priority-0 starts break in document order. *)
+let test_evaluate_lazy_starts () =
+  let c = many_starts () in
+  let f = Flix.build ~config:MB.Naive c in
+  let starts = C.find_by_tag c "p" in
+  let ins0, _ = Pee.queue_stats (Flix.pee f) in
+  let first = RS.take 1 (Flix.evaluate f ~start_tag:"p" ~target_tag:"q") in
+  let ins1, _ = Pee.queue_stats (Flix.pee f) in
+  check "fewer insertions than starts" true (ins1 - ins0 < List.length starts);
+  let productive =
+    List.find (fun s -> ground_truth_descendants c s (Some "q") <> []) starts
+  in
+  match first with
+  | [ (it : Pee.item) ] ->
+      check "first item from the first productive start" true
+        (List.mem_assoc it.node (ground_truth_descendants c productive (Some "q")));
+      check_int "at its true distance" 1 it.dist
+  | _ -> Alcotest.fail "expected one item"
+
+(* max_dist below 0 rules out even the priority-0 starts: the first pop
+   ends the search before anything is inserted or dropped. *)
+let test_evaluate_negative_max_dist () =
+  let c = many_starts () in
+  let f = Flix.build ~config:MB.Naive c in
+  let ins0, drops0 = Pee.queue_stats (Flix.pee f) in
+  let s = Flix.evaluate ~max_dist:(-1) f ~start_tag:"p" ~target_tag:"q" in
+  check "no items" true (RS.to_list s = []);
+  check "stays ended" true (RS.next s = None);
+  let ins1, drops1 = Pee.queue_stats (Flix.pee f) in
+  check_int "no insertions" 0 (ins1 - ins0);
+  check_int "no entry drops" 0 (drops1 - drops0)
+
 let test_pee_ancestors () =
   let c = figure1 () in
   List.iter
@@ -766,6 +811,23 @@ let test_self_tuning_summary () =
   check_int "all queries seen" (C.n_docs c) s.queries;
   check "link hops observed" true (s.mean_link_hops > 0.0)
 
+(* Starts are not queue insertions: a leaf start with no links records
+   0 link hops, and the root of doc1 under Naive records the link
+   pushes counted by hand — doc1's b and c (to the roots of doc2 and
+   doc3), then doc2's c (to the root of doc4): 3. *)
+let test_self_tuning_link_hops () =
+  let c = figure1 () in
+  let pee = pee_of c MB.Naive in
+  let hops start =
+    let mon = Fx_flix.Self_tuning.create pee in
+    ignore (RS.to_list (Fx_flix.Self_tuning.descendants mon ~start));
+    (Fx_flix.Self_tuning.summary mon).mean_link_hops
+  in
+  let leaf = C.root_of_doc c 2 + 1 in
+  check_int "leaf has no children" 0 (Array.length (Digraph.succ (C.graph c) leaf));
+  Alcotest.(check (float 0.)) "leaf start" 0. (hops leaf);
+  Alcotest.(check (float 0.)) "doc1 root" 3. (hops (C.root_of_doc c 0))
+
 let test_self_tuning_window () =
   let c = figure1 () in
   let pee = pee_of c MB.Naive in
@@ -1032,6 +1094,8 @@ let () =
           Alcotest.test_case "include_self" `Quick test_pee_include_self;
           Alcotest.test_case "lazy streaming" `Quick test_pee_streaming_is_lazy;
           Alcotest.test_case "A//B multi-start" `Quick test_pee_multi;
+          Alcotest.test_case "A//B lazy starts" `Quick test_evaluate_lazy_starts;
+          Alcotest.test_case "A//B negative max_dist" `Quick test_evaluate_negative_max_dist;
           Alcotest.test_case "ancestors" `Quick test_pee_ancestors;
           Alcotest.test_case "exact ordering (fig1)" `Quick test_pee_exact_ordering;
           prop_pee_exact_random;
@@ -1072,6 +1136,7 @@ let () =
       ( "self_tuning",
         [
           Alcotest.test_case "summary" `Quick test_self_tuning_summary;
+          Alcotest.test_case "link hops" `Quick test_self_tuning_link_hops;
           Alcotest.test_case "window" `Quick test_self_tuning_window;
           Alcotest.test_case "recommendations" `Quick test_self_tuning_recommend;
         ] );

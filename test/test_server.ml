@@ -522,6 +522,45 @@ let connected_matches_direct () =
         (List.filteri (fun i _ -> i < 5) roots);
       Client.close c)
 
+(* The memory server's EVALUATE is Flix.evaluate, item for item: the
+   start elements are consumed in document order on both sides. The
+   tag pairs are the ones flixbench's mem-read and mem-ingest send;
+   mem-ingest checks its EVALUATE answers against Flix.evaluate. *)
+let evaluate_matches_direct () =
+  with_server (fun server ->
+      let flix = Lazy.force shared_flix in
+      let c = Client.connect ~port:(Server.port server) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          List.iter
+            (fun (start_tag, target_tag) ->
+              List.iter
+                (fun k ->
+                  let want =
+                    Flix.evaluate flix ~start_tag ~target_tag
+                    |> RS.take k
+                    |> List.map (fun (it : Pee.item) ->
+                           { P.node = it.node; dist = it.dist; meta = it.meta })
+                  in
+                  let q = P.Evaluate { start_tag; target_tag; k; max_dist = None } in
+                  match Client.request c q with
+                  | Ok resp ->
+                      Alcotest.(check string)
+                        (Printf.sprintf "EVALUATE %s %s %d" start_tag target_tag k)
+                        (render (P.Items { items = want; timed_out = false; partial = false }))
+                        (render resp)
+                  | Error _ -> Alcotest.failf "EVALUATE %s %s %d failed" start_tag target_tag k)
+                [ 1; 20; 100 ])
+            [
+              ("article", "author");
+              ("inproceedings", "author");
+              ("article", "title");
+              ("inproceedings", "title");
+              ("article", "cite");
+              ("inproceedings", "cite");
+            ]))
+
 (* --- batches ----------------------------------------------------------- *)
 
 (* A batch of probe verbs must answer exactly what the same requests
@@ -930,6 +969,7 @@ let () =
           Alcotest.test_case "admission control BUSY" `Quick admission_busy;
           Alcotest.test_case "stats and metrics verbs" `Quick stats_and_metrics_verbs;
           Alcotest.test_case "connected matches direct" `Quick connected_matches_direct;
+          Alcotest.test_case "EVALUATE matches direct" `Quick evaluate_matches_direct;
         ] );
       ( "batch",
         [

@@ -349,6 +349,45 @@ let prop_collection_tree_edges =
       Digraph.n_edges (C.tree_graph c) = C.n_nodes c - 1
       && C.n_nodes c = X.count_elements d.root)
 
+(* The per-tag node index agrees with a scan of the tag array for every
+   tag name, on each generator's collections and on the collections
+   Flix.extend and Flix.remove rebuild from them. *)
+let find_by_tag_is_scan c =
+  let tags = C.tag c in
+  let scan id = List.filter (fun v -> tags.(v) = id) (List.init (C.n_nodes c) Fun.id) in
+  List.for_all
+    (fun id -> C.find_by_tag c (C.tag_name c id) = scan id)
+    (List.init (C.n_tags c) Fun.id)
+  && C.find_by_tag c "no-such-tag" = []
+
+let prop_find_by_tag name generate =
+  H.qtest ~count:4 ("find_by_tag = tag scan, " ^ name) QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let docs = generate seed in
+      let n = List.length docs in
+      let base = List.filteri (fun i _ -> i < n - (n / 4)) docs in
+      let batch = List.filteri (fun i _ -> i >= n - (n / 4)) docs in
+      let f = Fx_flix.Flix.build (C.build base) in
+      let grown = Fx_flix.Flix.extend f batch in
+      let evicted =
+        Fx_flix.Flix.remove grown
+          (List.filteri (fun i _ -> i mod 3 = 0) (List.map (fun (d : X.document) -> d.name) docs))
+      in
+      List.for_all find_by_tag_is_scan
+        [ C.build docs; Fx_flix.Flix.collection grown; Fx_flix.Flix.collection evicted ])
+
+let prop_find_by_tag_dblp =
+  prop_find_by_tag "dblp" (fun seed ->
+      Fx_workload.Dblp_gen.(generate { default with seed }))
+
+let prop_find_by_tag_inex =
+  prop_find_by_tag "inex" (fun seed ->
+      Fx_workload.Inex_gen.(generate { default with seed }))
+
+let prop_find_by_tag_web =
+  prop_find_by_tag "web" (fun seed ->
+      Fx_workload.Web_gen.(generate { default with seed }))
+
 (* Fuzzing: arbitrary byte strings must never crash the parser — they
    either parse or return a positioned error. *)
 let prop_parser_total =
@@ -418,5 +457,8 @@ let () =
           Alcotest.test_case "empty" `Quick test_collection_empty;
           Alcotest.test_case "self link" `Quick test_collection_self_link;
           prop_collection_tree_edges;
+          prop_find_by_tag_dblp;
+          prop_find_by_tag_inex;
+          prop_find_by_tag_web;
         ] );
     ]
