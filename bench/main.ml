@@ -566,14 +566,20 @@ let ordering_ablation ctx =
 
 let disk ctx =
   header "D1: disk-resident HOPI labels, cold vs warm buffer pool";
-  let labels = Fx_index.Hopi.labels ctx.hopi_labels in
-  let path = Filename.temp_file "flix_labels" ".pg" in
+  let prefix = Filename.temp_file "flix_hopi" "" in
+  let path = prefix ^ ".labels" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ prefix; path ])
     (fun () ->
-      let (), save_s = timed (fun () -> Fx_index.Disk_labels.save ~path labels) in
+      let dg = { Pi.graph = C.graph ctx.collection; tag = C.tag ctx.collection } in
+      let (), save_s =
+        timed (fun () -> Fx_index.Disk_hopi.save ~path:prefix dg ctx.hopi_labels)
+      in
       let file_mb = float_of_int (Unix.stat path).Unix.st_size /. 1048576.0 in
-      Printf.printf "store: %.2f MB on disk, written in %.2f s\n" file_mb save_s;
+      Printf.printf
+        "store (labels, hop runs, tag directory): %.2f MB on disk, written in %.2f s\n" file_mb
+        save_s;
       let pairs =
         Qg.connection_pairs ctx.collection ~seed:77 ~count:500 ~connected_fraction:0.5
       in
@@ -606,37 +612,23 @@ let disk ctx =
       print_newline ();
       print_endline "expectation: page misses vanish as the pool grows; per-probe time is";
       print_endline "dominated by label decoding once resident (large collections), by page";
-      print_endline "fetches when the pool thrashes (the paper's regime).");
-  (* Full disk deployment: labels + B+tree tag directory, the hub
-     descendants query end to end from disk. *)
-  let prefix = Filename.temp_file "flix_hopi" "" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ prefix; prefix ^ ".labels"; prefix ^ ".tags" ])
-    (fun () ->
-      let dg = { Pi.graph = C.graph ctx.collection; tag = C.tag ctx.collection } in
-      let (), save_s =
-        timed (fun () -> Fx_index.Disk_hopi.save ~path:prefix dg ctx.hopi_labels)
-      in
-      Printf.printf "\nfull deployment (labels + tag B+tree) written in %.2f s\n" save_s;
-      Printf.printf "%-12s %14s %16s\n" "pool" "hub query ms" "page misses";
+      print_endline "fetches when the pool thrashes (the paper's regime).";
+      (* The hub descendants query end to end from the same store. *)
+      Printf.printf "\n%-12s %14s %16s\n" "pool" "hub query ms" "page misses";
       List.iter
         (fun (label, pool_pages, warm) ->
           Gc.compact ();
           let d = Fx_index.Disk_hopi.open_ ~pool_pages ~path:prefix () in
-          Fx_index.Disk_hopi.drop_pools d;
+          Fx_index.Disk_hopi.drop_pool d;
           if warm then
             ignore (Fx_index.Disk_hopi.descendants_by_tag d ctx.hub.start ctx.article_tag);
-          let ls0, ts0 = Fx_index.Disk_hopi.stats d in
+          let s0 = Fx_index.Disk_hopi.stats d in
           let results, s =
             timed (fun () -> Fx_index.Disk_hopi.descendants_by_tag d ctx.hub.start ctx.article_tag)
           in
-          let ls, ts = Fx_index.Disk_hopi.stats d in
           let misses =
-            ls.Fx_store.Pager.physical_reads + ts.Fx_store.Pager.physical_reads
-            - ls0.Fx_store.Pager.physical_reads - ts0.Fx_store.Pager.physical_reads
+            (Fx_index.Disk_hopi.stats d).Fx_store.Pager.physical_reads
+            - s0.Fx_store.Pager.physical_reads
           in
           Printf.printf "%-12s %14.2f %16d   (%d results)\n%!" label (1000.0 *. s) misses
             (List.length results);
@@ -733,7 +725,7 @@ let serve ctx =
       ~finally:(fun () ->
         List.iter
           (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [ prefix; prefix ^ ".labels"; prefix ^ ".tags"; prefix ^ ".catalog" ])
+          [ prefix; prefix ^ ".labels"; prefix ^ ".catalog" ])
       (fun () ->
         let dg = { Pi.graph = C.graph ctx.collection; tag = C.tag ctx.collection } in
         Fx_index.Disk_hopi.save ~path:prefix dg ctx.hopi_labels;
@@ -742,11 +734,11 @@ let serve ctx =
         let d = Fx_index.Disk_hopi.open_ ~pool_pages:16_384 ~stripes:8 ~path:prefix () in
         let catalog = Fx_index.Catalog.load (prefix ^ ".catalog") in
         (* Per-row stripe evidence: how many gate/io acquisitions had to
-           block across both files (cumulative over the shared handle —
-           the per-row delta is visible across consecutive rows). *)
+           block (cumulative over the shared handle — the per-row delta
+           is visible across consecutive rows). *)
         let stripe_extra ~port:_ =
-          let ls, ts = Fx_index.Disk_hopi.stripe_stats d in
-          let sum f = List.fold_left (fun a st -> a + f st) 0 (ls @ ts) in
+          let ls = Fx_index.Disk_hopi.stripe_stats d in
+          let sum f = List.fold_left (fun a st -> a + f st) 0 ls in
           [
             ("stripes", string_of_int (List.length ls));
             ( "lock_acquisitions",
@@ -802,7 +794,7 @@ let serve ctx =
                 Fx_index.Disk_hopi.close d;
                 List.iter
                   (fun p -> try Sys.remove p with Sys_error _ -> ())
-                  [ prefix; prefix ^ ".labels"; prefix ^ ".tags"; prefix ^ ".catalog" ])
+                  [ prefix; prefix ^ ".labels"; prefix ^ ".catalog" ])
               deployments)
           (fun () ->
             let servers =

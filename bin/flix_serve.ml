@@ -87,6 +87,28 @@ let load_collection source seed =
 
 let catalog_path prefix = prefix ^ ".catalog"
 
+(* Boot, RELOAD and every shard server open a deployment here. A
+   catalog saved from another collection than the label store would
+   resolve names to nodes the store does not have, so the two must
+   agree on the node and tag counts. *)
+let open_deployment ~prefix ~pool_pages ~pool_stripes () =
+  let catalog = Catalog.load (catalog_path prefix) in
+  let disk = Disk_hopi.open_ ?pool_pages ?stripes:pool_stripes ~path:prefix () in
+  if
+    Catalog.n_nodes catalog <> Disk_hopi.n_nodes disk
+    || Catalog.n_tags catalog <> Disk_hopi.n_tags disk
+  then begin
+    Disk_hopi.close disk;
+    raise
+      (Fx_util.Codec.Corrupt
+         (Printf.sprintf
+            "%s (%d nodes, %d tags) does not match %s.labels (%d nodes, %d tags); rebuild \
+             the deployment into a fresh --index-dir"
+            (catalog_path prefix) (Catalog.n_nodes catalog) (Catalog.n_tags catalog) prefix
+            (Disk_hopi.n_nodes disk) (Disk_hopi.n_tags disk)))
+  end;
+  (disk, catalog)
+
 (* Build a global HOPI over the collection and persist it (plus the
    serving catalog) under [dir], then reopen it as the disk backend. *)
 let build_deployment ~dir ~prefix ~pool_pages ~pool_stripes source seed =
@@ -100,14 +122,7 @@ let build_deployment ~dir ~prefix ~pool_pages ~pool_stripes source seed =
   Catalog.save ~path:(catalog_path prefix) (Catalog.of_collection collection);
   Printf.printf "saved deployment to %s (indexed in %.2f s)\n%!" dir
     (Int64.to_float build_ns /. 1e9);
-  let disk = Disk_hopi.open_ ?pool_pages ?stripes:pool_stripes ~path:prefix () in
-  (disk, Catalog.load (catalog_path prefix))
-
-let open_deployment ~prefix ~pool_pages ~pool_stripes () =
-  Printf.printf "opening deployment %s...\n%!" prefix;
-  let catalog = Catalog.load (catalog_path prefix) in
-  let disk = Disk_hopi.open_ ?pool_pages ?stripes:pool_stripes ~path:prefix () in
-  (disk, catalog)
+  open_deployment ~prefix ~pool_pages ~pool_stripes ()
 
 let serve ~reload cfg backend =
   let server = Server.start_backend ~config:cfg ~reload backend in
@@ -209,8 +224,10 @@ let serve_plain cfg source seed index_dir pool_pages pool_stripes =
          back as one diagnostic line, not an uncaught backtrace. *)
       let prefix = Filename.concat dir "index" in
       match
-        if Sys.file_exists (catalog_path prefix) then
+        if Sys.file_exists (catalog_path prefix) then begin
+          Printf.printf "opening deployment %s...\n%!" prefix;
           open_deployment ~prefix ~pool_pages ~pool_stripes ()
+        end
         else build_deployment ~dir ~prefix ~pool_pages ~pool_stripes source seed
       with
       | exception Fx_util.Codec.Corrupt msg ->

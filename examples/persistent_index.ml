@@ -1,7 +1,7 @@
 (* Persistent indexes: build once, write to disk, reopen and serve
    queries without rebuilding — the database-backed deployment of the
-   paper (whose indexes lived in Oracle tables), on our own pager,
-   heap file and B+-tree.
+   paper (whose indexes lived in Oracle tables), on our own pager and
+   heap file.
 
      dune exec examples/persistent_index.exe *)
 
@@ -26,9 +26,8 @@ let () =
     (float_of_int (Fx_index.Hopi.size_bytes hopi) /. 1048576.0);
   Fx_index.Disk_hopi.save ~path dg hopi;
   let on_disk p = float_of_int (Unix.stat p).Unix.st_size /. 1048576.0 in
-  Printf.printf "written: %s.labels (%.2f MB) + %s.tags (%.2f MB B+tree)\n" path
-    (on_disk (path ^ ".labels")) path
-    (on_disk (path ^ ".tags"));
+  Printf.printf "written: %s.labels (%.2f MB: labels, hop runs, tag directory)\n" path
+    (on_disk (path ^ ".labels"));
 
   (* A "new process": open the files, no rebuild. *)
   let disk = Fx_index.Disk_hopi.open_ ~pool_pages:512 ~path () in
@@ -43,10 +42,9 @@ let () =
         Printf.printf "  %s at distance %d\n" (C.describe collection node) dist)
     results;
   Printf.printf "  ... %d results in total\n" (List.length results);
-  let label_stats, tag_stats = Fx_index.Disk_hopi.stats disk in
-  Printf.printf "buffer pools: %d label-page reads (%d from disk), %d tag-page reads\n"
-    label_stats.Fx_store.Pager.logical_reads label_stats.Fx_store.Pager.physical_reads
-    tag_stats.Fx_store.Pager.logical_reads;
+  let stats = Fx_index.Disk_hopi.stats disk in
+  Printf.printf "buffer pool: %d page reads (%d from disk)\n"
+    stats.Fx_store.Pager.logical_reads stats.Fx_store.Pager.physical_reads;
 
   (* The serialized in-memory snapshot is the lighter-weight alternative
      when the whole index fits in RAM: one blob, loaded in one go. *)

@@ -49,14 +49,10 @@ let equal_structure (a : Meta_document.t) (b : Meta_document.t) =
   && a.Meta_document.tag = b.Meta_document.tag
   && Fx_graph.Digraph.edges a.Meta_document.graph = Fx_graph.Digraph.edges b.Meta_document.graph
 
-let instantiate strategy (m : Meta_document.t) dg =
+let instantiate strategy dg =
   match (strategy : Strategy_selector.strategy) with
   | PPO -> Fx_index.Ppo.instance dg
   | HOPI { partition_size } -> Fx_index.Hopi.instance ~partition_size dg
-  | HOPI_disk { dir } ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = Filename.concat dir (Printf.sprintf "meta_%04d" m.Meta_document.id) in
-      Fx_index.Disk_hopi.instance ~path dg (Fx_index.Hopi.build dg)
   | APEX -> Fx_index.Apex.instance dg
   | TC -> Fx_index.Tc_index.instance dg
 
@@ -81,12 +77,12 @@ let build_one policy (m : Meta_document.t) =
           {
             meta = m;
             strategy;
-            index = instantiate strategy m dg;
+            index = instantiate strategy dg;
             fallback = true;
             impl = Opaque;
           })
   | _ ->
-      let index = instantiate requested m dg in
+      let index = instantiate requested dg in
       { meta = m; strategy = requested; index; fallback = false; impl = Opaque }
 
 let build ?(policy = Strategy_selector.default_auto) ?reuse ?(jobs = 1)

@@ -3,7 +3,6 @@ module Traversal = Fx_graph.Traversal
 type strategy =
   | PPO
   | HOPI of { partition_size : int }
-  | HOPI_disk of { dir : string }
   | APEX
   | TC
 
@@ -17,7 +16,6 @@ let default_auto = Auto { tc_threshold = 64; hopi_partition_size = 5000 }
 let strategy_to_string = function
   | PPO -> "PPO"
   | HOPI { partition_size } -> Printf.sprintf "HOPI(%d)" partition_size
-  | HOPI_disk _ -> "HOPI-disk"
   | APEX -> "APEX"
   | TC -> "TC"
 

@@ -14,10 +14,6 @@
 type strategy =
   | PPO
   | HOPI of { partition_size : int }
-  | HOPI_disk of { dir : string }
-      (** Build the 2-hop labels, then serve them from disk files under
-          [dir] through a buffer pool — the bounded-memory deployment.
-          Only sensible from a [Custom] or [Force] policy. *)
   | APEX
   | TC
 

@@ -1,54 +1,20 @@
-module Pager = Fx_store.Pager
-module Btree = Fx_store.Btree
 module PQ = Fx_graph.Priority_queue
 module Int_tbl = Hashtbl.Make (Int)
 
-type t = {
-  labels : Disk_labels.t;
-  tag_pager : Pager.t;
-  tags : Btree.t;
-  n : int;
-}
-
-let shift = 32
-let tag_key ~tag ~node = (tag lsl shift) lor node
+type t = Disk_labels.t
 
 let labels_path path = path ^ ".labels"
-let tags_path path = path ^ ".tags"
 
 let save ?page_size ~path (dg : Path_index.data_graph) hopi =
-  Disk_labels.save ?page_size ~tags:dg.tag ~path:(labels_path path) (Hopi.labels hopi);
-  let tp = tags_path path in
-  if Sys.file_exists tp then Sys.remove tp;
-  (* Grouped by tag, ascending within: the keys come out sorted. *)
-  let entries =
-    Path_index.nodes_by_tag dg
-    |> Array.mapi (fun tag nodes -> Array.map (fun node -> (tag_key ~tag ~node, node)) nodes)
-    |> Array.to_list |> Array.concat
-  in
-  let pager = Pager.create ?page_size tp in
-  ignore (Btree.bulk_load pager entries);
-  Pager.close pager
+  Disk_labels.save ?page_size ~tags:dg.tag ~path:(labels_path path) (Hopi.labels hopi)
 
 let open_ ?pool_pages ?page_size ?stripes ~path () =
-  let lp = labels_path path in
-  let labels = Disk_labels.open_ ?pool_pages ?page_size ?stripes lp in
-  if not (Disk_labels.has_runs labels) then begin
-    Disk_labels.close labels;
-    raise
-      (Fx_util.Codec.Corrupt
-         (Printf.sprintf
-            "%s has no inverted hop runs (an older store layout); rebuild the \
-             deployment into a fresh --index-dir"
-            lp))
-  end;
-  let tag_pager = Pager.create ?pool_pages ?page_size ?stripes (tags_path path) in
-  let tags = Btree.create tag_pager in
-  { labels; tag_pager; tags; n = Disk_labels.n_nodes labels }
+  Disk_labels.open_ ?pool_pages ?page_size ?stripes (labels_path path)
 
-let n_nodes t = t.n
-let distance t x y = Disk_labels.distance t.labels x y
-let reachable t x y = distance t x y <> None
+let n_nodes = Disk_labels.n_nodes
+let n_tags = Disk_labels.n_tags
+let distance = Disk_labels.distance
+let reachable = Disk_labels.reachable
 
 (* --- the hop-run merge ------------------------------------------------- *)
 
@@ -95,7 +61,7 @@ let merge t dir ?max_dist want sources : stream =
       incr opened;
       List.iter
         (fun cursor -> push { cursor; src })
-        (Disk_labels.open_runs t.labels dir ~hop:src.hop want);
+        (Disk_labels.open_runs t dir ~hop:src.hop want);
       next ()
     end
     else
@@ -122,18 +88,18 @@ let sources ~strict starts =
        starts)
 
 let descendants t ?max_dist ?(strict = false) x want =
-  let label = Disk_labels.hops t.labels Disk_labels.Down x in
+  let label = Disk_labels.hops t Disk_labels.Down x in
   merge t Disk_labels.Down ?max_dist want (sources ~strict [ (x, label) ])
 
 let ancestors t ?max_dist x want =
-  let label = Disk_labels.hops t.labels Disk_labels.Up x in
+  let label = Disk_labels.hops t Disk_labels.Up x in
   merge t Disk_labels.Up ?max_dist want (sources ~strict:false [ (x, label) ])
 
 let descendants_of_starts t ?max_dist ?(expired = fun () -> false) starts want =
   let rec gather acc = function
     | [] -> Some acc
     | _ :: _ when expired () -> None
-    | s :: rest -> gather ((s, Disk_labels.hops t.labels Disk_labels.Down s) :: acc) rest
+    | s :: rest -> gather ((s, Disk_labels.hops t Disk_labels.Down s) :: acc) rest
   in
   Option.map
     (fun labels -> merge t Disk_labels.Down ?max_dist want (sources ~strict:true labels))
@@ -146,60 +112,8 @@ let drain (next : stream) =
 let descendants_by_tag t x want = drain (descendants t x want)
 let ancestors_by_tag t x want = drain (ancestors t x want)
 
-let nodes_by_tag t tag =
-  if tag < 0 then []
-  else begin
-    let acc = ref [] in
-    Btree.iter_range t.tags ~lo:(tag_key ~tag ~node:0)
-      ~hi:(tag_key ~tag ~node:((1 lsl shift) - 1))
-      (fun _ node -> acc := node :: !acc);
-    List.rev !acc
-  end
-
-let restricted_descendants t x set =
-  let acc = ref [] in
-  Fx_graph.Bitset.iter set (fun v ->
-      match distance t x v with Some d -> acc := (v, d) :: !acc | None -> ());
-  Path_index.sort_results !acc
-
-let restricted_ancestors t x set =
-  let acc = ref [] in
-  Fx_graph.Bitset.iter set (fun v ->
-      match distance t v x with Some d -> acc := (v, d) :: !acc | None -> ());
-  Path_index.sort_results !acc
-
-(* A disk deployment as a pluggable Path Indexing Strategy: FliX's
-   Index Builder can host meta documents whose indexes never load into
-   memory, composing them with in-memory ones through the same PEE. *)
-let instance ?pool_pages ?page_size ~path dg hopi =
-  let (), build_ns = Fx_util.Stopwatch.time_ns (fun () -> save ?page_size ~path dg hopi) in
-  let t = open_ ?pool_pages ?page_size ~path () in
-  let size_bytes =
-    let file p = try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0 in
-    file (labels_path path) + file (tags_path path)
-  in
-  {
-    Path_index.name = "HOPI-disk";
-    n_nodes = t.n;
-    reachable = reachable t;
-    distance = distance t;
-    descendants_by_tag = descendants_by_tag t;
-    ancestors_by_tag = ancestors_by_tag t;
-    restricted_descendants = restricted_descendants t;
-    restricted_ancestors = restricted_ancestors t;
-    stats =
-      { strategy = "HOPI-disk"; build_ns; entries = Two_hop.entries (Hopi.labels hopi);
-        size_bytes };
-  }
-
-let stats t = (Disk_labels.stats t.labels, Pager.stats t.tag_pager)
-
-let stripe_stats t = (Disk_labels.stripe_stats t.labels, Pager.stripe_stats t.tag_pager)
-
-let drop_pools t =
-  Disk_labels.drop_pool t.labels;
-  Pager.drop_pool t.tag_pager
-
-let close t =
-  Disk_labels.close t.labels;
-  Pager.close t.tag_pager
+let nodes_by_tag = Disk_labels.nodes_by_tag
+let stats = Disk_labels.stats
+let stripe_stats = Disk_labels.stripe_stats
+let drop_pool = Disk_labels.drop_pool
+let close = Disk_labels.close

@@ -1,8 +1,7 @@
-(** A complete disk-resident HOPI deployment: the 2-hop labels and
-    their inverted hop runs in a {!Disk_labels} heap, plus a
-    {!Fx_store.Btree} tag directory keyed by [(tag << 32) | node] —
-    mirroring the paper's Oracle schema (a label table and a
-    composite-key element table).
+(** A complete disk-resident HOPI deployment: one {!Disk_labels} heap
+    holding the 2-hop labels, their inverted hop runs and the tag
+    directory, behind one buffer pool — mirroring the paper's Oracle
+    schema (a label table and an element table) in one paged file.
 
     A descendants query [a//w] runs entirely from disk as the 2-hop
     join [desc(a) = ⋃_{h ∈ L_out(a)} L_in⁻¹(h)]: one fetch of [L_out(a)],
@@ -10,19 +9,24 @@
     nearest hop first. It reads as many runs as the first [k] answers
     need, however many nodes carry tag [w].
 
-    [save] writes two files, [<path>.labels] and [<path>.tags]. *)
+    [save] writes one file, [<path>.labels]. *)
 
 type t
 
 val save : ?page_size:int -> path:string -> Path_index.data_graph -> Hopi.t -> unit
 
 val open_ : ?pool_pages:int -> ?page_size:int -> ?stripes:int -> path:string -> unit -> t
-(** [stripes] splits each file's buffer pool into independent lock
-    stripes — see {!Fx_store.Pager.create}.
-    @raise Fx_util.Codec.Corrupt on mangled stores, and on a label file
-    without hop runs (an older layout), naming the file. *)
+(** [stripes] splits the buffer pool into independent lock stripes —
+    see {!Fx_store.Pager.create}. Creates no file.
+    @raise Sys_error naming [<path>.labels] when it does not exist.
+    @raise Fx_util.Codec.Corrupt naming [<path>.labels] on a mangled
+    store or one of an earlier layout. *)
 
 val n_nodes : t -> int
+
+val n_tags : t -> int
+(** One more than the largest tag id saved. *)
+
 val reachable : t -> int -> int -> bool
 val distance : t -> int -> int -> int option
 
@@ -57,31 +61,18 @@ val ancestors_by_tag : t -> int -> int option -> (int * int) list
 (** {!ancestors} drained. *)
 
 val nodes_by_tag : t -> int -> int list
-(** Every node with the given tag id, ascending — one tag-directory
-    range scan. Empty for an id the deployment does not know (negative
-    ids included, so an unresolved tag name never probes the B-tree). *)
+(** Every node with the given tag id, ascending — one tag record read
+    through the pool. Empty for an id the deployment does not know
+    (negative ids included, so an unresolved tag name reads nothing).
+    @raise Fx_util.Codec.Corrupt on a mangled tag record. *)
 
-val restricted_descendants : t -> int -> Fx_graph.Bitset.t -> (int * int) list
-val restricted_ancestors : t -> int -> Fx_graph.Bitset.t -> (int * int) list
+val stats : t -> Fx_store.Pager.stats
+(** Buffer-pool statistics. *)
 
-val instance :
-  ?pool_pages:int ->
-  ?page_size:int ->
-  path:string ->
-  Path_index.data_graph ->
-  Hopi.t ->
-  Path_index.instance
-(** Save the given in-memory index under [path] and expose the disk
-    deployment as a Path Indexing Strategy, so the FliX Index Builder
-    (via {!Fx_flix.Strategy_selector.Custom}) can keep chosen meta
-    documents on disk while others stay in memory. The reported
-    [size_bytes] is the on-disk footprint. *)
+val stripe_stats : t -> Fx_store.Pager.stripe_stats list
+(** Per-stripe occupancy/contention counters. *)
 
-val stats : t -> Fx_store.Pager.stats * Fx_store.Pager.stats
-(** (label file, tag file) buffer-pool statistics. *)
+val drop_pool : t -> unit
+(** Cold-cache switch: empty the buffer pool. *)
 
-val stripe_stats : t -> Fx_store.Pager.stripe_stats list * Fx_store.Pager.stripe_stats list
-(** (label file, tag file) per-stripe occupancy/contention counters. *)
-
-val drop_pools : t -> unit
 val close : t -> unit

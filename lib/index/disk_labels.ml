@@ -4,25 +4,28 @@ module Codec = Fx_util.Codec
 
 (* File layout (records in one heap file):
      [label record]*          one per non-empty L_in / L_out
-     [run record]*            one per hop rank and direction (run
-                              layout only): the hop's inverted label,
-                              grouped by the target node's tag
+     [run record]*            one per hop rank and direction: the
+                              hop's inverted label, grouped by the
+                              target node's tag
+     [tag record]*            one per tag id carrying nodes: its nodes
      [directory record]       n, then per node: in handle, out handle
-                              (-1 = empty label); with runs, then per
-                              hop rank: down-run handle, up-run handle
-     [trailer record]         directory handle [+ layout 1]
+                              (-1 = empty label); per hop rank:
+                              down-run handle, up-run handle; per tag
+                              id: tag-record handle (-1 = no nodes)
+     [trailer record]         directory handle, store layout
    The trailer is always the last record, so reopen finds the directory
-   without any side file. A trailer without the layout field is a
-   label-only store.
+   without any side file. Earlier layouts (no layout field: labels
+   only; 1: no tag records) are refused at open.
 
    A run record, every number an unsigned LEB128 varint:
      ngroups, then per group: tag, count, payload bytes
      then the groups' payloads in header order, each [count] entries
      (d, y) ascending by (d, y)
    The down run of hop h holds every (y, d) with (h, d) in L_in(y): the
-   nodes h reaches, by distance. The up run mirrors it over L_out. *)
+   nodes h reaches, by distance. The up run mirrors it over L_out.
 
-type runs = { down : int array; up : int array } (* hop rank -> run handle *)
+   A tag record is the tag's nodes ascending, each a varint delta from
+   the previous one (the first from -1), so every delta is >= 1. *)
 
 type t = {
   pager : Pager.t;
@@ -30,13 +33,15 @@ type t = {
   n : int;
   in_handle : int array;  (* -1 = empty label *)
   out_handle : int array;
-  runs : runs option;
+  down : int array;  (* hop rank -> run handle, -1 = empty run *)
+  up : int array;
+  tag_handle : int array;  (* tag id -> tag record handle, -1 = no nodes *)
 }
 
 let label_magic = "fxlab"
 let dir_magic = "fxdir"
 let trailer_magic = "fxend"
-let runs_layout = 1
+let store_layout = 2
 
 let encode_label labels side v =
   let w = Codec.Writer.create ~magic:label_magic in
@@ -126,28 +131,31 @@ let sort_group a lo hi =
     Array.blit sorted 0 a lo len
   end
 
+(* Every node grouped by tag id, ascending within a tag: the nodes of
+   tag g are [order.(off.(g)) .. order.(off.(g + 1) - 1)]. *)
+let group_by_tag tags =
+  let n_tags = 1 + Array.fold_left max (-1) tags in
+  let off = Array.make (n_tags + 1) 0 in
+  Array.iter (fun tag -> off.(tag + 1) <- off.(tag + 1) + 1) tags;
+  for tag = 1 to n_tags do
+    off.(tag) <- off.(tag) + off.(tag - 1)
+  done;
+  let next = Array.sub off 0 n_tags in
+  let order = Array.make (Array.length tags) 0 in
+  Array.iteri
+    (fun y tag ->
+      order.(next.(tag)) <- y;
+      next.(tag) <- next.(tag) + 1)
+    tags;
+  (order, off)
+
 (* Invert one side of the labels into one run record per hop rank and
    return the handles. Targets are visited in (tag, id) order and their
    entries bucketed by hop, which leaves every bucket ordered by
    (tag, y); each tag group then sorts its packed (d, y) keys. One int
    per entry in flight, no per-entry tuples. *)
-let write_runs batch labels side ~tags =
+let write_runs batch labels side ~tags ~by_tag =
   let n = Two_hop.n_nodes labels in
-  let n_tags = 1 + Array.fold_left max (-1) tags in
-  let by_tag =
-    let next = Array.make (n_tags + 1) 0 in
-    Array.iter (fun tag -> next.(tag + 1) <- next.(tag + 1) + 1) tags;
-    for tag = 1 to n_tags do
-      next.(tag) <- next.(tag) + next.(tag - 1)
-    done;
-    let order = Array.make n 0 in
-    Array.iteri
-      (fun y tag ->
-        order.(next.(tag)) <- y;
-        next.(tag) <- next.(tag) + 1)
-      tags;
-    order
-  in
   let start = Array.make (n + 1) 0 in
   for y = 0 to n - 1 do
     Two_hop.iter_label labels side y (fun h _ -> start.(h + 1) <- start.(h + 1) + 1)
@@ -197,14 +205,27 @@ let write_runs batch labels side ~tags =
   done;
   handles
 
-let save ?page_size ?tags ~path labels =
+(* One tag record per tag id carrying nodes; see the layout above. *)
+let write_tags batch ~order ~off =
+  let record = Buffer.create 4096 in
+  Array.init
+    (Array.length off - 1)
+    (fun tag ->
+      if off.(tag + 1) = off.(tag) then -1
+      else begin
+        Buffer.clear record;
+        let prev = ref (-1) in
+        for i = off.(tag) to off.(tag + 1) - 1 do
+          add_uvarint record (order.(i) - !prev);
+          prev := order.(i)
+        done;
+        Heap.add batch (Buffer.contents record)
+      end)
+
+let save ?page_size ~tags ~path labels =
   let n = Two_hop.n_nodes labels in
-  (match tags with
-  | Some tags when Array.length tags <> n ->
-      invalid_arg "Disk_labels.save: tag array length mismatch"
-  | Some tags when Array.exists (fun tag -> tag < 0) tags ->
-      invalid_arg "Disk_labels.save: negative tag id"
-  | _ -> ());
+  if Array.length tags <> n then invalid_arg "Disk_labels.save: tag array length mismatch";
+  if Array.exists (fun tag -> tag < 0) tags then invalid_arg "Disk_labels.save: negative tag id";
   if n > node_mask then invalid_arg "Disk_labels.save: too many nodes";
   if Sys.file_exists path then Sys.remove path;
   let pager = Pager.create ?page_size path in
@@ -217,80 +238,66 @@ let save ?page_size ?tags ~path labels =
   in
   let in_handle = store Two_hop.In in
   let out_handle = store Two_hop.Out in
-  let runs =
-    Option.map
-      (fun tags ->
-        (* Down runs invert L_in, up runs invert L_out. *)
-        let down = write_runs batch labels Two_hop.In ~tags in
-        let up = write_runs batch labels Two_hop.Out ~tags in
-        { down; up })
-      tags
-  in
+  let order, off = group_by_tag tags in
+  (* Down runs invert L_in, up runs invert L_out. *)
+  let down = write_runs batch labels Two_hop.In ~tags ~by_tag:order in
+  let up = write_runs batch labels Two_hop.Out ~tags ~by_tag:order in
+  let tag_handle = write_tags batch ~order ~off in
   Heap.flush_batch batch;
   let w = Codec.Writer.create ~magic:dir_magic in
   Codec.Writer.int w n;
-  Codec.Writer.int_array w in_handle;
-  Codec.Writer.int_array w out_handle;
-  Option.iter
-    (fun { down; up } ->
-      Codec.Writer.int_array w down;
-      Codec.Writer.int_array w up)
-    runs;
+  List.iter (Codec.Writer.int_array w) [ in_handle; out_handle; down; up; tag_handle ];
   let dir = Heap.append heap (Codec.Writer.contents w) in
   let tw = Codec.Writer.create ~magic:trailer_magic in
   Codec.Writer.int tw dir;
-  if Option.is_some runs then Codec.Writer.int tw runs_layout;
+  Codec.Writer.int tw store_layout;
   ignore (Heap.append heap (Codec.Writer.contents tw));
   Pager.close pager
 
-let read_directory heap =
+let read_directory pager heap =
   match Heap.last_handle heap with
-  | None -> raise (Codec.Corrupt "Disk_labels: empty store")
+  | None -> raise (Codec.Corrupt "empty store")
   | Some trailer ->
       let tr = Codec.Reader.create ~magic:trailer_magic (Heap.read heap trailer) in
       let dir_handle = Codec.Reader.int tr in
-      let has_runs =
-        if Codec.Reader.at_end tr then false
-        else begin
-          if Codec.Reader.int tr <> runs_layout then
-            raise (Codec.Corrupt "Disk_labels: unknown store layout");
-          Codec.Reader.expect_end tr;
-          true
-        end
-      in
+      (* The label-only layout wrote no layout field: layout 0. *)
+      let layout = if Codec.Reader.at_end tr then 0 else Codec.Reader.int tr in
+      if layout <> store_layout then
+        raise
+          (Codec.Corrupt
+             (Printf.sprintf
+                "store layout %d is not this build's layout %d; rebuild the deployment \
+                 into a fresh --index-dir"
+                layout store_layout));
+      Codec.Reader.expect_end tr;
       let dr = Codec.Reader.create ~magic:dir_magic (Heap.read heap dir_handle) in
       let n = Codec.Reader.int dr in
-      if n < 0 then raise (Codec.Corrupt "Disk_labels: negative node count");
+      if n < 0 then raise (Codec.Corrupt "negative node count");
       let in_handle = Codec.Reader.int_array dr in
       let out_handle = Codec.Reader.int_array dr in
-      let runs =
-        if has_runs then begin
-          let down = Codec.Reader.int_array dr in
-          let up = Codec.Reader.int_array dr in
-          if Array.length down <> n || Array.length up <> n then
-            raise (Codec.Corrupt "Disk_labels: run directory length mismatch");
-          Some { down; up }
-        end
-        else None
-      in
+      let down = Codec.Reader.int_array dr in
+      let up = Codec.Reader.int_array dr in
+      let tag_handle = Codec.Reader.int_array dr in
       Codec.Reader.expect_end dr;
-      if Array.length in_handle <> n || Array.length out_handle <> n then
-        raise (Codec.Corrupt "Disk_labels: directory length mismatch");
-      (n, in_handle, out_handle, runs)
+      if List.exists (fun a -> Array.length a <> n) [ in_handle; out_handle; down; up ] then
+        raise (Codec.Corrupt "directory length mismatch");
+      { pager; heap; n; in_handle; out_handle; down; up; tag_handle }
 
 let open_ ?pool_pages ?page_size ?stripes path =
+  (* Pager.create would create a missing file. *)
+  if not (Sys.file_exists path) then raise (Sys_error (path ^ ": No such file or directory"));
   let pager = Pager.create ?pool_pages ?page_size ?stripes path in
-  match
-    let heap = Heap.create pager in
-    (heap, read_directory heap)
-  with
+  match read_directory pager (Heap.create pager) with
+  | t -> t
   | exception e ->
       Pager.close pager;
-      raise e
-  | heap, (n, in_handle, out_handle, runs) -> { pager; heap; n; in_handle; out_handle; runs }
+      raise
+        (match e with
+        | Codec.Corrupt msg -> Codec.Corrupt (Printf.sprintf "%s: %s" path msg)
+        | e -> e)
 
 let n_nodes t = t.n
-let has_runs t = Option.is_some t.runs
+let n_tags t = Array.length t.tag_handle
 
 let check_node t v =
   if v < 0 || v >= t.n then invalid_arg "Disk_labels: node out of range"
@@ -349,13 +356,8 @@ let uvarint r =
   go 0 0
 
 let open_runs t dir ~hop tag =
-  let runs =
-    match t.runs with
-    | Some runs -> runs
-    | None -> invalid_arg "Disk_labels.open_runs: store has no hop runs"
-  in
   if hop < 0 || hop >= t.n then raise (Codec.Corrupt "Disk_labels: hop rank out of range");
-  let handle = (match dir with Down -> runs.down | Up -> runs.up).(hop) in
+  let handle = (match dir with Down -> t.down | Up -> t.up).(hop) in
   if handle < 0 then []
   else begin
     let r = Heap.reader t.heap handle in
@@ -397,6 +399,22 @@ let advance c =
 
 let cursor_dist c = c.dist
 let cursor_node c = c.node
+
+let nodes_by_tag t tag =
+  if tag < 0 || tag >= n_tags t || t.tag_handle.(tag) < 0 then []
+  else begin
+    let r = Heap.reader t.heap t.tag_handle.(tag) in
+    let rec go prev acc =
+      if Heap.offset r = Heap.reader_length r then List.rev acc
+      else begin
+        let v = prev + uvarint r in
+        if v = prev then raise (Codec.Corrupt "Disk_labels: tag record out of order");
+        if v >= t.n then raise (Codec.Corrupt "Disk_labels: tag record node out of range");
+        go v (v :: acc)
+      end
+    in
+    go (-1) []
+  end
 
 let stats t = Pager.stats t.pager
 let stripe_stats t = Pager.stripe_stats t.pager

@@ -4,36 +4,44 @@
     information in main memory", Section 6).
 
     {!save} lays a {!Two_hop.t} out in a {!Fx_store.Heap_file}: one
-    record per non-empty label, a directory mapping nodes to record
-    handles, and a trailer locating the directory — plus, for a
-    deployment, every hop's inverted label run (see {!open_runs}).
-    {!open_} maps the file back with a bounded buffer pool; every
-    {!distance} probe then
-    costs two record fetches whose page reads hit or miss the pool —
-    which is exactly the regime behind the paper's absolute numbers.
-    The D1 bench drives this cold and warm. *)
+    record per non-empty label, every hop's inverted label run (see
+    {!open_runs}), one record per tag id listing its nodes (see
+    {!nodes_by_tag}), a directory mapping nodes, hops and tags to
+    record handles, and a trailer locating the directory and naming
+    the store layout. {!open_} maps the file back with a bounded
+    buffer pool; every {!distance} probe then costs two record fetches
+    whose page reads hit or miss the pool — which is exactly the regime
+    behind the paper's absolute numbers. The D1 bench drives this cold
+    and warm. *)
 
 type t
 
-val save : ?page_size:int -> ?tags:int array -> path:string -> Two_hop.t -> unit
-(** Write a label store; overwrites an existing file. With [tags] (the
-    tag id of every node, all [>= 0]) it also writes the inverted hop
-    runs {!open_runs} reads — what a {!Disk_hopi} deployment needs;
-    without, the store answers {!distance} only.
+val save : ?page_size:int -> tags:int array -> path:string -> Two_hop.t -> unit
+(** Write a label store; overwrites an existing file. [tags] is the tag
+    id of every node.
     Raises [Invalid_argument] on a tag array of the wrong length or a
     negative tag id. *)
 
 val open_ : ?pool_pages:int -> ?page_size:int -> ?stripes:int -> string -> t
 (** [pool_pages] (default 256) bounds the buffer pool; [stripes]
-    (default 8) splits it — see {!Fx_store.Pager.create}.
-    @raise Fx_util.Codec.Corrupt on a mangled store. *)
+    (default 8) splits it — see {!Fx_store.Pager.create}. Creates no
+    file.
+    @raise Sys_error naming the file when it does not exist.
+    @raise Fx_util.Codec.Corrupt naming the file on a mangled store, and
+    on a store of an earlier layout (with how to rebuild it). *)
 
 val n_nodes : t -> int
 val reachable : t -> int -> int -> bool
 val distance : t -> int -> int -> int option
 
-val has_runs : t -> bool
-(** The store was saved with [tags] and carries hop runs. *)
+val n_tags : t -> int
+(** One more than the largest tag id saved. *)
+
+val nodes_by_tag : t -> int -> int list
+(** Every node with the given tag id, ascending — one tag record read
+    through the pool. Empty for a negative or unknown id.
+    @raise Fx_util.Codec.Corrupt on a record out of order or naming a
+    node out of range. *)
 
 (** {2 Hop runs}
 
@@ -57,7 +65,6 @@ val open_runs : t -> direction -> hop:int -> int option -> cursor list
 (** The cursors of hop rank [hop]'s run: the one group of the given tag
     (none when the hop reaches no such node), or every group for
     [None]. Costs one pool read for a small run.
-    Raises [Invalid_argument] on a store without runs;
     @raise Fx_util.Codec.Corrupt on a bad hop rank or a mangled run. *)
 
 val advance : cursor -> bool

@@ -190,53 +190,43 @@ let memory flix =
 
 let disk_report hopi catalog =
   let module P = Fx_store.Pager in
-  let pager name (s : P.stats) =
-    Printf.sprintf "%s pager: %d logical reads, %d physical reads, %d physical writes"
-      name s.P.logical_reads s.P.physical_reads s.P.physical_writes
-  in
-  let labels, tags = Disk_hopi.stats hopi in
+  let s = Disk_hopi.stats hopi in
   [
     "backend: disk (persistent HOPI deployment)";
     Printf.sprintf "%d nodes, %d documents, %d tag names" (Catalog.n_nodes catalog)
       (Catalog.n_docs catalog) (Catalog.n_tags catalog);
-    pager "labels" labels;
-    pager "tags" tags;
+    Printf.sprintf "labels pager: %d logical reads, %d physical reads, %d physical writes"
+      s.P.logical_reads s.P.physical_reads s.P.physical_writes;
   ]
 
 (* The buffer-pool counters of the shared deployment, as extra
    Prometheus series on the METRICS endpoint. *)
 let pool_metric_lines hopi () =
   let module P = Fx_store.Pager in
-  let labels, tags = Disk_hopi.stats hopi in
-  let series name help l g =
-    [
-      Printf.sprintf "# HELP %s %s" name help;
-      Printf.sprintf "# TYPE %s counter" name;
-      Printf.sprintf "%s{file=\"labels\"} %d" name l;
-      Printf.sprintf "%s{file=\"tags\"} %d" name g;
-    ]
-  in
-  let lstripes, tstripes = Disk_hopi.stripe_stats hopi in
-  let stripe_series name help kind proj =
-    let fmt file ss =
-      List.map
-        (fun (s : P.stripe_stats) ->
-          Printf.sprintf "%s{file=%S,stripe=\"%d\"} %d" name file s.P.stripe_index (proj s))
-        ss
-    in
+  let labels = Disk_hopi.stats hopi in
+  let header name help kind =
     [ Printf.sprintf "# HELP %s %s" name help; Printf.sprintf "# TYPE %s %s" name kind ]
-    @ fmt "labels" lstripes @ fmt "tags" tstripes
+  in
+  let series name help v =
+    header name help "counter" @ [ Printf.sprintf "%s{file=\"labels\"} %d" name v ]
+  in
+  let stripes = Disk_hopi.stripe_stats hopi in
+  let stripe_series name help kind proj =
+    header name help kind
+    @ List.map
+        (fun (s : P.stripe_stats) ->
+          Printf.sprintf "%s{file=\"labels\",stripe=\"%d\"} %d" name s.P.stripe_index (proj s))
+        stripes
   in
   series "flix_pager_pool_hits_total"
     "Page reads served from the buffer pool, by index file."
     (labels.P.logical_reads - labels.P.demand_misses)
-    (tags.P.logical_reads - tags.P.demand_misses)
   @ series "flix_pager_pool_misses_total"
       "Page reads that had to fetch from disk (prefetch fills excluded), by index file."
-      labels.P.demand_misses tags.P.demand_misses
+      labels.P.demand_misses
   @ series "flix_pager_physical_writes_total"
       "Physical page writes (write-backs, extensions, header), by index file."
-      labels.P.physical_writes tags.P.physical_writes
+      labels.P.physical_writes
   @ stripe_series "flix_pager_stripe_lock_acquisitions_total"
       "Stripe mutex and I/O-turn acquisitions, by index file and pool stripe." "counter"
       (fun s -> s.P.lock_acquisitions)

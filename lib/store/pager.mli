@@ -23,11 +23,10 @@
     ever held across a [Unix] syscall — see DESIGN.md §7 for the
     acquisition order. No operation returns pool memory — {!read}
     hands back a fresh [Bytes] copy — so nothing is shared across a
-    lock release. The structures layered on top ({!Btree},
-    {!Heap_file}) are therefore safe for concurrent {e readers};
-    interleaving a writer with readers still needs external
-    coordination, because one logical B-tree or heap operation spans
-    several page operations.
+    lock release. The structure layered on top ({!Heap_file}) is
+    therefore safe for concurrent {e readers}; interleaving a writer
+    with readers still needs external coordination, because one heap
+    operation spans several page operations.
 
     {2 Error handling}
 
@@ -77,8 +76,8 @@ val prefetch : t -> page:int -> count:int -> unit
     lseek+read per chunk instead of one per page). Pages are claimed
     only into free pool room — prefetching never evicts — and the
     range is clamped to the file, so the call is always safe to issue
-    speculatively. {!Heap_file} and {!Btree} range scans issue this on
-    their own; callers doing raw sequential page sweeps can too. *)
+    speculatively. {!Heap_file} record reads issue this on their own;
+    callers doing raw sequential page sweeps can too. *)
 
 val flush : t -> unit
 (** Write every dirty pooled page back — batched in ascending page

@@ -98,12 +98,18 @@ wait_port || { cat "$DIR/boot1.log" >&2; fail "server did not come up"; }
 [ "$(ask PING)" = "PONG" ] || fail "PING"
 ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^DONE " || fail "DESCENDANTS"
 ask "CONNECTED 0 3" | grep -q "^DIST " || fail "CONNECTED"
+# EVALUATE reads its starts from the tag directory in the label store:
+# an empty answer means the directory lost its nodes.
+ask "EVALUATE article author 5" | grep -q "^ITEM " || fail "disk EVALUATE at first boot"
 ask METRICS | grep -q "^flix_pager_pool_hits_total" || fail "pool metrics missing"
 
 kill "$SRV_PID" && wait "$SRV_PID" 2>/dev/null
 SRV_PID=
-for f in index.labels index.tags index.catalog; do
-  [ -s "$DIR/$f" ] || fail "deployment file $f missing"
+# A deployment is exactly two files: the label store and the catalog.
+files=$(cd "$DIR" && ls -1 | grep -v '\.log$' | tr '\n' ' ')
+[ "$files" = "index.catalog index.labels " ] || fail "deployment files are '$files'"
+for f in index.labels index.catalog; do
+  [ -s "$DIR/$f" ] || fail "deployment file $f empty"
 done
 
 echo "== second boot: reuse the saved deployment =="
@@ -116,8 +122,8 @@ grep -q "opening deployment" "$DIR/boot2.log" || fail "second boot rebuilt the i
 ask "DESCENDANTS dblp_0003 - author 5" | grep -q "^DONE " || fail "DESCENDANTS after reuse"
 # The disk backend answers EVALUATE through the server's one answer
 # cache: the repeat must be a hit.
-ask "EVALUATE article author 5" | grep -q "^DONE " || fail "disk EVALUATE"
-ask "EVALUATE article author 5" | grep -q "^DONE " || fail "repeat disk EVALUATE"
+ask "EVALUATE article author 5" | grep -q "^ITEM " || fail "disk EVALUATE"
+ask "EVALUATE article author 5" | grep -q "^ITEM " || fail "repeat disk EVALUATE"
 hits=$(ask METRICS | awk '/^flix_eval_cache_hits_total / { print $2 }')
 [ "${hits:-0}" -ge 1 ] || fail "repeated disk EVALUATE missed the answer cache (hits=${hits:-0})"
 echo "disk answer cache hits=$hits"
@@ -125,6 +131,7 @@ echo "disk answer cache hits=$hits"
 # closed once its last pinned request drains.
 [ "$(ask RELOAD)" = "EPOCH 2" ] || fail "RELOAD on the disk deployment"
 ask "DESCENDANTS dblp_0003 - author 5" | grep -q "^DONE " || fail "DESCENDANTS after disk reload"
+ask "EVALUATE article author 5" | grep -q "^ITEM " || fail "disk EVALUATE after reload"
 
 stop_gracefully "$DIR/boot2.log"
 

@@ -122,3 +122,46 @@ let metric_value lines name =
       | [ n; v ] when n = name -> int_of_string_opt v
       | _ -> None)
     lines
+
+(* --- label-store surgery ------------------------------------------- *)
+
+(* Make a saved Disk_labels store read like another one by appending
+   records: open reads the last record as the trailer ("fxend": the
+   directory handle, then the store layout), and the directory ("fxdir":
+   the node count, then the in-label, out-label, down-run, up-run and
+   tag-record handle arrays). *)
+module Heap = Fx_store.Heap_file
+module Codec = Fx_util.Codec
+
+let with_label_heap ?page_size path f =
+  let pager = Fx_store.Pager.create ?page_size path in
+  Fun.protect ~finally:(fun () -> Fx_store.Pager.close pager) (fun () -> f (Heap.create pager))
+
+let directory_handle heap =
+  Codec.Reader.int
+    (Codec.Reader.create ~magic:"fxend" (Heap.read heap (Option.get (Heap.last_handle heap))))
+
+let append_trailer heap ~dir layout =
+  let w = Codec.Writer.create ~magic:"fxend" in
+  Codec.Writer.int w dir;
+  Option.iter (Codec.Writer.int w) layout;
+  ignore (Heap.append heap (Codec.Writer.contents w))
+
+(* Stamp an earlier layout's trailer on the store: [None] writes the
+   label-only layout's (no layout field), [Some 1] the layout before
+   tag records. *)
+let stamp_store_layout ?page_size path layout =
+  with_label_heap ?page_size path (fun heap ->
+      append_trailer heap ~dir:(directory_handle heap) layout)
+
+(* Point tag id [tag] at a new tag record holding [bytes]. *)
+let replace_tag_record ?page_size path ~tag bytes =
+  with_label_heap ?page_size path (fun heap ->
+      let r = Codec.Reader.create ~magic:"fxdir" (Heap.read heap (directory_handle heap)) in
+      let n = Codec.Reader.int r in
+      let arrays = List.init 5 (fun _ -> Codec.Reader.int_array r) in
+      (List.nth arrays 4).(tag) <- Heap.append heap bytes;
+      let w = Codec.Writer.create ~magic:"fxdir" in
+      Codec.Writer.int w n;
+      List.iter (Codec.Writer.int_array w) arrays;
+      append_trailer heap ~dir:(Heap.append heap (Codec.Writer.contents w)) (Some 2))

@@ -503,7 +503,7 @@ let server_reload_closes_disk () =
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ prefix; prefix ^ ".labels"; prefix ^ ".tags"; prefix ^ ".catalog" ])
+        [ prefix; prefix ^ ".labels"; prefix ^ ".catalog" ])
     (fun () ->
       Fx_index.Disk_hopi.save ~path:prefix dg (Fx_index.Hopi.build dg);
       Fx_index.Catalog.save ~path:(prefix ^ ".catalog") (Fx_index.Catalog.of_collection coll);

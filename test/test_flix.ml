@@ -205,7 +205,7 @@ let test_selector_auto () =
       match SS.select SS.default_auto m with
       | SS.PPO -> check "ppo only for forests" true (Traversal.is_forest m.graph)
       | SS.TC -> check "tc only for small" true (MD.n_nodes m <= 64)
-      | SS.HOPI _ | SS.HOPI_disk _ | SS.APEX -> ())
+      | SS.HOPI _ | SS.APEX -> ())
     reg.metas
 
 let test_selector_force_and_custom () =
@@ -252,34 +252,6 @@ let test_builder_parallel_equivalent () =
   for start = 0 to C.n_nodes c - 1 do
     check "same results" true (nodes seq start = nodes par start)
   done
-
-let test_builder_disk_strategy () =
-  let c = figure1 () in
-  let dir = Filename.temp_file "flixdisk" "" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () ->
-      (* Every meta document indexed from disk; answers must match the
-         all-in-memory build exactly. *)
-      let reg = MB.build (MB.Unconnected_hopi { max_size = 1000 }) c in
-      let mem = IB.build ~policy:(SS.Force (SS.HOPI { partition_size = 1000 })) reg in
-      let disk = IB.build ~policy:(SS.Force (SS.HOPI_disk { dir })) reg in
-      check "files on disk" true (Array.length (Sys.readdir dir) > 0);
-      check "histogram says disk" true
-        (List.mem_assoc "HOPI-disk" (IB.strategy_histogram disk));
-      let nodes built start =
-        RS.to_list (Pee.descendants (Pee.create built) ~start)
-        |> List.map (fun (it : Pee.item) -> (it.node, it.dist))
-        |> List.sort compare
-      in
-      for start = 0 to C.n_nodes c - 1 do
-        check "disk = memory" true (nodes mem start = nodes disk start)
-      done)
 
 let test_builder_report () =
   let c = figure1 () in
@@ -1082,7 +1054,6 @@ let () =
         [
           Alcotest.test_case "PPO fallback" `Quick test_builder_fallback;
           Alcotest.test_case "parallel build equivalent" `Quick test_builder_parallel_equivalent;
-          Alcotest.test_case "disk-resident strategy" `Quick test_builder_disk_strategy;
           Alcotest.test_case "report" `Quick test_builder_report;
         ] );
       ( "pee",

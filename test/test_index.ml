@@ -96,16 +96,6 @@ let make_hopi dg = Hopi.instance ~partition_size:3 dg
 let make_apex dg = Apex.instance dg
 let make_tc dg = Tc_index.instance dg
 
-(* The disk deployment must satisfy the same contract; temp files are
-   cleaned up eagerly (the instance closes with the process). *)
-let make_disk_hopi dg =
-  let path = Filename.temp_file "fxconf" "" in
-  at_exit (fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; path ^ ".labels"; path ^ ".tags" ]);
-  Fx_index.Disk_hopi.instance ~page_size:256 ~path dg (Hopi.build dg)
-
 let test_conformance_forest () =
   conformance "PPO" Ppo.instance (forest_dg ());
   conformance "HOPI" make_hopi (forest_dg ());
@@ -117,9 +107,47 @@ let test_conformance_graph () =
   conformance "APEX" make_apex (graph_dg ());
   conformance "TC" make_tc (graph_dg ())
 
+(* The disk deployment answers distance, descendants and ancestors by
+   tag and its tag directory exactly like BFS and a tag scan. *)
 let test_conformance_disk () =
-  conformance "HOPI-disk" make_disk_hopi (forest_dg ());
-  conformance "HOPI-disk" make_disk_hopi (graph_dg ())
+  List.iter
+    (fun (dg : Pi.data_graph) ->
+      let path = Filename.temp_file "fxconf" "" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; path ^ ".labels" ])
+        (fun () ->
+          Fx_index.Disk_hopi.save ~page_size:256 ~path dg (Hopi.build dg);
+          let disk = Fx_index.Disk_hopi.open_ ~page_size:256 ~pool_pages:4 ~path () in
+          Fun.protect
+            ~finally:(fun () -> Fx_index.Disk_hopi.close disk)
+            (fun () ->
+              let g = dg.graph and n = Digraph.n_nodes dg.graph in
+              List.iter
+                (fun (u, v) ->
+                  if Fx_index.Disk_hopi.distance disk u v <> Traversal.distance g u v then
+                    Alcotest.failf "HOPI-disk: distance %d %d mismatch" u v)
+                (H.all_pairs n);
+              let tags = List.sort_uniq compare (Array.to_list dg.tag) in
+              List.iter
+                (fun tag ->
+                  let want = List.filter (fun v -> dg.tag.(v) = tag) (List.init n Fun.id) in
+                  if Fx_index.Disk_hopi.nodes_by_tag disk tag <> want then
+                    Alcotest.failf "HOPI-disk: nodes_by_tag %d mismatch" tag)
+                tags;
+              let rev = Digraph.reverse g in
+              for u = 0 to n - 1 do
+                List.iter
+                  (fun want ->
+                    let got = Fx_index.Disk_hopi.descendants_by_tag disk u want in
+                    if got <> Pi.sort_results (H.oracle_descendants_by_tag dg u want) then
+                      Alcotest.failf "HOPI-disk: descendants_by_tag %d mismatch" u;
+                    let got = Fx_index.Disk_hopi.ancestors_by_tag disk u want in
+                    if got <> Pi.sort_results (Traversal.descendants_by_tag rev ~tag:dg.tag u want)
+                    then Alcotest.failf "HOPI-disk: ancestors_by_tag %d mismatch" u)
+                  (None :: List.map Option.some tags)
+              done)))
+    [ forest_dg (); graph_dg () ]
 
 let test_conformance_borders_first () =
   let make dg = Hopi.instance ~ordering:`Borders_first ~partition_size:3 dg in

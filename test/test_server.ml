@@ -722,7 +722,7 @@ let with_disk_server ~workers f =
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ prefix; prefix ^ ".labels"; prefix ^ ".tags"; prefix ^ ".catalog" ])
+        [ prefix; prefix ^ ".labels"; prefix ^ ".catalog" ])
     (fun () ->
       Idx.Disk_hopi.save ~path:prefix dg hopi;
       Idx.Catalog.save ~path:(prefix ^ ".catalog") (Idx.Catalog.of_collection coll);
@@ -803,7 +803,7 @@ let disk_backend_matches_memory () =
           Alcotest.(check bool) "pool hits exported" true
             (has "flix_pager_pool_hits_total{file=\"labels\"}");
           Alcotest.(check bool) "pool misses exported" true
-            (has "flix_pager_pool_misses_total{file=\"tags\"}")
+            (has "flix_pager_pool_misses_total{file=\"labels\"}")
       | _ -> Alcotest.fail "METRICS failed");
       (* STATS reports the disk regime, not the in-memory builder. *)
       (match Client.stats c with
@@ -898,42 +898,116 @@ let disk_evaluate_matches_oracle () =
               ("article", "no-such-tag", 5);
             ]))
 
-(* A deployment whose label file has no hop runs (the earlier layout)
-   stops flix_serve at boot: exit 1, one diagnostic line naming the
-   file and how to rebuild, no backtrace. *)
-let flix_serve_refuses_runless_deployment () =
+(* A deployment directory DIR/index.{labels,catalog} of the shared
+   collection, removed afterwards. *)
+let with_deployment_dir f =
   let coll = Lazy.force shared_collection in
   let dg = { Idx.Path_index.graph = C.graph coll; tag = C.tag coll } in
-  let hopi = Idx.Hopi.build dg in
-  let dir = Filename.temp_file "fxstale" "" in
+  let dir = Filename.temp_file "fxdeploy" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let prefix = Filename.concat dir "index" in
-  let files = List.map (fun ext -> prefix ^ ext) [ ".labels"; ".tags"; ".catalog" ] in
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) files;
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
     (fun () ->
-      Idx.Disk_hopi.save ~path:prefix dg hopi;
-      Idx.Disk_labels.save ~path:(prefix ^ ".labels") (Idx.Hopi.labels hopi);
+      Idx.Disk_hopi.save ~path:prefix dg (Idx.Hopi.build dg);
       Idx.Catalog.save ~path:(prefix ^ ".catalog") (Idx.Catalog.of_collection coll);
-      let ic =
-        Unix.open_process_in
-          (Printf.sprintf "../bin/flix_serve.exe --index-dir %s --port 0 2>&1 >/dev/null"
-             (Filename.quote dir))
+      f dir prefix)
+
+(* A catalog of a smaller collection than the label store's. *)
+let save_mismatched_catalog prefix =
+  Idx.Catalog.save ~path:(prefix ^ ".catalog")
+    (Idx.Catalog.of_collection (Dblp.collection { Dblp.default with n_docs = 120; seed = 5 }))
+
+(* Boot flix_serve on [dir] and expect it to stop at once: exit 1 and
+   one diagnostic line, no backtrace, containing every [affixes]. A
+   server that boots anyway is stopped after 30 s (exit 124). *)
+let expect_boot_refused dir affixes =
+  let ic =
+    Unix.open_process_in
+      (Printf.sprintf "timeout 30 ../bin/flix_serve.exe --index-dir %s --port 0 2>&1 >/dev/null"
+         (Filename.quote dir))
+  in
+  let lines = In_channel.input_lines ic in
+  let status = Unix.close_process_in ic in
+  Alcotest.(check bool) "exit status 1" true (status = Unix.WEXITED 1);
+  match lines with
+  | [ line ] ->
+      List.iter
+        (fun affix ->
+          Alcotest.(check bool) ("mentions " ^ affix) true (Astring.String.is_infix ~affix line))
+        affixes
+  | _ -> Alcotest.failf "expected one diagnostic line, got:\n%s" (String.concat "\n" lines)
+
+(* A deployment of either earlier store layout stops flix_serve at
+   boot with a line naming the label file and how to rebuild. *)
+let flix_serve_refuses_stale_deployment () =
+  List.iter
+    (fun layout ->
+      with_deployment_dir (fun dir prefix ->
+          Helpers.stamp_store_layout (prefix ^ ".labels") layout;
+          expect_boot_refused dir [ prefix ^ ".labels"; "--index-dir" ]))
+    [ None; Some 1 ]
+
+(* A catalog saved from another collection than the label store is
+   refused at boot, naming both files. *)
+let flix_serve_refuses_mismatched_catalog () =
+  with_deployment_dir (fun dir prefix ->
+      save_mismatched_catalog prefix;
+      expect_boot_refused dir [ prefix ^ ".catalog"; prefix ^ ".labels" ])
+
+(* RELOAD opens the deployment through the same check: a mismatched
+   catalog answers ERR, and the serving epoch keeps its answers. *)
+let flix_serve_reload_refuses_mismatched_catalog () =
+  with_deployment_dir (fun dir prefix ->
+      let out_r, out_w = Unix.pipe ~cloexec:true () in
+      let pid =
+        Unix.create_process "../bin/flix_serve.exe"
+          [| "flix_serve.exe"; "--index-dir"; dir; "--port"; "0"; "--workers"; "1" |]
+          Unix.stdin out_w out_w
       in
-      let lines = In_channel.input_lines ic in
-      let status = Unix.close_process_in ic in
-      Alcotest.(check bool) "exit status 1" true (status = Unix.WEXITED 1);
-      match lines with
-      | [ line ] ->
-          Alcotest.(check bool) "names the label file" true
-            (Astring.String.is_infix ~affix:(prefix ^ ".labels") line);
-          Alcotest.(check bool) "says to rebuild with --index-dir" true
-            (Astring.String.is_infix ~affix:"--index-dir" line)
-      | _ ->
-          Alcotest.failf "expected one diagnostic line, got:\n%s" (String.concat "\n" lines))
+      Unix.close out_w;
+      let log = Unix.in_channel_of_descr out_r in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.kill pid Sys.sigint;
+          ignore (In_channel.input_all log);
+          ignore (Unix.waitpid [] pid);
+          close_in log)
+        (fun () ->
+          let rec port () =
+            match In_channel.input_line log with
+            | None -> Alcotest.fail "flix_serve exited before serving"
+            | Some line -> (
+                match Scanf.sscanf_opt line "serving on %[^:]:%d" (fun _ p -> p) with
+                | Some p -> p
+                | None -> port ())
+          in
+          let c = Client.connect ~port:(port ()) () in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              (* DESCENDANTS bypasses the answer cache: the after
+                 answer is read from the deployment. *)
+              let ask () =
+                match Client.descendants c ~doc:(Dblp.doc_name 3) ~tag:"author" ~k:5 () with
+                | Ok (Client.Value (items, false)) -> List.map P.item_line items
+                | _ -> Alcotest.fail "DESCENDANTS failed"
+              in
+              let before = ask () in
+              Alcotest.(check bool) "answer nonempty" true (before <> []);
+              save_mismatched_catalog prefix;
+              (match Client.reload c with
+              | Ok (Client.Server_error msg) ->
+                  Alcotest.(check bool) "names the catalog" true
+                    (Astring.String.is_infix ~affix:(prefix ^ ".catalog") msg)
+              | _ -> Alcotest.fail "RELOAD over a mismatched catalog should answer ERR");
+              (match Client.epoch c with
+              | Ok (Client.Value 1) -> ()
+              | _ -> Alcotest.fail "the refused RELOAD swapped the epoch");
+              Alcotest.(check (list string)) "old epoch still answers" before (ask ()))))
 
 let () =
   Alcotest.run "server"
@@ -963,7 +1037,11 @@ let () =
           Alcotest.test_case "disk EVALUATE cached" `Quick disk_evaluate_cached;
           Alcotest.test_case "disk EVALUATE matches oracle" `Quick disk_evaluate_matches_oracle;
           Alcotest.test_case "stale deployment refused" `Quick
-            flix_serve_refuses_runless_deployment;
+            flix_serve_refuses_stale_deployment;
+          Alcotest.test_case "mismatched catalog refused at boot" `Quick
+            flix_serve_refuses_mismatched_catalog;
+          Alcotest.test_case "mismatched catalog refused at RELOAD" `Quick
+            flix_serve_reload_refuses_mismatched_catalog;
           Alcotest.test_case "concurrent clients vs direct" `Quick concurrent_clients;
           Alcotest.test_case "deadline timeout" `Quick deadline_timeout;
           Alcotest.test_case "admission control BUSY" `Quick admission_busy;

@@ -212,7 +212,7 @@ let with_disk_server ?config coll f =
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ prefix; prefix ^ ".labels"; prefix ^ ".tags"; prefix ^ ".catalog" ])
+        [ prefix; prefix ^ ".labels"; prefix ^ ".catalog" ])
     (fun () ->
       Fx_index.Disk_hopi.save ~path:prefix dg hopi;
       Fx_index.Catalog.save ~path:(prefix ^ ".catalog")

@@ -519,170 +519,6 @@ let test_heap_smashed_prefix () =
       smash (-1l);
       Pager.close p)
 
-(* --- b+tree ------------------------------------------------------------------ *)
-
-module Btree = Fx_store.Btree
-module IntMap = Map.Make (Int)
-
-let test_btree_basic () =
-  with_temp_file (fun path ->
-      Sys.remove path;
-      let p = Pager.create ~page_size:256 path in
-      let t = Btree.create p in
-      check "empty find" true (Btree.find t 5 = None);
-      Btree.insert t ~key:5 ~value:50;
-      Btree.insert t ~key:1 ~value:10;
-      Btree.insert t ~key:9 ~value:90;
-      check "find 5" true (Btree.find t 5 = Some 50);
-      check "find 1" true (Btree.find t 1 = Some 10);
-      check "miss" true (Btree.find t 2 = None);
-      check_int "length" 3 (Btree.length t);
-      Btree.insert t ~key:5 ~value:55;
-      check "overwrite" true (Btree.find t 5 = Some 55);
-      check_int "length stable" 3 (Btree.length t);
-      Alcotest.(check (list (pair int int))) "range" [ (1, 10); (5, 55) ]
-        (Btree.range t ~lo:0 ~hi:5);
-      Pager.close p)
-
-let test_btree_splits () =
-  with_temp_file (fun path ->
-      Sys.remove path;
-      (* Page size 256 -> leaf capacity ~14: a thousand keys forces many
-         splits and several levels. *)
-      let p = Pager.create ~page_size:256 path in
-      let t = Btree.create p in
-      let n = 1000 in
-      (* insert in shuffled order *)
-      let keys = Array.init n (fun i -> i) in
-      let rng = Fx_util.Rng.create 17 in
-      Fx_util.Rng.shuffle rng keys;
-      Array.iter (fun k -> Btree.insert t ~key:k ~value:(7 * k)) keys;
-      check_int "length" n (Btree.length t);
-      check "grew levels" true (Btree.height t >= 3);
-      for k = 0 to n - 1 do
-        check "find all" true (Btree.find t k = Some (7 * k))
-      done;
-      Alcotest.(check (list (pair int int))) "range scan"
-        (List.init 11 (fun i -> (100 + i, 7 * (100 + i))))
-        (Btree.range t ~lo:100 ~hi:110);
-      check_int "full scan" n (List.length (Btree.range t ~lo:0 ~hi:max_int));
-      Pager.close p)
-
-let test_btree_sequential_orders () =
-  (* Ascending and descending insertion orders are the classic split
-     worst cases; both must produce correct trees. *)
-  List.iter
-    (fun descending ->
-      with_temp_file (fun path ->
-          Sys.remove path;
-          let p = Pager.create ~page_size:256 path in
-          let t = Btree.create p in
-          let n = 600 in
-          for i = 0 to n - 1 do
-            let k = if descending then n - 1 - i else i in
-            Btree.insert t ~key:k ~value:(k * 3)
-          done;
-          check_int "length" n (Btree.length t);
-          for k = 0 to n - 1 do
-            check "present" true (Btree.find t k = Some (k * 3))
-          done;
-          check_int "ordered scan" n (List.length (Btree.range t ~lo:0 ~hi:n));
-          let scanned = Btree.range t ~lo:0 ~hi:n in
-          check "ascending keys" true (List.sort compare scanned = scanned);
-          Pager.close p))
-    [ false; true ]
-
-let test_btree_persistence () =
-  with_temp_file (fun path ->
-      Sys.remove path;
-      let p = Pager.create ~page_size:256 path in
-      let t = Btree.create p in
-      for k = 0 to 499 do
-        Btree.insert t ~key:(2 * k) ~value:k
-      done;
-      Pager.close p;
-      let p2 = Pager.create ~page_size:256 path in
-      let t2 = Btree.create p2 in
-      check_int "length recovered" 500 (Btree.length t2);
-      check "find after reopen" true (Btree.find t2 700 = Some 350);
-      check "odd keys absent" true (Btree.find t2 701 = None);
-      (* inserts continue to work after reopen *)
-      Btree.insert t2 ~key:701 ~value:(-1);
-      check "insert after reopen" true (Btree.find t2 701 = Some (-1));
-      Pager.close p2)
-
-(* A bulk-loaded tree answers like the inserted one, survives reopen and
-   takes inserts afterwards. *)
-let prop_btree_bulk_load =
-  Helpers.qtest ~count:30 "btree bulk load ≡ Map oracle"
-    QCheck.(list (pair (int_bound 5_000) (int_bound 10_000)))
-    (fun pairs ->
-      with_temp_file (fun path ->
-          Sys.remove path;
-          let module M = Map.Make (Int) in
-          let oracle = List.fold_left (fun m (k, v) -> M.add k v m) M.empty pairs in
-          let p = Pager.create ~page_size:256 path in
-          let t = Btree.bulk_load p (Array.of_list (M.bindings oracle)) in
-          let ok_len = Btree.length t = M.cardinal oracle in
-          let ok_range = Btree.range t ~lo:0 ~hi:max_int = M.bindings oracle in
-          let ok_sub =
-            Btree.range t ~lo:1000 ~hi:3000
-            = List.filter (fun (k, _) -> k >= 1000 && k <= 3000) (M.bindings oracle)
-          in
-          Pager.close p;
-          let p2 = Pager.create ~page_size:256 path in
-          let t2 = Btree.create p2 in
-          let ok_find = M.for_all (fun k v -> Btree.find t2 k = Some v) oracle in
-          Btree.insert t2 ~key:7_000 ~value:7;
-          List.iter (fun (k, v) -> Btree.insert t2 ~key:(k + 1) ~value:v) pairs;
-          let ok_insert = Btree.find t2 7_000 = Some 7 in
-          let ok_sorted =
-            let keys = List.map fst (Btree.range t2 ~lo:0 ~hi:max_int) in
-            keys = List.sort_uniq Int.compare keys
-          in
-          Pager.close p2;
-          ok_len && ok_range && ok_sub && ok_find && ok_insert && ok_sorted))
-
-let test_btree_bulk_load_rejects () =
-  with_temp_file (fun path ->
-      Sys.remove path;
-      let p = Pager.create ~page_size:256 path in
-      check "unsorted keys refused" true
-        (match Btree.bulk_load p [| (2, 0); (1, 0) |] with
-        | _ -> false
-        | exception Invalid_argument _ -> true);
-      Pager.close p)
-
-let prop_btree_vs_map =
-  Helpers.qtest ~count:30 "btree ≡ Map oracle (insert/find/range)"
-    QCheck.(list (pair (int_bound 500) (int_bound 10_000)))
-    (fun pairs ->
-      with_temp_file (fun path ->
-          Sys.remove path;
-          let p = Pager.create ~page_size:256 path in
-          let t = Btree.create p in
-          let oracle =
-            List.fold_left
-              (fun m (k, v) ->
-                Btree.insert t ~key:k ~value:v;
-                IntMap.add k v m)
-              IntMap.empty pairs
-          in
-          let ok_finds =
-            List.for_all (fun (k, _) -> Btree.find t k = IntMap.find_opt k oracle) pairs
-            && Btree.find t 501 = None
-            && Btree.length t = IntMap.cardinal oracle
-          in
-          let expected_range =
-            IntMap.fold
-              (fun k v acc -> if k >= 100 && k <= 400 then (k, v) :: acc else acc)
-              oracle []
-            |> List.rev
-          in
-          let ok_range = Btree.range t ~lo:100 ~hi:400 = expected_range in
-          Pager.close p;
-          ok_finds && ok_range))
-
 (* --- disk labels ----------------------------------------------------------------- *)
 
 let test_disk_labels_roundtrip () =
@@ -690,7 +526,7 @@ let test_disk_labels_roundtrip () =
       Sys.remove path;
       let g = Helpers.small_graph () in
       let labels = Fx_index.Two_hop.build g in
-      Fx_index.Disk_labels.save ~path labels;
+      Fx_index.Disk_labels.save ~tags:(Array.make 8 0) ~path labels;
       let disk = Fx_index.Disk_labels.open_ path in
       check_int "nodes" 8 (Fx_index.Disk_labels.n_nodes disk);
       List.iter
@@ -704,7 +540,7 @@ let test_disk_labels_cold_warm_stats () =
   with_temp_file (fun path ->
       Sys.remove path;
       let g = Helpers.small_graph () in
-      Fx_index.Disk_labels.save ~path (Fx_index.Two_hop.build g);
+      Fx_index.Disk_labels.save ~tags:(Array.make 8 0) ~path (Fx_index.Two_hop.build g);
       let disk = Fx_index.Disk_labels.open_ ~pool_pages:4 path in
       Fx_index.Disk_labels.drop_pool disk;
       Fx_index.Disk_labels.reset_stats disk;
@@ -724,7 +560,7 @@ let prop_disk_labels_random =
           Sys.remove path;
           let g = Fx_graph.Digraph.of_edges ~n edges in
           let labels = Fx_index.Two_hop.build g in
-          Fx_index.Disk_labels.save ~page_size:128 ~path labels;
+          Fx_index.Disk_labels.save ~page_size:128 ~tags:(Array.make n 0) ~path labels;
           let disk = Fx_index.Disk_labels.open_ ~pool_pages:2 ~page_size:128 path in
           let ok =
             List.for_all
@@ -743,7 +579,7 @@ let with_temp_prefix f =
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; path ^ ".labels"; path ^ ".tags" ])
+        [ path; path ^ ".labels" ])
     (fun () -> f path)
 
 let test_disk_hopi_full () =
@@ -768,7 +604,7 @@ let test_disk_hopi_full () =
               = Fx_index.Hopi.descendants_by_tag hopi x want))
           [ None; Some 0; Some 1; Some 2; Some 99 ]
       done;
-      Fx_index.Disk_hopi.drop_pools disk;
+      Fx_index.Disk_hopi.drop_pool disk;
       check "still answers after pool drop" true
         (Fx_index.Disk_hopi.reachable disk 0 7);
       Fx_index.Disk_hopi.close disk)
@@ -894,7 +730,7 @@ let test_disk_hopi_stream_is_lazy () =
       let hopi = Fx_index.Hopi.build dg in
       Fx_index.Disk_hopi.save ~page_size:256 ~path dg hopi;
       let disk = Fx_index.Disk_hopi.open_ ~page_size:256 ~pool_pages:64 ~path () in
-      let reads () = (fst (Fx_index.Disk_hopi.stats disk)).Pager.logical_reads in
+      let reads () = (Fx_index.Disk_hopi.stats disk).Pager.logical_reads in
       let r0 = reads () in
       let first = pull 1 (Fx_index.Disk_hopi.descendants disk 0 None) in
       let r1 = reads () in
@@ -909,24 +745,91 @@ let test_disk_hopi_stream_is_lazy () =
         ((r1 - r0) * 10 < r2 - r1);
       Fx_index.Disk_hopi.close disk)
 
-(* A label file without hop runs — what the earlier layout wrote, and
-   what a bare Disk_labels.save still writes — is refused at open with
-   a diagnostic naming the file and how to rebuild. *)
-let test_disk_hopi_refuses_runless_store () =
+(* The tag directory lives in the label heap: every tag id's nodes
+   come back ascending, through a two-page pool and again after a
+   reopen; negative and unknown ids read nothing. *)
+let prop_disk_hopi_nodes_by_tag =
+  Helpers.qtest ~count:20 "nodes_by_tag = Path_index.nodes_by_tag"
+    (Helpers.digraph_arb ~max_n:40 ())
+    (fun (n, edges) ->
+      with_temp_prefix (fun path ->
+          let dg = Helpers.data_graph_of (n, edges) ~tag_seed:9 in
+          Fx_index.Disk_hopi.save ~page_size:256 ~path dg (Fx_index.Hopi.build dg);
+          let want = Fx_index.Path_index.nodes_by_tag dg in
+          let n_tags = Array.length want in
+          let agrees () =
+            let disk = Fx_index.Disk_hopi.open_ ~page_size:256 ~pool_pages:2 ~path () in
+            let got tag = Fx_index.Disk_hopi.nodes_by_tag disk tag in
+            let ok =
+              Fx_index.Disk_hopi.n_tags disk = n_tags
+              && Array.mapi (fun tag _ -> got tag) want = Array.map Array.to_list want
+              && List.for_all (fun tag -> got tag = []) [ -1; min_int; n_tags; n_tags + 7 ]
+            in
+            Fx_index.Disk_hopi.close disk;
+            ok
+          in
+          agrees () && agrees ()))
+
+(* A tag record out of order or naming a node the store does not have
+   is corruption, not an answer. *)
+let test_disk_hopi_mangled_tag_record () =
   with_temp_prefix (fun path ->
       let dg =
         { Fx_index.Path_index.graph = Helpers.small_graph (); tag = [| 0; 1; 1; 2; 1; 0; 2; 1 |] }
       in
-      let hopi = Fx_index.Hopi.build dg in
-      Fx_index.Disk_hopi.save ~path dg hopi;
-      Fx_index.Disk_labels.save ~path:(path ^ ".labels") (Fx_index.Hopi.labels hopi);
+      Fx_index.Disk_hopi.save ~path dg (Fx_index.Hopi.build dg);
+      List.iter
+        (fun (what, bytes) ->
+          Helpers.replace_tag_record (path ^ ".labels") ~tag:1 bytes;
+          let disk = Fx_index.Disk_hopi.open_ ~path () in
+          Fun.protect
+            ~finally:(fun () -> Fx_index.Disk_hopi.close disk)
+            (fun () ->
+              check (what ^ ": other tags intact") true
+                (Fx_index.Disk_hopi.nodes_by_tag disk 0 = [ 0; 5 ]);
+              match Fx_index.Disk_hopi.nodes_by_tag disk 1 with
+              | exception Fx_util.Codec.Corrupt _ -> ()
+              | _ -> Alcotest.failf "%s accepted" what))
+        [ ("a repeated node", "\003\000"); ("a node out of range", "\009") ])
+
+(* Stores of both earlier layouts — labels only (a trailer without the
+   layout field), and hop runs without tag records (layout 1) — are
+   refused at open with a diagnostic naming the file and how to
+   rebuild. *)
+let refuses_layout layout () =
+  with_temp_prefix (fun path ->
+      let dg =
+        { Fx_index.Path_index.graph = Helpers.small_graph (); tag = [| 0; 1; 1; 2; 1; 0; 2; 1 |] }
+      in
+      Fx_index.Disk_hopi.save ~path dg (Fx_index.Hopi.build dg);
+      Helpers.stamp_store_layout (path ^ ".labels") layout;
       match Fx_index.Disk_hopi.open_ ~path () with
       | d ->
           Fx_index.Disk_hopi.close d;
-          Alcotest.fail "a store without hop runs opened"
+          Alcotest.fail "a store of an earlier layout opened"
       | exception Fx_util.Codec.Corrupt msg ->
           check "names the file" true (Astring.String.is_infix ~affix:(path ^ ".labels") msg);
           check "says how to rebuild" true (Astring.String.is_infix ~affix:"--index-dir" msg))
+
+(* Opening a prefix with no files fails naming the label file, and
+   leaves no file behind. *)
+let test_disk_hopi_open_missing () =
+  let dir = Filename.temp_file "fxmissing" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let path = Filename.concat dir "index" in
+      (match Fx_index.Disk_hopi.open_ ~path () with
+      | d ->
+          Fx_index.Disk_hopi.close d;
+          Alcotest.fail "a missing store opened"
+      | exception Sys_error msg ->
+          check "names the file" true (Astring.String.is_infix ~affix:(path ^ ".labels") msg));
+      check_int "directory unchanged" 0 (Array.length (Sys.readdir dir)))
 
 let () =
   Alcotest.run "fx_store"
@@ -956,16 +859,6 @@ let () =
           Alcotest.test_case "smashed length prefix" `Quick test_heap_smashed_prefix;
           Alcotest.test_case "batch and reader" `Quick test_heap_batch_and_reader;
         ] );
-      ( "btree",
-        [
-          Alcotest.test_case "basic" `Quick test_btree_basic;
-          Alcotest.test_case "splits and levels" `Quick test_btree_splits;
-          Alcotest.test_case "sequential insert orders" `Quick test_btree_sequential_orders;
-          Alcotest.test_case "persistence" `Quick test_btree_persistence;
-          prop_btree_vs_map;
-          prop_btree_bulk_load;
-          Alcotest.test_case "bulk load rejects unsorted" `Quick test_btree_bulk_load_rejects;
-        ] );
       ( "disk_labels",
         [
           Alcotest.test_case "roundtrip" `Quick test_disk_labels_roundtrip;
@@ -978,7 +871,10 @@ let () =
           prop_disk_hopi_random;
           prop_disk_hopi_multi_start;
           Alcotest.test_case "stream is lazy" `Quick test_disk_hopi_stream_is_lazy;
-          Alcotest.test_case "refuses a store without runs" `Quick
-            test_disk_hopi_refuses_runless_store;
+          prop_disk_hopi_nodes_by_tag;
+          Alcotest.test_case "mangled tag record" `Quick test_disk_hopi_mangled_tag_record;
+          Alcotest.test_case "refuses a store without runs" `Quick (refuses_layout None);
+          Alcotest.test_case "refuses a layout-1 store" `Quick (refuses_layout (Some 1));
+          Alcotest.test_case "open creates no file" `Quick test_disk_hopi_open_missing;
         ] );
     ]
