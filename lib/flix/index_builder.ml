@@ -8,6 +8,8 @@ type built = {
   index : Path_index.instance;
   fallback : bool;
   impl : impl;
+  out_lookup : int -> (int * int) list;
+  in_lookup : int -> (int * int) list;
 }
 
 type t = {
@@ -49,6 +51,19 @@ let equal_structure (a : Meta_document.t) (b : Meta_document.t) =
   && a.Meta_document.tag = b.Meta_document.tag
   && Fx_graph.Digraph.edges a.Meta_document.graph = Fx_graph.Digraph.edges b.Meta_document.graph
 
+(* The link lookups are staged here, once per meta document, so a query
+   pays only for the link nodes it meets. *)
+let stage ~meta ~strategy ~index ~fallback ~impl =
+  {
+    meta;
+    strategy;
+    index;
+    fallback;
+    impl;
+    out_lookup = index.Path_index.restricted_descendants meta.Meta_document.link_nodes;
+    in_lookup = index.Path_index.restricted_ancestors meta.Meta_document.in_link_nodes;
+  }
+
 let instantiate strategy dg =
   match (strategy : Strategy_selector.strategy) with
   | PPO -> Fx_index.Ppo.instance dg
@@ -65,25 +80,14 @@ let build_one policy (m : Meta_document.t) =
          [Ppo.extend] on a later incremental rebuild. *)
       (match Fx_index.Ppo.build dg with
       | ppo ->
-          {
-            meta = m;
-            strategy = requested;
-            index = Fx_index.Ppo.instance_of ppo;
-            fallback = false;
-            impl = Ppo_tree ppo;
-          }
+          stage ~meta:m ~strategy:requested ~index:(Fx_index.Ppo.instance_of ppo)
+            ~fallback:false ~impl:(Ppo_tree ppo)
       | exception Fx_index.Ppo.Not_a_forest ->
           let strategy = Strategy_selector.HOPI { partition_size = 5000 } in
-          {
-            meta = m;
-            strategy;
-            index = instantiate strategy dg;
-            fallback = true;
-            impl = Opaque;
-          })
+          stage ~meta:m ~strategy ~index:(instantiate strategy dg) ~fallback:true ~impl:Opaque)
   | _ ->
-      let index = instantiate requested dg in
-      { meta = m; strategy = requested; index; fallback = false; impl = Opaque }
+      stage ~meta:m ~strategy:requested ~index:(instantiate requested dg) ~fallback:false
+        ~impl:Opaque
 
 let build ?(policy = Strategy_selector.default_auto) ?reuse ?(jobs = 1)
     (registry : Meta_document.registry) =
@@ -132,13 +136,9 @@ let build ?(policy = Strategy_selector.default_auto) ?reuse ?(jobs = 1)
               | Some ppo' ->
                   Atomic.incr extended;
                   Some
-                    {
-                      meta = m;
-                      strategy = Strategy_selector.PPO;
-                      index = Fx_index.Ppo.instance_of ppo';
-                      fallback = false;
-                      impl = Ppo_tree ppo';
-                    }
+                    (stage ~meta:m ~strategy:Strategy_selector.PPO
+                       ~index:(Fx_index.Ppo.instance_of ppo') ~fallback:false
+                       ~impl:(Ppo_tree ppo'))
               | None -> None
             else None)
           ppo_pool
@@ -150,8 +150,9 @@ let build ?(policy = Strategy_selector.default_auto) ?reuse ?(jobs = 1)
     | Some b ->
         Atomic.incr reused;
         (* The structure matches but the link sets and the id may have
-           changed; rebind the instance to the new meta document. *)
-        { b with meta = m }
+           changed: rebind the instance to the new meta document and
+           stage its link sets afresh. *)
+        stage ~meta:m ~strategy:b.strategy ~index:b.index ~fallback:b.fallback ~impl:b.impl
     | None -> (
         match try_extend m with Some b -> b | None -> build_one policy m)
   in

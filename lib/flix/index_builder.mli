@@ -18,7 +18,18 @@ type built = {
   index : Fx_index.Path_index.instance;
   fallback : bool;  (** true when the requested strategy was unusable *)
   impl : impl;
+  out_lookup : int -> (int * int) list;
+      (** [index.restricted_descendants meta.link_nodes], staged once for
+          this meta document: local node -> [(link node, distance)] for
+          the nodes of [L_i] below it, in (distance, node) order. *)
+  in_lookup : int -> (int * int) list;
+      (** [index.restricted_ancestors meta.in_link_nodes], staged the
+          same way, for ancestor queries. *)
 }
+(** Both lookups are staged whenever a record is made: at build, after
+    {!Fx_index.Ppo.extend}, and when a reused index is rebound to a new
+    meta document, whose link sets may differ from the old one's. They
+    are immutable values. *)
 
 type t = {
   registry : Meta_document.registry;

@@ -15,9 +15,11 @@ type item = { node : int; dist : int; meta : int }
    operations and outgoing links, ancestors the mirrored ones. *)
 type direction = {
   matches_in_meta : Path_index.instance -> int -> int option -> (int * int) list;
-  link_hops : Index_builder.built -> int -> (int * int) list;
-      (* local node -> (global link endpoint on the other side, distance
-         from/to the local node) for every relevant link below/above it *)
+  link_lookup : Index_builder.built -> int -> (int * int) list;
+      (* the staged L(a): local link node -> its distance from/to the
+         local node, for every relevant link node below/above it *)
+  link_ends : Meta_document.t -> int list array;
+      (* local link node -> global link endpoints on the other side *)
   covers : Path_index.instance -> int -> int -> bool;
       (* [covers idx entry v]: did processing [entry] already emit [v]?
          Forward: entry is an ancestor of v; backward: a descendant. *)
@@ -29,12 +31,8 @@ type direction = {
 let forward : direction =
   {
     matches_in_meta = (fun idx l tag -> idx.Path_index.descendants_by_tag l tag);
-    link_hops =
-      (fun b l ->
-        let m = b.Index_builder.meta in
-        List.concat_map
-          (fun (lv, dl) -> List.map (fun target -> (target, dl)) m.Meta_document.out_links.(lv))
-          (b.index.Path_index.restricted_descendants l m.Meta_document.link_nodes));
+    link_lookup = (fun b l -> b.Index_builder.out_lookup l);
+    link_ends = (fun m -> m.Meta_document.out_links);
     covers = (fun idx entry v -> idx.Path_index.reachable entry v);
     local_dist = (fun idx entry v -> idx.Path_index.distance entry v);
   }
@@ -42,15 +40,42 @@ let forward : direction =
 let backward : direction =
   {
     matches_in_meta = (fun idx l tag -> idx.Path_index.ancestors_by_tag l tag);
-    link_hops =
-      (fun b l ->
-        let m = b.Index_builder.meta in
-        List.concat_map
-          (fun (lv, dl) -> List.map (fun source -> (source, dl)) m.Meta_document.in_links.(lv))
-          (b.index.Path_index.restricted_ancestors l m.Meta_document.in_link_nodes));
+    link_lookup = (fun b l -> b.Index_builder.in_lookup l);
+    link_ends = (fun m -> m.Meta_document.in_links);
     covers = (fun idx entry v -> idx.Path_index.reachable v entry);
     local_dist = (fun idx entry v -> idx.Path_index.distance v entry);
   }
+
+(* Follow the links that are not reflected in [b]'s index: the far end
+   of every link at a link node [lookup l] returns goes into [queue] at
+   priority [d + dist + 1], in the lookup's (distance, node) order and
+   each node's link-list order. The distances ascend, so the first link
+   node past [max_dist] ends the walk: none after it would be pushed. *)
+let push_links pee dir queue b l d ~max_dist =
+  let ends = dir.link_ends b.Index_builder.meta in
+  let rec push prio = function
+    | [] -> ()
+    | other_end :: rest ->
+        pee.insertions <- pee.insertions + 1;
+        PQ.insert queue prio other_end;
+        push prio rest
+  in
+  let rec walk = function
+    | [] -> ()
+    | (lv, dl) :: rest ->
+        let prio = d + dl + 1 in
+        if prio <= max_dist then begin
+          push prio ends.(lv);
+          walk rest
+        end
+  in
+  walk (dir.link_lookup b l)
+
+(* A negative tag is the id of no element (an unknown name resolves to
+   -1): such a query has no answers, and the connection test uses it to
+   skip block evaluation. *)
+let no_element = function Some w -> w < 0 | None -> false
+let empty_stream () = Result_stream.of_fn (fun () -> None)
 
 (* Shared engine state for one query. [entries] records the entry points
    per meta document for the paper's duplicate-elimination scheme.
@@ -81,14 +106,6 @@ let make_engine pee dir ~tag ~max_dist starts =
     pending = Queue.create ();
   }
 
-(* The next element to expand: the seeds at priority 0, then the heap. *)
-let pop eng =
-  match eng.seeds with
-  | s :: rest ->
-      eng.seeds <- rest;
-      Some (0, s)
-  | [] -> PQ.extract_min eng.queue
-
 (* Entry-point duplicate elimination (paper, Section 5.1): [e] is dropped
    when a previous entry point of the same meta document is an ancestor
    of it — all of [e]'s matches were already returned. *)
@@ -96,55 +113,58 @@ let covered_by_entries eng (idx : Path_index.instance) meta_id l =
   let prev = Option.value ~default:[] (Hashtbl.find_opt eng.entries meta_id) in
   (prev, List.exists (fun e' -> eng.dir.covers idx e' l) prev)
 
-(* Process one queue pop. Returns false when the queue is exhausted.
-   [on_meta] is called — with the popped element's priority, its built
-   meta document and its local id — before results are enqueued; it lets
-   the connection test short-circuit. *)
+(* Expand one element popped at priority [d]. Returns false when [d]
+   is past [max_dist], which ends the search. [on_meta] is called — with
+   the priority, the built meta document and the local id — before
+   results are enqueued; it lets the connection test short-circuit. *)
+let expand eng ~on_meta d node =
+  if d > eng.max_dist then begin
+    eng.seeds <- [];
+    PQ.clear eng.queue;
+    false
+  end
+  else begin
+    let reg = eng.pee.built.Index_builder.registry in
+    let meta_id = reg.Meta_document.meta_of_node.(node) in
+    let l = reg.Meta_document.local_of_node.(node) in
+    let b = eng.pee.built.Index_builder.indexes.(meta_id) in
+    let idx = b.Index_builder.index in
+    let prev, covered = covered_by_entries eng idx meta_id l in
+    if covered then eng.pee.entry_drops <- eng.pee.entry_drops + 1
+    else begin
+      on_meta d b l;
+      let m = b.Index_builder.meta in
+      (* Block evaluation inside the meta document. Results that are
+         descendants of another entry point were already returned. *)
+      if not (no_element eng.tag) then
+        List.iter
+          (fun (v, dv) ->
+            let total = d + dv in
+            if total <= eng.max_dist
+               && not (List.exists (fun e' -> eng.dir.covers idx e' v) prev)
+            then
+              Queue.add
+                { node = Meta_document.global_of_local m v; dist = total; meta = meta_id }
+                eng.pending)
+          (eng.dir.matches_in_meta idx l eng.tag);
+      Hashtbl.replace eng.entries meta_id (l :: prev);
+      push_links eng.pee eng.dir eng.queue b l d ~max_dist:eng.max_dist
+    end;
+    true
+  end
+
+(* Process one element: the seeds at priority 0, then the heap. Returns
+   false when the search is over. *)
 let step eng ~on_meta =
-  match pop eng with
-  | None -> false
-  | Some (d, node) ->
-      if d > eng.max_dist then begin
-        eng.seeds <- [];
-        PQ.clear eng.queue;
-        false
-      end
-      else begin
-        let reg = eng.pee.built.Index_builder.registry in
-        let meta_id = reg.Meta_document.meta_of_node.(node) in
-        let l = reg.Meta_document.local_of_node.(node) in
-        let b = eng.pee.built.Index_builder.indexes.(meta_id) in
-        let idx = b.Index_builder.index in
-        let prev, covered = covered_by_entries eng idx meta_id l in
-        if covered then eng.pee.entry_drops <- eng.pee.entry_drops + 1
-        else begin
-          on_meta d b l;
-          let m = b.Index_builder.meta in
-          (* Block evaluation inside the meta document. Results that are
-             descendants of another entry point were already returned. *)
-          List.iter
-            (fun (v, dv) ->
-              let total = d + dv in
-              if total <= eng.max_dist
-                 && not (List.exists (fun e' -> eng.dir.covers idx e' v) prev)
-              then
-                Queue.add
-                  { node = Meta_document.global_of_local m v; dist = total; meta = meta_id }
-                  eng.pending)
-            (eng.dir.matches_in_meta idx l eng.tag);
-          Hashtbl.replace eng.entries meta_id (l :: prev);
-          (* Follow the links that are not reflected in this index. *)
-          List.iter
-            (fun (other_end, dl) ->
-              let prio = d + dl + 1 in
-              if prio <= eng.max_dist then begin
-                eng.pee.insertions <- eng.pee.insertions + 1;
-                PQ.insert eng.queue prio other_end
-              end)
-            (eng.dir.link_hops b l)
-        end;
-        true
-      end
+  match eng.seeds with
+  | s :: rest ->
+      eng.seeds <- rest;
+      expand eng ~on_meta 0 s
+  | [] ->
+      (not (PQ.is_empty eng.queue))
+      &&
+      let d = PQ.min_prio eng.queue in
+      expand eng ~on_meta d (PQ.pop eng.queue)
 
 let stream_of_engine eng ~keep =
   let rec pull () =
@@ -155,16 +175,22 @@ let stream_of_engine eng ~keep =
   Result_stream.of_fn pull
 
 let descendants ?tag ?(max_dist = max_int) ?(include_self = false) pee ~start =
-  let eng = make_engine pee forward ~tag ~max_dist [ start ] in
-  stream_of_engine eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
+  if no_element tag then empty_stream ()
+  else
+    let eng = make_engine pee forward ~tag ~max_dist [ start ] in
+    stream_of_engine eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
 
 let ancestors ?tag ?(max_dist = max_int) ?(include_self = false) pee ~start =
-  let eng = make_engine pee backward ~tag ~max_dist [ start ] in
-  stream_of_engine eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
+  if no_element tag then empty_stream ()
+  else
+    let eng = make_engine pee backward ~tag ~max_dist [ start ] in
+    stream_of_engine eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
 
 let descendants_multi ?tag ?(max_dist = max_int) pee ~starts =
-  let eng = make_engine pee forward ~tag ~max_dist starts in
-  stream_of_engine eng ~keep:(fun it -> it.dist > 0)
+  if no_element tag then empty_stream ()
+  else
+    let eng = make_engine pee forward ~tag ~max_dist starts in
+    stream_of_engine eng ~keep:(fun it -> it.dist > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Exactly-ordered evaluation — the paper's future-work item
@@ -218,89 +244,76 @@ let make_exact_engine pee dir ~tag ~max_dist starts =
   e
 
 let exact_step eng =
-  match PQ.extract_min eng.xqueue with
-  | None -> false
-  | Some (d, node) ->
-      if d > eng.xmax_dist then begin
-        PQ.clear eng.xqueue;
-        false
-      end
-      else begin
-        let reg = eng.xpee.built.Index_builder.registry in
-        let meta_id = reg.Meta_document.meta_of_node.(node) in
-        let l = reg.Meta_document.local_of_node.(node) in
-        let b = eng.xpee.built.Index_builder.indexes.(meta_id) in
-        let idx = b.Index_builder.index in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt eng.xentries meta_id) in
-        let covered =
-          List.exists
-            (fun (e', d') ->
-              match eng.xdir.local_dist idx e' l with
-              | Some dist -> d' + dist <= d
-              | None -> false)
-            prev
-        in
-        if covered then eng.xpee.entry_drops <- eng.xpee.entry_drops + 1
-        else begin
-          let m = b.Index_builder.meta in
-          List.iter
-            (fun (v, dv) ->
-              let total = d + dv in
-              let global = Meta_document.global_of_local m v in
-              if total <= eng.xmax_dist && not (Hashtbl.mem eng.xemitted global) then
-                PQ.insert eng.xresults total { node = global; dist = total; meta = meta_id })
-            (eng.xdir.matches_in_meta idx l eng.xtag);
-          Hashtbl.replace eng.xentries meta_id ((l, d) :: prev);
-          List.iter
-            (fun (other_end, dl) ->
-              let prio = d + dl + 1 in
-              if prio <= eng.xmax_dist then begin
-                eng.xpee.insertions <- eng.xpee.insertions + 1;
-                PQ.insert eng.xqueue prio other_end
-              end)
-            (eng.xdir.link_hops b l)
-        end;
-        true
-      end
+  (not (PQ.is_empty eng.xqueue))
+  &&
+  let d = PQ.min_prio eng.xqueue in
+  let node = PQ.pop eng.xqueue in
+  if d > eng.xmax_dist then begin
+    PQ.clear eng.xqueue;
+    false
+  end
+  else begin
+    let reg = eng.xpee.built.Index_builder.registry in
+    let meta_id = reg.Meta_document.meta_of_node.(node) in
+    let l = reg.Meta_document.local_of_node.(node) in
+    let b = eng.xpee.built.Index_builder.indexes.(meta_id) in
+    let idx = b.Index_builder.index in
+    let prev = Option.value ~default:[] (Hashtbl.find_opt eng.xentries meta_id) in
+    let covered =
+      List.exists
+        (fun (e', d') ->
+          match eng.xdir.local_dist idx e' l with
+          | Some dist -> d' + dist <= d
+          | None -> false)
+        prev
+    in
+    if covered then eng.xpee.entry_drops <- eng.xpee.entry_drops + 1
+    else begin
+      let m = b.Index_builder.meta in
+      List.iter
+        (fun (v, dv) ->
+          let total = d + dv in
+          let global = Meta_document.global_of_local m v in
+          if total <= eng.xmax_dist && not (Hashtbl.mem eng.xemitted global) then
+            PQ.insert eng.xresults total { node = global; dist = total; meta = meta_id })
+        (eng.xdir.matches_in_meta idx l eng.xtag);
+      Hashtbl.replace eng.xentries meta_id ((l, d) :: prev);
+      push_links eng.xpee eng.xdir eng.xqueue b l d ~max_dist:eng.xmax_dist
+    end;
+    true
+  end
 
 let exact_stream eng ~keep =
   (* Emit a result only when no unexplored element could still yield a
      smaller distance. *)
-  let frontier_bound () =
-    match PQ.peek_min eng.xqueue with Some (d, _) -> d | None -> max_int
-  in
+  let frontier_bound () = if PQ.is_empty eng.xqueue then max_int else PQ.min_prio eng.xqueue in
   let rec pull () =
-    match PQ.peek_min eng.xresults with
-    | Some (dist, _) when dist <= frontier_bound () -> begin
-        match PQ.extract_min eng.xresults with
-        | Some (_, item) ->
-            if Hashtbl.mem eng.xemitted item.node then pull ()
-            else begin
-              Hashtbl.replace eng.xemitted item.node ();
-              if keep item then Some item else pull ()
-            end
-        | None -> assert false
-      end
-    | Some _ | None -> if exact_step eng then pull () else drain ()
-  and drain () =
-    match PQ.extract_min eng.xresults with
-    | None -> None
-    | Some (_, item) ->
-        if Hashtbl.mem eng.xemitted item.node then drain ()
-        else begin
-          Hashtbl.replace eng.xemitted item.node ();
-          if keep item then Some item else drain ()
-        end
+    if (not (PQ.is_empty eng.xresults)) && PQ.min_prio eng.xresults <= frontier_bound () then
+      emit pull
+    else if exact_step eng then pull ()
+    else drain ()
+  and drain () = if PQ.is_empty eng.xresults then None else emit drain
+  and emit continue =
+    let item = PQ.pop eng.xresults in
+    if Hashtbl.mem eng.xemitted item.node then continue ()
+    else begin
+      Hashtbl.replace eng.xemitted item.node ();
+      if keep item then Some item else continue ()
+    end
   in
   Result_stream.of_fn pull
 
 let descendants_exact ?tag ?(max_dist = max_int) ?(include_self = false) pee ~start =
-  let eng = make_exact_engine pee forward ~tag ~max_dist [ start ] in
-  exact_stream eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
+  if no_element tag then empty_stream ()
+  else
+    let eng = make_exact_engine pee forward ~tag ~max_dist [ start ] in
+    exact_stream eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
 
 let ancestors_exact ?tag ?(max_dist = max_int) ?(include_self = false) pee ~start =
-  let eng = make_exact_engine pee backward ~tag ~max_dist [ start ] in
-  exact_stream eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
+  if no_element tag then empty_stream ()
+  else
+    let eng = make_exact_engine pee backward ~tag ~max_dist [ start ] in
+    exact_stream eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
 
 (* The document-level filter: a pair it rules out has no path in the
    collection graph, so the search below would answer "unreachable"
@@ -317,8 +330,9 @@ let connected ?(max_dist = max_int) pee a b =
     let reg = pee.built.Index_builder.registry in
     let target_meta = reg.Meta_document.meta_of_node.(b) in
     let target_local = reg.Meta_document.local_of_node.(b) in
-    (* Tag -1 matches no element: the connection test needs no block
-       results, only the link expansion and the per-meta distance probe. *)
+    (* Tag -1 matches no element, so [step] skips block evaluation: the
+       connection test needs only the link expansion and the per-meta
+       distance probe. *)
     let eng = make_engine pee forward ~tag:(Some (-1)) ~max_dist [ a ] in
     let found = ref None in
     let on_meta d built l =

@@ -35,7 +35,12 @@ val descendants :
 (** [descendants t ~start] evaluates [start//tag] (or [start//*] without
     [tag]). [max_dist] prunes the search as the paper's distance
     threshold does; [include_self] (default false) also yields the start
-    element itself when it matches, i.e. descendants-or-self. *)
+    element itself when it matches, i.e. descendants-or-self.
+
+    A negative [tag] (an unknown tag name resolves to -1) matches no
+    element: this and every other evaluator below that takes a tag
+    return an empty stream without searching, so nothing is pushed or
+    dropped. *)
 
 val descendants_multi :
   ?tag:int -> ?max_dist:int -> t -> starts:int list -> item Result_stream.t

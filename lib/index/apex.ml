@@ -156,8 +156,9 @@ let reached_from_tag_set t w =
       s
 
 (* Summary-pruned BFS on the data graph. [expandable v] cuts branches
-   that provably cannot produce further matches. Results come out in BFS
-   order, i.e. ascending distance. *)
+   that provably cannot produce further matches. BFS finds the matches
+   by ascending distance but ties in discovery order, so they are sorted
+   into the (distance, node) order {!Path_index} promises. *)
 let pruned_bfs g start ~expandable ~matches =
   let n = Digraph.n_nodes g in
   let dist = Array.make n (-1) in
@@ -175,7 +176,7 @@ let pruned_bfs g start ~expandable ~matches =
             Queue.add v queue
           end)
   done;
-  List.rev !acc
+  Path_index.sort_results !acc
 
 (* Incremental variant of the pruned BFS: the traversal advances only as
    the caller pulls, so the time to the k-th result reflects the work
@@ -233,10 +234,10 @@ let ancestors_by_tag t x want =
         ~expandable:(fun v -> Bitset.mem ok t.block.(v))
         ~matches:(fun v -> t.dg.tag.(v) = w)
 
-let restricted_descendants t x set =
+let restricted_descendants t set x =
   pruned_bfs t.dg.graph x ~expandable:(fun _ -> true) ~matches:(Bitset.mem set)
 
-let restricted_ancestors t x set =
+let restricted_ancestors t set x =
   pruned_bfs (Digraph.reverse t.dg.graph) x ~expandable:(fun _ -> true)
     ~matches:(Bitset.mem set)
 

@@ -41,8 +41,8 @@ val reachable : t -> int -> int -> bool
 val distance : t -> int -> int -> int option
 val descendants_by_tag : t -> int -> int option -> (int * int) list
 val ancestors_by_tag : t -> int -> int option -> (int * int) list
-val restricted_descendants : t -> int -> Fx_graph.Bitset.t -> (int * int) list
-val restricted_ancestors : t -> int -> Fx_graph.Bitset.t -> (int * int) list
+val restricted_descendants : t -> Fx_graph.Bitset.t -> int -> (int * int) list
+val restricted_ancestors : t -> Fx_graph.Bitset.t -> int -> (int * int) list
 
 val descendants_stream : t -> int -> int option -> (int * int) Seq.t
 (** Lazy {!descendants_by_tag}: the summary-pruned BFS advances only as

@@ -53,9 +53,7 @@ let merge t dir ?max_dist want sources : stream =
     end
   in
   let rec next () =
-    let front =
-      match PQ.peek_min heap with Some (key, _) -> key lsr node_bits | None -> limit
-    in
+    let front = if PQ.is_empty heap then limit else PQ.min_prio heap lsr node_bits in
     if !opened < Array.length sources && sources.(!opened).d1 <= front then begin
       let src = sources.(!opened) in
       incr opened;
@@ -64,17 +62,17 @@ let merge t dir ?max_dist want sources : stream =
         (Disk_labels.open_runs t dir ~hop:src.hop want);
       next ()
     end
-    else
-      match PQ.extract_min heap with
-      | None -> None
-      | Some (key, l) ->
-          push l;
-          let y = key land node_mask in
-          if Int_tbl.mem seen y then next ()
-          else begin
-            Int_tbl.add seen y ();
-            Some (y, key lsr node_bits)
-          end
+    else if PQ.is_empty heap then None
+    else begin
+      let key = PQ.min_prio heap in
+      push (PQ.pop heap);
+      let y = key land node_mask in
+      if Int_tbl.mem seen y then next ()
+      else begin
+        Int_tbl.add seen y ();
+        Some (y, key lsr node_bits)
+      end
+    end
   in
   next
 

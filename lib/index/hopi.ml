@@ -78,13 +78,13 @@ let descendants_by_tag t x want =
 let ancestors_by_tag t x want =
   collect x (candidates_of_tag t want) ~dist:(fun x v -> distance t v x)
 
-let restricted_descendants t x set =
+let restricted_descendants t set x =
   let acc = ref [] in
   Bitset.iter set (fun v ->
       match distance t x v with Some d -> acc := (v, d) :: !acc | None -> ());
   Path_index.sort_results !acc
 
-let restricted_ancestors t x set =
+let restricted_ancestors t set x =
   let acc = ref [] in
   Bitset.iter set (fun v ->
       match distance t v x with Some d -> acc := (v, d) :: !acc | None -> ());

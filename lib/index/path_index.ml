@@ -16,8 +16,8 @@ type instance = {
   distance : int -> int -> int option;
   descendants_by_tag : int -> int option -> (int * int) list;
   ancestors_by_tag : int -> int option -> (int * int) list;
-  restricted_descendants : int -> Fx_graph.Bitset.t -> (int * int) list;
-  restricted_ancestors : int -> Fx_graph.Bitset.t -> (int * int) list;
+  restricted_descendants : Fx_graph.Bitset.t -> int -> (int * int) list;
+  restricted_ancestors : Fx_graph.Bitset.t -> int -> (int * int) list;
   stats : build_stats;
 }
 

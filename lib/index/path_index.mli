@@ -39,15 +39,22 @@ type instance = {
       (** [descendants_by_tag a t] = all [(v, dist)] with a path [a ->* v]
           and [tag v = t] ([None]: any tag), ascending distance. *)
   ancestors_by_tag : int -> int option -> (int * int) list;
-  restricted_descendants : int -> Fx_graph.Bitset.t -> (int * int) list;
+  restricted_descendants : Fx_graph.Bitset.t -> int -> (int * int) list;
       (** Descendants of [a] restricted to a node set — FliX's [L(a)]
           lookup, "conceptually computed by intersecting the set of
-          descendants of a and L_i" (paper, Section 4.2). *)
-  restricted_ancestors : int -> Fx_graph.Bitset.t -> (int * int) list;
+          descendants of a and L_i" (paper, Section 4.2).
+
+          Staged: [let lookup = restricted_descendants set] does the
+          per-set work once (PPO collects the members' preorder ranks in
+          ascending order; the other strategies keep the set and scan
+          per call), and [lookup a] then answers for one node. A stage
+          is immutable and holds no cache: the set must not change while
+          [lookup] is in use, and a changed set is staged afresh. *)
+  restricted_ancestors : Fx_graph.Bitset.t -> int -> (int * int) list;
       (** Mirror of [restricted_descendants] for the ancestors-or-self
           axis, which the paper's PEE variant for ancestor queries needs
           (Section 5.1: "a similar algorithm can be applied to find
-          ancestors of a given node"). *)
+          ancestors of a given node"). Staged the same way. *)
   stats : build_stats;
 }
 

@@ -2,19 +2,52 @@ module Digraph = Fx_graph.Digraph
 module Traversal = Fx_graph.Traversal
 module Bitset = Fx_graph.Bitset
 
+(* The postorder rank is not stored: in a DFS forest the nodes finished
+   before [v] are those entered before it that are not its ancestors,
+   plus its own descendants, so post v = pre v - depth v + subtree v - 1.
+   Its table's memory holds the per-tag rank lists instead. *)
 type t = {
   dg : Path_index.data_graph;
   pre : int array;
-  post : int array;
   depth : int array;
   parent : int array;
   order : int array;       (* node at each preorder rank *)
   subtree : int array;     (* subtree size per node *)
+  by_tag : int array array; (* per tag id: its nodes' preorder ranks, ascending *)
 }
 
 exception Not_a_forest
 
 let is_buildable (dg : Path_index.data_graph) = Traversal.is_forest dg.graph
+
+(* The tag lists of [prev] with the ranks [from .. n - 1] appended: one
+   pass over [order], visited in rank order, so every list stays
+   ascending without a sort. [prev] lists are shared, never written. *)
+let rank_tags ~prev (dg : Path_index.data_graph) order ~from =
+  let n = Array.length order in
+  let k = Int.max (Array.length prev) (Path_index.n_tags dg) in
+  let old w = if w < Array.length prev then prev.(w) else [||] in
+  let fill = Array.init k (fun w -> Array.length (old w)) in
+  let counts = Array.make k 0 in
+  for r = from to n - 1 do
+    let w = dg.tag.(order.(r)) in
+    counts.(w) <- counts.(w) + 1
+  done;
+  let by_tag =
+    Array.init k (fun w ->
+        if counts.(w) = 0 then old w
+        else begin
+          let a = Array.make (fill.(w) + counts.(w)) 0 in
+          Array.blit (old w) 0 a 0 fill.(w);
+          a
+        end)
+  in
+  for r = from to n - 1 do
+    let w = dg.tag.(order.(r)) in
+    by_tag.(w).(fill.(w)) <- r;
+    fill.(w) <- fill.(w) + 1
+  done;
+  by_tag
 
 let build (dg : Path_index.data_graph) =
   if not (Traversal.is_forest dg.graph) then raise Not_a_forest;
@@ -30,11 +63,11 @@ let build (dg : Path_index.data_graph) =
   {
     dg;
     pre = num.pre;
-    post = num.post;
     depth = num.depth;
     parent = num.parent;
     order = num.order;
     subtree;
+    by_tag = rank_tags ~prev:[||] dg num.order ~from:0;
   }
 
 (* Incremental maintenance for the append-only delta: [dg] is the old
@@ -42,8 +75,9 @@ let build (dg : Path_index.data_graph) =
    in-degree-zero roots in ascending id order with global pre/post
    counters, so the old numbering is byte-identical inside the new one —
    we copy the old tables and traverse only the appended trees. Any
-   other shape of change (edges into or out of the old node range, a
-   non-forest suffix) returns [None] and the caller rebuilds. *)
+   other shape of change (edges into or out of the old node range, an
+   old node whose tag changed, a non-forest suffix) returns [None] and
+   the caller rebuilds. *)
 let extend t (dg : Path_index.data_graph) =
   let old_n = Array.length t.pre in
   let n = Digraph.n_nodes dg.graph in
@@ -64,7 +98,8 @@ let extend t (dg : Path_index.data_graph) =
     try
       for v = 0 to old_n - 1 do
         if not (same_ints (Digraph.succ t.dg.graph v) (Digraph.succ dg.graph v)) then
-          raise Exit
+          raise Exit;
+        if t.dg.tag.(v) <> dg.tag.(v) then raise Exit
       done;
       for v = old_n to n - 1 do
         Digraph.iter_succ dg.graph v (fun c -> if c < old_n then raise Exit)
@@ -88,12 +123,11 @@ let extend t (dg : Path_index.data_graph) =
     else begin
       let grow a = Array.append a (Array.make (n - old_n) (-1)) in
       let pre = grow t.pre in
-      let post = grow t.post in
       let depth = grow t.depth in
       let parent = grow t.parent in
       let order = grow t.order in
       let subtree = Array.append t.subtree (Array.make (n - old_n) 1) in
-      let pre_counter = ref old_n and post_counter = ref old_n in
+      let pre_counter = ref old_n in
       let visit root =
         if pre.(root) = -1 then begin
           let stack = Stack.create () in
@@ -104,11 +138,7 @@ let extend t (dg : Path_index.data_graph) =
           Stack.push (root, ref 0, Digraph.succ dg.graph root) stack;
           while not (Stack.is_empty stack) do
             let u, next, adj = Stack.top stack in
-            if !next >= Array.length adj then begin
-              ignore (Stack.pop stack);
-              post.(u) <- !post_counter;
-              incr post_counter
-            end
+            if !next >= Array.length adj then ignore (Stack.pop stack)
             else begin
               let v = adj.(!next) in
               incr next;
@@ -134,61 +164,85 @@ let extend t (dg : Path_index.data_graph) =
           let p = parent.(v) in
           if p >= 0 then subtree.(p) <- subtree.(p) + subtree.(v)
         done;
-        Some { dg; pre; post; depth; parent; order; subtree }
+        let by_tag = rank_tags ~prev:t.by_tag dg order ~from:old_n in
+        Some { dg; pre; depth; parent; order; subtree; by_tag }
       end
     end
   end
 
 let pre t v = t.pre.(v)
-let post t v = t.post.(v)
+let post t v = t.pre.(v) - t.depth.(v) + t.subtree.(v) - 1
 let depth t v = t.depth.(v)
 
-let reachable t x y = t.pre.(x) <= t.pre.(y) && t.post.(x) >= t.post.(y)
+let reachable t x y = t.pre.(x) <= t.pre.(y) && t.pre.(y) < t.pre.(x) + t.subtree.(x)
 
 let distance t x y = if reachable t x y then Some (t.depth.(y) - t.depth.(x)) else None
 
-(* Descendants of [x] occupy the contiguous preorder range
-   [pre x, pre x + subtree x). *)
-let fold_subtree t x f init =
-  let lo = t.pre.(x) in
-  let hi = lo + t.subtree.(x) - 1 in
-  let acc = ref init in
-  for r = lo to hi do
-    acc := f !acc t.order.(r)
+(* First index [i] of the ascending [ranks] with [ranks.(i) >= r]. *)
+let lower_bound (ranks : int array) r =
+  let lo = ref 0 and hi = ref (Array.length ranks) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if ranks.(mid) < r then lo := mid + 1 else hi := mid
   done;
-  !acc
+  !lo
+
+(* The (node, distance) pairs of the nodes [node_at first .. node_at
+   (last - 1)], all in [x]'s subtree, in (distance, node) order. *)
+let sorted_pairs t x node_at first last =
+  let acc = ref [] in
+  for i = last - 1 downto first do
+    let v = node_at i in
+    acc := (v, t.depth.(v) - t.depth.(x)) :: !acc
+  done;
+  Path_index.sort_results !acc
+
+(* The members of the ascending [ranks] inside [x]'s preorder window:
+   its descendants occupy the contiguous preorder range
+   [pre x, pre x + subtree x). *)
+let window t x ranks =
+  let lo = t.pre.(x) in
+  let first = lower_bound ranks lo in
+  let last = lower_bound ranks (lo + t.subtree.(x)) in
+  if first = last then [] else sorted_pairs t x (fun i -> t.order.(ranks.(i))) first last
 
 let descendants_by_tag t x want =
-  let matches v = match want with None -> true | Some w -> t.dg.tag.(v) = w in
-  let results =
-    fold_subtree t x
-      (fun acc v -> if matches v then (v, t.depth.(v) - t.depth.(x)) :: acc else acc)
-      []
-  in
-  Path_index.sort_results results
+  match want with
+  | None ->
+      let lo = t.pre.(x) in
+      sorted_pairs t x (fun r -> t.order.(r)) lo (lo + t.subtree.(x))
+  | Some w when w < 0 || w >= Array.length t.by_tag -> []
+  | Some w -> window t x t.by_tag.(w)
 
-let ancestors_by_tag t x want =
-  let matches v = match want with None -> true | Some w -> t.dg.tag.(v) = w in
+(* Walking up from [x] meets each ancestor once, at distances 0, 1, 2,
+   ...: the reversed walk is already in (distance, node) order. *)
+let ancestors_matching t x matches =
   let rec walk v d acc =
     let acc = if matches v then (v, d) :: acc else acc in
     if t.parent.(v) < 0 then acc else walk t.parent.(v) (d + 1) acc
   in
-  Path_index.sort_results (walk x 0 [])
+  List.rev (walk x 0 [])
 
-let restricted_descendants t x set =
-  let results =
-    fold_subtree t x
-      (fun acc v -> if Bitset.mem set v then (v, t.depth.(v) - t.depth.(x)) :: acc else acc)
-      []
-  in
-  Path_index.sort_results results
+let ancestors_by_tag t x want =
+  match want with
+  | None -> ancestors_matching t x (fun _ -> true)
+  | Some w -> ancestors_matching t x (fun v -> t.dg.tag.(v) = w)
 
-let restricted_ancestors t x set =
-  let rec walk v d acc =
-    let acc = if Bitset.mem set v then (v, d) :: acc else acc in
-    if t.parent.(v) < 0 then acc else walk t.parent.(v) (d + 1) acc
-  in
-  Path_index.sort_results (walk x 0 [])
+(* Staged: the set's members as ascending preorder ranks, collected once
+   by one pass over [order]; each lookup is then a window search. *)
+let restricted_descendants t set =
+  let ranks = Array.make (Bitset.cardinal set) 0 in
+  let i = ref 0 in
+  Array.iteri
+    (fun r v ->
+      if Bitset.mem set v then begin
+        ranks.(!i) <- r;
+        incr i
+      end)
+    t.order;
+  fun x -> window t x ranks
+
+let restricted_ancestors t set x = ancestors_matching t x (Bitset.mem set)
 
 let parent t v = if t.parent.(v) < 0 then None else Some t.parent.(v)
 
@@ -208,11 +262,13 @@ let preceding t v =
   let acc = ref [] in
   for r = t.pre.(v) - 1 downto 0 do
     let u = t.order.(r) in
-    if t.post.(u) < t.post.(v) then acc := u :: !acc
+    if post t u < post t v then acc := u :: !acc
   done;
   !acc
 
-(* pre, post, depth per node: three 4-byte fields. *)
+(* The paper's PPO entry: pre, post, depth per node, three 4-byte
+   fields. The tables kept here to answer in O(answer) (preorder inverse,
+   subtree sizes, parents, per-tag rank lists) are not counted. *)
 let size_bytes t = 12 * Array.length t.pre
 
 (* --- persistence --------------------------------------------------- *)
@@ -223,7 +279,8 @@ let serialize t =
   let module W = Fx_util.Codec.Writer in
   let w = W.create ~magic in
   W.int w (Array.length t.pre);
-  List.iter (W.int_array w) [ t.pre; t.post; t.depth; t.parent; t.order; t.subtree ];
+  let post = Array.init (Array.length t.pre) (post t) in
+  List.iter (W.int_array w) [ t.pre; post; t.depth; t.parent; t.order; t.subtree ];
   W.contents w
 
 let deserialize (dg : Path_index.data_graph) data =
@@ -239,7 +296,7 @@ let deserialize (dg : Path_index.data_graph) data =
     a
   in
   let pre = arr "pre" in
-  let post = arr "post" in
+  let stored_post = arr "post" in
   let depth = arr "depth" in
   let parent = arr "parent" in
   let order = arr "order" in
@@ -250,7 +307,13 @@ let deserialize (dg : Path_index.data_graph) data =
       if v < 0 || v >= n || pre.(v) <> rank then
         raise (Fx_util.Codec.Corrupt "order table is not the preorder inverse"))
     order;
-  { dg; pre; post; depth; parent; order; subtree }
+  let t = { dg; pre; depth; parent; order; subtree; by_tag = rank_tags ~prev:[||] dg order ~from:0 } in
+  Array.iteri
+    (fun v p ->
+      if p <> post t v then
+        raise (Fx_util.Codec.Corrupt "post table disagrees with pre, depth and subtree"))
+    stored_post;
+  t
 
 let wrap ~build_ns (t : t) =
   let n = Array.length t.pre in

@@ -28,11 +28,11 @@ let descendants_by_tag t x want =
 let ancestors_by_tag t x want =
   with_self t x want (filter_tag t want (Tc.reach_set t.rev_tc x))
 
-let restricted_descendants t x set =
+let restricted_descendants t set x =
   let rest = List.filter (fun (v, _) -> Bitset.mem set v) (Tc.reach_set t.tc x) in
   if Bitset.mem set x then (x, 0) :: rest else rest
 
-let restricted_ancestors t x set =
+let restricted_ancestors t set x =
   let rest = List.filter (fun (v, _) -> Bitset.mem set v) (Tc.reach_set t.rev_tc x) in
   if Bitset.mem set x then (x, 0) :: rest else rest
 

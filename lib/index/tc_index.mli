@@ -14,7 +14,7 @@ val reachable : t -> int -> int -> bool
 val distance : t -> int -> int -> int option
 val descendants_by_tag : t -> int -> int option -> (int * int) list
 val ancestors_by_tag : t -> int -> int option -> (int * int) list
-val restricted_descendants : t -> int -> Fx_graph.Bitset.t -> (int * int) list
-val restricted_ancestors : t -> int -> Fx_graph.Bitset.t -> (int * int) list
+val restricted_descendants : t -> Fx_graph.Bitset.t -> int -> (int * int) list
+val restricted_ancestors : t -> Fx_graph.Bitset.t -> int -> (int * int) list
 val size_bytes : t -> int
 val instance : Path_index.data_graph -> Path_index.instance

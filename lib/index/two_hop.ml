@@ -183,26 +183,27 @@ let build_weighted ?order ~n edges =
     touched := [ root ];
     PQ.insert pq 0 root;
     let rec drain () =
-      match PQ.extract_min pq with
-      | None -> ()
-      | Some (d, u) ->
-          (* Lazy deletion: every insert strictly lowers [dist.(u)], so
-             exactly one queue entry carries the settled distance and
-             the stale ones test strictly greater. *)
-          if d = dist.(u) then
-            if u = root || q u > d then begin
-              Vec.push labels.(u) rank d;
-              List.iter
-                (fun (v, w) ->
-                  let dv = d + w in
-                  if dv < dist.(v) then begin
-                    if dist.(v) = max_int then touched := v :: !touched;
-                    dist.(v) <- dv;
-                    PQ.insert pq dv v
-                  end)
-                adj.(u)
-            end;
-          drain ()
+      if not (PQ.is_empty pq) then begin
+        let d = PQ.min_prio pq in
+        let u = PQ.pop pq in
+        (* Lazy deletion: every insert strictly lowers [dist.(u)], so
+           exactly one queue entry carries the settled distance and the
+           stale ones test strictly greater. *)
+        if d = dist.(u) then
+          if u = root || q u > d then begin
+            Vec.push labels.(u) rank d;
+            List.iter
+              (fun (v, w) ->
+                let dv = d + w in
+                if dv < dist.(v) then begin
+                  if dist.(v) = max_int then touched := v :: !touched;
+                  dist.(v) <- dv;
+                  PQ.insert pq dv v
+                end)
+              adj.(u)
+          end;
+        drain ()
+      end
     in
     drain ();
     List.iter (fun v -> dist.(v) <- max_int) !touched

@@ -470,9 +470,7 @@ let merge_streams t ctx ~exclude ~portals ~open_portal streams =
   in
   List.iter push streams;
   let pending = ref (portals ()) in
-  let front () =
-    match PQ.peek_min pq with Some (_, ((it : P.item), _)) -> it.dist | None -> max_int
-  in
+  let front () = if PQ.is_empty pq then max_int else PQ.min_prio pq / total in
   let rec settle () =
     match !pending with
     | Some (_, d) when d <= front () ->
@@ -493,15 +491,16 @@ let merge_streams t ctx ~exclude ~portals ~open_portal streams =
   let seen = Hashtbl.create 64 in
   let rec next () =
     settle ();
-    match PQ.extract_min pq with
-    | None -> None
-    | Some (_, ((it : P.item), rest)) ->
-        push rest;
-        if it.node = exclude || Hashtbl.mem seen it.node then next ()
-        else begin
-          Hashtbl.replace seen it.node ();
-          Some it
-        end
+    if PQ.is_empty pq then None
+    else begin
+      let (it : P.item), rest = PQ.pop pq in
+      push rest;
+      if it.node = exclude || Hashtbl.mem seen it.node then next ()
+      else begin
+        Hashtbl.replace seen it.node ();
+        Some it
+      end
+    end
   in
   { Server.next; flags = (fun () -> flags ctx) }
 

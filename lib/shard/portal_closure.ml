@@ -147,18 +147,20 @@ let nearest t toward ?(on_pop = ignore) seeds =
     hubs;
   let seen = Hashtbl.create 16 in
   let rec next () =
-    match PQ.extract_min pq with
-    | None -> None
-    | Some (key, c) ->
-        on_pop ();
-        c.pos <- c.pos + 1;
-        push c;
-        let v = key mod n in
-        if Hashtbl.mem seen v then next ()
-        else begin
-          Hashtbl.replace seen v ();
-          Some (v, key / n)
-        end
+    if PQ.is_empty pq then None
+    else begin
+      let key = PQ.min_prio pq in
+      let c = PQ.pop pq in
+      on_pop ();
+      c.pos <- c.pos + 1;
+      push c;
+      let v = key mod n in
+      if Hashtbl.mem seen v then next ()
+      else begin
+        Hashtbl.replace seen v ();
+        Some (v, key / n)
+      end
+    end
   in
   next
 

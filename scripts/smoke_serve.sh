@@ -3,8 +3,10 @@
 # flix_serve from it (twice — the second boot must reuse the files and
 # skip the index build), drive PING / DESCENDANTS / CONNECTED / METRICS
 # over the wire, check that a repeated disk EVALUATE is an answer-cache
-# hit, and check that a mangled store (or a zero-entry --coord-cache)
-# dies with a one-line error instead of a backtrace. Then hot reload: INGEST and RELOAD
+# hit, that an unknown tag answers exactly DONE 0 on the disk, memory
+# and coordinator deployments, and that a mangled store (or a
+# zero-entry --coord-cache) dies with a one-line error instead of a
+# backtrace. Then hot reload: INGEST and RELOAD
 # against a live in-memory server under concurrent query load (zero
 # dropped connections, post-reload answers byte-identical to a fresh
 # server), with the snapshot epoch / pin / reload-duration metrics
@@ -48,6 +50,14 @@ stop_gracefully() { # LOG
   SRV_PID=
   [ "$status" -eq 0 ] || { cat "$1" >&2; fail "SIGINT shutdown exited $status"; }
   grep -q "shutting down" "$1" || fail "no shutdown line in $1"
+}
+
+# An unknown tag matches no element: EVALUATE and DESCENDANTS answer
+# exactly DONE 0 on every deployment.
+unknown_tags() { # DEPLOYMENT
+  ask "EVALUATE article nosuchtag 5" | grep -qx "DONE 0" || fail "$1 EVALUATE with an unknown target tag"
+  ask "DESCENDANTS dblp_0000 - nosuchtag 5" | grep -qx "DONE 0" \
+    || fail "$1 DESCENDANTS with an unknown tag"
 }
 
 wait_port() {
@@ -96,12 +106,14 @@ SRV_PID=$!
 wait_port || { cat "$DIR/boot1.log" >&2; fail "server did not come up"; }
 
 [ "$(ask PING)" = "PONG" ] || fail "PING"
-ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^DONE " || fail "DESCENDANTS"
+# A server that answers DONE 0 would pass a ^DONE check: want items.
+ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^ITEM " || fail "DESCENDANTS"
 ask "CONNECTED 0 3" | grep -q "^DIST " || fail "CONNECTED"
 # EVALUATE reads its starts from the tag directory in the label store:
 # an empty answer means the directory lost its nodes.
 ask "EVALUATE article author 5" | grep -q "^ITEM " || fail "disk EVALUATE at first boot"
 ask METRICS | grep -q "^flix_pager_pool_hits_total" || fail "pool metrics missing"
+unknown_tags disk
 
 kill "$SRV_PID" && wait "$SRV_PID" 2>/dev/null
 SRV_PID=
@@ -157,6 +169,8 @@ SRV_PID=$!
 wait_port || { cat "$DIR/mem.log" >&2; fail "in-memory server did not come up"; }
 
 [ "$(ask EPOCH)" = "EPOCH 1" ] || fail "EPOCH before any swap"
+ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^ITEM " || fail "memory DESCENDANTS"
+unknown_tags memory
 m=$(ask METRICS)
 echo "$m" | grep -q "^flix_snapshot_epoch 1$" || fail "flix_snapshot_epoch gauge missing"
 echo "$m" | grep -q "^flix_snapshot_pinned{epoch=" || fail "flix_snapshot_pinned gauge missing"
@@ -258,6 +272,7 @@ wait_port || { cat "$EXTRA_DIR/coord.log" >&2; fail "coordinator did not come up
 ask "EVALUATE article author 5" | grep -q "^DONE " || fail "coordinator EVALUATE"
 ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^DONE " || fail "coordinator DESCENDANTS"
 ask "CONNECTED 0 3" | grep -q "^DIST " || fail "coordinator CONNECTED"
+unknown_tags coordinator
 ask METRICS | grep -q "^flix_shard_errors_total" || fail "shard error metrics missing"
 ask METRICS | grep -q "^flix_shard_fanout_latency_ms_bucket" || fail "fanout histogram missing"
 

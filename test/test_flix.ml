@@ -397,6 +397,34 @@ let test_evaluate_lazy_starts () =
       check_int "at its true distance" 1 it.dist
   | _ -> Alcotest.fail "expected one item"
 
+(* A negative tag is the id of no element (an unknown name resolves to
+   -1): every evaluator answers nothing and pushes nothing, where a
+   search would walk everything reachable only to match no element. *)
+let test_pee_negative_tag () =
+  let c = figure1 () in
+  let starts = List.init (C.n_nodes c) Fun.id in
+  List.iter
+    (fun cfg ->
+      let pee = pee_of c cfg in
+      List.iter
+        (fun tag ->
+          List.iter
+            (fun start ->
+              List.iter
+                (fun stream -> check "no items" true (RS.to_list stream = []))
+                [
+                  Pee.descendants ~tag pee ~start;
+                  Pee.descendants ~tag ~include_self:true pee ~start;
+                  Pee.ancestors ~tag ~include_self:true pee ~start;
+                  Pee.descendants_exact ~tag ~include_self:true pee ~start;
+                  Pee.ancestors_exact ~tag ~include_self:true pee ~start;
+                ])
+            starts;
+          check "multi: no items" true (RS.to_list (Pee.descendants_multi ~tag pee ~starts) = []))
+        [ -1; min_int ];
+      Alcotest.(check (pair int int)) "nothing pushed or dropped" (0, 0) (Pee.queue_stats pee))
+    all_configs
+
 (* max_dist below 0 rules out even the priority-0 starts: the first pop
    ends the search before anything is inserted or dropped. *)
 let test_evaluate_negative_max_dist () =
@@ -934,6 +962,53 @@ let test_extend_link_into_old_doc_rebuilds_it () =
     check "correct after structural change" true (got = truth)
   done
 
+(* A reused or delta-extended index answers for its meta document's
+   structure, but the new meta document may bring other link sets, and
+   the staged link lookups must follow them. s0 links to s2#t, which
+   exists only once s2 is added: under Naive s0's index is reused by
+   digest, and again when s2 is removed; under Spanning_ppo the one
+   collection-wide PPO is extended in place. Every DESCENDANTS and
+   ANCESTORS answer, in order, equals a cold build's. *)
+let test_staging_follows_link_sets () =
+  let base =
+    [ parse "s0" {|<a><b href="s2#t"/><c/></a>|}; parse "s1" {|<a><b/><c href="s0"/></a>|} ]
+  in
+  let fresh = [ parse "s2" {|<a><c><b id="t"><c/></b></c></a>|} ] in
+  let answers f =
+    let c = Flix.collection f in
+    let items s = List.map (fun (it : Pee.item) -> (it.node, it.dist, it.meta)) (RS.to_list s) in
+    let tags = None :: List.init (C.n_tags c) (fun w -> Some (C.tag_name c w)) in
+    List.concat_map
+      (fun start ->
+        List.concat_map
+          (fun tag ->
+            [ items (Flix.descendants ?tag f ~start); items (Flix.ancestors ?tag f ~start) ])
+          tags)
+      (List.init (C.n_nodes c) Fun.id)
+  in
+  let same what f cold =
+    Alcotest.(check (list (list (triple int int int)))) what (answers cold) (answers f)
+  in
+  List.iter
+    (fun (cfg, grown_by, shrunk_reuses) ->
+      let name = MB.config_to_string cfg in
+      let f = Flix.build ~config:cfg (C.build base) in
+      let grown = Flix.extend f fresh in
+      check_int (name ^ ": extend took the incremental path") 1 (grown_by (Flix.built grown));
+      same (name ^ ": grown = cold") grown (Flix.build ~config:cfg (C.build (base @ fresh)));
+      let s0 = Option.get (Flix.node_of grown ~doc:"s0" ~anchor:None) in
+      let t = Option.get (Flix.node_of grown ~doc:"s2" ~anchor:(Some "t")) in
+      check (name ^ ": the new link is followed") true
+        (List.exists (fun (it : Pee.item) -> it.node = t) (RS.to_list (Flix.descendants grown ~start:s0)));
+      let shrunk = Flix.remove grown [ "s2" ] in
+      if shrunk_reuses then
+        check (name ^ ": shrunk reuses s0") true (IB.reused_count (Flix.built shrunk) >= 1);
+      same (name ^ ": shrunk = cold") shrunk (Flix.build ~config:cfg (C.build base)))
+    [
+      (MB.Naive, (fun b -> min 1 (IB.reused_count b)), true);
+      (MB.Spanning_ppo, IB.extended_count, false);
+    ]
+
 (* --- result stream ------------------------------------------------------------- *)
 
 let test_stream_basics () =
@@ -1067,6 +1142,7 @@ let () =
           Alcotest.test_case "A//B multi-start" `Quick test_pee_multi;
           Alcotest.test_case "A//B lazy starts" `Quick test_evaluate_lazy_starts;
           Alcotest.test_case "A//B negative max_dist" `Quick test_evaluate_negative_max_dist;
+          Alcotest.test_case "negative tag pushes nothing" `Quick test_pee_negative_tag;
           Alcotest.test_case "ancestors" `Quick test_pee_ancestors;
           Alcotest.test_case "exact ordering (fig1)" `Quick test_pee_exact_ordering;
           prop_pee_exact_random;
@@ -1103,6 +1179,8 @@ let () =
           Alcotest.test_case "rebuild with new config" `Quick test_rebuild_applies_recommendation;
           Alcotest.test_case "structural change handled" `Quick
             test_extend_link_into_old_doc_rebuilds_it;
+          Alcotest.test_case "staged link sets follow the meta document" `Quick
+            test_staging_follows_link_sets;
         ] );
       ( "self_tuning",
         [

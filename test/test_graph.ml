@@ -135,11 +135,18 @@ let prop_bitset_roundtrip =
 
 (* --- Priority queue --------------------------------------------------- *)
 
+(* The minimum entry, removed, as [(priority, payload)]. *)
+let pq_take q =
+  if Pq.is_empty q then None
+  else
+    let p = Pq.min_prio q in
+    Some (p, Pq.pop q)
+
 let test_pq_order () =
   let q = Pq.create () in
   List.iter (fun (p, v) -> Pq.insert q p v) [ (5, "e"); (1, "a"); (3, "c"); (2, "b") ];
   let drain () =
-    let rec go acc = match Pq.extract_min q with None -> List.rev acc | Some x -> go (x :: acc) in
+    let rec go acc = match pq_take q with None -> List.rev acc | Some x -> go (x :: acc) in
     go []
   in
   Alcotest.(check (list (pair int string)))
@@ -148,7 +155,7 @@ let test_pq_order () =
 let test_pq_empty () =
   let q = Pq.create () in
   check "empty" true (Pq.is_empty q);
-  check "no min" true (Pq.extract_min q = None);
+  check "no min" true (pq_take q = None);
   Pq.insert q 1 ();
   check "nonempty" false (Pq.is_empty q);
   Pq.clear q;
@@ -161,9 +168,132 @@ let prop_pq_sorts =
       let q = Pq.create () in
       List.iter (fun p -> Pq.insert q p p) prios;
       let rec drain acc =
-        match Pq.extract_min q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+        match pq_take q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
       in
       drain [] = List.sort compare prios)
+
+(* The boxed heap [Pq] replaced, kept as the reference for its tie
+   order: payloads in ['a option] slots, entries swapped one level at a
+   time. *)
+module Boxed_heap = struct
+  type 'a t = { mutable prio : int array; mutable data : 'a option array; mutable size : int }
+
+  let create () = { prio = Array.make 16 0; data = Array.make 16 None; size = 0 }
+
+  let swap q i j =
+    let p = q.prio.(i) in
+    q.prio.(i) <- q.prio.(j);
+    q.prio.(j) <- p;
+    let d = q.data.(i) in
+    q.data.(i) <- q.data.(j);
+    q.data.(j) <- d
+
+  let rec sift_up q i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if q.prio.(parent) > q.prio.(i) then begin
+        swap q parent i;
+        sift_up q parent
+      end
+    end
+
+  let rec sift_down q i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < q.size && q.prio.(l) < q.prio.(!smallest) then smallest := l;
+    if r < q.size && q.prio.(r) < q.prio.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap q i !smallest;
+      sift_down q !smallest
+    end
+
+  let insert q prio v =
+    if q.size = Array.length q.prio then begin
+      let cap = 2 * Array.length q.prio in
+      let prio = Array.make cap 0 and data = Array.make cap None in
+      Array.blit q.prio 0 prio 0 q.size;
+      Array.blit q.data 0 data 0 q.size;
+      q.prio <- prio;
+      q.data <- data
+    end;
+    q.prio.(q.size) <- prio;
+    q.data.(q.size) <- Some v;
+    q.size <- q.size + 1;
+    sift_up q (q.size - 1)
+
+  let extract_min q =
+    if q.size = 0 then None
+    else begin
+      let p = q.prio.(0) in
+      let v = Option.get q.data.(0) in
+      q.size <- q.size - 1;
+      q.prio.(0) <- q.prio.(q.size);
+      q.data.(0) <- q.data.(q.size);
+      q.data.(q.size) <- None;
+      if q.size > 0 then sift_down q 0;
+      Some (p, v)
+    end
+
+  let clear q =
+    Array.fill q.data 0 q.size None;
+    q.size <- 0
+end
+
+type pq_op = Insert of int | Pop | Clear
+
+(* Random interleavings over few priorities, so ties abound; each insert
+   carries its sequence number, so a tie broken differently shows. *)
+let pq_ops_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun p -> Insert p) (int_range 0 4));
+        (4, return Pop);
+        (1, return Clear);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Insert p -> Printf.sprintf "+%d" p
+             | Pop -> "x"
+             | Clear -> "c")
+           ops))
+    (list_size (int_range 0 200) op)
+
+let prop_pq_matches_boxed =
+  H.qtest ~count:300 "same (priority, value) sequence as the boxed heap" pq_ops_arb
+    (fun ops ->
+      let q = Pq.create () and r = Boxed_heap.create () in
+      let seq = ref 0 in
+      List.for_all
+        (fun op ->
+          let expected, got =
+            match op with
+            | Insert p ->
+                incr seq;
+                Pq.insert q p !seq;
+                Boxed_heap.insert r p !seq;
+                (None, None)
+            | Pop -> (Boxed_heap.extract_min r, pq_take q)
+            | Clear ->
+                Pq.clear q;
+                Boxed_heap.clear r;
+                (None, None)
+          in
+          expected = got && Pq.length q = r.size
+          && (r.size = 0 || Pq.min_prio q = r.prio.(0)))
+        ops)
+
+let test_pq_empty_raises () =
+  let q : int Pq.t = Pq.create () in
+  Alcotest.check_raises "min_prio" (Invalid_argument "Priority_queue.min_prio: empty") (fun () ->
+      ignore (Pq.min_prio q));
+  Alcotest.check_raises "pop" (Invalid_argument "Priority_queue.pop: empty") (fun () ->
+      ignore (Pq.pop q))
 
 (* --- Union-find -------------------------------------------------------- *)
 
@@ -457,6 +587,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_pq_order;
           Alcotest.test_case "empty/clear" `Quick test_pq_empty;
           prop_pq_sorts;
+          prop_pq_matches_boxed;
+          Alcotest.test_case "empty min_prio/pop raise" `Quick test_pq_empty_raises;
         ] );
       ("union_find", [ Alcotest.test_case "basic" `Quick test_uf ]);
       ( "traversal",

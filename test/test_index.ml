@@ -48,14 +48,15 @@ let conformance name (make : Pi.data_graph -> Pi.instance) (dg : Pi.data_graph) 
           (match inst.distance u v with None -> "None" | Some d -> string_of_int d)
           (match expected with None -> "None" | Some d -> string_of_int d))
     (H.all_pairs n);
-  (* descendants by tag: exact sets, sorted, duplicate-free *)
+  (* descendants by tag: exact lists in (distance, node) order, which
+     also makes them sorted and duplicate-free *)
   let tags = List.sort_uniq compare (Array.to_list dg.tag) in
   for u = 0 to n - 1 do
     List.iter
       (fun want ->
         let got = inst.descendants_by_tag u want in
-        let expected = H.oracle_descendants_by_tag dg u want in
-        if not (H.same_results got expected) then
+        let expected = Pi.sort_results (H.oracle_descendants_by_tag dg u want) in
+        if got <> expected then
           Alcotest.failf "%s: descendants_by_tag %d mismatch" name u;
         if not (H.sorted_by_distance got) then
           Alcotest.failf "%s: descendants_by_tag %d not sorted" name u;
@@ -65,29 +66,31 @@ let conformance name (make : Pi.data_graph -> Pi.instance) (dg : Pi.data_graph) 
     (* ancestors mirror descendants on the reversed graph *)
     let rev = Digraph.reverse g in
     let expected_anc =
-      Traversal.descendants_by_tag rev ~tag:dg.tag u None
+      Pi.sort_results (Traversal.descendants_by_tag rev ~tag:dg.tag u None)
     in
     let got_anc = inst.ancestors_by_tag u None in
-    if not (H.same_results got_anc expected_anc) then
+    if got_anc <> expected_anc then
       Alcotest.failf "%s: ancestors_by_tag %d mismatch" name u
   done;
   (* restricted descendants/ancestors against a fixed set *)
   let set = Bitset.create n in
   let rec mark v = if v >= 0 then begin Bitset.add set v; mark (v - 2) end in
   mark (n - 1);
+  let below = inst.restricted_descendants set and above = inst.restricted_ancestors set in
   for u = 0 to n - 1 do
-    let got = inst.restricted_descendants u set in
+    let got = below u in
     let expected =
-      List.filter (fun (v, _) -> Bitset.mem set v) (Traversal.descendants g u)
+      Pi.sort_results (List.filter (fun (v, _) -> Bitset.mem set v) (Traversal.descendants g u))
     in
-    if not (H.same_results got expected) then
+    if got <> expected then
       Alcotest.failf "%s: restricted_descendants %d mismatch" name u;
-    let got_a = inst.restricted_ancestors u set in
+    let got_a = above u in
     let expected_a =
-      List.filter (fun (v, _) -> Bitset.mem set v)
-        (Traversal.descendants (Digraph.reverse g) u)
+      Pi.sort_results
+        (List.filter (fun (v, _) -> Bitset.mem set v)
+           (Traversal.descendants (Digraph.reverse g) u))
     in
-    if not (H.same_results got_a expected_a) then
+    if got_a <> expected_a then
       Alcotest.failf "%s: restricted_ancestors %d mismatch" name u
   done;
   if inst.stats.size_bytes <= 0 && n > 0 then Alcotest.failf "%s: zero size" name
@@ -167,8 +170,8 @@ let prop_conformance_random_graphs =
             (H.all_pairs n)
           && List.for_all
                (fun u ->
-                 H.same_results (inst.descendants_by_tag u (Some 1))
-                   (H.oracle_descendants_by_tag dg u (Some 1)))
+                 inst.descendants_by_tag u (Some 1)
+                 = Pi.sort_results (H.oracle_descendants_by_tag dg u (Some 1)))
                (List.init n (fun i -> i)))
         instances)
 
@@ -182,12 +185,153 @@ let prop_conformance_random_forests =
         (H.all_pairs n)
       && List.for_all
            (fun u ->
-             H.same_results
-               (inst.Pi.descendants_by_tag u None)
-               (Traversal.descendants dg.graph u))
+             inst.Pi.descendants_by_tag u None
+             = Pi.sort_results (Traversal.descendants dg.graph u))
            (List.init n (fun i -> i)))
 
 (* --- PPO specifics ------------------------------------------------------- *)
+
+(* The subtree-folding PPO lookups that the preorder-rank search
+   replaced, kept as the reference: fold [x]'s preorder window (or walk
+   its parent chain), keep the matches, sort. *)
+module Fold_ppo = struct
+  type t = { tag : int array; num : Traversal.dfs_numbering; subtree : int array }
+
+  let build (dg : Pi.data_graph) =
+    let num = Traversal.dfs_forest dg.graph in
+    let n = Digraph.n_nodes dg.graph in
+    let subtree = Array.make n 1 in
+    for r = n - 1 downto 0 do
+      let v = num.order.(r) in
+      let p = num.parent.(v) in
+      if p >= 0 then subtree.(p) <- subtree.(p) + subtree.(v)
+    done;
+    { tag = dg.tag; num; subtree }
+
+  let subtree_matching t x keep =
+    let acc = ref [] in
+    for r = t.num.pre.(x) to t.num.pre.(x) + t.subtree.(x) - 1 do
+      let v = t.num.order.(r) in
+      if keep v then acc := (v, t.num.depth.(v) - t.num.depth.(x)) :: !acc
+    done;
+    Pi.sort_results !acc
+
+  let ancestors_matching t x keep =
+    let rec walk v d acc =
+      let acc = if keep v then (v, d) :: acc else acc in
+      if t.num.parent.(v) < 0 then acc else walk t.num.parent.(v) (d + 1) acc
+    in
+    Pi.sort_results (walk x 0 [])
+
+  let matches t want v = match want with None -> true | Some w -> t.tag.(v) = w
+  let descendants_by_tag t x want = subtree_matching t x (matches t want)
+  let ancestors_by_tag t x want = ancestors_matching t x (matches t want)
+  let restricted_descendants t x set = subtree_matching t x (Bitset.mem set)
+  let restricted_ancestors t x set = ancestors_matching t x (Bitset.mem set)
+end
+
+(* A random forest, a grown copy with whole new trees appended on new
+   ids (some under tags the base does not have), and a seed for the
+   link sets. *)
+let grown_forest_arb =
+  let open QCheck.Gen in
+  let gen =
+    H.forest_gen () >>= fun base ->
+    int_range 0 12 >>= fun extra ->
+    int >>= fun seed -> return (base, extra, seed)
+  in
+  QCheck.make
+    ~print:(fun ((n, edges), extra, seed) ->
+      Printf.sprintf "n=%d edges=[%s] extra=%d seed=%d" n
+        (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges))
+        extra seed)
+    gen
+
+let grow (dg : Pi.data_graph) edges ~extra ~seed =
+  let n = Digraph.n_nodes dg.graph in
+  let rng = Fx_util.Rng.create seed in
+  let new_edges =
+    List.concat
+      (List.init extra (fun i ->
+           if i > 0 && Fx_util.Rng.int rng 3 > 0 then [ (n + Fx_util.Rng.int rng i, n + i) ]
+           else []))
+  in
+  {
+    Pi.graph = Digraph.of_edges ~n:(n + extra) (edges @ new_edges);
+    tag = Array.append dg.tag (Array.init extra (fun _ -> Fx_util.Rng.int rng 6));
+  }
+
+let random_sets (dg : Pi.data_graph) ~seed =
+  let n = Digraph.n_nodes dg.graph in
+  let rng = Fx_util.Rng.create (seed lxor 0x5e7) in
+  let random density =
+    let s = Bitset.create n in
+    for v = 0 to n - 1 do
+      if Fx_util.Rng.int rng 100 < density then Bitset.add s v
+    done;
+    s
+  in
+  [ Bitset.create n; random 15; random 50; Bitset.of_list n (List.init n Fun.id) ]
+
+(* Every node against every tag (the wildcard, each tag, -1, ids past
+   the last tag) and random link sets, each staged once; the derived
+   postorder ranks and the window test for reachability against the
+   DFS numbering. *)
+let ppo_matches_fold (dg : Pi.data_graph) (t : Ppo.t) ~seed =
+  let r = Fold_ppo.build dg in
+  let inst = Ppo.instance_of t in
+  let n = Digraph.n_nodes dg.graph in
+  let k = Pi.n_tags dg in
+  let wants = None :: List.map Option.some ([ -1; min_int; k; k + 5 ] @ List.init k Fun.id) in
+  let nodes = List.init n Fun.id in
+  List.for_all (fun v -> Ppo.post t v = r.num.post.(v)) nodes
+  && List.for_all
+       (fun (x, y) ->
+         inst.reachable x y = (r.num.pre.(x) <= r.num.pre.(y) && r.num.post.(x) >= r.num.post.(y)))
+       (H.all_pairs n)
+  && List.for_all
+       (fun x ->
+         List.for_all
+           (fun want ->
+             inst.descendants_by_tag x want = Fold_ppo.descendants_by_tag r x want
+             && inst.ancestors_by_tag x want = Fold_ppo.ancestors_by_tag r x want)
+           wants)
+       nodes
+  && List.for_all
+       (fun set ->
+         let below = inst.restricted_descendants set and above = inst.restricted_ancestors set in
+         List.for_all
+           (fun x ->
+             below x = Fold_ppo.restricted_descendants r x set
+             && above x = Fold_ppo.restricted_ancestors r x set)
+           nodes)
+       (random_sets dg ~seed)
+
+let prop_ppo_rank_search_matches_fold =
+  H.qtest ~count:150 "rank search and staged lookups = subtree fold (build, extend, reload)"
+    grown_forest_arb
+    (fun (((_, edges) as base), extra, seed) ->
+      let dg = H.data_graph_of base ~tag_seed:seed in
+      let t = Ppo.build dg in
+      let grown = grow dg edges ~extra ~seed in
+      ppo_matches_fold dg t ~seed
+      && ppo_matches_fold dg (Ppo.deserialize dg (Ppo.serialize t)) ~seed
+      &&
+      match Ppo.extend t grown with
+      | None -> extra = 0
+      | Some t' ->
+          ppo_matches_fold grown t' ~seed
+          && ppo_matches_fold grown (Ppo.deserialize grown (Ppo.serialize t')) ~seed)
+
+(* An old node whose tag changed is a different document: extend
+   refuses it, so the rank lists never go stale. *)
+let test_ppo_extend_refuses_retagged () =
+  let dg = forest_dg () in
+  let t = Ppo.build dg in
+  let tag = Array.append (Array.copy dg.tag) [| 0 |] in
+  tag.(3) <- 0;
+  let grown = { Pi.graph = Digraph.of_edges ~n:7 (Digraph.edges dg.graph); tag } in
+  check "retagged old node refused" true (Ppo.extend t grown = None)
 
 let test_ppo_rejects_graphs () =
   check "not buildable" false (Ppo.is_buildable (graph_dg ()));
@@ -572,6 +716,9 @@ let () =
           Alcotest.test_case "pre/post windows" `Quick test_ppo_pre_post;
           Alcotest.test_case "other axes" `Quick test_ppo_axes;
           Alcotest.test_case "linear size" `Quick test_ppo_size_linear;
+          prop_ppo_rank_search_matches_fold;
+          Alcotest.test_case "extend refuses a retagged node" `Quick
+            test_ppo_extend_refuses_retagged;
         ] );
       ( "two_hop",
         [

@@ -1134,6 +1134,50 @@ let front_rules_every_backend () =
                   Alcotest.(check bool) "some expired merge streamed its first item" true
                     (List.mem 1 streamed)))))
 
+(* An unknown tag name matches no element: every verb that takes one
+   answers DONE 0 on every backend, the memory one included, without
+   searching (the memory evaluator's -1 sentinel short-circuits). *)
+let unknown_tags_every_backend () =
+  let coll = Lazy.force shared_collection in
+  let memory = Server.start (Lazy.force shared_flix) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop memory)
+    (fun () ->
+      with_disk_server coll (fun disk ->
+          with_cluster (fun ~coord:_ ~front ~shard_servers:_ ->
+              let clients =
+                List.map
+                  (fun (name, server) -> (name, Client.connect ~port:(Server.port server) ()))
+                  [ ("memory", memory); ("disk", disk); ("coordinator", front) ]
+              in
+              Fun.protect
+                ~finally:(fun () -> List.iter (fun (_, c) -> Client.close c) clients)
+                (fun () ->
+                  let root = C.root_of_doc coll 3 and n = C.n_nodes coll in
+                  let tag = Some "nosuchtag" in
+                  List.iter
+                    (fun max_dist ->
+                      List.iter
+                        (fun req ->
+                          List.iter
+                            (fun (name, c) ->
+                              Alcotest.(check string)
+                                (Printf.sprintf "%s: %s" name (P.request_line req))
+                                "DONE 0"
+                                (lines_of (Client.request c req)))
+                            clients)
+                        [
+                          P.Descendants
+                            { doc = Dblp.doc_name 3; anchor = None; tag; k = 10; max_dist };
+                          P.Node_descendants { node = root; tag; k = 10; max_dist };
+                          P.Ancestors { node = n - 1; tag; k = 10; max_dist };
+                          P.Evaluate
+                            { start_tag = "article"; target_tag = "nosuchtag"; k = 10; max_dist };
+                          P.Evaluate
+                            { start_tag = "nosuchtag"; target_tag = "author"; k = 10; max_dist };
+                        ])
+                    [ None; Some 0; Some 6 ]))))
+
 (* --- protocol satellites --------------------------------------------- *)
 
 let deadline_override () =
@@ -1272,6 +1316,7 @@ let () =
       ( "front",
         [
           Alcotest.test_case "same rules on every backend" `Quick front_rules_every_backend;
+          Alcotest.test_case "unknown tags on every backend" `Quick unknown_tags_every_backend;
         ] );
       ( "protocol",
         [
