@@ -731,7 +731,7 @@ let serve ctx =
         Fx_index.Disk_hopi.save ~path:prefix dg ctx.hopi_labels;
         Fx_index.Catalog.save ~path:(prefix ^ ".catalog")
           (Fx_index.Catalog.of_collection ctx.collection);
-        let d = Fx_index.Disk_hopi.open_ ~pool_pages:16_384 ~stripes:8 ~path:prefix () in
+        let d = Fx_index.Disk_hopi.open_ ~pool_pages:16_384 ~path:prefix () in
         let catalog = Fx_index.Catalog.load (prefix ^ ".catalog") in
         (* Per-row stripe evidence: how many gate/io acquisitions had to
            block (cumulative over the shared handle — the per-row delta

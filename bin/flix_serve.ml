@@ -40,7 +40,7 @@ let usage () =
     "usage: flix_serve [--port N] [--host A] [--workers N] [--queue N]\n\
     \                  [--deadline-ms F] [--coord-cache N]\n\
     \                  [--docs N | --xml-dir DIR] [--seed N]\n\
-    \                  [--index-dir DIR] [--pool-pages N] [--pool-stripes N]\n\
+    \                  [--index-dir DIR] [--pool-pages N]\n\
     \       flix_serve --build-shards N --index-dir DIR [--docs N | --xml-dir DIR]\n\
     \       flix_serve --coordinator --index-dir DIR --shard HOST:PORT [--shard ...]\n\
     \n\
@@ -91,9 +91,9 @@ let catalog_path prefix = prefix ^ ".catalog"
    catalog saved from another collection than the label store would
    resolve names to nodes the store does not have, so the two must
    agree on the node and tag counts. *)
-let open_deployment ~prefix ~pool_pages ~pool_stripes () =
+let open_deployment ~prefix ~pool_pages () =
   let catalog = Catalog.load (catalog_path prefix) in
-  let disk = Disk_hopi.open_ ?pool_pages ?stripes:pool_stripes ~path:prefix () in
+  let disk = Disk_hopi.open_ ?pool_pages ~path:prefix () in
   if
     Catalog.n_nodes catalog <> Disk_hopi.n_nodes disk
     || Catalog.n_tags catalog <> Disk_hopi.n_tags disk
@@ -111,7 +111,7 @@ let open_deployment ~prefix ~pool_pages ~pool_stripes () =
 
 (* Build a global HOPI over the collection and persist it (plus the
    serving catalog) under [dir], then reopen it as the disk backend. *)
-let build_deployment ~dir ~prefix ~pool_pages ~pool_stripes source seed =
+let build_deployment ~dir ~prefix ~pool_pages source seed =
   let collection = load_collection source seed in
   Printf.printf "collection: %s\n%!" (C.stats collection);
   Printf.printf "building HOPI index...\n%!";
@@ -122,7 +122,7 @@ let build_deployment ~dir ~prefix ~pool_pages ~pool_stripes source seed =
   Catalog.save ~path:(catalog_path prefix) (Catalog.of_collection collection);
   Printf.printf "saved deployment to %s (indexed in %.2f s)\n%!" dir
     (Int64.to_float build_ns /. 1e9);
-  open_deployment ~prefix ~pool_pages ~pool_stripes ()
+  open_deployment ~prefix ~pool_pages ()
 
 let serve ~reload cfg backend =
   let server = Server.start_backend ~config:cfg ~reload backend in
@@ -217,7 +217,7 @@ let serve_coordinator cfg ~dir ~shards =
   in
   serve cfg ~reload (Coordinator.backend coord)
 
-let serve_plain cfg source seed index_dir pool_pages pool_stripes =
+let serve_plain cfg source seed index_dir pool_pages =
   match index_dir with
   | Some dir -> (
       (* Persistent serving. A mangled or half-written store must come
@@ -226,9 +226,9 @@ let serve_plain cfg source seed index_dir pool_pages pool_stripes =
       match
         if Sys.file_exists (catalog_path prefix) then begin
           Printf.printf "opening deployment %s...\n%!" prefix;
-          open_deployment ~prefix ~pool_pages ~pool_stripes ()
+          open_deployment ~prefix ~pool_pages ()
         end
-        else build_deployment ~dir ~prefix ~pool_pages ~pool_stripes source seed
+        else build_deployment ~dir ~prefix ~pool_pages source seed
       with
       | exception Fx_util.Codec.Corrupt msg ->
           Printf.eprintf "flix_serve: corrupt index store under %s: %s\n" dir msg;
@@ -249,7 +249,7 @@ let serve_plain cfg source seed index_dir pool_pages pool_stripes =
           (* RELOAD reopens the deployment from disk; the replaced pager
              is closed only after its last pinned request drains. *)
           let reload () =
-            match open_deployment ~prefix ~pool_pages ~pool_stripes () with
+            match open_deployment ~prefix ~pool_pages () with
             | exception Fx_util.Codec.Corrupt msg -> Error ("corrupt index store: " ^ msg)
             | exception Unix.Unix_error (err, fn, arg) ->
                 Error (Printf.sprintf "%s (%s %s)" (Unix.error_message err) fn arg)
@@ -291,7 +291,6 @@ let () =
   let seed = ref 7 in
   let index_dir = ref None in
   let pool_pages = ref None in
-  let pool_stripes = ref None in
   let build_n = ref None in
   let coordinator = ref false in
   let shard_addrs = ref [] in
@@ -344,9 +343,6 @@ let () =
     | "--pool-pages" :: v :: rest ->
         pool_pages := Some (int_of_string v);
         parse rest
-    | "--pool-stripes" :: v :: rest ->
-        pool_stripes := Some (int_of_string v);
-        parse rest
     | _ -> usage ()
   in
   (try parse (List.tl (Array.to_list Sys.argv)) with
@@ -383,4 +379,4 @@ let () =
   | None, true, None ->
       Printf.eprintf "flix_serve: --coordinator needs --index-dir for the manifest\n";
       exit 1
-  | None, false, _ -> serve_plain !cfg !source !seed !index_dir !pool_pages !pool_stripes
+  | None, false, _ -> serve_plain !cfg !source !seed !index_dir !pool_pages

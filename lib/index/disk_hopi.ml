@@ -8,8 +8,7 @@ let labels_path path = path ^ ".labels"
 let save ?page_size ~path (dg : Path_index.data_graph) hopi =
   Disk_labels.save ?page_size ~tags:dg.tag ~path:(labels_path path) (Hopi.labels hopi)
 
-let open_ ?pool_pages ?page_size ?stripes ~path () =
-  Disk_labels.open_ ?pool_pages ?page_size ?stripes (labels_path path)
+let open_ ?pool_pages ~path () = Disk_labels.open_ ?pool_pages (labels_path path)
 
 let n_nodes = Disk_labels.n_nodes
 let n_tags = Disk_labels.n_tags

@@ -15,9 +15,9 @@ type t
 
 val save : ?page_size:int -> path:string -> Path_index.data_graph -> Hopi.t -> unit
 
-val open_ : ?pool_pages:int -> ?page_size:int -> ?stripes:int -> path:string -> unit -> t
-(** [stripes] splits the buffer pool into independent lock stripes —
-    see {!Fx_store.Pager.create}. Creates no file.
+val open_ : ?pool_pages:int -> path:string -> unit -> t
+(** Open a saved deployment read-only — see {!Disk_labels.open_}.
+    Creates no file.
     @raise Sys_error naming [<path>.labels] when it does not exist.
     @raise Fx_util.Codec.Corrupt naming [<path>.labels] on a mangled
     store or one of an earlier layout. *)

@@ -13,9 +13,10 @@ module Codec = Fx_util.Codec
                               down-run handle, up-run handle; per tag
                               id: tag-record handle (-1 = no nodes)
      [trailer record]         directory handle, store layout
-   The trailer is always the last record, so reopen finds the directory
-   without any side file. Earlier layouts (no layout field: labels
-   only; 1: no tag records) are refused at open.
+   The trailer is always the last record, and the heap header's root
+   points at it, so open finds the directory without walking the heap.
+   Earlier stores (a header without a root; then no layout field:
+   labels only; 1: no tag records) are refused at open.
 
    A run record, every number an unsigned LEB128 varint:
      ngroups, then per group: tag, count, payload bytes
@@ -29,7 +30,6 @@ module Codec = Fx_util.Codec
 
 type t = {
   pager : Pager.t;
-  heap : Heap.t;
   n : int;
   in_handle : int array;  (* -1 = empty label *)
   out_handle : int array;
@@ -154,7 +154,7 @@ let group_by_tag tags =
    entries bucketed by hop, which leaves every bucket ordered by
    (tag, y); each tag group then sorts its packed (d, y) keys. One int
    per entry in flight, no per-entry tuples. *)
-let write_runs batch labels side ~tags ~by_tag =
+let write_runs add labels side ~tags ~by_tag =
   let n = Two_hop.n_nodes labels in
   let start = Array.make (n + 1) 0 in
   for y = 0 to n - 1 do
@@ -200,13 +200,13 @@ let write_runs batch labels side ~tags ~by_tag =
       add_uvarint record !n_groups;
       Buffer.add_buffer record groups;
       Buffer.add_buffer record payload;
-      handles.(h) <- Heap.add batch (Buffer.contents record)
+      handles.(h) <- add (Buffer.contents record)
     end
   done;
   handles
 
 (* One tag record per tag id carrying nodes; see the layout above. *)
-let write_tags batch ~order ~off =
+let write_tags add ~order ~off =
   let record = Buffer.create 4096 in
   Array.init
     (Array.length off - 1)
@@ -219,7 +219,7 @@ let write_tags batch ~order ~off =
           add_uvarint record (order.(i) - !prev);
           prev := order.(i)
         done;
-        Heap.add batch (Buffer.contents record)
+        add (Buffer.contents record)
       end)
 
 let save ?page_size ~tags ~path labels =
@@ -227,50 +227,48 @@ let save ?page_size ~tags ~path labels =
   if Array.length tags <> n then invalid_arg "Disk_labels.save: tag array length mismatch";
   if Array.exists (fun tag -> tag < 0) tags then invalid_arg "Disk_labels.save: negative tag id";
   if n > node_mask then invalid_arg "Disk_labels.save: too many nodes";
+  (* Unlink, never truncate: a server still reading the old file keeps
+     its inode whole. *)
   if Sys.file_exists path then Sys.remove path;
-  let pager = Pager.create ?page_size path in
-  let heap = Heap.create pager in
-  let batch = Heap.batch heap in
-  let store side =
-    Array.init n (fun v ->
-        if Two_hop.label_length labels side v = 0 then -1
-        else Heap.add batch (encode_label labels side v))
-  in
-  let in_handle = store Two_hop.In in
-  let out_handle = store Two_hop.Out in
-  let order, off = group_by_tag tags in
-  (* Down runs invert L_in, up runs invert L_out. *)
-  let down = write_runs batch labels Two_hop.In ~tags ~by_tag:order in
-  let up = write_runs batch labels Two_hop.Out ~tags ~by_tag:order in
-  let tag_handle = write_tags batch ~order ~off in
-  Heap.flush_batch batch;
-  let w = Codec.Writer.create ~magic:dir_magic in
-  Codec.Writer.int w n;
-  List.iter (Codec.Writer.int_array w) [ in_handle; out_handle; down; up; tag_handle ];
-  let dir = Heap.append heap (Codec.Writer.contents w) in
-  let tw = Codec.Writer.create ~magic:trailer_magic in
-  Codec.Writer.int tw dir;
-  Codec.Writer.int tw store_layout;
-  ignore (Heap.append heap (Codec.Writer.contents tw));
-  Pager.close pager
+  Heap.write_file ?page_size path (fun add ->
+      let store side =
+        Array.init n (fun v ->
+            if Two_hop.label_length labels side v = 0 then -1
+            else add (encode_label labels side v))
+      in
+      let in_handle = store Two_hop.In in
+      let out_handle = store Two_hop.Out in
+      let order, off = group_by_tag tags in
+      (* Down runs invert L_in, up runs invert L_out. *)
+      let down = write_runs add labels Two_hop.In ~tags ~by_tag:order in
+      let up = write_runs add labels Two_hop.Out ~tags ~by_tag:order in
+      let tag_handle = write_tags add ~order ~off in
+      let w = Codec.Writer.create ~magic:dir_magic in
+      Codec.Writer.int w n;
+      List.iter (Codec.Writer.int_array w) [ in_handle; out_handle; down; up; tag_handle ];
+      let dir = add (Codec.Writer.contents w) in
+      let tw = Codec.Writer.create ~magic:trailer_magic in
+      Codec.Writer.int tw dir;
+      Codec.Writer.int tw store_layout;
+      ignore (add (Codec.Writer.contents tw)))
 
-let read_directory pager heap =
-  match Heap.last_handle heap with
-  | None -> raise (Codec.Corrupt "empty store")
+let read_directory pager =
+  let stale what =
+    Codec.Corrupt
+      (Printf.sprintf "%s this build's layout %d; rebuild the deployment into a fresh --index-dir"
+         what store_layout)
+  in
+  match Heap.last_handle pager with
+  | None -> raise (stale "a store header without a root predates")
   | Some trailer ->
-      let tr = Codec.Reader.create ~magic:trailer_magic (Heap.read heap trailer) in
+      let tr = Codec.Reader.create ~magic:trailer_magic (Heap.read pager trailer) in
       let dir_handle = Codec.Reader.int tr in
       (* The label-only layout wrote no layout field: layout 0. *)
       let layout = if Codec.Reader.at_end tr then 0 else Codec.Reader.int tr in
       if layout <> store_layout then
-        raise
-          (Codec.Corrupt
-             (Printf.sprintf
-                "store layout %d is not this build's layout %d; rebuild the deployment \
-                 into a fresh --index-dir"
-                layout store_layout));
+        raise (stale (Printf.sprintf "store layout %d is not" layout));
       Codec.Reader.expect_end tr;
-      let dr = Codec.Reader.create ~magic:dir_magic (Heap.read heap dir_handle) in
+      let dr = Codec.Reader.create ~magic:dir_magic (Heap.read pager dir_handle) in
       let n = Codec.Reader.int dr in
       if n < 0 then raise (Codec.Corrupt "negative node count");
       let in_handle = Codec.Reader.int_array dr in
@@ -281,13 +279,12 @@ let read_directory pager heap =
       Codec.Reader.expect_end dr;
       if List.exists (fun a -> Array.length a <> n) [ in_handle; out_handle; down; up ] then
         raise (Codec.Corrupt "directory length mismatch");
-      { pager; heap; n; in_handle; out_handle; down; up; tag_handle }
+      { pager; n; in_handle; out_handle; down; up; tag_handle }
 
-let open_ ?pool_pages ?page_size ?stripes path =
-  (* Pager.create would create a missing file. *)
+let open_ ?pool_pages path =
   if not (Sys.file_exists path) then raise (Sys_error (path ^ ": No such file or directory"));
-  let pager = Pager.create ?pool_pages ?page_size ?stripes path in
-  match read_directory pager (Heap.create pager) with
+  let pager = Pager.open_ ?pool_pages path in
+  match read_directory pager with
   | t -> t
   | exception e ->
       Pager.close pager;
@@ -303,7 +300,7 @@ let check_node t v =
   if v < 0 || v >= t.n then invalid_arg "Disk_labels: node out of range"
 
 let fetch t handles v =
-  if handles.(v) = -1 then [||] else decode_label (Heap.read t.heap handles.(v))
+  if handles.(v) = -1 then [||] else decode_label (Heap.read t.pager handles.(v))
 
 (* Merge-join on hop ranks, as in the in-memory index — but each side
    was just fetched through the buffer pool. *)
@@ -360,7 +357,7 @@ let open_runs t dir ~hop tag =
   let handle = (match dir with Down -> t.down | Up -> t.up).(hop) in
   if handle < 0 then []
   else begin
-    let r = Heap.reader t.heap handle in
+    let r = Heap.reader t.pager handle in
     let n_groups = uvarint r in
     let header = List.init n_groups (fun _ ->
         let g_tag = uvarint r in
@@ -403,7 +400,7 @@ let cursor_node c = c.node
 let nodes_by_tag t tag =
   if tag < 0 || tag >= n_tags t || t.tag_handle.(tag) < 0 then []
   else begin
-    let r = Heap.reader t.heap t.tag_handle.(tag) in
+    let r = Heap.reader t.pager t.tag_handle.(tag) in
     let rec go prev acc =
       if Heap.offset r = Heap.reader_length r then List.rev acc
       else begin

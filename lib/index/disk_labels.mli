@@ -8,8 +8,8 @@
     {!open_runs}), one record per tag id listing its nodes (see
     {!nodes_by_tag}), a directory mapping nodes, hops and tags to
     record handles, and a trailer locating the directory and naming
-    the store layout. {!open_} maps the file back with a bounded
-    buffer pool; every {!distance} probe then costs two record fetches
+    the store layout; the file header's root points at the trailer.
+    {!open_} maps the file back read-only with a bounded buffer pool; every {!distance} probe then costs two record fetches
     whose page reads hit or miss the pool — which is exactly the regime
     behind the paper's absolute numbers. The D1 bench drives this cold
     and warm. *)
@@ -17,18 +17,22 @@
 type t
 
 val save : ?page_size:int -> tags:int array -> path:string -> Two_hop.t -> unit
-(** Write a label store; overwrites an existing file. [tags] is the tag
-    id of every node.
+(** Write a label store with {!Fx_store.Heap_file.write_file}, one
+    sequential pass ending in an fsync. An existing file at [path] is
+    unlinked first, never truncated, so a server still reading it keeps
+    its bytes. [tags] is the tag id of every node.
     Raises [Invalid_argument] on a tag array of the wrong length or a
     negative tag id. *)
 
-val open_ : ?pool_pages:int -> ?page_size:int -> ?stripes:int -> string -> t
-(** [pool_pages] (default 256) bounds the buffer pool; [stripes]
-    (default 8) splits it — see {!Fx_store.Pager.create}. Creates no
+val open_ : ?pool_pages:int -> string -> t
+(** Open a saved store read-only. [pool_pages] (default 256) bounds
+    the buffer pool, split into 8 lock stripes; the page size comes
+    from the file. Reads the directory and nothing else. Creates no
     file.
     @raise Sys_error naming the file when it does not exist.
     @raise Fx_util.Codec.Corrupt naming the file on a mangled store, and
-    on a store of an earlier layout (with how to rebuild it). *)
+    on a store of an earlier layout or a header without a root (with
+    how to rebuild it). *)
 
 val n_nodes : t -> int
 val reachable : t -> int -> int -> bool

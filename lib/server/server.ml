@@ -195,8 +195,8 @@ let disk_report hopi catalog =
     "backend: disk (persistent HOPI deployment)";
     Printf.sprintf "%d nodes, %d documents, %d tag names" (Catalog.n_nodes catalog)
       (Catalog.n_docs catalog) (Catalog.n_tags catalog);
-    Printf.sprintf "labels pager: %d logical reads, %d physical reads, %d physical writes"
-      s.P.logical_reads s.P.physical_reads s.P.physical_writes;
+    Printf.sprintf "labels pager: %d logical reads, %d physical reads" s.P.logical_reads
+      s.P.physical_reads;
   ]
 
 (* The buffer-pool counters of the shared deployment, as extra
@@ -224,9 +224,6 @@ let pool_metric_lines hopi () =
   @ series "flix_pager_pool_misses_total"
       "Page reads that had to fetch from disk (prefetch fills excluded), by index file."
       labels.P.demand_misses
-  @ series "flix_pager_physical_writes_total"
-      "Physical page writes (write-backs, extensions, header), by index file."
-      labels.P.physical_writes
   @ stripe_series "flix_pager_stripe_lock_acquisitions_total"
       "Stripe mutex and I/O-turn acquisitions, by index file and pool stripe." "counter"
       (fun s -> s.P.lock_acquisitions)

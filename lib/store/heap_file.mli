@@ -1,47 +1,34 @@
-(** A log-structured heap of variable-length records over a {!Pager}
-    file. Records are length-prefixed byte strings written sequentially,
-    spanning page boundaries freely; a record's handle is its byte
-    position. This is the "table" the disk-backed indexes store their
-    labels in — the equivalent of the paper's database tables, minus the
-    SQL. *)
+(** A heap of variable-length records in a {!Pager} file. Records are
+    length-prefixed byte strings laid out sequentially, spanning page
+    boundaries freely; a record's handle is its byte position. This is
+    the "table" the disk-backed indexes store their labels in — the
+    equivalent of the paper's database tables, minus the SQL.
 
-type t
+    A heap is written once, front to back, by {!write_file}, and then
+    only read. *)
+
 type handle = int
-(** Byte position of the record; stable across reopen. *)
+(** Byte position of the record; stable for the life of the file. *)
 
-val create : Pager.t -> t
-(** Wrap a pager; an empty file starts a fresh heap, otherwise the
-    existing heap is resumed (the write cursor is recovered from the
-    pager's page count and the trailer record). *)
+val write_file : ?page_size:int -> string -> ((string -> handle) -> 'a) -> 'a
+(** [write_file path f] writes a fresh heap file at [path]: [f add]
+    calls [add record] once per record, in file order, and [add]
+    returns the record's handle at once. Once [f] returns, the last
+    page is zero-padded, the header (see {!Pager.header}) is written
+    with the last record's handle as its root, and the file is fsynced
+    and closed. [page_size] defaults to 4096. The descriptor is closed
+    on every path; a file whose write failed keeps a header without a
+    root. Raises [Invalid_argument] on an empty record, [Unix_error] on
+    I/O failure. *)
 
-val append : t -> string -> handle
-(** Write a record at the end; O(record size / page size) page writes. *)
-
-type batch
-(** A run of appends written to the pager in large page-chunked writes
-    — for bulk loads of many small records. *)
-
-val batch : t -> batch
-
-val add : batch -> string -> handle
-(** Like {!append}, but the bytes reach the pager only when the batch
-    fills or at {!flush_batch}; the handle is final at once. No plain
-    {!append} may run while a batch has unflushed records (raises
-    [Invalid_argument] on the next {!add} if one did). *)
-
-val flush_batch : batch -> unit
-(** Write the buffered records; they are readable afterwards. *)
-
-val read : t -> handle -> string
+val read : Pager.t -> handle -> string
 (** @raise Fx_util.Codec.Corrupt on an invalid handle or a mangled
     length prefix. *)
 
-val size_bytes : t -> int
-(** Bytes of record payload written (excluding page headers/slack). *)
-
-val last_handle : t -> handle option
-(** The most recently written record — a natural place for a directory
-    trailer. Recovered on reopen. *)
+val last_handle : Pager.t -> handle option
+(** The last record written — a natural place for a directory trailer.
+    Read from the header's root, without touching a data page; [None]
+    for a header without one. *)
 
 (** {2 Windowed readers}
 
@@ -53,7 +40,7 @@ val last_handle : t -> handle option
 
 type reader
 
-val reader : t -> handle -> reader
+val reader : Pager.t -> handle -> reader
 (** Open the record at [handle], positioned at payload offset 0.
     @raise Fx_util.Codec.Corrupt on an invalid handle or a mangled
     length prefix. *)

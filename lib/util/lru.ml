@@ -9,7 +9,6 @@ type ('k, 'v) node = {
 
 type ('k, 'v) t = {
   capacity : int;
-  on_evict : 'k -> 'v -> unit;
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable first : ('k, 'v) node option; (* most recently used *)
   mutable last : ('k, 'v) node option;
@@ -17,11 +16,10 @@ type ('k, 'v) t = {
   mutable misses : int;
 }
 
-let create ?(on_evict = fun _ _ -> ()) ~capacity () =
+let create ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity < 1";
   {
     capacity;
-    on_evict;
     table = Hashtbl.create (2 * capacity);
     first = None;
     last = None;
@@ -60,12 +58,6 @@ let evict t =
   match t.last with
   | None -> ()
   | Some node ->
-      (* Run the eviction callback before unlinking: if the write-back
-         raises (ENOSPC, EBADF) the entry must stay resident — removing
-         it first would silently drop the dirty data with no error
-         surfaced. On a raise the map is left over capacity; the next
-         [add] retries the eviction. *)
-      t.on_evict node.key node.value;
       unlink t node;
       Hashtbl.remove t.table node.key
 
@@ -79,18 +71,15 @@ let add t k v =
       let node = { key = k; value = v; prev = None; next = None } in
       Hashtbl.replace t.table k node;
       push_front t node;
-      (* A loop, not a single eviction: a previous eviction that failed
-         leaves a backlog over capacity which drains here once the
-         callback succeeds again. *)
+      (* A loop: a map filled past capacity by [set] drains here. *)
       while Hashtbl.length t.table > t.capacity do
         evict t
       done);
   ()
 
 (* Insert/replace without the eviction loop: segment users (the pager's
-   striped buffer pool) run their own eviction policy — write-backs must
-   happen outside the stripe lock, so an implicit synchronous eviction
-   here would be a correctness bug, not a convenience. *)
+   striped buffer pool) run their own eviction policy, which must skip
+   pages whose miss fill is still in flight. *)
 let set t k v =
   match Hashtbl.find_opt t.table k with
   | Some node ->
@@ -101,11 +90,6 @@ let set t k v =
       let node = { key = k; value = v; prev = None; next = None } in
       Hashtbl.replace t.table k node;
       push_front t node
-
-let peek t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some node -> Some node.value
 
 let peek_lru t =
   match t.last with None -> None | Some node -> Some (node.key, node.value)

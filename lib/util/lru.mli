@@ -2,33 +2,23 @@
 
 type ('k, 'v) t
 
-val create : ?on_evict:('k -> 'v -> unit) -> capacity:int -> unit -> ('k, 'v) t
-(** [on_evict] fires when a capacity overflow pushes the least recently
-    used entry out (not on {!remove} or {!clear}) — buffer pools use it
-    to write dirty pages back. The callback runs {e before} the entry
-    is removed: if it raises, the entry stays resident (the map is
-    temporarily over capacity) and the exception propagates to the
-    {!add} that triggered the eviction, so a failed write-back never
-    silently loses data. Raises [Invalid_argument] when
-    [capacity < 1]. *)
+val create : capacity:int -> unit -> ('k, 'v) t
+(** Raises [Invalid_argument] when [capacity < 1]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Refreshes the entry's recency on a hit. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts or replaces; evicts least recently used entries while the
-    capacity is exceeded (normally one, plus any backlog left by an
-    earlier eviction whose [on_evict] raised). *)
+    capacity is exceeded (normally one, plus any backlog left by
+    {!set}). *)
 
 val set : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace {e without} evicting, leaving the map over
     capacity if need be — for callers that run their own eviction policy
-    (the pager's stripe segments trim with {!peek_lru} + {!remove} so
-    write-backs can happen outside the stripe lock). A {!set} map drains
-    back to capacity on the next {!add}. *)
-
-val peek : ('k, 'v) t -> 'k -> 'v option
-(** {!find} without the recency refresh or the hit/miss accounting. *)
+    (the pager's stripe segments trim with {!peek_lru} + {!remove},
+    skipping pages still being read). A {!set} map drains back to
+    capacity on the next {!add}. *)
 
 val peek_lru : ('k, 'v) t -> ('k * 'v) option
 (** The least recently used entry, untouched. *)

@@ -379,7 +379,7 @@ drive_clients() { # N_CLIENTS REQS_EACH
 
 LAST_MS=
 measure_workers() { # N_WORKERS -> LAST_MS
-  "$BIN" --index-dir "$EXTRA_DIR" --workers "$1" --pool-pages 8 --pool-stripes 8 \
+  "$BIN" --index-dir "$EXTRA_DIR" --workers "$1" --pool-pages 8 \
     --port "$PORT" >"$EXTRA_DIR/w$1.log" 2>&1 &
   SRV_PID=$!
   wait_port || { cat "$EXTRA_DIR/w$1.log" >&2; fail "$1-worker server did not come up"; }

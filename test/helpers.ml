@@ -126,42 +126,83 @@ let metric_value lines name =
 (* --- label-store surgery ------------------------------------------- *)
 
 (* Make a saved Disk_labels store read like another one by appending
-   records: open reads the last record as the trailer ("fxend": the
-   directory handle, then the store layout), and the directory ("fxdir":
-   the node count, then the in-label, out-label, down-run, up-run and
-   tag-record handle arrays). *)
+   records behind its last one, with plain writes in the heap's framing
+   (a 4-byte big-endian length, then the payload), zero-padding the last
+   page, and pointing the header's root at the last record appended:
+   open reads that record as the trailer ("fxend": the directory
+   handle, then the store layout), and the directory ("fxdir": the node
+   count, then the in-label, out-label, down-run, up-run and tag-record
+   handle arrays). *)
+module Pager = Fx_store.Pager
 module Heap = Fx_store.Heap_file
 module Codec = Fx_util.Codec
 
-let with_label_heap ?page_size path f =
-  let pager = Fx_store.Pager.create ?page_size path in
-  Fun.protect ~finally:(fun () -> Fx_store.Pager.close pager) (fun () -> f (Heap.create pager))
+let with_label_pager path f =
+  let pager = Pager.open_ path in
+  Fun.protect ~finally:(fun () -> Pager.close pager) (fun () -> f pager)
 
-let directory_handle heap =
+let write_at fd pos b =
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 (Bytes.length b))
+
+(* [f pager add] reads the store through [pager] and appends records
+   with [add], which returns each one's handle. *)
+let append_records path f =
+  with_label_pager path (fun pager ->
+      let page_size = Pager.page_size pager in
+      let root = ref (Option.get (Heap.last_handle pager)) in
+      let cursor = ref (!root + 4 + String.length (Heap.read pager !root)) in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let add s =
+            let b = Bytes.create (4 + String.length s) in
+            Bytes.set_int32_be b 0 (Int32.of_int (String.length s));
+            Bytes.blit_string s 0 b 4 (String.length s);
+            write_at fd (page_size + !cursor) b;
+            root := !cursor;
+            cursor := !cursor + Bytes.length b;
+            !root
+          in
+          f pager add;
+          let tail = !cursor mod page_size in
+          if tail > 0 then write_at fd (page_size + !cursor) (Bytes.make (page_size - tail) '\000');
+          write_at fd 0 (Pager.header ~page_size ~root:(Some !root))))
+
+let directory_handle pager =
   Codec.Reader.int
-    (Codec.Reader.create ~magic:"fxend" (Heap.read heap (Option.get (Heap.last_handle heap))))
+    (Codec.Reader.create ~magic:"fxend" (Heap.read pager (Option.get (Heap.last_handle pager))))
 
-let append_trailer heap ~dir layout =
+let append_trailer add ~dir layout =
   let w = Codec.Writer.create ~magic:"fxend" in
   Codec.Writer.int w dir;
   Option.iter (Codec.Writer.int w) layout;
-  ignore (Heap.append heap (Codec.Writer.contents w))
+  ignore (add (Codec.Writer.contents w))
 
 (* Stamp an earlier layout's trailer on the store: [None] writes the
    label-only layout's (no layout field), [Some 1] the layout before
    tag records. *)
-let stamp_store_layout ?page_size path layout =
-  with_label_heap ?page_size path (fun heap ->
-      append_trailer heap ~dir:(directory_handle heap) layout)
+let stamp_store_layout path layout =
+  append_records path (fun pager add -> append_trailer add ~dir:(directory_handle pager) layout)
 
 (* Point tag id [tag] at a new tag record holding [bytes]. *)
-let replace_tag_record ?page_size path ~tag bytes =
-  with_label_heap ?page_size path (fun heap ->
-      let r = Codec.Reader.create ~magic:"fxdir" (Heap.read heap (directory_handle heap)) in
+let replace_tag_record path ~tag bytes =
+  append_records path (fun pager add ->
+      let r = Codec.Reader.create ~magic:"fxdir" (Heap.read pager (directory_handle pager)) in
       let n = Codec.Reader.int r in
       let arrays = List.init 5 (fun _ -> Codec.Reader.int_array r) in
-      (List.nth arrays 4).(tag) <- Heap.append heap bytes;
+      (List.nth arrays 4).(tag) <- add bytes;
       let w = Codec.Writer.create ~magic:"fxdir" in
       Codec.Writer.int w n;
       List.iter (Codec.Writer.int_array w) arrays;
-      append_trailer heap ~dir:(Heap.append heap (Codec.Writer.contents w)) (Some 2))
+      append_trailer add ~dir:(add (Codec.Writer.contents w)) (Some 2))
+
+(* Rewrite the header the way every store written before header roots
+   had it: without a root. *)
+let drop_header_root path =
+  let page_size = with_label_pager path Pager.page_size in
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> write_at fd 0 (Pager.header ~page_size ~root:None))

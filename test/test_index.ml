@@ -121,7 +121,7 @@ let test_conformance_disk () =
           List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; path ^ ".labels" ])
         (fun () ->
           Fx_index.Disk_hopi.save ~page_size:256 ~path dg (Hopi.build dg);
-          let disk = Fx_index.Disk_hopi.open_ ~page_size:256 ~pool_pages:4 ~path () in
+          let disk = Fx_index.Disk_hopi.open_ ~pool_pages:4 ~path () in
           Fun.protect
             ~finally:(fun () -> Fx_index.Disk_hopi.close disk)
             (fun () ->

@@ -941,15 +941,20 @@ let expect_boot_refused dir affixes =
         affixes
   | _ -> Alcotest.failf "expected one diagnostic line, got:\n%s" (String.concat "\n" lines)
 
-(* A deployment of either earlier store layout stops flix_serve at
-   boot with a line naming the label file and how to rebuild. *)
+(* A deployment of either earlier store layout, or one whose label
+   file header has no root, stops flix_serve at boot with a line naming
+   the label file and how to rebuild. *)
 let flix_serve_refuses_stale_deployment () =
   List.iter
-    (fun layout ->
+    (fun make_stale ->
       with_deployment_dir (fun dir prefix ->
-          Helpers.stamp_store_layout (prefix ^ ".labels") layout;
+          make_stale (prefix ^ ".labels");
           expect_boot_refused dir [ prefix ^ ".labels"; "--index-dir" ]))
-    [ None; Some 1 ]
+    [
+      (fun labels -> Helpers.stamp_store_layout labels None);
+      (fun labels -> Helpers.stamp_store_layout labels (Some 1));
+      Helpers.drop_header_root;
+    ]
 
 (* A catalog saved from another collection than the label store is
    refused at boot, naming both files. *)

@@ -58,33 +58,6 @@ let test_lru_bad_capacity () =
   Alcotest.check_raises "capacity 0" (Invalid_argument "Lru.create: capacity < 1") (fun () ->
       ignore (lru_create ~capacity:0))
 
-(* A failing on_evict (a dirty-page write-back hitting ENOSPC, say)
-   must propagate to the add that triggered the eviction, keep the
-   victim resident, and let a later add drain the over-capacity
-   backlog once the callback succeeds again. *)
-let test_lru_failing_evict () =
-  let failing = ref true in
-  let evicted = ref [] in
-  let c =
-    Lru.create ~capacity:2
-      ~on_evict:(fun k _ ->
-        if !failing then failwith "disk full";
-        evicted := k :: !evicted)
-      ()
-  in
-  Lru.add c "a" 1;
-  Lru.add c "b" 2;
-  Alcotest.check_raises "evict failure propagates" (Failure "disk full") (fun () ->
-      Lru.add c "c" 3);
-  check "victim still resident" true (Lru.mem c "a");
-  check "new entry admitted" true (Lru.find c "c" = Some 3);
-  check_int "over capacity until retried" 3 (Lru.length c);
-  failing := false;
-  Lru.add c "d" 4;
-  check_int "backlog drained" 2 (Lru.length c);
-  check_int "both victims written back" 2 (List.length !evicted);
-  check "callback ran before removal" false (Lru.mem c "a")
-
 let test_lru_stress () =
   (* Heavier workload: the table and list must stay consistent. *)
   let cap = 16 in
@@ -189,7 +162,6 @@ let () =
           Alcotest.test_case "remove/clear" `Quick test_lru_remove_clear;
           Alcotest.test_case "capacity one" `Quick test_lru_capacity_one;
           Alcotest.test_case "bad capacity" `Quick test_lru_bad_capacity;
-          Alcotest.test_case "failing evict" `Quick test_lru_failing_evict;
           Alcotest.test_case "stress" `Quick test_lru_stress;
         ] );
       ( "codec",
