@@ -27,7 +27,3 @@ let extend_scope ~old_n_nodes c =
     let names = Hashtbl.fold (fun id () acc -> Collection.tag_name c id :: acc) seen [] in
     Tags (List.sort_uniq String.compare names)
   end
-
-let scope_to_string = function
-  | All -> "all"
-  | Tags ts -> Printf.sprintf "tags(%s)" (String.concat "," ts)

@@ -13,5 +13,3 @@ val extend_scope : old_n_nodes:int -> Fx_xml.Collection.t -> scope
     to the merged collection [c]: [All] iff some link crosses the
     old/new node-id boundary (in either direction), else the tag names
     occurring in the new nodes. *)
-
-val scope_to_string : scope -> string

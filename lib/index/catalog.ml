@@ -106,8 +106,6 @@ let n_nodes t = t.n_nodes
 let n_docs t = Array.length t.docs
 let n_tags t = Array.length t.tag_names
 let tag_id t name = Hashtbl.find_opt t.tag_ids name
-let tag_name t i = t.tag_names.(i)
-let doc_names t = Array.to_list (Array.map fst t.docs)
 
 let node_of t ~doc ~anchor =
   match anchor with

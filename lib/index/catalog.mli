@@ -24,10 +24,6 @@ val n_docs : t -> int
 val n_tags : t -> int
 
 val tag_id : t -> string -> int option
-val tag_name : t -> int -> string
-
-val doc_names : t -> string list
-(** In collection order. *)
 
 val node_of : t -> doc:string -> anchor:string option -> int option
 (** Global node of [doc]'s root, or of the element carrying

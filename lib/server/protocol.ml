@@ -70,12 +70,6 @@ let batch_allowed = function
     ->
       false
 
-let streams_items = function
-  | Descendants _ | Node_descendants _ | Ancestors _ | Evaluate _ -> true
-  | Ping | Stats | Metrics | Sleep _ | Connected _ | Resolve _ | Evict _ | Reload
-  | Epoch_query ->
-      false
-
 (* --- requests ------------------------------------------------------- *)
 
 let opt_field = function None -> "-" | Some s -> s

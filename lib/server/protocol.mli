@@ -138,9 +138,6 @@ val batch_allowed : request -> bool
     inline observability verbs are excluded. [SLEEP] is allowed as the
     diagnostic stand-in for a slow probe. *)
 
-val streams_items : request -> bool
-(** Whether the verb's response is an item stream whose [ITEM] lines
-    the server flushes incrementally as they are produced. *)
 
 val parse_request : string -> (request, string) result
 (** Parse one request line; a [DEADLINE <ms>] prefix is accepted and

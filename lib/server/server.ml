@@ -93,25 +93,13 @@ type backend = {
   flix : Flix.t option;
 }
 
-(* flix_reload_duration_seconds: swap latencies are seconds-scale and
-   rare, so a small mutex-guarded histogram (observed only by the
-   admin-serialized swap path) is enough. *)
-let reload_buckets_s = [| 0.001; 0.005; 0.025; 0.1; 0.5; 2.0; 10.0 |]
-
-type reload_hist = {
-  rh_m : Mutex.t;
-  rh_counts : int array; (* per bucket, non-cumulative; last slot = +Inf *)
-  mutable rh_sum : float;
-  mutable rh_count : int;
-}
-
 type t = {
   cfg : config;
   snapshot : backend Snapshot.t;
   reload : (unit -> (backend, string) result) option;
   admin_m : Mutex.t; (* serializes INGEST/EVICT/RELOAD *)
   eval_cache : Protocol.item list Eval_cache.t; (* keyed and epoch-checked by [eval] *)
-  reload_hist : reload_hist;
+  reload_hist : Metrics.Histogram.t; (* flix_reload_duration_seconds *)
   listen_fd : Unix.file_descr;
   bound_port : int;
   metrics : Metrics.t;
@@ -204,15 +192,12 @@ let disk_report hopi catalog =
 let pool_metric_lines hopi () =
   let module P = Fx_store.Pager in
   let labels = Disk_hopi.stats hopi in
-  let header name help kind =
-    [ Printf.sprintf "# HELP %s %s" name help; Printf.sprintf "# TYPE %s %s" name kind ]
-  in
   let series name help v =
-    header name help "counter" @ [ Printf.sprintf "%s{file=\"labels\"} %d" name v ]
+    Metrics.family name ~help `Counter @ [ Printf.sprintf "%s{file=\"labels\"} %d" name v ]
   in
   let stripes = Disk_hopi.stripe_stats hopi in
   let stripe_series name help kind proj =
-    header name help kind
+    Metrics.family name ~help kind
     @ List.map
         (fun (s : P.stripe_stats) ->
           Printf.sprintf "%s{file=\"labels\",stripe=\"%d\"} %d" name s.P.stripe_index (proj s))
@@ -220,21 +205,21 @@ let pool_metric_lines hopi () =
   in
   series "flix_pager_pool_hits_total"
     "Page reads served from the buffer pool, by index file."
-    (labels.P.logical_reads - labels.P.demand_misses)
+    (labels.P.logical_reads - labels.P.physical_reads)
   @ series "flix_pager_pool_misses_total"
-      "Page reads that had to fetch from disk (prefetch fills excluded), by index file."
-      labels.P.demand_misses
+      "Page reads that had to fetch from disk, by index file."
+      labels.P.physical_reads
   @ stripe_series "flix_pager_stripe_lock_acquisitions_total"
-      "Stripe mutex and I/O-turn acquisitions, by index file and pool stripe." "counter"
+      "Stripe mutex and I/O-turn acquisitions, by index file and pool stripe." `Counter
       (fun s -> s.P.lock_acquisitions)
   @ stripe_series "flix_pager_stripe_lock_contended_total"
-      "Stripe lock acquisitions that had to block on another domain." "counter"
+      "Stripe lock acquisitions that had to block on another domain." `Counter
       (fun s -> s.P.lock_contended)
   @ stripe_series "flix_pager_stripe_resident_pages"
-      "Pages currently held by each pool stripe." "gauge"
+      "Pages currently held by each pool stripe." `Gauge
       (fun s -> s.P.resident_pages)
   @ stripe_series "flix_pager_stripe_capacity_pages"
-      "Pool segment bound of each stripe." "gauge"
+      "Pool segment bound of each stripe." `Gauge
       (fun s -> s.P.capacity_pages)
 
 let of_pairs next =
@@ -457,77 +442,23 @@ let worker_loop t () =
 
 (* --- admin plane (connection-thread side) --------------------------- *)
 
-let observe_reload t seconds =
-  with_lock t.reload_hist.rh_m (fun () ->
-      let h = t.reload_hist in
-      let rec bucket i =
-        if i >= Array.length reload_buckets_s then i
-        else if seconds <= reload_buckets_s.(i) then i
-        else bucket (i + 1)
-      in
-      h.rh_counts.(bucket 0) <- h.rh_counts.(bucket 0) + 1;
-      h.rh_sum <- h.rh_sum +. seconds;
-      h.rh_count <- h.rh_count + 1)
-
 (* The hot-reload plane as Prometheus series: serving epoch, per-epoch
    pin counts (draining epochs stay visible until their pins hit zero),
    swap duration histogram, and the EVALUATE cache counters that witness
    scoped invalidation keeping entries warm across swaps. *)
 let snapshot_metric_lines t () =
-  let gauge name help rows =
-    Printf.sprintf "# HELP %s %s" name help
-    :: Printf.sprintf "# TYPE %s gauge" name
-    :: rows
-  in
-  let counter name help v =
-    [
-      Printf.sprintf "# HELP %s %s" name help;
-      Printf.sprintf "# TYPE %s counter" name;
-      Printf.sprintf "%s %d" name v;
-    ]
-  in
-  let pinned_rows =
-    List.map
-      (fun (epoch, pins) ->
-        Printf.sprintf "flix_snapshot_pinned{epoch=\"%d\"} %d" epoch pins)
+  let family = Metrics.family in
+  let counter name help v = family name ~help `Counter @ [ Printf.sprintf "%s %d" name v ] in
+  let gauge name help v = family name ~help `Gauge @ [ Printf.sprintf "%s %d" name v ] in
+  gauge "flix_snapshot_epoch" "Epoch of the serving snapshot." (Snapshot.epoch t.snapshot)
+  @ family "flix_snapshot_pinned"
+      ~help:"In-flight requests pinned to each live snapshot epoch." `Gauge
+  @ List.map
+      (fun (epoch, pins) -> Printf.sprintf "flix_snapshot_pinned{epoch=\"%d\"} %d" epoch pins)
       (Snapshot.pinned t.snapshot)
-  in
-  let h = t.reload_hist in
-  let counts, sum, count =
-    with_lock h.rh_m (fun () -> (Array.copy h.rh_counts, h.rh_sum, h.rh_count))
-  in
-  let hist =
-    let acc = ref 0 in
-    let rows =
-      Array.to_list
-        (Array.mapi
-           (fun i c ->
-             acc := !acc + c;
-             let le =
-               if i < Array.length reload_buckets_s then
-                 Printf.sprintf "%g" reload_buckets_s.(i)
-               else "+Inf"
-             in
-             Printf.sprintf "flix_reload_duration_seconds_bucket{le=\"%s\"} %d" le
-               !acc)
-           counts)
-    in
-    [
-      "# HELP flix_reload_duration_seconds Wall time of successful snapshot swaps \
-       (INGEST, EVICT, RELOAD).";
-      "# TYPE flix_reload_duration_seconds histogram";
-    ]
-    @ rows
-    @ [
-        Printf.sprintf "flix_reload_duration_seconds_sum %.6f" sum;
-        Printf.sprintf "flix_reload_duration_seconds_count %d" count;
-      ]
-  in
-  gauge "flix_snapshot_epoch" "Epoch of the serving snapshot."
-    [ Printf.sprintf "flix_snapshot_epoch %d" (Snapshot.epoch t.snapshot) ]
-  @ gauge "flix_snapshot_pinned"
-      "In-flight requests pinned to each live snapshot epoch." pinned_rows
-  @ hist
+  @ family "flix_reload_duration_seconds"
+      ~help:"Wall time of successful snapshot swaps (INGEST, EVICT, RELOAD)." `Histogram
+  @ Metrics.Histogram.render t.reload_hist ~name:"flix_reload_duration_seconds" ~labels:""
   @ counter "flix_eval_cache_hits_total" "EVALUATE cache hits."
       (Eval_cache.hits t.eval_cache)
   @ counter "flix_eval_cache_misses_total" "EVALUATE cache misses."
@@ -536,7 +467,7 @@ let snapshot_metric_lines t () =
       "EVALUATE cache entries dropped by swap invalidation."
       (Eval_cache.invalidated t.eval_cache)
   @ gauge "flix_eval_cache_entries" "Resident EVALUATE cache entries."
-      [ Printf.sprintf "flix_eval_cache_entries %d" (Eval_cache.length t.eval_cache) ]
+      (Eval_cache.length t.eval_cache)
 
 (* Publish [next] as the serving snapshot, moving the answer cache to
    the new epoch first: entries the delta cannot affect stay warm,
@@ -558,7 +489,8 @@ let admin_op t f =
         | exn -> Protocol.Err ("internal: " ^ Printexc.to_string exn)
       in
       (match resp with
-      | Protocol.Epoch _ -> observe_reload t (Stopwatch.elapsed_ms sw /. 1000.0)
+      | Protocol.Epoch _ ->
+          Metrics.Histogram.observe t.reload_hist (Stopwatch.elapsed_ms sw /. 1000.0)
       | _ -> ());
       resp)
 
@@ -1212,13 +1144,7 @@ let start_backend ?(config = default_config) ?reload backend =
       eval_cache =
         Eval_cache.create ~capacity:config.eval_cache_capacity
           ~epoch:(Snapshot.epoch snapshot);
-      reload_hist =
-        {
-          rh_m = Mutex.create ();
-          rh_counts = Array.make (Array.length reload_buckets_s + 1) 0;
-          rh_sum = 0.0;
-          rh_count = 0;
-        };
+      reload_hist = Metrics.Histogram.create [| 0.001; 0.005; 0.025; 0.1; 0.5; 2.0; 10.0 |];
       listen_fd;
       bound_port;
       metrics = Metrics.create ();
@@ -1245,7 +1171,6 @@ let start ?config flix = start_backend ?config (memory flix)
 
 let port t = t.bound_port
 let metrics t = t.metrics
-let config t = t.cfg
 let current_backend t = Snapshot.current t.snapshot
 let epoch t = Snapshot.epoch t.snapshot
 

@@ -195,7 +195,6 @@ val port : t -> int
 (** The actual bound port — useful with [port = 0]. *)
 
 val metrics : t -> Metrics.t
-val config : t -> config
 
 val current_backend : t -> backend
 (** The serving backend right now — after reloads this is not the one

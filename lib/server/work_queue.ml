@@ -60,6 +60,3 @@ let close t =
   with_lock t (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
-
-let length t = with_lock t (fun () -> t.size)
-let capacity t = t.capacity

@@ -23,6 +23,3 @@ val pop : 'a t -> 'a option
 val close : 'a t -> unit
 (** Rejects further pushes and wakes all blocked consumers. Elements
     already queued are still delivered. Idempotent. *)
-
-val length : 'a t -> int
-val capacity : 'a t -> int

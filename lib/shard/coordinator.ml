@@ -1,5 +1,6 @@
 module P = Fx_server.Protocol
 module Server = Fx_server.Server
+module Metrics = Fx_server.Metrics
 module PQ = Fx_graph.Priority_queue
 module Stopwatch = Fx_util.Stopwatch
 
@@ -19,13 +20,6 @@ type located_link = {
   dst_local : int;
   dst_ci : int;
 }
-
-(* Fan-out latency histogram: upper bounds in ms, +Inf implicit. *)
-let fanout_buckets_ms =
-  [| 0.5; 1.0; 2.5; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0; 500.0; 1000.0; 2500.0 |]
-
-(* Batch-size histogram: sub-requests per probe RPC, +Inf implicit. *)
-let batch_buckets = [| 1; 2; 4; 8; 16; 32; 64; 128; 256 |]
 
 (* Each memoized probe table is reset when it reaches this many
    entries. *)
@@ -67,12 +61,8 @@ type t = {
      Immutable after create. *)
   source_index : (int, int) Hashtbl.t;
   closure_lookups : int Atomic.t;
-  fanout_hist : int Atomic.t array;
-  fanout_count : int Atomic.t;
-  fanout_sum_ns : int Atomic.t;
-  batch_hist : int Atomic.t array;
-  batch_count : int Atomic.t;
-  batch_sum : int Atomic.t;
+  fanout : Metrics.Histogram.t;  (* ms per coordinator-to-shard call *)
+  batch_sizes : Metrics.Histogram.t;  (* sub-requests per BATCH round trip *)
 }
 
 let create ~closure ~plan ~shards () =
@@ -93,9 +83,12 @@ let create ~closure ~plan ~shards () =
     | Some i -> i
     | None -> invalid_arg (Printf.sprintf "Coordinator.create: node %d not in the closure" g)
   in
+  let batch_sizes = Metrics.Histogram.create_count [| 1; 2; 4; 8; 16; 32; 64; 128; 256 |] in
   let clients =
     Array.of_list
-      (List.mapi (fun i (host, port) -> Shard_client.create ~id:i ~host ~port ()) shards)
+      (List.mapi
+         (fun i (host, port) -> Shard_client.create ~id:i ~host ~port ~batch_sizes ())
+         shards)
   in
   let links =
     Array.map
@@ -148,12 +141,10 @@ let create ~closure ~plan ~shards () =
     exit_at;
     source_index;
     closure_lookups = Atomic.make 0;
-    fanout_hist = Array.init (Array.length fanout_buckets_ms + 1) (fun _ -> Atomic.make 0);
-    fanout_count = Atomic.make 0;
-    fanout_sum_ns = Atomic.make 0;
-    batch_hist = Array.init (Array.length batch_buckets + 1) (fun _ -> Atomic.make 0);
-    batch_count = Atomic.make 0;
-    batch_sum = Atomic.make 0;
+    fanout =
+      Metrics.Histogram.create
+        [| 0.5; 1.0; 2.5; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0; 500.0; 1000.0; 2500.0 |];
+    batch_sizes;
   }
 
 let close t = Array.iter Shard_client.close t.shards
@@ -180,24 +171,6 @@ let make_ctx deadline_ns =
 
 let remaining_ms ctx =
   Int64.to_int (Int64.div (Int64.sub ctx.deadline_ns (Stopwatch.now_ns ())) 1_000_000L)
-
-let observe_fanout t ns =
-  let ms = Int64.to_float ns /. 1e6 in
-  let rec bucket i =
-    if i >= Array.length fanout_buckets_ms || ms <= fanout_buckets_ms.(i) then i
-    else bucket (i + 1)
-  in
-  Atomic.incr t.fanout_hist.(bucket 0);
-  Atomic.incr t.fanout_count;
-  ignore (Atomic.fetch_and_add t.fanout_sum_ns (Int64.to_int ns))
-
-let observe_batch t n =
-  let rec bucket i =
-    if i >= Array.length batch_buckets || n <= batch_buckets.(i) then i else bucket (i + 1)
-  in
-  Atomic.incr t.batch_hist.(bucket 0);
-  Atomic.incr t.batch_count;
-  ignore (Atomic.fetch_and_add t.batch_sum n)
 
 (* Collapse the transport/server failure planes into the degradation
    flags: [None] means the shard's contribution is lost ([partial]) —
@@ -236,22 +209,21 @@ let shard_call t ctx shard req =
   else begin
     let sw = Stopwatch.start () in
     let result = Shard_client.call ~deadline_ms:left t.shards.(shard) req in
-    observe_fanout t (Stopwatch.elapsed_ns sw);
+    Metrics.Histogram.observe t.fanout (Stopwatch.elapsed_ms sw);
     classify ctx (Result.map inline_items result)
   end
 
-(* Run one shard's share of a probe wave as a single pipelined BATCH
-   round trip. *)
+(* Run one shard's share of a probe wave as pipelined BATCH round
+   trips ([Shard_client.call_many] splits and retries it). *)
 let exec_shard t ctx shard reqs =
   let n = Array.length reqs in
   let out = Array.make n None in
   let left = remaining_ms ctx in
   if left <= 0 then Atomic.set ctx.timed_out true
   else begin
-    observe_batch t n;
     let sw = Stopwatch.start () in
     let results = Shard_client.call_many ~deadline_ms:left t.shards.(shard) reqs in
-    observe_fanout t (Stopwatch.elapsed_ns sw);
+    Metrics.Histogram.observe t.fanout (Stopwatch.elapsed_ms sw);
     Array.iteri (fun i r -> out.(i) <- classify ctx r) results
   end;
   out
@@ -723,82 +695,37 @@ let stats_lines t =
     ]
 
 let metric_lines t () =
-  let per_shard name value =
-    Array.to_list
-      (Array.map
-         (fun s ->
-           Printf.sprintf "%s{shard=\"%d\",addr=\"%s\"} %d" name (Shard_client.id s)
-             (Shard_client.address s) (value s))
-         t.shards)
+  let family = Metrics.family in
+  let per_shard name help value =
+    family name ~help `Counter
+    @ Array.to_list
+        (Array.map
+           (fun s ->
+             Printf.sprintf "%s{shard=\"%d\",addr=\"%s\"} %d" name (Shard_client.id s)
+               (Shard_client.address s) (value s))
+           t.shards)
   in
-  let errors = per_shard "flix_shard_errors_total" Shard_client.errors_total in
-  let le i =
-    if i >= Array.length fanout_buckets_ms then "+Inf"
-    else
-      let b = fanout_buckets_ms.(i) in
-      if Float.is_integer b then Printf.sprintf "%.0f" b else Printf.sprintf "%g" b
-  in
-  let cumulative = ref 0 in
-  let buckets =
-    List.init (Array.length t.fanout_hist) (fun i ->
-        cumulative := !cumulative + Atomic.get t.fanout_hist.(i);
-        Printf.sprintf "flix_shard_fanout_latency_ms_bucket{le=\"%s\"} %d" (le i)
-          !cumulative)
-  in
-  [
-    "# HELP flix_shard_errors_total Failed shard attempts, by shard.";
-    "# TYPE flix_shard_errors_total counter";
-  ]
-  @ errors
-  @ [
-      "# HELP flix_shard_fanout_latency_ms Latency of coordinator-to-shard calls.";
-      "# TYPE flix_shard_fanout_latency_ms histogram";
-    ]
-  @ buckets
-  @ [
-      Printf.sprintf "flix_shard_fanout_latency_ms_sum %.6f"
-        (float_of_int (Atomic.get t.fanout_sum_ns) /. 1e6);
-      Printf.sprintf "flix_shard_fanout_latency_ms_count %d" (Atomic.get t.fanout_count);
-    ]
-  @ [
-      "# HELP flix_shard_probe_rpcs_total Wire round trips to each shard.";
-      "# TYPE flix_shard_probe_rpcs_total counter";
-    ]
-  @ per_shard "flix_shard_probe_rpcs_total" Shard_client.rpcs_total
-  @ [
-      "# HELP flix_shard_probe_subs_total Sub-requests carried by those round trips.";
-      "# TYPE flix_shard_probe_subs_total counter";
-    ]
-  @ per_shard "flix_shard_probe_subs_total" Shard_client.subs_total
-  @ [
-      "# HELP flix_shard_probe_batch_size Sub-requests per batched probe RPC.";
-      "# TYPE flix_shard_probe_batch_size histogram";
-    ]
-  @ (let cumulative = ref 0 in
-     List.init (Array.length t.batch_hist) (fun i ->
-         cumulative := !cumulative + Atomic.get t.batch_hist.(i);
-         let le =
-           if i >= Array.length batch_buckets then "+Inf"
-           else string_of_int batch_buckets.(i)
-         in
-         Printf.sprintf "flix_shard_probe_batch_size_bucket{le=\"%s\"} %d" le !cumulative))
-  @ [
-      Printf.sprintf "flix_shard_probe_batch_size_sum %d" (Atomic.get t.batch_sum);
-      Printf.sprintf "flix_shard_probe_batch_size_count %d" (Atomic.get t.batch_count);
-    ]
-  @ [
-    "# HELP flix_coord_closure_lookups_total Portal-closure enumerator pops.";
-    "# TYPE flix_coord_closure_lookups_total counter";
-    Printf.sprintf "flix_coord_closure_lookups_total %d" (Atomic.get t.closure_lookups);
-    "# HELP flix_closure_build_seconds Build wall time of the loaded portal closure.";
-    "# TYPE flix_closure_build_seconds gauge";
-    Printf.sprintf "flix_closure_build_seconds %.6f"
-      (Portal_closure.build_seconds t.closure);
-    "# HELP flix_closure_label_entries Label entries in the loaded portal closure.";
-    "# TYPE flix_closure_label_entries gauge";
-    Printf.sprintf "flix_closure_label_entries %d"
-      (Portal_closure.label_entries t.closure);
-  ]
+  per_shard "flix_shard_errors_total" "Failed shard attempts, by shard."
+    Shard_client.errors_total
+  @ family "flix_shard_fanout_latency_ms" ~help:"Latency of coordinator-to-shard calls."
+      `Histogram
+  @ Metrics.Histogram.render t.fanout ~name:"flix_shard_fanout_latency_ms" ~labels:""
+  @ per_shard "flix_shard_probe_rpcs_total" "Wire round trips to each shard."
+      Shard_client.rpcs_total
+  @ per_shard "flix_shard_probe_subs_total" "Sub-requests carried by those round trips."
+      Shard_client.subs_total
+  @ family "flix_shard_probe_batch_size" ~help:"Sub-requests per batched probe RPC."
+      `Histogram
+  @ Metrics.Histogram.render t.batch_sizes ~name:"flix_shard_probe_batch_size" ~labels:""
+  @ family "flix_coord_closure_lookups_total" ~help:"Portal-closure enumerator pops."
+      `Counter
+  @ [ Printf.sprintf "flix_coord_closure_lookups_total %d" (Atomic.get t.closure_lookups) ]
+  @ family "flix_closure_build_seconds"
+      ~help:"Build wall time of the loaded portal closure." `Gauge
+  @ [ Printf.sprintf "flix_closure_build_seconds %.6f" (Portal_closure.build_seconds t.closure) ]
+  @ family "flix_closure_label_entries" ~help:"Label entries in the loaded portal closure."
+      `Gauge
+  @ [ Printf.sprintf "flix_closure_label_entries %d" (Portal_closure.label_entries t.closure) ]
 
 (* --- the backend ------------------------------------------------------- *)
 

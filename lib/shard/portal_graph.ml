@@ -116,7 +116,3 @@ let build ~plan ~local_dist =
     |> Array.of_list
   in
   { nodes; edges }
-
-let describe t =
-  Printf.sprintf "portal graph: %d nodes, %d weighted edges" (Array.length t.nodes)
-    (Array.length t.edges)

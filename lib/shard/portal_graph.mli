@@ -34,5 +34,3 @@ val edges : t -> (int * int * int) array
 val index_of : t -> int -> int option
 (** Node index of a global id, [None] when the id is not a portal or
     anchor. *)
-
-val describe : t -> string

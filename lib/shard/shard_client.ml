@@ -7,10 +7,6 @@ type t = {
   host : string;  (* as given, for [address] *)
   ip : string;  (* [host] resolved once, at create *)
   port : int;
-  retries : int;
-  backoff_ms : float;
-  recv_slack_s : float;
-  max_batch : int;
   m : Mutex.t;
   mutable idle : Client.t list;
   mutable closed : bool;
@@ -20,7 +16,22 @@ type t = {
      flix_shard_probe_{rpcs,subs}_total. *)
   rpcs : int Atomic.t;
   subs : int Atomic.t;
+  batch_sizes : Fx_server.Metrics.Histogram.t;  (* one sample per BATCH round trip *)
 }
+
+(* Extra attempts after a transport failure. *)
+let retries = 2
+
+(* The first retry delay, doubling per attempt. *)
+let backoff_ms = 25.0
+
+(* Grace added to the deadline budget before a read times out. *)
+let recv_slack_s = 0.25
+
+(* Sub-requests per BATCH round trip. It stays below the shard
+   server's own cap ([max_batch], 1024 by default), which would reject
+   an outsized batch whole; a larger wave is split instead. *)
+let max_batch = 512
 
 let with_lock m f =
   Mutex.lock m;
@@ -34,24 +45,19 @@ let resolve host port =
   | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> Unix.string_of_inet_addr addr
   | _ -> invalid_arg (Printf.sprintf "Shard_client.create: cannot resolve host %S" host)
 
-let create ?(retries = 2) ?(backoff_ms = 25.0) ?(recv_slack_s = 0.25) ?(max_batch = 512)
-    ~id ~host ~port () =
-  if max_batch < 1 then invalid_arg "Shard_client.create: max_batch must be positive";
+let create ~id ~host ~port ~batch_sizes () =
   {
     id;
     host;
     ip = resolve host port;
     port;
-    retries;
-    backoff_ms;
-    recv_slack_s;
-    max_batch;
     m = Mutex.create ();
     idle = [];
     closed = false;
     errors = Atomic.make 0;
     rpcs = Atomic.make 0;
     subs = Atomic.make 0;
+    batch_sizes;
   }
 
 let id t = t.id
@@ -94,10 +100,10 @@ let give_back t c =
 (* One exchange on one connection. A transport failure (including a
    tripped receive timeout) poisons the connection — a late response
    would desynchronize the framing — so it is closed, never pooled. *)
-let recv_timeout t deadline_ms =
+let recv_timeout deadline_ms =
   match deadline_ms with
   | None -> None
-  | Some ms -> Some ((float_of_int ms /. 1000.0) +. t.recv_slack_s)
+  | Some ms -> Some ((float_of_int ms /. 1000.0) +. recv_slack_s)
 
 let attempt t ~deadline_ms req =
   Atomic.incr t.rpcs;
@@ -105,7 +111,7 @@ let attempt t ~deadline_ms req =
   match borrow t with
   | Error _ as e -> e
   | Ok conn ->
-      Client.set_recv_timeout conn (recv_timeout t deadline_ms);
+      Client.set_recv_timeout conn (recv_timeout deadline_ms);
       let items = ref [] in
       let result =
         Client.request_stream ?deadline_ms conn req ~on_item:(fun it ->
@@ -133,13 +139,13 @@ let call ?deadline_ms t req =
         | Ok _ as ok -> ok
         | Error e ->
             Atomic.incr t.errors;
-            if attempt_no >= t.retries then Error e
+            if attempt_no >= retries then Error e
             else begin
               Thread.delay (backoff /. 1000.0);
               go (attempt_no + 1) (backoff *. 2.0)
             end)
   in
-  go 0 t.backoff_ms
+  go 0 backoff_ms
 
 (* One batch of sub-requests in one pipelined round trip. Retries are
    per-batch but never re-send an answered sub-request: each retry
@@ -160,10 +166,11 @@ let call_many ?deadline_ms t reqs =
   let one_rpc ~deadline_ms idx =
     Atomic.incr t.rpcs;
     ignore (Atomic.fetch_and_add t.subs (Array.length idx));
+    Fx_server.Metrics.Histogram.observe t.batch_sizes (float_of_int (Array.length idx));
     match borrow t with
     | Error _ as e -> e
     | Ok conn ->
-        Client.set_recv_timeout conn (recv_timeout t deadline_ms);
+        Client.set_recv_timeout conn (recv_timeout deadline_ms);
         let result =
           Client.request_batch ?deadline_ms conn
             (Array.map (fun i -> reqs.(i)) idx)
@@ -186,7 +193,7 @@ let call_many ?deadline_ms t reqs =
     let rec chunks off =
       if off >= len then Ok ()
       else
-        let m = min t.max_batch (len - off) in
+        let m = min max_batch (len - off) in
         match one_rpc ~deadline_ms (Array.sub idx off m) with
         | Ok () -> chunks (off + m)
         | Error _ as e -> e
@@ -216,13 +223,13 @@ let call_many ?deadline_ms t reqs =
               | Ok () -> ()
               | Error e ->
                   Atomic.incr t.errors;
-                  if attempt_no >= t.retries then fail e
+                  if attempt_no >= retries then fail e
                   else begin
                     Thread.delay (backoff /. 1000.0);
                     go (attempt_no + 1) (backoff *. 2.0)
                   end))
     in
-    go 0 t.backoff_ms
+    go 0 backoff_ms
   end;
   out
 

@@ -13,7 +13,7 @@
     timeout with a little slack (so a {e hung} shard cannot wedge the
     pool — see {!Fx_server.Server_client.set_recv_timeout}). Transport
     failures are retried with doubling backoff on a fresh connection,
-    up to [retries] extra attempts and never past the deadline; items
+    up to two extra attempts and never past the deadline; items
     are buffered per attempt, so a retried call never delivers
     duplicates. Each failed attempt increments the shard's error
     counter ([flix_shard_errors_total] in the coordinator's metrics). *)
@@ -21,25 +21,14 @@
 type t
 
 val create :
-  ?retries:int ->
-  ?backoff_ms:float ->
-  ?recv_slack_s:float ->
-  ?max_batch:int ->
-  id:int ->
-  host:string ->
-  port:int ->
-  unit ->
-  t
+  id:int -> host:string -> port:int -> batch_sizes:Fx_server.Metrics.Histogram.t -> unit -> t
 (** Resolves [host] once (IPv4, [Unix.getaddrinfo]) but does not
-    connect; the first {!call} does. [retries] (default 2) is
-    the number of extra attempts after a transport failure;
-    [backoff_ms] (default 25) the first retry delay, doubling per
-    attempt; [recv_slack_s] (default 0.25) the grace added to the
-    deadline budget before a read times out. [max_batch] (default 512)
-    caps the sub-requests per {!call_many} round trip; it must stay at
-    or below the server's own [max_batch] or oversized waves are
-    rejected whole. Raises [Invalid_argument] when [max_batch < 1] or
-    when [host] does not resolve. *)
+    connect; the first {!call} does. A transport failure is retried
+    twice, after 25 ms and then 50 ms; a read times out 0.25 s past
+    the deadline budget. {!call_many} records the size of every
+    [BATCH] round trip it sends (at most 512 sub-requests each) in
+    [batch_sizes]. Raises [Invalid_argument] when [host] does not
+    resolve. *)
 
 val id : t -> int
 val address : t -> string
@@ -75,9 +64,8 @@ val call_many :
   Fx_server.Protocol.request array ->
   (Fx_server.Protocol.response, string) result array
 (** One pipelined [BATCH] exchange carrying every request, answered
-    slot by slot — split into chunks of at most [max_batch]
-    sub-requests, each its own round trip, when the wave outgrows the
-    cap. Unlike {!call}, each [Ok] response carries its items
+    slot by slot — split into chunks of at most 512 sub-requests, each
+    its own round trip, when the wave outgrows that cap. Unlike {!call}, each [Ok] response carries its items
     inline ([Items { items; _ }] fully populated). Retries re-batch
     only the still-unanswered slots — answers delivered before a
     transport failure stand and are never re-requested — with the same

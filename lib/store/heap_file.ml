@@ -68,11 +68,6 @@ let capacity t = Pager.n_pages t * Pager.page_size t
 let read_bytes t pos len =
   if len < 0 || pos < 0 || pos > capacity t || len > capacity t - pos then
     corrupt "Heap_file: out of range";
-  (* A record spanning several pages is one sequential block scan:
-     pull the span in with large reads instead of page-sized misses. *)
-  (if len > 0 then
-     let first = page_of t pos and last = page_of t (pos + len - 1) in
-     if last > first then Pager.prefetch t ~page:first ~count:(last - first + 1));
   let out = Bytes.create len in
   let rec go pos written =
     if written < len then begin

@@ -21,12 +21,9 @@ let header_magic = "FXPG1\n"
    is at least this large. *)
 let header_text_max = 64
 
-(* [physical_reads] counts every page fetched from disk, prefetch
-   fills included; [demand_misses] only the fetches a [read] had to
-   wait for — so [logical_reads - demand_misses] is the pool hit count
-   and can never go negative, no matter how speculative the readahead
-   was. *)
-type stats = { logical_reads : int; physical_reads : int; demand_misses : int }
+(* Every page fetched from disk is one a [read] missed, so
+   [logical_reads - physical_reads] is the pool hit count. *)
+type stats = { logical_reads : int; physical_reads : int }
 
 type stripe_stats = {
   stripe_index : int;
@@ -64,7 +61,6 @@ type stripe = {
   capacity : int;
   mutable logical_reads : int;
   mutable physical_reads : int;
-  mutable demand_misses : int;
 }
 
 type t = {
@@ -196,7 +192,6 @@ let load_slot t s page slot =
       with_lock s.gate (fun () ->
           slot.loading <- false;
           s.physical_reads <- s.physical_reads + 1;
-          s.demand_misses <- s.demand_misses + 1;
           Condition.broadcast s.gate.gcond)
   | exception e ->
       with_lock s.gate (fun () ->
@@ -274,7 +269,6 @@ let open_ ?(pool_pages = 256) ?(stripes = 8) path =
               capacity;
               logical_reads = 0;
               physical_reads = 0;
-              demand_misses = 0;
             })
       in
       ok := true;
@@ -299,91 +293,26 @@ let read t ~page ~offset ~len =
   if page < 0 || page >= t.n_pages then invalid_arg "Pager: page out of range";
   read_page t (stripe_of t page) page offset len
 
-let prefetch_chunk = 64
-
-let prefetch t ~page ~count =
-  check_open t;
-  (* Readahead for sequential scans: claim loading slots for the
-     not-yet-resident pages of the range — but only into free pool
-     room, never evicting pages someone is actually using for the sake
-     of speculative ones — then fill each chunk with one large
-     contiguous read instead of one lseek+read per page. Advisory:
-     the range is clamped and a full pool makes this a no-op. *)
-  let n = t.n_pages in
-  let lo = max 0 page in
-  if count > 0 && lo < n then begin
-    let hi = if count >= n - lo then n else lo + count in
-    let pos = ref lo in
-    while !pos < hi do
-      let stop = min hi (!pos + prefetch_chunk) in
-      let claimed = ref [] in
-      for p = stop - 1 downto !pos do
-        let s = stripe_of t p in
-        let got =
-          with_lock s.gate (fun () ->
-              if Fx_util.Lru.length s.pool >= s.capacity || Fx_util.Lru.mem s.pool p then
-                None
-              else begin
-                let slot = { data = Bytes.create t.page_size; loading = true } in
-                Fx_util.Lru.set s.pool p slot;
-                Some slot
-              end)
-        in
-        match got with Some slot -> claimed := (p, slot) :: !claimed | None -> ()
-      done;
-      (match !claimed with
-      | [] -> ()
-      | (first, _) :: _ -> (
-          let last = List.fold_left (fun _ (p, _) -> p) first !claimed in
-          let buf = Bytes.create ((last - first + 1) * t.page_size) in
-          let s0 = stripe_of t first in
-          match with_turn s0.io (fun () -> really_pread s0.fd buf (file_offset t first)) with
-          | () ->
-              List.iter
-                (fun (p, slot) ->
-                  Bytes.blit buf ((p - first) * t.page_size) slot.data 0 t.page_size;
-                  let s = stripe_of t p in
-                  with_lock s.gate (fun () ->
-                      slot.loading <- false;
-                      s.physical_reads <- s.physical_reads + 1;
-                      Condition.broadcast s.gate.gcond))
-                !claimed
-          | exception e ->
-              List.iter
-                (fun (p, slot) ->
-                  let s = stripe_of t p in
-                  with_lock s.gate (fun () ->
-                      Fx_util.Lru.remove s.pool p;
-                      slot.loading <- false;
-                      Condition.broadcast s.gate.gcond))
-                !claimed;
-              raise e));
-      pos := stop
-    done
-  end
-
 let close t =
   if Atomic.compare_and_set t.closed false true then
     Array.iter (fun s -> Unix.close s.fd) t.stripes
 
 let stats t =
-  let logical = ref 0 and physical = ref 0 and misses = ref 0 in
+  let logical = ref 0 and physical = ref 0 in
   Array.iter
     (fun s ->
       with_lock s.gate (fun () ->
           logical := !logical + s.logical_reads;
-          physical := !physical + s.physical_reads;
-          misses := !misses + s.demand_misses))
+          physical := !physical + s.physical_reads))
     t.stripes;
-  { logical_reads = !logical; physical_reads = !physical; demand_misses = !misses }
+  { logical_reads = !logical; physical_reads = !physical }
 
 let reset_stats t =
   Array.iter
     (fun s ->
       with_lock s.gate (fun () ->
           s.logical_reads <- 0;
-          s.physical_reads <- 0;
-          s.demand_misses <- 0);
+          s.physical_reads <- 0);
       Atomic.set s.gate.acquired 0;
       Atomic.set s.gate.contended 0;
       Atomic.set s.io.acquired 0;

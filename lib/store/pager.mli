@@ -61,29 +61,17 @@ val read : t -> page:int -> offset:int -> len:int -> bytes
 (** Read [len] bytes from one page (bounds-checked, overflow-safe).
     Returns a fresh copy — never a view into the pool. *)
 
-val prefetch : t -> page:int -> count:int -> unit
-(** Readahead for sequential scans: pull up to [count] pages starting
-    at [page] into the pool using large contiguous reads (one
-    lseek+read per chunk instead of one per page). Pages are claimed
-    only into free pool room — prefetching never evicts — and the
-    range is clamped to the file, so the call is always safe to issue
-    speculatively. {!Heap_file} record reads issue this on their own. *)
-
 val close : t -> unit
 (** Close every file descriptor. Using [t] afterwards raises. *)
 
 type stats = {
   logical_reads : int;   (** page requests *)
-  physical_reads : int;  (** every page fetched from disk, prefetch
-                             fills included *)
-  demand_misses : int;   (** requests that had to fetch from disk —
-                             prefetch fills excluded *)
+  physical_reads : int;  (** page requests that had to fetch from disk *)
 }
 
 val stats : t -> stats
 (** Summed over the stripes. Pool hits are
-    [logical_reads - demand_misses] (never negative, however
-    speculative the readahead was); misses are [demand_misses]. The
+    [logical_reads - physical_reads]; misses are [physical_reads]. The
     serving layer exports both as Prometheus counters. *)
 
 type stripe_stats = {

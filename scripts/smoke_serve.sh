@@ -3,10 +3,10 @@
 # flix_serve from it (twice — the second boot must reuse the files and
 # skip the index build), drive PING / DESCENDANTS / CONNECTED / METRICS
 # over the wire, check that a repeated disk EVALUATE is an answer-cache
-# hit, that an unknown tag answers exactly DONE 0 on the disk, memory
-# and coordinator deployments, and that a mangled store (or a
-# zero-entry --coord-cache) dies with a one-line error instead of a
-# backtrace. Then hot reload: INGEST and RELOAD
+# hit, that an unknown tag answers exactly DONE 0 and METRICS is well
+# formed on the disk, memory and coordinator deployments, and that a
+# mangled store (or a zero-entry --coord-cache) dies with a one-line
+# error instead of a backtrace. Then hot reload: INGEST and RELOAD
 # against a live in-memory server under concurrent query load (zero
 # dropped connections, post-reload answers byte-identical to a fresh
 # server), with the snapshot epoch / pin / reload-duration metrics
@@ -58,6 +58,44 @@ unknown_tags() { # DEPLOYMENT
   ask "EVALUATE article nosuchtag 5" | grep -qx "DONE 0" || fail "$1 EVALUATE with an unknown target tag"
   ask "DESCENDANTS dblp_0000 - nosuchtag 5" | grep -qx "DONE 0" \
     || fail "$1 DESCENDANTS with an unknown tag"
+}
+
+# The METRICS exposition is well formed: every sample line parses as
+# name[{labels}] number, each histogram's buckets never decrease in le
+# order, and its +Inf bucket equals its _count.
+metrics_well_formed() { # DEPLOYMENT
+  local out
+  out=$(ask METRICS | tail -n +2 | awk '
+    /^#/ { next }
+    {
+      if ($0 !~ /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [-+]?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$/) {
+        print "unparsable line: " $0; next
+      }
+      series = $1; value = $2 + 0; name = series; labels = ""
+      brace = index(series, "{")
+      if (brace > 0) {
+        name = substr(series, 1, brace - 1)
+        labels = substr(series, brace + 1, length(series) - brace - 1)
+      }
+      if (name ~ /_bucket$/) {
+        le = labels
+        sub(/^.*le="/, "", le); sub(/".*$/, "", le)
+        gsub(/,?le="[^"]*"/, "", labels); sub(/^,/, "", labels)
+        key = substr(name, 1, length(name) - 7) "{" labels "}"
+        if ((key in last) && value < last[key]) print "bucket decreases: " $0
+        last[key] = value
+        if (le == "+Inf") inf[key] = value
+      } else if (name ~ /_count$/) {
+        count[substr(name, 1, length(name) - 6) "{" labels "}"] = value
+      }
+    }
+    END {
+      for (key in last) {
+        if (!(key in inf)) print "no +Inf bucket: " key
+        else if (!(key in count) || count[key] != inf[key]) print "+Inf bucket differs from _count: " key
+      }
+    }')
+  [ -z "$out" ] || { echo "$out" >&2; fail "$1 METRICS malformed"; }
 }
 
 wait_port() {
@@ -114,6 +152,7 @@ ask "CONNECTED 0 3" | grep -q "^DIST " || fail "CONNECTED"
 ask "EVALUATE article author 5" | grep -q "^ITEM " || fail "disk EVALUATE at first boot"
 ask METRICS | grep -q "^flix_pager_pool_hits_total" || fail "pool metrics missing"
 unknown_tags disk
+metrics_well_formed disk
 
 kill "$SRV_PID" && wait "$SRV_PID" 2>/dev/null
 SRV_PID=
@@ -222,6 +261,7 @@ m=$(ask METRICS)
 echo "$m" | grep -q "^flix_snapshot_epoch 3$" || fail "epoch gauge did not follow the swaps"
 count=$(echo "$m" | awk '/^flix_reload_duration_seconds_count / { print $2 }')
 [ "${count:-0}" -ge 2 ] || fail "reload histogram did not count the swaps (count=${count:-0})"
+metrics_well_formed memory
 
 # Post-reload answers are byte-identical to a freshly started server.
 FPORT=$((PORT + 3))
@@ -284,6 +324,7 @@ subs=$(echo "$metrics" | awk '/^flix_shard_probe_subs_total\{/ { sum += $2 } END
 [ "$rpcs" -lt "$subs" ] || fail "probe RPCs not batched (rpcs=$rpcs subs=$subs)"
 echo "probe rpcs=$rpcs subs=$subs"
 echo "$metrics" | grep -q "^flix_shard_probe_batch_size_bucket" || fail "batch-size histogram missing"
+metrics_well_formed coordinator
 
 echo "== repeated EVALUATE lands in the front's answer cache =="
 ask "EVALUATE article author 5" | grep -q "^DONE " || fail "repeat EVALUATE"

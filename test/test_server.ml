@@ -200,6 +200,73 @@ let metrics_counters () =
       "flix_request_duration_ms_count{verb=\"descendants\"} 3";
     ]
 
+(* The one histogram behind every METRICS series: bucket edges, the
+   cumulative render, the sum's scale per kind, and exact counts under
+   concurrent observers. *)
+let metrics_histogram () =
+  let module H = Metrics.Histogram in
+  let value lines series =
+    match
+      List.find_map
+        (fun l ->
+          match Astring.String.cut ~rev:true ~sep:" " l with
+          | Some (s, v) when s = series -> Some v
+          | _ -> None)
+        lines
+    with
+    | Some v -> v
+    | None -> Alcotest.failf "no series %s" series
+  in
+  let ms = H.create [| 0.1; 0.25; 1.0 |] in
+  List.iter (H.observe ms) [ 0.25; 0.05; 2.5 ];
+  let lines = H.render ms ~name:"x_ms" ~labels:"verb=\"ping\"" in
+  List.iter
+    (fun (series, want) -> Alcotest.(check string) series want (value lines series))
+    [
+      (* a sample equal to a bound lands in that bucket *)
+      ("x_ms_bucket{verb=\"ping\",le=\"0.1\"}", "1");
+      ("x_ms_bucket{verb=\"ping\",le=\"0.25\"}", "2");
+      ("x_ms_bucket{verb=\"ping\",le=\"1\"}", "2");
+      ("x_ms_bucket{verb=\"ping\",le=\"+Inf\"}", "3");
+      ("x_ms_sum{verb=\"ping\"}", "2.800000");
+      ("x_ms_count{verb=\"ping\"}", "3");
+    ];
+  Alcotest.(check int) "count" 3 (H.count ms);
+  let seconds = H.create [| 0.001; 2.0 |] in
+  List.iter (H.observe seconds) [ 0.001; 1.5 ];
+  let lines = H.render seconds ~name:"x_seconds" ~labels:"" in
+  Alcotest.(check string) "seconds sum" "1.501000" (value lines "x_seconds_sum");
+  Alcotest.(check string) "integral bound" "2" (value lines "x_seconds_bucket{le=\"2\"}");
+  let sizes = H.create_count [| 1; 4 |] in
+  List.iter (fun n -> H.observe sizes (float_of_int n)) [ 1; 3; 4; 700 ];
+  let lines = H.render sizes ~name:"x_size" ~labels:"" in
+  Alcotest.(check string) "count sum is whole" "708" (value lines "x_size_sum");
+  Alcotest.(check string) "le=4" "3" (value lines "x_size_bucket{le=\"4\"}");
+  Alcotest.(check string) "+Inf = count" (value lines "x_size_count")
+    (value lines "x_size_bucket{le=\"+Inf\"}");
+  (* Lock-free observers on four domains lose no sample. *)
+  let shared = H.create [| 0.5; 1.0 |] in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to 10_000 do
+              H.observe shared (float_of_int ((i + d) mod 3) /. 2.0)
+            done))
+  in
+  List.iter Domain.join domains;
+  let lines = H.render shared ~name:"x" ~labels:"" in
+  Alcotest.(check int) "exact count" 40_000 (H.count shared);
+  Alcotest.(check string) "+Inf bucket" "40000" (value lines "x_bucket{le=\"+Inf\"}");
+  Alcotest.(check string) "le=1" "40000" (value lines "x_bucket{le=\"1\"}");
+  let at_most_half = ref 0 in
+  for d = 0 to 3 do
+    for i = 1 to 10_000 do
+      if (i + d) mod 3 < 2 then incr at_most_half
+    done
+  done;
+  Alcotest.(check string) "le=0.5" (string_of_int !at_most_half)
+    (value lines "x_bucket{le=\"0.5\"}")
+
 (* --- live server ---------------------------------------------------- *)
 
 let shared_collection = lazy (Dblp.collection { Dblp.default with n_docs = 200; seed = 5 })
@@ -1030,7 +1097,11 @@ let () =
           Alcotest.test_case "bounds and fifo" `Quick queue_bounds;
           Alcotest.test_case "cross-domain delivery" `Quick queue_cross_domain;
         ] );
-      ("metrics", [ Alcotest.test_case "counters and render" `Quick metrics_counters ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "counters and render" `Quick metrics_counters;
+          Alcotest.test_case "histogram" `Quick metrics_histogram;
+        ] );
       ( "service",
         [
           Alcotest.test_case "ping and error plane" `Quick ping_and_errors;

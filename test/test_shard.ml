@@ -432,6 +432,57 @@ let dead_shard_degrades () =
           (* The coordinator endpoint itself stays healthy. *)
           Alcotest.(check bool) "front survives" true (Client.ping c)))
 
+(* flix_shard_probe_batch_size records one sample per BATCH round trip,
+   retries included — not one per probe wave. CONNECTED answers from
+   probe waves alone, so the histogram counts exactly the coordinator's
+   round trips: on a healthy cluster the BATCH requests the shards
+   received, and with a shard down three attempts per wave that reaches
+   it. *)
+let batch_size_per_round_trip () =
+  with_cluster (fun ~coord ~front ~shard_servers ->
+      let c = Client.connect ~port:(Server.port front) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let metric name =
+            match Helpers.metric_value (Coordinator.metric_lines coord ()) name with
+            | Some v -> v
+            | None -> Alcotest.failf "no %s" name
+          in
+          let coll = Lazy.force shared_collection in
+          let plan = Lazy.force shared_plan in
+          (* Document roots on shard 1, each CONNECTED from a root on
+             shard 0: a cold entry-leg wave into shard 1 per pair. *)
+          let roots_on shard =
+            List.filter
+              (fun g -> fst (Plan.locate plan g) = shard)
+              (List.init (C.n_docs coll) (C.root_of_doc coll))
+          in
+          let sources = roots_on 0 and targets = roots_on 1 in
+          let ask b =
+            ignore
+              (Client.request ~deadline_ms:5_000 c
+                 (P.Connected { a = List.hd sources; b; max_dist = None }))
+          in
+          List.iteri (fun i b -> if i < 5 then ask b) targets;
+          let batches =
+            Array.fold_left
+              (fun acc s -> acc + Fx_server.Metrics.requests_total (Server.metrics s) ~verb:"batch")
+              0 shard_servers
+          in
+          Alcotest.(check bool) "waves were sent" true (batches > 0);
+          Alcotest.(check int) "one sample per BATCH received" batches
+            (metric "flix_shard_probe_batch_size_count");
+          Alcotest.(check int) "sum = sub-requests carried" (Coordinator.probe_subs_total coord)
+            (metric "flix_shard_probe_batch_size_sum");
+          Server.stop shard_servers.(1);
+          List.iteri (fun i b -> if i >= 5 && i < 8 then ask b) targets;
+          Alcotest.(check bool) "the dead shard's waves were retried" true
+            (Coordinator.shard_errors_total coord >= 3);
+          Alcotest.(check int) "one sample per round trip, retries included"
+            (Coordinator.probe_rpcs_total coord)
+            (metric "flix_shard_probe_batch_size_count")))
+
 (* The front server's EVALUATE answer cache over the coordinator: a
    repeated query replays the very same merge without touching a shard;
    degraded answers are never cached. *)
@@ -1178,6 +1229,73 @@ let unknown_tags_every_backend () =
                         ])
                     [ None; Some 0; Some 6 ]))))
 
+(* --- METRICS shape ---------------------------------------------------- *)
+
+(* A METRICS payload with the HELP text dropped and every sample value
+   masked: the TYPE lines, series names and label sets, in order. A
+   shard's [addr] label carries an ephemeral port, so it is masked
+   too. *)
+let metrics_shape lines =
+  let mask_addr series =
+    match Astring.String.cut ~sep:"addr=\"" series with
+    | Some (pre, post) ->
+        let close = String.index post '"' in
+        pre ^ "addr=\"*" ^ String.sub post close (String.length post - close)
+    | None -> series
+  in
+  List.filter_map
+    (fun l ->
+      if String.starts_with ~prefix:"# HELP " l then None
+      else if String.starts_with ~prefix:"#" l then Some l
+      else Some (mask_addr (String.sub l 0 (String.rindex l ' '))))
+    lines
+
+(* The memory, disk and 2-shard coordinator deployments over the shared
+   collection, each driven with the same fixed requests and then
+   scraped while idle: [f name shape] for each. *)
+let each_metrics_shape f =
+  let coll = Lazy.force shared_collection in
+  let root0 = C.root_of_doc coll 0 in
+  let requests =
+    [
+      P.Ping;
+      P.Descendants
+        { doc = Dblp.doc_name 0; anchor = None; tag = Some "author"; k = 5; max_dist = None };
+      P.Connected { a = root0; b = root0 + 1; max_dist = None };
+      P.Evaluate { start_tag = "article"; target_tag = "author"; k = 5; max_dist = None };
+      P.Ancestors { node = root0 + 2; tag = None; k = 5; max_dist = None };
+    ]
+  in
+  let scrape name server =
+    let c = Client.connect ~port:(Server.port server) () in
+    Fun.protect
+      ~finally:(fun () -> Client.close c)
+      (fun () ->
+        List.iter (fun req -> ignore (Client.request c req)) requests;
+        match Client.metrics c with
+        | Ok (Client.Value lines) -> f name (metrics_shape lines)
+        | _ -> Alcotest.failf "%s: METRICS failed" name)
+  in
+  let memory = Server.start (Lazy.force shared_flix) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop memory)
+    (fun () -> scrape "memory" memory);
+  with_disk_server coll (scrape "disk");
+  with_cluster (fun ~coord:_ ~front ~shard_servers:_ -> scrape "coordinator" front)
+
+(* Every deployment's METRICS keeps the series it exported when this
+   shape was recorded (test/metrics_shape/<deployment>.txt): a lost,
+   renamed, reordered or relabelled series fails here. *)
+let metrics_shape_unchanged () =
+  each_metrics_shape (fun name shape ->
+      let want =
+        In_channel.with_open_text (Filename.concat "metrics_shape" (name ^ ".txt"))
+          In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      Alcotest.(check (list string)) (name ^ " METRICS shape") want shape)
+
 (* --- protocol satellites --------------------------------------------- *)
 
 let deadline_override () =
@@ -1310,6 +1428,7 @@ let () =
             coordinator_matches_single_server;
           Alcotest.test_case "dead shard degrades to PARTIAL" `Quick dead_shard_degrades;
           Alcotest.test_case "query cache hits" `Quick query_cache_hits;
+          Alcotest.test_case "batch size per round trip" `Quick batch_size_per_round_trip;
           Alcotest.test_case "dead shard does not poison caches" `Quick
             dead_shard_no_cache_poison;
         ] );
@@ -1317,6 +1436,7 @@ let () =
         [
           Alcotest.test_case "same rules on every backend" `Quick front_rules_every_backend;
           Alcotest.test_case "unknown tags on every backend" `Quick unknown_tags_every_backend;
+          Alcotest.test_case "METRICS shape on every backend" `Quick metrics_shape_unchanged;
         ] );
       ( "protocol",
         [
