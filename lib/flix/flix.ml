@@ -67,8 +67,8 @@ let descendants_exact ?tag ?max_dist t ~start =
   Pee.descendants_exact ?tag:(tag_arg t tag) ?max_dist t.pee ~start
 
 let evaluate ?max_dist t ~start_tag ~target_tag =
-  let starts = Collection.find_by_tag t.collection start_tag in
-  Pee.descendants_multi ?tag:(tag_arg t (Some target_tag)) ?max_dist t.pee ~starts
+  let starts, lo, hi = Collection.tag_slice t.collection start_tag in
+  Pee.descendants_multi_slice ?tag:(tag_arg t (Some target_tag)) ?max_dist t.pee ~starts ~lo ~hi
 
 let connected ?max_dist t a b = Pee.connected ?max_dist t.pee a b
 let connected_bidir ?max_dist t a b = Pee.connected_bidir ?max_dist t.pee a b

@@ -69,7 +69,8 @@ val descendants_exact :
 
 val evaluate :
   ?max_dist:int -> t -> start_tag:string -> target_tag:string -> Pee.item Result_stream.t
-(** The [A//B] form over the whole collection. *)
+(** The [A//B] form over the whole collection: the starts are read in
+    place from the collection's per-tag row, in document order. *)
 
 val connected : ?max_dist:int -> t -> int -> int -> int option
 val connected_bidir : ?max_dist:int -> t -> int -> int -> bool

@@ -79,28 +79,34 @@ let empty_stream () = Result_stream.of_fn (fun () -> None)
 
 (* Shared engine state for one query. [entries] records the entry points
    per meta document for the paper's duplicate-elimination scheme.
-   [seeds] holds the start elements not yet expanded: the paper puts
-   them into the queue at priority 0, but every link push is >= 1, so
-   they all come out first and their order among themselves is free:
-   a cursor in the given order, no heap insert per start. *)
+   [seeds.(next_seed) .. seeds.(seeds_end - 1)] are the start elements
+   not yet expanded: the paper puts them into the queue at priority 0,
+   but every link push is >= 1, so they all come out first and their
+   order among themselves is free: a cursor in the given order over a
+   caller's array (the collection's per-tag row for [A//B]), no heap
+   insert and no list cell per start. *)
 type engine = {
   pee : t;
   dir : direction;
   tag : int option;
   max_dist : int;
-  mutable seeds : int list;
+  seeds : int array;
+  mutable next_seed : int;
+  seeds_end : int;
   queue : int PQ.t;
   entries : (int, int list) Hashtbl.t;
   pending : item Queue.t;
 }
 
-let make_engine pee dir ~tag ~max_dist starts =
+let make_engine pee dir ~tag ~max_dist ~seeds ~lo ~hi =
   {
     pee;
     dir;
     tag;
     max_dist;
-    seeds = starts;
+    seeds;
+    next_seed = lo;
+    seeds_end = hi;
     queue = PQ.create ();
     entries = Hashtbl.create 16;
     pending = Queue.create ();
@@ -119,7 +125,7 @@ let covered_by_entries eng (idx : Path_index.instance) meta_id l =
    results are enqueued; it lets the connection test short-circuit. *)
 let expand eng ~on_meta d node =
   if d > eng.max_dist then begin
-    eng.seeds <- [];
+    eng.next_seed <- eng.seeds_end;
     PQ.clear eng.queue;
     false
   end
@@ -156,15 +162,16 @@ let expand eng ~on_meta d node =
 (* Process one element: the seeds at priority 0, then the heap. Returns
    false when the search is over. *)
 let step eng ~on_meta =
-  match eng.seeds with
-  | s :: rest ->
-      eng.seeds <- rest;
-      expand eng ~on_meta 0 s
-  | [] ->
-      (not (PQ.is_empty eng.queue))
-      &&
-      let d = PQ.min_prio eng.queue in
-      expand eng ~on_meta d (PQ.pop eng.queue)
+  if eng.next_seed < eng.seeds_end then begin
+    let s = eng.seeds.(eng.next_seed) in
+    eng.next_seed <- eng.next_seed + 1;
+    expand eng ~on_meta 0 s
+  end
+  else
+    (not (PQ.is_empty eng.queue))
+    &&
+    let d = PQ.min_prio eng.queue in
+    expand eng ~on_meta d (PQ.pop eng.queue)
 
 let stream_of_engine eng ~keep =
   let rec pull () =
@@ -177,20 +184,24 @@ let stream_of_engine eng ~keep =
 let descendants ?tag ?(max_dist = max_int) ?(include_self = false) pee ~start =
   if no_element tag then empty_stream ()
   else
-    let eng = make_engine pee forward ~tag ~max_dist [ start ] in
+    let eng = make_engine pee forward ~tag ~max_dist ~seeds:[| start |] ~lo:0 ~hi:1 in
     stream_of_engine eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
 
 let ancestors ?tag ?(max_dist = max_int) ?(include_self = false) pee ~start =
   if no_element tag then empty_stream ()
   else
-    let eng = make_engine pee backward ~tag ~max_dist [ start ] in
+    let eng = make_engine pee backward ~tag ~max_dist ~seeds:[| start |] ~lo:0 ~hi:1 in
     stream_of_engine eng ~keep:(fun it -> include_self || not (it.node = start && it.dist = 0))
 
-let descendants_multi ?tag ?(max_dist = max_int) pee ~starts =
+let descendants_multi_slice ?tag ?(max_dist = max_int) pee ~starts ~lo ~hi =
   if no_element tag then empty_stream ()
   else
-    let eng = make_engine pee forward ~tag ~max_dist starts in
+    let eng = make_engine pee forward ~tag ~max_dist ~seeds:starts ~lo ~hi in
     stream_of_engine eng ~keep:(fun it -> it.dist > 0)
+
+let descendants_multi ?tag ?max_dist pee ~starts =
+  let starts = Array.of_list starts in
+  descendants_multi_slice ?tag ?max_dist pee ~starts ~lo:0 ~hi:(Array.length starts)
 
 (* ------------------------------------------------------------------ *)
 (* Exactly-ordered evaluation — the paper's future-work item
@@ -333,7 +344,7 @@ let connected ?(max_dist = max_int) pee a b =
     (* Tag -1 matches no element, so [step] skips block evaluation: the
        connection test needs only the link expansion and the per-meta
        distance probe. *)
-    let eng = make_engine pee forward ~tag:(Some (-1)) ~max_dist [ a ] in
+    let eng = make_engine pee forward ~tag:(Some (-1)) ~max_dist ~seeds:[| a |] ~lo:0 ~hi:1 in
     let found = ref None in
     let on_meta d built l =
       if built.Index_builder.meta.Meta_document.id = target_meta then
@@ -361,8 +372,8 @@ let connected_bidir ?(max_dist = max_int) pee a b =
     let reg = pee.built.Index_builder.registry in
     (* Lockstep: forward search from [a] towards [b], backward search
        from [b] towards [a]; either engine finding its target decides. *)
-    let fwd = make_engine pee forward ~tag:(Some (-1)) ~max_dist [ a ] in
-    let bwd = make_engine pee backward ~tag:(Some (-1)) ~max_dist [ b ] in
+    let fwd = make_engine pee forward ~tag:(Some (-1)) ~max_dist ~seeds:[| a |] ~lo:0 ~hi:1 in
+    let bwd = make_engine pee backward ~tag:(Some (-1)) ~max_dist ~seeds:[| b |] ~lo:0 ~hi:1 in
     let target_meta_b = reg.Meta_document.meta_of_node.(b) in
     let target_local_b = reg.Meta_document.local_of_node.(b) in
     let target_meta_a = reg.Meta_document.meta_of_node.(a) in

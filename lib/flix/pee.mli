@@ -51,10 +51,17 @@ val descendants_multi :
 
     Every link push has priority >= 1, so the priority-0 starts are
     expanded before anything else and their order among themselves is
-    free: the engine consumes [starts] lazily, in the given order (document
-    order for [Flix.evaluate]), from a cursor instead of the heap. A
-    stream abandoned after [k] results has touched only the starts it
-    needed. *)
+    free: the engine consumes [starts] lazily, in the given order, from a
+    cursor instead of the heap. A stream abandoned after [k] results has
+    touched only the starts it needed. *)
+
+val descendants_multi_slice :
+  ?tag:int -> ?max_dist:int -> t -> starts:int array -> lo:int -> hi:int -> item Result_stream.t
+(** {!descendants_multi} over the starts [starts.(lo) .. starts.(hi - 1)],
+    read in place: [Flix.evaluate] and the memory server pass the
+    collection's per-tag row ({!Fx_xml.Collection.tag_slice}), so an
+    [A//B] query builds no start list. The engine never writes
+    [starts]. *)
 
 val ancestors :
   ?tag:int -> ?max_dist:int -> ?include_self:bool -> t -> start:int -> item Result_stream.t

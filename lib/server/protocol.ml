@@ -262,7 +262,27 @@ let envelope_line ?deadline_ms r =
 
 (* --- responses ------------------------------------------------------ *)
 
-let item_line { node; dist; meta } = Printf.sprintf "ITEM %d %d %d" node dist meta
+(* Decimal digits straight into [b]: an answer is mostly ITEM lines, and
+   Printf costs several times what the rest of writing one does. *)
+let rec add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n)
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+  end
+
+let add_item_line b { node; dist; meta } =
+  Buffer.add_string b "ITEM ";
+  add_int b node;
+  Buffer.add_char b ' ';
+  add_int b dist;
+  Buffer.add_char b ' ';
+  add_int b meta
+
+let item_line it =
+  let b = Buffer.create 24 in
+  add_item_line b it;
+  Buffer.contents b
 
 let items_trailer ~count ~timed_out ~partial =
   let word = if timed_out then "TIMEOUT" else if partial then "PARTIAL" else "DONE" in

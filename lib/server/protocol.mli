@@ -184,6 +184,9 @@ val parse_doc_line : string -> (string * int, string) result
 val item_line : item -> string
 (** One [ITEM <node> <dist> <meta>] wire line. *)
 
+val add_item_line : Buffer.t -> item -> unit
+(** {!item_line} appended to a buffer, without the newline. *)
+
 val items_trailer : count:int -> timed_out:bool -> partial:bool -> string
 (** The stream trailer: [TIMEOUT n] when [timed_out], else [PARTIAL n]
     when [partial], else [DONE n]. *)

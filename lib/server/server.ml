@@ -47,21 +47,96 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* A job travels from the connection thread to a worker domain; items
-   and the terminal response travel back through the mailbox. The worker
-   pushes ITEM payloads as it produces them and the connection thread
-   drains and flushes them immediately, so a slow stream reaches the
-   client (and a merging coordinator) incrementally instead of as one
-   buffered block. The terminal response is set last, under the same
-   mutex, so a drained-empty mailbox with [resp = Some _] is complete. *)
-type mailbox = {
+(* Buffered I/O straight on a connection's socket. Stdlib channels
+   declare their 64 KiB buffers to the GC as out-of-heap memory, so
+   opening two per connection forces minor collections at connection
+   rate — and an OCaml 5 minor collection stops every domain, idle
+   workers included. With short requests on a small host that cost more
+   than the requests themselves. *)
+module Conn_io = struct
+  type input = {
+    in_fd : Unix.file_descr;
+    ibuf : Bytes.t;
+    mutable ipos : int;
+    mutable ilen : int;
+  }
+
+  type output = { out_fd : Unix.file_descr; obuf : Buffer.t }
+
+  let input fd = { in_fd = fd; ibuf = Bytes.create 4096; ipos = 0; ilen = 0 }
+  let output fd = { out_fd = fd; obuf = Buffer.create 1024 }
+
+  (* @raise End_of_file once the peer has closed. *)
+  let rec input_char ci =
+    if ci.ipos < ci.ilen then begin
+      let c = Bytes.get ci.ibuf ci.ipos in
+      ci.ipos <- ci.ipos + 1;
+      c
+    end
+    else
+      match Unix.read ci.in_fd ci.ibuf 0 (Bytes.length ci.ibuf) with
+      | 0 -> raise End_of_file
+      | n ->
+          ci.ipos <- 0;
+          ci.ilen <- n;
+          input_char ci
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> input_char ci
+
+  let output_string co s = Buffer.add_string co.obuf s
+  let output_char co c = Buffer.add_char co.obuf c
+
+  let output_item co it =
+    Protocol.add_item_line co.obuf it;
+    Buffer.add_char co.obuf '\n'
+
+  (* Write everything buffered; Unix_error (EPIPE, ECONNRESET) escapes
+     to the caller: the connection loop treats it as a vanished client,
+     a worker turns it into [Client_gone]. *)
+  let flush co =
+    let b = Buffer.to_bytes co.obuf in
+    Buffer.clear co.obuf;
+    let rec go off =
+      if off < Bytes.length b then
+        match Unix.single_write co.out_fd b off (Bytes.length b - off) with
+        | n -> go (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+    in
+    go 0
+end
+
+let write_line oc line =
+  Conn_io.output_string oc line;
+  Conn_io.output_char oc '\n'
+
+let write_response oc resp =
+  List.iter (write_line oc) (Protocol.response_lines resp);
+  Conn_io.flush oc
+
+(* The one handoff between a connection's thread and the workers, made
+   once per connection. While a single request's job runs, the
+   connection thread waits here for [finished], so the socket's output
+   side belongs to the worker, which writes the answer itself and then
+   sets [finished] (and [client_gone] when a write found the client
+   gone). A batch's workers instead queue each finished sub here, items
+   and response together, for the connection thread to write. *)
+type cell = {
   m : Mutex.t;
   c : Condition.t;
-  mutable items : Protocol.item list; (* newest first *)
-  mutable resp : Protocol.response option;
+  mutable finished : bool;
+  mutable client_gone : bool;
+  mutable subs : (int * Protocol.item list * Protocol.response) list; (* newest first *)
 }
 
-type job = { req : Protocol.request; deadline_ns : int64; reply : mailbox }
+type reply =
+  | Write of { oc : Conn_io.output; cell : cell; verb : string; sw : Stopwatch.t }
+      (* a single request: the worker writes the answer to [oc] *)
+  | Sub of { cell : cell; i : int } (* sub-request [i] of the connection's batch *)
+
+type job = { req : Protocol.request; deadline_ns : int64; reply : reply }
+
+(* A write from a worker found the client gone: the evaluation stops and
+   the connection thread closes the connection. *)
+exception Client_gone
 
 type flags = { timed_out : bool; partial : bool }
 
@@ -163,11 +238,11 @@ let memory flix =
           (Pee.ancestors ?tag:(tag_arg coll tag) ?max_dist ~include_self:true (pee ()) ~start));
     evaluate =
       (fun ~deadline_ns:_ ~start_tag ~target_tag ~k:_ ~max_dist ->
+        let starts, lo, hi = Collection.tag_slice coll start_tag in
         of_pee
-          (Pee.descendants_multi
+          (Pee.descendants_multi_slice
              ?tag:(tag_arg coll (Some target_tag))
-             ?max_dist (pee ())
-             ~starts:(Collection.find_by_tag coll start_tag)));
+             ?max_dist (pee ()) ~starts ~lo ~hi));
     stats = (fun () -> String.split_on_char '\n' (Flix.report flix));
     metric_lines = (fun () -> []);
     close = ignore;
@@ -306,19 +381,29 @@ let unknown_doc_err doc anchor =
     (Printf.sprintf "unknown document or anchor %s%s" doc
        (match anchor with None -> "" | Some a -> "#" ^ a))
 
+(* Where a job's ITEMs go: [emit] takes one item; [pace now] says that
+   the stream is about to be pulled again, [now] being the clock reading
+   the deadline check just made. *)
+type sink = { emit : Protocol.item -> unit; pace : int64 -> unit }
+
 (* Emit up to [k] items pulled from [s], checking the deadline after
    each one: a query that finds anything always returns at least its
    first item, and a zero deadline still times out deterministically.
    The stream's own flags join the trailer. *)
-let stream_out ~emit ~deadline_ns ~k (s : stream) =
+let stream_out ~sink ~deadline_ns ~k (s : stream) =
   let rec go n =
     if n >= k then false
     else
       match s.next () with
       | None -> false
       | Some it ->
-          emit it;
-          if expired deadline_ns then true else go (n + 1)
+          sink.emit it;
+          let now = Stopwatch.now_ns () in
+          if now > deadline_ns then true
+          else begin
+            if n + 1 < k then sink.pace now;
+            go (n + 1)
+          end
   in
   let cut = go 0 in
   let flags = s.flags () in
@@ -336,14 +421,14 @@ let cap_k cap (req : Protocol.request) =
    backend and the cache key both see the capped request, range-checks
    node ids, resolves DESCENDANTS names through [resolve], applies the
    queued-expiry rule, streams every answer through [stream_out], and
-   runs every EVALUATE through the answer cache. A miss streams through
-   a buffering [emit], and only a clean answer (no TIMEOUT or PARTIAL
-   trailer) is stored, under the pinned [epoch] — which the cache
-   refuses once a swap has moved past it. *)
-let eval t (backend : backend) ~epoch ~emit (job : job) =
+   runs every EVALUATE through the answer cache. A hit hands its items to
+   [sink] all at once; a miss streams through a buffering [emit], and
+   only a clean answer (no TIMEOUT or PARTIAL trailer) is stored, under
+   the pinned [epoch] — which the cache refuses once a swap has moved
+   past it. *)
+let eval t (backend : backend) ~epoch ~sink (job : job) =
   let deadline_ns = job.deadline_ns in
   let in_range v = v >= 0 && v < backend.n_nodes in
-  let stream_out ~emit ~k s = stream_out ~emit ~deadline_ns ~k s in
   match cap_k t.cfg.max_results job.req with
   | Protocol.Ping | Protocol.Metrics | Protocol.Evict _ | Protocol.Reload
   | Protocol.Epoch_query ->
@@ -373,31 +458,33 @@ let eval t (backend : backend) ~epoch ~emit (job : job) =
   | Protocol.Descendants { doc; anchor; tag; k; max_dist } -> (
       match backend.resolve ~deadline_ns ~doc ~anchor with
       | Ok (Some start) ->
-          stream_out ~emit ~k (backend.descendants ~deadline_ns ~tag ~k ~max_dist start.node)
+          stream_out ~sink ~deadline_ns ~k
+            (backend.descendants ~deadline_ns ~tag ~k ~max_dist start.node)
       | Ok None -> unknown_doc_err doc anchor
       | Error f -> degraded f)
   | Protocol.Node_descendants { node; tag; k; max_dist } ->
       if not (in_range node) then node_range_err backend.n_nodes
-      else stream_out ~emit ~k (backend.descendants ~deadline_ns ~tag ~k ~max_dist node)
+      else
+        stream_out ~sink ~deadline_ns ~k (backend.descendants ~deadline_ns ~tag ~k ~max_dist node)
   | Protocol.Ancestors { node; tag; k; max_dist } ->
       if not (in_range node) then node_range_err backend.n_nodes
-      else stream_out ~emit ~k (backend.ancestors ~deadline_ns ~tag ~k ~max_dist node)
+      else stream_out ~sink ~deadline_ns ~k (backend.ancestors ~deadline_ns ~tag ~k ~max_dist node)
   | Protocol.Evaluate { start_tag; target_tag; k; max_dist } -> (
       let key =
         { Eval_cache.start_tag; target_tag; k; max_dist = Option.value max_dist ~default:(-1) }
       in
       match Eval_cache.find t.eval_cache ~epoch key with
       | Some items ->
-          List.iter emit items;
+          List.iter sink.emit items;
           no_items ()
       | None ->
           let buf = ref [] in
-          let emit_buffered it =
+          let emit it =
             buf := it :: !buf;
-            emit it
+            sink.emit it
           in
           let resp =
-            stream_out ~emit:emit_buffered ~k
+            stream_out ~sink:{ sink with emit } ~deadline_ns ~k
               (backend.evaluate ~deadline_ns ~start_tag ~target_tag ~k ~max_dist)
           in
           (match resp with
@@ -406,36 +493,101 @@ let eval t (backend : backend) ~epoch ~emit (job : job) =
           | _ -> ());
           resp)
 
+(* Close a request's answer after its streamed ITEMs, [emitted] of
+   them, are in [oc]: the response's own items and the trailer, or the
+   bare response when nothing streamed. Once items went out the framing
+   is committed to a stream, so a failure closes it with a PARTIAL
+   trailer instead of smuggling an ERR/BUSY line into the item stream;
+   the caller records the failure in the error metrics. *)
+let write_answer oc ~emitted resp =
+  match resp with
+  | Protocol.Items { items; timed_out; partial } ->
+      List.iter (Conn_io.output_item oc) items;
+      write_line oc
+        (Protocol.items_trailer ~count:(emitted + List.length items) ~timed_out ~partial)
+  | resp when emitted = 0 -> List.iter (write_line oc) (Protocol.response_lines resp)
+  | _ -> write_line oc (Protocol.items_trailer ~count:emitted ~timed_out:false ~partial:true)
+
+let count_outcome t ~verb = function
+  | Protocol.Items { timed_out = true; _ } -> Metrics.incr_timeouts t.metrics ~verb
+  | Protocol.Err _ -> Metrics.incr_errors t.metrics
+  | _ -> ()
+
+(* Evaluate [job] with its snapshot pinned for the whole evaluation: a
+   swap published mid-request retires the old backend only after this
+   pin (and every other) drains, so the request finishes on the epoch it
+   started on. *)
+let run t job sink =
+  let epoch, backend = Snapshot.pin t.snapshot in
+  Fun.protect
+    ~finally:(fun () -> Snapshot.unpin t.snapshot epoch)
+    (fun () ->
+      try eval t backend ~epoch ~sink job with
+      | (Out_of_memory | Stack_overflow) as fatal ->
+          (* Fatal resource exhaustion must not be flattened into an ERR
+             line (FL004); let it take the domain down so stop/join
+             surfaces it. *)
+          raise fatal
+      | Client_gone ->
+          (* The answer's own write failed: there is no client to tell. *)
+          raise Client_gone
+      | exn -> Protocol.Err ("internal: " ^ Printexc.to_string exn))
+
+(* A single request: the worker writes its ITEMs straight into the
+   connection's output. The first is flushed once the stream is pulled
+   again, later ones when 1 ms has passed since the last flush, and the
+   rest with the trailer — a slow stream reaches the client (and a
+   merging coordinator) incrementally, a fast one in few writes. The
+   outcome counters are bumped and the duration observed before the last
+   flush, so a client that has read the trailer finds its request
+   counted. *)
+let answer_single t job ~oc ~cell ~verb ~sw =
+  let flush () = try Conn_io.flush oc with Unix.Unix_error _ -> raise Client_gone in
+  let emitted = ref 0 and last_flush = ref 0L in
+  let sink =
+    {
+      emit =
+        (fun it ->
+          incr emitted;
+          Conn_io.output_item oc it);
+      pace =
+        (fun now ->
+          if !emitted = 1 || Int64.sub now !last_flush >= 1_000_000L then begin
+            flush ();
+            last_flush := now
+          end);
+    }
+  in
+  let deliver () =
+    let resp = run t job sink in
+    count_outcome t ~verb resp;
+    write_answer oc ~emitted:!emitted resp;
+    Metrics.observe_ms t.metrics ~verb (Stopwatch.elapsed_ms sw);
+    flush ()
+  in
+  let client_gone = match deliver () with () -> false | exception Client_gone -> true in
+  with_lock cell.m (fun () ->
+      cell.finished <- true;
+      cell.client_gone <- client_gone;
+      Condition.signal cell.c)
+
+(* A batch sub: its items collect here and travel with the response, one
+   hand-over per sub. *)
+let answer_sub t job ~cell ~i =
+  let items = ref [] in
+  let resp = run t job { emit = (fun it -> items := it :: !items); pace = ignore } in
+  with_lock cell.m (fun () ->
+      cell.subs <- (i, List.rev !items, resp) :: cell.subs;
+      Condition.signal cell.c)
+
 let worker_loop t () =
-  (* Every job pins the snapshot for its whole evaluation: a swap
-     published mid-request retires the old backend only after this pin
-     (and every other) drains, so the request finishes on the epoch it
-     started on. *)
   let rec loop () =
     match Work_queue.pop t.queue with
     | None -> ()
     | Some job ->
-        let emit it =
-          with_lock job.reply.m (fun () ->
-              job.reply.items <- it :: job.reply.items;
-              Condition.signal job.reply.c)
-        in
-        let resp =
-          let epoch, backend = Snapshot.pin t.snapshot in
-          Fun.protect
-            ~finally:(fun () -> Snapshot.unpin t.snapshot epoch)
-            (fun () ->
-              try eval t backend ~epoch ~emit job with
-              | (Out_of_memory | Stack_overflow) as fatal ->
-                  (* Fatal resource exhaustion must not be flattened into
-                     an ERR line (FL004); let it take the domain down so
-                     stop/join surfaces it. *)
-                  raise fatal
-              | exn -> Protocol.Err ("internal: " ^ Printexc.to_string exn))
-        in
-        with_lock job.reply.m (fun () ->
-            job.reply.resp <- Some resp;
-            Condition.signal job.reply.c);
+        (match job.reply with
+        | Write { oc; cell; verb; sw } -> answer_single t job ~oc ~cell ~verb ~sw
+        | Sub { cell; i } -> answer_sub t job ~cell ~i);
         loop ()
   in
   loop ()
@@ -553,112 +705,20 @@ let apply_reload t =
 
 (* --- connection handling (thread side) ------------------------------ *)
 
-(* Buffered I/O straight on a connection's socket. Stdlib channels
-   declare their 64 KiB buffers to the GC as out-of-heap memory, so
-   opening two per connection forces minor collections at connection
-   rate — and an OCaml 5 minor collection stops every domain, idle
-   workers included. With short requests on a small host that cost more
-   than the requests themselves. *)
-module Conn_io = struct
-  type input = {
-    in_fd : Unix.file_descr;
-    ibuf : Bytes.t;
-    mutable ipos : int;
-    mutable ilen : int;
-  }
-
-  type output = { out_fd : Unix.file_descr; obuf : Buffer.t }
-
-  let input fd = { in_fd = fd; ibuf = Bytes.create 4096; ipos = 0; ilen = 0 }
-  let output fd = { out_fd = fd; obuf = Buffer.create 1024 }
-
-  (* @raise End_of_file once the peer has closed. *)
-  let rec input_char ci =
-    if ci.ipos < ci.ilen then begin
-      let c = Bytes.get ci.ibuf ci.ipos in
-      ci.ipos <- ci.ipos + 1;
-      c
-    end
-    else
-      match Unix.read ci.in_fd ci.ibuf 0 (Bytes.length ci.ibuf) with
-      | 0 -> raise End_of_file
-      | n ->
-          ci.ipos <- 0;
-          ci.ilen <- n;
-          input_char ci
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> input_char ci
-
-  let output_string co s = Buffer.add_string co.obuf s
-  let output_char co c = Buffer.add_char co.obuf c
-
-  (* Write everything buffered; Unix_error (EPIPE, ECONNRESET) escapes
-     to the connection loop, which treats it as a vanished client. *)
-  let flush co =
-    let b = Buffer.to_bytes co.obuf in
-    Buffer.clear co.obuf;
-    let rec go off =
-      if off < Bytes.length b then
-        match Unix.single_write co.out_fd b off (Bytes.length b - off) with
-        | n -> go (off + n)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    in
-    go 0
-end
-
-let write_line oc line =
-  Conn_io.output_string oc line;
-  Conn_io.output_char oc '\n'
-
-let write_response oc resp =
-  List.iter (write_line oc) (Protocol.response_lines resp);
-  Conn_io.flush oc
-
-(* Drain the mailbox, writing and flushing ITEM lines as they arrive —
-   the incremental half of the streaming contract. Returns the emitted
-   count and the terminal response; because the worker sets [resp] last
-   under the mailbox mutex, a critical section that observes [Some _]
-   has also handed over every remaining item. *)
-let drain_stream mb oc =
-  let emitted = ref 0 in
-  let rec loop () =
-    let batch, fin =
-      with_lock mb.m (fun () ->
-          while mb.items = [] && mb.resp = None do
-            Condition.wait mb.c mb.m
-          done;
-          let batch = List.rev mb.items in
-          mb.items <- [];
-          (batch, mb.resp))
-    in
-    if batch <> [] then begin
-      List.iter (fun it -> write_line oc (Protocol.item_line it)) batch;
-      Conn_io.flush oc;
-      emitted := !emitted + List.length batch
-    end;
-    match fin with Some r -> r | None -> loop ()
+(* Wait until the worker has written the single request's answer.
+   @raise Client_gone when one of its writes found the client gone. *)
+let await_answer cell =
+  let gone =
+    with_lock cell.m (fun () ->
+        while not cell.finished do
+          Condition.wait cell.c cell.m
+        done;
+        cell.finished <- false;
+        cell.client_gone)
   in
-  let resp = loop () in
-  (!emitted, resp)
+  if gone then raise Client_gone
 
-let finish_stream oc ~emitted resp =
-  match resp with
-  | Protocol.Items { items; timed_out; partial } ->
-      List.iter (fun it -> write_line oc (Protocol.item_line it)) items;
-      write_line oc
-        (Protocol.items_trailer
-           ~count:(emitted + List.length items)
-           ~timed_out ~partial);
-      Conn_io.flush oc
-  | resp when emitted = 0 -> write_response oc resp
-  | _ ->
-      (* Items already went out, so the framing is committed to a stream:
-         close it with a PARTIAL trailer instead of smuggling an ERR/BUSY
-         line into the item stream. The condition is recorded in the
-         error metrics by the caller. *)
-      write_line oc (Protocol.items_trailer ~count:emitted ~timed_out:false ~partial:true);
-      Conn_io.flush oc
-
-let handle_request t oc line =
+let handle_request t oc cell line =
   match Protocol.parse_envelope line with
   | Error msg ->
       Metrics.incr_errors t.metrics;
@@ -695,55 +755,24 @@ let handle_request t oc line =
         let deadline_ns =
           Int64.add (Stopwatch.now_ns ()) (Int64.of_float (budget_ms *. 1e6))
         in
-        let reply =
-          { m = Mutex.create (); c = Condition.create (); items = []; resp = None }
-        in
-        let job = { req; deadline_ns; reply } in
-        if not (Work_queue.try_push t.queue job) then begin
+        let job = { req; deadline_ns; reply = Write { oc; cell; verb; sw } } in
+        if Work_queue.try_push t.queue job then await_answer cell
+        else begin
           Metrics.incr_rejected t.metrics;
           write_response oc Protocol.Busy
-        end
-        else begin
-          let emitted, resp = drain_stream reply oc in
-          Metrics.observe_ms t.metrics ~verb (Stopwatch.elapsed_ms sw);
-          (match resp with
-          | Protocol.Items { timed_out = true; _ } -> Metrics.incr_timeouts t.metrics ~verb
-          | Protocol.Err _ -> Metrics.incr_errors t.metrics
-          | _ -> ());
-          finish_stream oc ~emitted resp
         end
       end
 
 (* --- batches -------------------------------------------------------- *)
 
-(* Write one finished sub-response: the SUB header, the items the worker
-   pushed into the mailbox, and the trailer (or the bare response when
-   nothing streamed). Mirrors [finish_stream]'s framing rules. *)
-let write_sub oc i items resp =
-  write_line oc (Protocol.sub_line i);
-  (match resp with
-  | Protocol.Items { items = tail; timed_out; partial } ->
-      List.iter (fun it -> write_line oc (Protocol.item_line it)) items;
-      List.iter (fun it -> write_line oc (Protocol.item_line it)) tail;
-      write_line oc
-        (Protocol.items_trailer
-           ~count:(List.length items + List.length tail)
-           ~timed_out ~partial)
-  | resp when items = [] -> List.iter (write_line oc) (Protocol.response_lines resp)
-  | _ ->
-      List.iter (fun it -> write_line oc (Protocol.item_line it)) items;
-      write_line oc
-        (Protocol.items_trailer ~count:(List.length items) ~timed_out:false
-           ~partial:true));
-  Conn_io.flush oc
-
 (* Fan the [n] parsed-or-failed sub-request lines of one batch across
    the worker pool and write SUB-tagged answers back in completion
-   order. One mutex/condvar pair serves every sub-mailbox: workers
-   signal it as they emit and finish, and this (connection) thread
-   wakes, scans for newly finished subs, and flushes each one whole.
-   Batch items are buffered per sub rather than interleaved on the wire
-   — a batch is a probe plane, not a streaming plane.
+   order. Each worker hands its finished sub — items and response
+   together — to the connection's completion queue in [cell] with one
+   signal; this (connection) thread takes every queued sub per wake-up,
+   writes each whole and flushes once. Batch items are buffered per sub
+   rather than interleaved on the wire — a batch is a probe plane, not a
+   streaming plane.
 
    Admission control happened for the batch as a whole, so sub-requests
    meet a full queue with {e backpressure}, not BUSY: pushes resume as
@@ -751,7 +780,7 @@ let write_sub oc i items resp =
    connections' work, by short polls). Sub-requests still unpushed when
    the deadline expires answer [TIMEOUT 0], exactly like a queued job
    whose deadline expired. *)
-let handle_batch t oc ~deadline_ms lines =
+let handle_batch t oc cell ~deadline_ms lines =
   let n = Array.length lines in
   Metrics.incr_requests t.metrics ~verb:"batch";
   let sw = Stopwatch.start () in
@@ -759,41 +788,36 @@ let handle_batch t oc ~deadline_ms lines =
     match deadline_ms with Some ms -> float_of_int ms | None -> t.cfg.deadline_ms
   in
   let deadline_ns = Int64.add (Stopwatch.now_ns ()) (Int64.of_float (budget_ms *. 1e6)) in
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  let boxes = Array.init n (fun _ -> { m; c; items = []; resp = None }) in
   let verbs = Array.make n "other" in
-  (* Parse every sub. Slots that fail locally (malformed, disallowed
-     verb) are answered in place — no worker ever owns their mailbox, so
-     writing [resp] directly is unshared here: only this thread touches
-     it again, in the writer loop below. *)
+  (* Subs answered on this thread — malformed, disallowed, or expired
+     before a worker took them — newest first. *)
+  let local = ref [] in
+  let answer_here i resp = local := (i, [], resp) :: !local in
   let to_push = ref [] in
   Array.iteri
     (fun i line ->
       match line with
       | Error msg ->
           Metrics.incr_errors t.metrics;
-          boxes.(i).resp <- Some (Protocol.Err msg)
+          answer_here i (Protocol.Err msg)
       | Ok line -> (
           match Protocol.parse_request line with
           | Error msg ->
               Metrics.incr_errors t.metrics;
-              boxes.(i).resp <- Some (Protocol.Err msg)
+              answer_here i (Protocol.Err msg)
           | Ok req when not (Protocol.batch_allowed req) ->
               Metrics.incr_errors t.metrics;
-              boxes.(i).resp <-
-                Some
-                  (Protocol.Err
-                     (Printf.sprintf "verb %s not allowed in a batch"
-                        (String.uppercase_ascii (Protocol.verb req))))
+              answer_here i
+                (Protocol.Err
+                   (Printf.sprintf "verb %s not allowed in a batch"
+                      (String.uppercase_ascii (Protocol.verb req))))
           | Ok req ->
               verbs.(i) <- Protocol.verb req;
               Metrics.incr_requests t.metrics ~verb:verbs.(i);
-              to_push := (i, { req; deadline_ns; reply = boxes.(i) }) :: !to_push))
+              to_push := (i, { req; deadline_ns; reply = Sub { cell; i } }) :: !to_push))
     lines;
   let to_push = ref (List.rev !to_push) in
   let in_flight = ref 0 in
-  let pushed = Array.make n false in
   (* Push pending jobs until the queue refuses; an expired deadline
      answers the rest without burning worker time on them. *)
   let rec push_more () =
@@ -801,58 +825,56 @@ let handle_batch t oc ~deadline_ms lines =
     | [] -> ()
     | (i, job) :: rest ->
         if expired deadline_ns then begin
-          boxes.(i).resp <- Some (no_items ~timed_out:true ());
+          answer_here i (no_items ~timed_out:true ());
           to_push := rest;
           push_more ()
         end
         else if Work_queue.try_push t.queue job then begin
           incr in_flight;
-          pushed.(i) <- true;
           to_push := rest;
           push_more ()
         end
   in
-  let written = Array.make n false in
-  let find_ready () =
-    let rec go i =
-      if i >= n then None
-      else if (not written.(i)) && Option.is_some boxes.(i).resp then
-        Some (i, List.rev boxes.(i).items, Option.get boxes.(i).resp)
-      else go (i + 1)
+  (* The subs finished since the last call, oldest first. Wait only when
+     nothing is at hand and one of our own jobs is in flight — its
+     completion signals [cell.c] under [cell.m], so the check cannot
+     miss it. *)
+  let take_finished () =
+    let done_here = List.rev !local in
+    local := [];
+    let from_workers =
+      with_lock cell.m (fun () ->
+          if done_here = [] && !in_flight > 0 then
+            while cell.subs = [] do
+              Condition.wait cell.c cell.m
+            done;
+          let subs = cell.subs in
+          cell.subs <- [];
+          subs)
     in
-    go 0
+    in_flight := !in_flight - List.length from_workers;
+    done_here @ List.rev from_workers
   in
   let rec drain remaining =
     if remaining > 0 then begin
       push_more ();
-      let ready =
-        with_lock m (fun () ->
-            match find_ready () with
-            | Some _ as r -> r
-            | None ->
-                (* Wait only when one of our own jobs is in flight — its
-                   completion signals [c] (under [m], so the re-check
-                   cannot miss it). With nothing in flight the queue is
-                   full of other connections' work: poll. *)
-                if !in_flight > 0 then Condition.wait c m;
-                find_ready ())
-      in
-      match ready with
-      | None ->
-          if !in_flight = 0 then Thread.delay 0.002;
+      match take_finished () with
+      | [] ->
+          (* Nothing in flight: the queue is full of other connections'
+             work, so poll. *)
+          Thread.delay 0.002;
           drain remaining
-      | Some (i, items, resp) ->
-          written.(i) <- true;
-          if pushed.(i) then decr in_flight;
-          (match resp with
-          | Protocol.Items { timed_out = true; _ } ->
-              Metrics.incr_timeouts t.metrics ~verb:verbs.(i)
-          | Protocol.Err _ when verbs.(i) <> "other" ->
-              (* "other" slots were counted at parse time. *)
-              Metrics.incr_errors t.metrics
-          | _ -> ());
-          write_sub oc i items resp;
-          drain (remaining - 1)
+      | finished ->
+          List.iter
+            (fun (i, items, resp) ->
+              (* "other" slots failed to parse and were counted then. *)
+              if verbs.(i) <> "other" then count_outcome t ~verb:verbs.(i) resp;
+              write_line oc (Protocol.sub_line i);
+              List.iter (Conn_io.output_item oc) items;
+              write_answer oc ~emitted:(List.length items) resp)
+            finished;
+          Conn_io.flush oc;
+          drain (remaining - List.length finished)
     end
   in
   drain n;
@@ -884,6 +906,15 @@ let read_request_line ic ~max_bytes =
 let conn_loop t fd =
   let ic = Conn_io.input fd in
   let oc = Conn_io.output fd in
+  let cell =
+    {
+      m = Mutex.create ();
+      c = Condition.create ();
+      finished = false;
+      client_gone = false;
+      subs = [];
+    }
+  in
   let cleanup () =
     with_lock t.conns_lock (fun () -> Hashtbl.remove t.conns fd);
     (try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1042,7 +1073,7 @@ let conn_loop t fd =
               match read_batch_lines n with
               | None -> ()
               | Some lines ->
-                  handle_batch t oc ~deadline_ms lines;
+                  handle_batch t oc cell ~deadline_ms lines;
                   loop ())
           | Ok (Protocol.Batch { n; _ }) ->
               Metrics.incr_errors t.metrics;
@@ -1056,14 +1087,15 @@ let conn_loop t fd =
           | Ok (Protocol.Single _) | Error _ ->
               (* [handle_request] re-parses and owns the ERR answer for
                  malformed lines. *)
-              handle_request t oc line;
+              handle_request t oc cell line;
               loop ())
     in
     (* The try must wrap the whole loop body, not just the read: with
        SIGPIPE ignored, a client that vanishes mid-response surfaces as
-       EPIPE/ECONNRESET (Unix_error) from write_response's flush, and
-       that too must fall through to cleanup, not escape the thread. *)
-    try loop () with End_of_file | Sys_error _ | Unix.Unix_error _ -> ()
+       EPIPE/ECONNRESET (Unix_error) from write_response's flush, or as
+       Client_gone when a worker's write met it, and that too must fall
+       through to cleanup, not escape the thread. *)
+    try loop () with End_of_file | Sys_error _ | Unix.Unix_error _ | Client_gone -> ()
   in
   Fun.protect ~finally:cleanup serve
 
@@ -1073,6 +1105,11 @@ let conn_loop t fd =
 let over_conn_cap t =
   let n = with_lock t.conns_lock (fun () -> Hashtbl.length t.conns) in
   n >= t.cfg.max_connections
+
+(* A worker writes its answer on the connection's socket, so a client
+   that stops reading must not hold that worker forever: a write that
+   makes no progress for this long fails, and the connection closes. *)
+let send_timeout_s = 10.0
 
 let reject_connection fd =
   let busy = Bytes.of_string "BUSY\n" in
@@ -1090,7 +1127,9 @@ let accept_loop t () =
           loop ()
         end
         else begin
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
+          (try
+             Unix.setsockopt fd Unix.TCP_NODELAY true;
+             Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s
            with Unix.Unix_error _ -> ());
           with_lock t.conns_lock (fun () -> Hashtbl.replace t.conns fd ());
           ignore (Thread.create (conn_loop t) fd);

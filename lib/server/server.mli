@@ -25,15 +25,21 @@
     the backend's answer and stores it only when it is clean (no
     [TIMEOUT] or [PARTIAL] trailer).
 
-    Stream verbs are flushed incrementally: the
-    worker hands each [ITEM] to the connection thread as it is
-    produced, and the connection thread writes and flushes it
-    immediately, so a downstream consumer (e.g. the sharded
-    coordinator's merge) sees results before the stream ends. The
-    trailer ([DONE]/[TIMEOUT]/[PARTIAL]) follows once the worker
-    finishes. [PING] and [METRICS] are answered inline, bypassing the
-    pool, so the observability plane stays responsive on a saturated
-    server.
+    The worker that evaluates a single request writes its answer
+    itself, straight into the connection's output: while the job runs
+    the connection thread waits on the connection's completion cell, so
+    the socket's output side belongs to the worker, and the request
+    crosses domains once each way whatever its item count. Stream verbs
+    are flushed incrementally: the first [ITEM] as soon as the stream is
+    pulled again, later ones once a millisecond has passed since the
+    last flush, and the rest with the trailer ([DONE]/[TIMEOUT]/
+    [PARTIAL]) — so a downstream consumer (e.g. the sharded
+    coordinator's merge) sees results before a slow stream ends, and a
+    fast one costs few writes. A write that finds the client gone ends
+    the evaluation and the connection, never the worker; a write that
+    makes no progress for 10 s counts as a client gone. [PING] and
+    [METRICS] are answered inline, bypassing the pool, so the
+    observability plane stays responsive on a saturated server.
 
     Deadlines default to [config.deadline_ms] and can be overridden per
     request with the [DEADLINE <ms>] envelope prefix. The front checks
@@ -56,7 +62,10 @@
     Batches: a [BATCH <n>] header fans its [n] sub-requests across the
     worker pool as [n] independent jobs and answers each with a
     [SUB <i>]-tagged response as it completes (completion order, not
-    request order) — one round trip for a whole probe wave. The
+    request order) — one round trip for a whole probe wave. A sub's
+    items stay with its worker until it finishes, then travel with its
+    response to the connection thread, which writes finished subs
+    whole. The
     [DEADLINE] budget covers the batch: sub-requests still queued when
     it expires answer [TIMEOUT 0]. Admission control happens once for
     the whole batch, so a full work queue backpressures sub-request

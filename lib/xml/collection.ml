@@ -192,15 +192,14 @@ let node_of_anchor t ~doc ~anchor = Hashtbl.find_opt t.anchor_tbl (doc, anchor)
 
 let anchors t = Hashtbl.fold (fun key node acc -> (key, node) :: acc) t.anchor_tbl []
 
-let find_by_tag t name =
+let tag_slice t name =
   match tag_id t name with
-  | None -> []
-  | Some id ->
-      let acc = ref [] in
-      for i = t.tag_off.(id + 1) - 1 downto t.tag_off.(id) do
-        acc := t.tag_nodes.(i) :: !acc
-      done;
-      !acc
+  | None -> ([||], 0, 0)
+  | Some id -> (t.tag_nodes, t.tag_off.(id), t.tag_off.(id + 1))
+
+let find_by_tag t name =
+  let nodes, lo, hi = tag_slice t name in
+  List.init (hi - lo) (fun i -> nodes.(lo + i))
 
 let text_of_node t v = Xml_types.direct_text t.elements.(v)
 

@@ -69,11 +69,17 @@ val anchors : t -> ((string * string) * int) list
     order — the serving catalog persists these so a disk-backed server
     can resolve [DESCENDANTS doc#anchor] without the collection. *)
 
+val tag_slice : t -> string -> int array * int * int
+(** [(nodes, lo, hi)]: the nodes with the given tag are
+    [nodes.(lo) .. nodes.(hi - 1)], ascending. [nodes] is the per-tag
+    node index that {!build} fills by counting sort, shared rather than
+    copied — one hash lookup, independent of the collection size, and
+    the caller must not write it. An unknown name yields an empty
+    slice. *)
+
 val find_by_tag : t -> string -> int list
-(** All nodes with the given tag, ascending. Reads a per-tag node index
-    that {!build} fills by counting sort: one hash lookup plus
-    O(matches), independent of the collection size. An unknown name
-    yields []. *)
+(** {!tag_slice} as a fresh list: all nodes with the given tag,
+    ascending, [] for an unknown name. *)
 
 val text_of_node : t -> int -> string
 (** Direct text content of the node's element. *)

@@ -602,6 +602,45 @@ let prop_pee_random_collections =
         [ MB.Naive; MB.Maximal_ppo; MB.Unconnected_hopi { max_size = 8 };
           MB.Hybrid { max_size = 8; min_tree_size = 3 } ])
 
+(* [A//B] reads its starts in place from the collection's per-tag row;
+   the list path ([find_by_tag] into [descendants_multi]) is the oracle:
+   the same items in the same order, at k 1, 20 and all, for tag pairs
+   drawn from each generator's collections. *)
+let prop_evaluate_slice name generate =
+  H.qtest ~count:5 ("A//B from the tag row = from the start list, " ^ name)
+    QCheck.(triple (int_range 0 10_000) small_nat small_nat)
+    (fun (seed, a, b) ->
+      let c = C.build (generate seed) in
+      let f = Flix.build c in
+      let tag_name i = C.tag_name c (i mod C.n_tags c) in
+      let pairs =
+        [ (tag_name a, tag_name b); (tag_name b, tag_name a); (tag_name a, "no-such-tag") ]
+      in
+      List.for_all
+        (fun (start_tag, target_tag) ->
+          let by_list () =
+            Pee.descendants_multi
+              ~tag:(Option.value ~default:(-1) (C.tag_id c target_tag))
+              (Pee.create (Flix.built f))
+              ~starts:(C.find_by_tag c start_tag)
+          in
+          List.for_all
+            (fun k ->
+              RS.take k (Flix.evaluate f ~start_tag ~target_tag) = RS.take k (by_list ()))
+            [ 1; 20; max_int ])
+        pairs)
+
+let prop_evaluate_slice_dblp =
+  prop_evaluate_slice "dblp" (fun seed ->
+      Fx_workload.Dblp_gen.(generate { default with n_docs = 120; seed }))
+
+let prop_evaluate_slice_inex =
+  prop_evaluate_slice "inex" (fun seed ->
+      Fx_workload.Inex_gen.(generate { default with n_docs = 20; seed }))
+
+let prop_evaluate_slice_web =
+  prop_evaluate_slice "web" (fun seed -> Fx_workload.Web_gen.(generate { default with seed }))
+
 (* --- document-level reachability filter ------------------------------------ *)
 
 module RF = Fx_graph.Reach_filter
@@ -1151,6 +1190,9 @@ let () =
           Alcotest.test_case "connection max_dist" `Quick test_pee_connected_max_dist;
           prop_pee_random_collections;
           prop_pee_block_order;
+          prop_evaluate_slice_dblp;
+          prop_evaluate_slice_inex;
+          prop_evaluate_slice_web;
         ] );
       ( "reach_filter",
         [

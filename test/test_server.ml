@@ -117,6 +117,18 @@ let response_roundtrip () =
       | Error e -> Alcotest.failf "response failed to re-read: %s" e)
     samples
 
+(* ITEM lines are rendered digit by digit; the bytes must be Printf's,
+   negative and extreme values included. *)
+let item_line_is_printf =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"ITEM line = Printf rendering"
+       QCheck.(
+         triple
+           (oneof [ int; small_nat; oneofl [ 0; 9; 10; -1; max_int; min_int ] ])
+           small_signed_int int)
+       (fun (node, dist, meta) ->
+         P.item_line { P.node; dist; meta } = Printf.sprintf "ITEM %d %d %d" node dist meta))
+
 let truncated_response () =
   (match P.read_response (feeder [ "ITEM 1 2 3" ]) with
   | Error _ -> ()
@@ -422,6 +434,172 @@ let disconnect_mid_response () =
       let c = Client.connect ~port () in
       Alcotest.(check bool) "server survives disconnects" true (Client.ping c);
       Client.close c)
+
+(* A server over the shared index whose EVALUATE streams come from
+   [stream] instead of the PEE. *)
+let with_stream_server ?(config = Server.default_config) stream f =
+  let backend =
+    {
+      (Server.memory (Lazy.force shared_flix)) with
+      evaluate = (fun ~deadline_ns:_ ~start_tag:_ ~target_tag:_ ~k:_ ~max_dist:_ -> stream ());
+    }
+  in
+  let server = Server.start_backend ~config backend in
+  Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server)
+
+let clean_flags () = { Server.timed_out = false; partial = false }
+
+let stream_flushes_late_items () =
+  (* Item 1, item 2 five milliseconds later, then a pull that blocks
+     until released: item 2 must reach the client while the worker is
+     still blocked, not only with the trailer. *)
+  let m = Mutex.create () and cond = Condition.create () and released = ref false in
+  let release () =
+    Mutex.lock m;
+    released := true;
+    Condition.signal cond;
+    Mutex.unlock m
+  in
+  let stream () =
+    let pulls = ref 0 in
+    let next () =
+      incr pulls;
+      match !pulls with
+      | 1 -> Some { P.node = 1; dist = 0; meta = 0 }
+      | 2 ->
+          Thread.delay 0.005;
+          Some { P.node = 2; dist = 1; meta = 0 }
+      | 3 ->
+          Mutex.lock m;
+          while not !released do
+            Condition.wait cond m
+          done;
+          Mutex.unlock m;
+          Some { P.node = 3; dist = 2; meta = 0 }
+      | _ -> None
+    in
+    { Server.next; flags = clean_flags }
+  in
+  with_stream_server stream (fun server ->
+      let fd = raw_connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () ->
+          release ();
+          Unix.close fd)
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+          let oc = Unix.out_channel_of_descr fd in
+          let ic = Unix.in_channel_of_descr fd in
+          output_string oc "EVALUATE a b 10\n";
+          flush oc;
+          Alcotest.(check string) "first item" "ITEM 1 0 0" (input_line ic);
+          Alcotest.(check string) "late item flushed before the release" "ITEM 2 1 0"
+            (input_line ic);
+          release ();
+          Alcotest.(check string) "third item" "ITEM 3 2 0" (input_line ic);
+          Alcotest.(check string) "trailer" "DONE 3" (input_line ic)))
+
+let client_gone_frees_worker () =
+  (* One worker, streaming an answer that would take 10 s (10,000 items,
+     1 ms apart, under a 60 s deadline) to a client that reads one item
+     and closes. The worker's next write must find the client gone and
+     free the worker: a new connection gets a full DESCENDANTS answer
+     well before the stream could have ended. *)
+  let stream () =
+    let n = ref 0 in
+    let next () =
+      if !n > 0 then Thread.delay 0.001;
+      incr n;
+      Some { P.node = !n; dist = !n; meta = 0 }
+    in
+    { Server.next; flags = clean_flags }
+  in
+  let config = { Server.default_config with workers = 1; deadline_ms = 60_000.0 } in
+  with_stream_server ~config stream (fun server ->
+      let port = Server.port server in
+      let fd = raw_connect port in
+      let oc = Unix.out_channel_of_descr fd in
+      let ic = Unix.in_channel_of_descr fd in
+      output_string oc "EVALUATE a b 10000\n";
+      flush oc;
+      Alcotest.(check string) "stream started" "ITEM 1 1 0" (input_line ic);
+      Unix.close fd;
+      let c = Client.connect ~recv_timeout:5.0 ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let doc = Dblp.doc_name 3 in
+          let got =
+            match Client.descendants c ~doc ~tag:"author" ~k:10 () with
+            | Ok (Client.Value (items, timed_out)) ->
+                render (P.Items { items; timed_out; partial = false })
+            | Ok _ -> "not a value"
+            | Error e -> "transport error: " ^ e
+          in
+          Alcotest.(check string) "full answer on a new connection"
+            (direct_descendants (Lazy.force shared_flix) ~doc ~tag:"author" ~k:10)
+            got))
+
+(* Read one response from [ic], returning its raw wire lines. *)
+let raw_response ic =
+  let lines = ref [] in
+  let read () =
+    match input_line ic with
+    | l ->
+        lines := l :: !lines;
+        Some l
+    | exception End_of_file -> None
+  in
+  match P.read_response read with
+  | Ok _ -> String.concat "\n" (List.rev !lines)
+  | Error e -> Alcotest.failf "bad response: %s" e
+
+let pipelined_in_order () =
+  (* Mixed pool-bound and inline verbs written in one go must come back
+     in request order, byte-identical to the same lines sent one at a
+     time. *)
+  with_server (fun server ->
+      let requests =
+        [
+          Printf.sprintf "DESCENDANTS %s - author 10" (Dblp.doc_name 4);
+          "EVALUATE article author 5";
+          "PING";
+          "CONNECTED 5 5";
+          Printf.sprintf "DESCENDANTS %s - - 30" (Dblp.doc_name 7);
+          "CONNECTED 0 120";
+          "EVALUATE inproceedings title 20";
+          "PING";
+          "DESCENDANTS no_such_doc - - 3";
+          "EVALUATE article author 5";
+        ]
+      in
+      let exchange f =
+        let fd = raw_connect (Server.port server) in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            f (Unix.out_channel_of_descr fd) (Unix.in_channel_of_descr fd))
+      in
+      let one_at_a_time =
+        exchange (fun oc ic ->
+            List.map
+              (fun r ->
+                output_string oc (r ^ "\n");
+                flush oc;
+                raw_response ic)
+              requests)
+      in
+      let pipelined =
+        exchange (fun oc ic ->
+            output_string oc (String.concat "" (List.map (fun r -> r ^ "\n") requests));
+            flush oc;
+            List.map (fun _ -> raw_response ic) requests)
+      in
+      List.iteri
+        (fun i (want, got) ->
+          Alcotest.(check string) (Printf.sprintf "answer %d" i) want got)
+        (List.combine one_at_a_time pipelined))
 
 let concurrent_clients () =
   with_server
@@ -1091,6 +1269,7 @@ let () =
           Alcotest.test_case "malformed requests" `Quick malformed_requests;
           Alcotest.test_case "response round-trip" `Quick response_roundtrip;
           Alcotest.test_case "truncated responses" `Quick truncated_response;
+          item_line_is_printf;
         ] );
       ( "work-queue",
         [
@@ -1109,6 +1288,9 @@ let () =
           Alcotest.test_case "oversized request line" `Quick oversized_line;
           Alcotest.test_case "connection cap" `Quick connection_cap;
           Alcotest.test_case "disconnect mid-response" `Quick disconnect_mid_response;
+          Alcotest.test_case "late items flushed mid-stream" `Quick stream_flushes_late_items;
+          Alcotest.test_case "client gone frees the worker" `Quick client_gone_frees_worker;
+          Alcotest.test_case "pipelined mixed verbs in order" `Quick pipelined_in_order;
           Alcotest.test_case "disk backend" `Quick disk_backend_matches_memory;
           Alcotest.test_case "disk EVALUATE cached" `Quick disk_evaluate_cached;
           Alcotest.test_case "disk EVALUATE matches oracle" `Quick disk_evaluate_matches_oracle;
