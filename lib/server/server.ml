@@ -113,12 +113,13 @@ let write_response oc resp =
   Conn_io.flush oc
 
 (* The one handoff between a connection's thread and the workers, made
-   once per connection. While a single request's job runs, the
-   connection thread waits here for [finished], so the socket's output
-   side belongs to the worker, which writes the answer itself and then
-   sets [finished] (and [client_gone] when a write found the client
-   gone). A batch's workers instead queue each finished sub here, items
-   and response together, for the connection thread to write. *)
+   once per connection. While a single request's job runs — or the one
+   sub of a one-sub batch — the connection thread waits here for
+   [finished], so the socket's output side belongs to the worker, which
+   writes the answer itself and then sets [finished] (and [client_gone]
+   when a write found the client gone). A larger batch's workers instead
+   queue each finished sub here, items and response together, for the
+   connection thread to write. *)
 type cell = {
   m : Mutex.t;
   c : Condition.t;
@@ -128,8 +129,17 @@ type cell = {
 }
 
 type reply =
-  | Write of { oc : Conn_io.output; cell : cell; verb : string; sw : Stopwatch.t }
-      (* a single request: the worker writes the answer to [oc] *)
+  | Write of {
+      oc : Conn_io.output;
+      cell : cell;
+      verb : string;
+      sw : Stopwatch.t;
+      sub0 : bool;
+    }
+      (* a single request, or with [sub0] the one sub of a one-sub batch:
+         the worker writes the answer to [oc], after a [SUB 0] line for a
+         sub, and observes its duration under [verb], or under "batch"
+         for a sub *)
   | Sub of { cell : cell; i : int } (* sub-request [i] of the connection's batch *)
 
 type job = { req : Protocol.request; deadline_ns : int64; reply : reply }
@@ -541,7 +551,7 @@ let run t job sink =
    outcome counters are bumped and the duration observed before the last
    flush, so a client that has read the trailer finds its request
    counted. *)
-let answer_single t job ~oc ~cell ~verb ~sw =
+let answer_single t job ~oc ~cell ~verb ~sw ~sub0 =
   let flush () = try Conn_io.flush oc with Unix.Unix_error _ -> raise Client_gone in
   let emitted = ref 0 and last_flush = ref 0L in
   let sink =
@@ -559,10 +569,13 @@ let answer_single t job ~oc ~cell ~verb ~sw =
     }
   in
   let deliver () =
+    if sub0 then write_line oc (Protocol.sub_line 0);
     let resp = run t job sink in
     count_outcome t ~verb resp;
     write_answer oc ~emitted:!emitted resp;
-    Metrics.observe_ms t.metrics ~verb (Stopwatch.elapsed_ms sw);
+    Metrics.observe_ms t.metrics
+      ~verb:(if sub0 then "batch" else verb)
+      (Stopwatch.elapsed_ms sw);
     flush ()
   in
   let client_gone = match deliver () with () -> false | exception Client_gone -> true in
@@ -586,7 +599,7 @@ let worker_loop t () =
     | None -> ()
     | Some job ->
         (match job.reply with
-        | Write { oc; cell; verb; sw } -> answer_single t job ~oc ~cell ~verb ~sw
+        | Write { oc; cell; verb; sw; sub0 } -> answer_single t job ~oc ~cell ~verb ~sw ~sub0
         | Sub { cell; i } -> answer_sub t job ~cell ~i);
         loop ()
   in
@@ -755,7 +768,7 @@ let handle_request t oc cell line =
         let deadline_ns =
           Int64.add (Stopwatch.now_ns ()) (Int64.of_float (budget_ms *. 1e6))
         in
-        let job = { req; deadline_ns; reply = Write { oc; cell; verb; sw } } in
+        let job = { req; deadline_ns; reply = Write { oc; cell; verb; sw; sub0 = false } } in
         if Work_queue.try_push t.queue job then await_answer cell
         else begin
           Metrics.incr_rejected t.metrics;
@@ -765,7 +778,32 @@ let handle_request t oc cell line =
 
 (* --- batches -------------------------------------------------------- *)
 
-(* Fan the [n] parsed-or-failed sub-request lines of one batch across
+(* A one-sub batch is answered like a single request: its worker
+   writes [SUB 0], the items and the trailer while this thread waits on
+   the cell. It is admitted like a batch, though: a full queue means
+   backpressure — short polls — until the deadline, never BUSY, and a
+   sub still unpushed at the deadline answers [TIMEOUT 0] here. *)
+let answer_one_sub t oc cell ~sw ~deadline_ns req =
+  let verb = Protocol.verb req in
+  let job = { req; deadline_ns; reply = Write { oc; cell; verb; sw; sub0 = true } } in
+  let rec admit () =
+    if expired deadline_ns then begin
+      let resp = no_items ~timed_out:true () in
+      count_outcome t ~verb resp;
+      write_line oc (Protocol.sub_line 0);
+      write_answer oc ~emitted:0 resp;
+      Metrics.observe_ms t.metrics ~verb:"batch" (Stopwatch.elapsed_ms sw);
+      Conn_io.flush oc
+    end
+    else if Work_queue.try_push t.queue job then await_answer cell
+    else begin
+      Thread.delay 0.002;
+      admit ()
+    end
+  in
+  admit ()
+
+(* Fan the [n] parsed-or-failed sub-requests of one batch across
    the worker pool and write SUB-tagged answers back in completion
    order. Each worker hands its finished sub — items and response
    together — to the connection's completion queue in [cell] with one
@@ -780,14 +818,8 @@ let handle_request t oc cell line =
    connections' work, by short polls). Sub-requests still unpushed when
    the deadline expires answer [TIMEOUT 0], exactly like a queued job
    whose deadline expired. *)
-let handle_batch t oc cell ~deadline_ms lines =
-  let n = Array.length lines in
-  Metrics.incr_requests t.metrics ~verb:"batch";
-  let sw = Stopwatch.start () in
-  let budget_ms =
-    match deadline_ms with Some ms -> float_of_int ms | None -> t.cfg.deadline_ms
-  in
-  let deadline_ns = Int64.add (Stopwatch.now_ns ()) (Int64.of_float (budget_ms *. 1e6)) in
+let fan_out_batch t oc cell ~sw ~deadline_ns subs =
+  let n = Array.length subs in
   let verbs = Array.make n "other" in
   (* Subs answered on this thread — malformed, disallowed, or expired
      before a worker took them — newest first. *)
@@ -795,27 +827,13 @@ let handle_batch t oc cell ~deadline_ms lines =
   let answer_here i resp = local := (i, [], resp) :: !local in
   let to_push = ref [] in
   Array.iteri
-    (fun i line ->
-      match line with
-      | Error msg ->
-          Metrics.incr_errors t.metrics;
-          answer_here i (Protocol.Err msg)
-      | Ok line -> (
-          match Protocol.parse_request line with
-          | Error msg ->
-              Metrics.incr_errors t.metrics;
-              answer_here i (Protocol.Err msg)
-          | Ok req when not (Protocol.batch_allowed req) ->
-              Metrics.incr_errors t.metrics;
-              answer_here i
-                (Protocol.Err
-                   (Printf.sprintf "verb %s not allowed in a batch"
-                      (String.uppercase_ascii (Protocol.verb req))))
-          | Ok req ->
-              verbs.(i) <- Protocol.verb req;
-              Metrics.incr_requests t.metrics ~verb:verbs.(i);
-              to_push := (i, { req; deadline_ns; reply = Sub { cell; i } }) :: !to_push))
-    lines;
+    (fun i sub ->
+      match sub with
+      | Error resp -> answer_here i resp
+      | Ok req ->
+          verbs.(i) <- Protocol.verb req;
+          to_push := (i, { req; deadline_ns; reply = Sub { cell; i } }) :: !to_push)
+    subs;
   let to_push = ref (List.rev !to_push) in
   let in_flight = ref 0 in
   (* Push pending jobs until the queue refuses; an expired deadline
@@ -879,6 +897,38 @@ let handle_batch t oc cell ~deadline_ms lines =
   in
   drain n;
   Metrics.observe_ms t.metrics ~verb:"batch" (Stopwatch.elapsed_ms sw)
+
+(* Count the batch and each sub-request line, parsed into a request for
+   the workers or failed into the ERR this thread answers, then answer
+   a lone request through its worker and anything else fanned out. *)
+let handle_batch t oc cell ~deadline_ms lines =
+  Metrics.incr_requests t.metrics ~verb:"batch";
+  let sw = Stopwatch.start () in
+  let budget_ms =
+    match deadline_ms with Some ms -> float_of_int ms | None -> t.cfg.deadline_ms
+  in
+  let deadline_ns = Int64.add (Stopwatch.now_ns ()) (Int64.of_float (budget_ms *. 1e6)) in
+  let subs =
+    Array.map
+      (fun line ->
+        let fail msg =
+          Metrics.incr_errors t.metrics;
+          Error (Protocol.Err msg)
+        in
+        match Result.bind line Protocol.parse_request with
+        | Error msg -> fail msg
+        | Ok req when not (Protocol.batch_allowed req) ->
+            fail
+              (Printf.sprintf "verb %s not allowed in a batch"
+                 (String.uppercase_ascii (Protocol.verb req)))
+        | Ok req ->
+            Metrics.incr_requests t.metrics ~verb:(Protocol.verb req);
+            Ok req)
+      lines
+  in
+  match subs with
+  | [| Ok req |] -> answer_one_sub t oc cell ~sw ~deadline_ns req
+  | subs -> fan_out_batch t oc cell ~sw ~deadline_ns subs
 
 (* Read one request line while buffering at most [max_bytes]: a client
    cannot exhaust memory by streaming an endless line (input_line would

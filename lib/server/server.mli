@@ -65,7 +65,10 @@
     request order) — one round trip for a whole probe wave. A sub's
     items stay with its worker until it finishes, then travel with its
     response to the connection thread, which writes finished subs
-    whole. The
+    whole. A one-sub batch — most of a coordinator's probe waves — skips
+    that hand-over: its worker writes [SUB 0] and the answer itself, as
+    for a single request, with the same bytes and the batch's admission
+    rule. The
     [DEADLINE] budget covers the batch: sub-requests still queued when
     it expires answer [TIMEOUT 0]. Admission control happens once for
     the whole batch, so a full work queue backpressures sub-request

@@ -22,7 +22,7 @@ type located_link = {
 }
 
 (* Each memoized probe table is reset when it reaches this many
-   entries. *)
+   entries; a leg set counts one entry per leg, plus one. *)
 let probe_cache_limit = 65536
 
 (* A deduplicated portal, located once at create time, with its
@@ -37,10 +37,17 @@ type t = {
   addrs : (string * int) list;  (* the addresses [shards] was built from *)
   links : located_link array;
   (* memoized probe results; shard indexes are immutable so entries
-     never go stale. One mutex guards both tables (probe volume, not
+     never go stale. One mutex guards every table (probe volume, not
      contention, is the cost being managed here). *)
   cache_m : Mutex.t;
-  conn_cache : (int * int * int, int option) Hashtbl.t;  (* shard, a, b (local) *)
+  (* exit legs and same-shard direct probes: shard, a, b (local) *)
+  conn_cache : (int * int * int, int option) Hashtbl.t;
+  (* Leg sets: by global target node, the (closure index, distance) of
+     every entry portal of its shard that reaches it, ascending by
+     closure index. Stored whole or not at all (see [plan_legs]), and
+     [leg_entries] counts what they hold. *)
+  leg_cache : (int, (int * int) array) Hashtbl.t;
+  mutable leg_entries : int;
   start_cache : (int * int * string, int option) Hashtbl.t;  (* shard, node, tag *)
   (* Entry-portal streams, cached raw — local
      ids, no offset — so one fetch serves every start that reaches the
@@ -132,6 +139,8 @@ let create ~closure ~plan ~shards () =
     links;
     cache_m = Mutex.create ();
     conn_cache = Hashtbl.create 256;
+    leg_cache = Hashtbl.create 256;
+    leg_entries = 0;
     start_cache = Hashtbl.create 256;
     stream_cache = Hashtbl.create 256;
     closure;
@@ -238,6 +247,21 @@ let cache_store t table key v =
       if Hashtbl.length table >= probe_cache_limit then Hashtbl.reset table;
       Hashtbl.replace table key v)
 
+(* A leg set can hold a thousand legs, so the leg-set table is bounded
+   by the legs it holds, not by its sets. *)
+let store_legs t g legs =
+  let size legs = 1 + Array.length legs in
+  with_lock t.cache_m (fun () ->
+      if t.leg_entries + size legs > probe_cache_limit then begin
+        Hashtbl.reset t.leg_cache;
+        t.leg_entries <- 0
+      end;
+      Option.iter
+        (fun old -> t.leg_entries <- t.leg_entries - size old)
+        (Hashtbl.find_opt t.leg_cache g);
+      Hashtbl.replace t.leg_cache g legs;
+      t.leg_entries <- t.leg_entries + size legs)
+
 (* --- probe waves ------------------------------------------------------ *)
 
 (* One wave of shard work — every probe a request can issue before it
@@ -302,6 +326,52 @@ let plan_conn plan t ~shard ~a ~b =
       ~shard (shard, a, b)
       (P.Connected { a; b; max_dist = None })
       (function Some (_, P.Dist d) -> Some d | Some _ | None -> None)
+
+(* The final legs into global node [g] ([local] on [shard]) as a leg
+   set: a cached one costs one lookup. Otherwise one probe per entry
+   portal of the shard rides [plan], and the set read once the plan has
+   run is stored only when every probe answered cleanly — a failed or
+   cut-off probe would make a missing leg look like an unreachable
+   entry. Entries are sorted by global id, and so by closure index,
+   which keeps the set sorted for [leg_of]. Readers hold the immutable
+   array, so a reset of the shared table cannot lose an answer. *)
+let plan_legs plan t ~g ~shard ~local =
+  match cache_find t t.leg_cache g with
+  | Some legs -> fun () -> legs
+  | None ->
+      let entries = t.entries_by_shard.(shard) in
+      (* [None] until the entry's probe answers [DIST]. *)
+      let dists = Array.make (Array.length entries) None in
+      Array.iteri
+        (fun i (e : portal) ->
+          if e.local = local then dists.(i) <- Some (Some 0)
+          else
+            plan_add plan shard
+              (P.Connected { a = e.local; b = local; max_dist = None })
+              (function Some (_, P.Dist d) -> dists.(i) <- Some d | Some _ | None -> ()))
+        entries;
+      fun () ->
+        let legs = ref [] in
+        for i = Array.length entries - 1 downto 0 do
+          match dists.(i) with
+          | Some (Some d) -> legs := (entries.(i).ci, d) :: !legs
+          | Some None | None -> ()
+        done;
+        let legs = Array.of_list !legs in
+        if Array.for_all Option.is_some dists then store_legs t g legs;
+        legs
+
+(* The leg of the entry portal with closure index [ci], by binary
+   search over a leg set. *)
+let leg_of legs ci =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c, d = legs.(mid) in
+      if c = ci then Some d else if c < ci then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length legs)
 
 (* Queue a nearest-start probe: distance from the closest [tag]-named
    node above [node] (ancestors-or-self) within its shard. *)
@@ -522,8 +592,8 @@ let descendants_of_node t ctx ~start ~tag ~k ~max_dist =
 (* Ancestors: rdist(x), the distance from exit portal [x] down to
    [node], decomposes as the closure leg from [x] to some entry portal
    of [node]'s shard plus that entry's within-shard distance down to
-   [node]. Only the latter probes, one conn batch on [node]'s own
-   shard; the exits then come nearest first, and each opens its
+   [node] — [node]'s leg set, probed on its own shard only when it is
+   not cached. The exits then come nearest first, and each opens its
    ancestors-or-self stream, which reports [x] itself at distance 0.
    Anchors cannot help here: the portal graph has no edges into a doc
    root. *)
@@ -537,19 +607,10 @@ let ancestors_of_node t ctx ~node ~tag ~k ~max_dist =
       | Some (items, _) ->
           streams := List.map (globalize t ~shard:shard0 ~offset:0) items :: !streams
       | None -> ());
-  let entries = t.entries_by_shard.(shard0) in
-  Array.iter (fun (e : portal) -> plan_conn plan t ~shard:shard0 ~a:e.local ~b:local0) entries;
+  let legs = plan_legs plan t ~g:node ~shard:shard0 ~local:local0 in
   run_plan t ctx plan;
-  let seeds =
-    Array.fold_right
-      (fun (e : portal) acc ->
-        match conn_dist plan ~shard:shard0 ~a:e.local ~b:local0 with
-        | Some d -> (e.ci, d) :: acc
-        | None -> acc)
-      entries []
-  in
   merge_streams t ctx ~exclude:(-1) !streams
-    ~portals:(nearest t Exits ~max_dist seeds)
+    ~portals:(nearest t Exits ~max_dist (Array.to_list (legs ())))
     ~open_portal:(fun plan ~push (x : portal) d ->
       plan_add plan x.shard
         (P.Ancestors { node = x.local; tag; k; max_dist = Option.map (fun m -> m - d) max_dist })
@@ -609,46 +670,73 @@ let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist =
     ~portals:(nearest t Entries ~max_dist (Hashtbl.fold (fun i d acc -> (i, d) :: acc) seed_d []))
     ~open_portal:(open_entry t ~tag ~k ~max_dist)
 
+(* Up to this many seed-by-leg pairs, CONNECTED joins each pair's
+   labels (about a microsecond each) instead of walking the entry
+   portals nearest first, which pops every portal nearer than the
+   answer — hundreds when [b] is out of reach. *)
+let join_limit = 32
+
 (* CONNECTED: one conn batch (the same-shard direct probe, [a]'s exit
-   legs unless anchored, and the final legs from [b]'s entry portals
-   down to [b]), then entry portals nearest first until the next one
-   is no nearer than the best path found or every final leg's portal
-   has been reached. Past [max_dist] every path answers NODIST, so the
-   walk stops there too — unless the request degraded, where only a
-   path found (however long) keeps it from answering PARTIAL. *)
+   legs unless anchored, and [b]'s leg set unless cached — a warm
+   request sends nothing), then the best path through a final leg: by
+   one label join per seed and leg when there are few, else by entry
+   portals nearest first until the next one is no nearer than the best
+   path found or every final leg's portal has been reached. Past
+   [max_dist] every path answers NODIST, so the walk stops there too —
+   unless the request degraded, where only a path found (however long)
+   keeps it from answering PARTIAL. Both find the shortest path through
+   the legs; each join and each pop counts as a closure lookup. *)
 let connected t ctx ~a ~b ~max_dist =
   let shard_a, local_a = Shard_plan.locate t.plan a in
   let shard_b, local_b = Shard_plan.locate t.plan b in
   let plan = new_plan t in
-  if shard_a = shard_b then plan_conn plan t ~shard:shard_a ~a:local_a ~b:local_b;
+  (* An entry portal [a] reaches [b] through its own leg, which the
+     join below reads at closure distance 0: only another [a] on [b]'s
+     shard needs the direct probe. *)
+  let a_is_entry =
+    match Hashtbl.find_opt t.source_index a with
+    | Some i -> Option.is_some t.entry_at.(i)
+    | None -> false
+  in
+  if shard_a = shard_b && not a_is_entry then
+    plan_conn plan t ~shard:shard_a ~a:local_a ~b:local_b;
   let seeds = forward_seeds t plan ~g:a ~shard:shard_a ~local:local_a in
-  let entries = t.entries_by_shard.(shard_b) in
-  Array.iter (fun (e : portal) -> plan_conn plan t ~shard:shard_b ~a:e.local ~b:local_b) entries;
+  let legs = plan_legs plan t ~g:b ~shard:shard_b ~local:local_b in
   run_plan t ctx plan;
-  let legs = Hashtbl.create 16 in
-  Array.iter
-    (fun (e : portal) ->
-      Option.iter (Hashtbl.replace legs e.ci) (conn_dist plan ~shard:shard_b ~a:e.local ~b:local_b))
-    entries;
+  let legs = legs () in
   let best =
     ref (if shard_a = shard_b then conn_dist plan ~shard:shard_a ~a:local_a ~b:local_b else None)
   in
   let beats d = match !best with Some b -> d < b | None -> true in
-  let next =
-    nearest t Entries ~max_dist:(if degraded ctx then None else max_dist) (seeds ())
-  in
-  let rec walk left =
-    if left > 0 then
-      match next () with
-      | Some ((e : portal), d) when beats d -> (
-          match Hashtbl.find_opt legs e.ci with
-          | Some de ->
-              if beats (d + de) then best := Some (d + de);
-              walk (left - 1)
-          | None -> walk left)
-      | Some _ | None -> ()
-  in
-  walk (Hashtbl.length legs);
+  let seeds = seeds () in
+  let joins = List.length seeds * Array.length legs in
+  if joins <= join_limit then begin
+    ignore (Atomic.fetch_and_add t.closure_lookups joins);
+    List.iter
+      (fun (s, o) ->
+        Array.iter
+          (fun (e, de) ->
+            match Portal_closure.distance_at t.closure s e with
+            | Some d -> if beats (o + d + de) then best := Some (o + d + de)
+            | None -> ())
+          legs)
+      seeds
+  end
+  else begin
+    let next = nearest t Entries ~max_dist:(if degraded ctx then None else max_dist) seeds in
+    let rec walk left =
+      if left > 0 then
+        match next () with
+        | Some ((e : portal), d) when beats d -> (
+            match leg_of legs e.ci with
+            | Some de ->
+                if beats (d + de) then best := Some (d + de);
+                walk (left - 1)
+            | None -> walk left)
+        | Some _ | None -> ()
+    in
+    walk (Array.length legs)
+  end;
   match !best with
   | Some d when not (over_max max_dist d) -> Ok (Some d)
   | Some _ -> Ok None
@@ -658,13 +746,18 @@ let connected t ctx ~a ~b ~max_dist =
          asserting NODIST. *)
       if degraded ctx then Error (flags ctx) else Ok None
 
-(* A document name lives on one shard: ask that shard alone. An empty
-   answer is an unknown name only when nothing degraded it. *)
+(* A document name is answered from the plan: its root, on its shard —
+   the bytes the shard's own answer globalizes to. An anchor is looked
+   up in the document, so its shard alone is asked, as a one-sub BATCH:
+   a full shard queue holds it back until the deadline instead of
+   answering BUSY. An empty answer is an unknown anchor only when
+   nothing degraded it. *)
 let resolve t ctx ~doc ~anchor =
-  match Shard_plan.shard_of_doc t.plan doc with
-  | None -> Ok None
-  | Some shard -> (
-      match shard_call t ctx shard (P.Resolve { doc; anchor }) with
+  match (Shard_plan.doc_root t.plan doc, anchor) with
+  | None, _ -> Ok None
+  | Some (shard, root), None -> Ok (Some { P.node = root; dist = 0; meta = shard })
+  | Some (shard, _), Some _ -> (
+      match (exec_shard t ctx shard [| P.Resolve { doc; anchor } |]).(0) with
       | Some (it :: _, _) -> Ok (Some (globalize t ~shard ~offset:0 it))
       | Some ([], _) | None -> if degraded ctx then Error (flags ctx) else Ok None)
 
@@ -678,18 +771,19 @@ let stats_lines t =
              (Shard_client.address s) (Shard_client.errors_total s))
          t.shards)
   @ [
-      (let conn, start, stream =
+      (let conn, start, stream, legs =
          with_lock t.cache_m (fun () ->
              ( Hashtbl.length t.conn_cache,
                Hashtbl.length t.start_cache,
-               Hashtbl.length t.stream_cache ))
+               Hashtbl.length t.stream_cache,
+               Hashtbl.length t.leg_cache ))
        in
        Printf.sprintf
-         "probe cache: %d connected, %d nearest-start, %d portal-stream entries" conn
-         start stream);
+         "probe cache: %d connected, %d nearest-start, %d portal-stream entries, %d leg sets"
+         conn start stream legs);
       Printf.sprintf "probe rpcs: %d round trips carrying %d sub-requests"
         (probe_rpcs_total t) (probe_subs_total t);
-      Printf.sprintf "%s; %d enumerator pops"
+      Printf.sprintf "%s; %d lookups (enumerator pops and label joins)"
         (Portal_closure.describe t.closure)
         (Atomic.get t.closure_lookups);
     ]
@@ -717,7 +811,7 @@ let metric_lines t () =
   @ family "flix_shard_probe_batch_size" ~help:"Sub-requests per batched probe RPC."
       `Histogram
   @ Metrics.Histogram.render t.batch_sizes ~name:"flix_shard_probe_batch_size" ~labels:""
-  @ family "flix_coord_closure_lookups_total" ~help:"Portal-closure enumerator pops."
+  @ family "flix_coord_closure_lookups_total" ~help:"Portal-closure lookups: enumerator pops and label joins."
       `Counter
   @ [ Printf.sprintf "flix_coord_closure_lookups_total %d" (Atomic.get t.closure_lookups) ]
   @ family "flix_closure_build_seconds"

@@ -9,7 +9,9 @@
     metrics, incremental [ITEM] flushing, and the one [EVALUATE] answer
     cache (so a repeated [EVALUATE] is replayed by the front and never
     reaches this module). This module owns the fan-out and the
-    distributed-distance arithmetic.
+    distributed-distance arithmetic. A document name resolves from the
+    plan, with no shard request; only a name with an anchor asks the
+    document's shard.
 
     {b Query evaluation.} A path between nodes in different shards
     decomposes into within-shard segments joined by cross-shard links
@@ -31,19 +33,25 @@
     - [DESCENDANTS]/[NDESCENDANTS]: the same enumeration from the one
       resolved start node — with no probe at all when the start is a
       document root or portal. [ANCESTORS] enumerates exit portals
-      backward from the node's shard and merges their [ANCESTORS]
-      streams. [CONNECTED] enumerates entry portals from [a]'s exit
-      legs until none can beat the best path through [b]'s entry legs.
+      backward from the node's leg set — the within-shard distances
+      from the entry portals of its shard that reach it — and merges
+      their [ANCESTORS] streams. [CONNECTED] joins [a]'s exit legs (or
+      [a] itself, when anchored) with [b]'s leg set: one label join per
+      pair when there are few, else entry portals nearest first until
+      none can beat the best path found.
 
     The merge opens portals lazily: before it emits an item at distance
     [d] it opens every portal at offset [<= d] — its own item, its
     stream replayed from a cache shared by every request, or fetched
     in that level's wave — so a top-[k] request reads only the portals
     nearer than its [k]-th answer. Each round of probes goes out as
-    one pipelined [BATCH] per shard; round trips and the batch-size
+    one pipelined [BATCH] per shard, which a shard meets with
+    backpressure, never [BUSY]; only [EVALUATE]'s phase 1 goes out as
+    plain requests. Round trips and the batch-size
     distribution are exported as [flix_shard_probe_rpcs_total] /
     [flix_shard_probe_subs_total] / [flix_shard_probe_batch_size],
-    enumerator pops as [flix_coord_closure_lookups_total].
+    enumerator pops and label joins as
+    [flix_coord_closure_lookups_total].
 
     All result streams are k-way-merged by distance with
     {!Fx_graph.Priority_queue}, deduplicating nodes on first (nearest)
@@ -56,7 +64,10 @@
     ride {!Shard_client}'s retry/backoff/receive-timeout layer. When a
     shard stays down, its contribution is dropped and the response is
     degraded instead of failed: stream verbs answer a [PARTIAL]
-    trailer, [RESOLVE] answers [PARTIAL 0], and [CONNECTED] answers a
+    trailer — [DESCENDANTS] by the name of a document on a lost shard
+    too, with what the other shards' portals reach, as [NDESCENDANTS]
+    on its root does — [RESOLVE] of an anchor answers [PARTIAL 0], and
+    [CONNECTED] answers a
     possibly-overestimated [DIST] (any path found is a real path) or
     [PARTIAL 0] when no path survives. Per-shard failures are counted
     in [flix_shard_errors_total]; fan-out call latencies land in the
@@ -78,15 +89,19 @@ val create :
     resolve, or when
     {!Portal_closure.matches} fails — a closure built for another plan
     would join wrong distances, so it is refused, never used. Probe
-    results ([CONNECTED] distances, nearest-start [ANCESTORS], portal
-    streams) are memoized in shared tables; shard indexes are
-    immutable, so entries never go stale, and a table is reset whole
-    when it fills. Each request joins only the probe answers of its own
-    waves, so a reset never changes an answer. *)
+    results ([CONNECTED] exit legs and direct distances, leg sets,
+    nearest-start [ANCESTORS], portal streams) are memoized in shared
+    tables; shard indexes are immutable, so entries never go stale, and
+    a table is reset whole when it fills. A leg set is stored only when
+    every probe behind it answered cleanly. Each request joins only the
+    probe answers of its own waves and the leg sets it holds, so a reset
+    never changes an answer. *)
 
 val closure_lookups_total : t -> int
-(** Portal-closure enumerator pops (see {!Portal_closure.nearest}) —
-    the number behind [flix_coord_closure_lookups_total]. *)
+(** Portal-closure lookups: enumerator pops (see
+    {!Portal_closure.nearest}) and the label joins of a small [CONNECTED]
+    ({!Portal_closure.distance_at}) — the number behind
+    [flix_coord_closure_lookups_total]. *)
 
 val backend : t -> Fx_server.Server.backend
 (** Serve with [Server.start_backend (Coordinator.backend t)]. Its

@@ -103,9 +103,11 @@ let matches t plan = t.epoch = Shard_plan.digest plan
 let index t g = index_of t.nodes g
 let node t i = t.nodes.(i)
 
+let distance_at t i j = Two_hop.distance t.labels i j
+
 let distance t a b =
   match (index t a, index t b) with
-  | Some i, Some j -> Two_hop.distance t.labels i j
+  | Some i, Some j -> distance_at t i j
   | _ -> None
 
 (* --- nearest-first enumeration ------------------------------------------ *)

@@ -31,6 +31,9 @@ val distance : t -> int -> int -> int option
 (** Exact global distance between two oracle nodes (global ids), [None]
     when unreachable or when either id is not in the oracle. *)
 
+val distance_at : t -> int -> int -> int option
+(** {!distance} between two node indexes: one label join. *)
+
 val index : t -> int -> int option
 (** The oracle's node index of a global id, [None] when the id is not
     a portal or document root. *)

@@ -22,6 +22,7 @@ type t = {
   total_nodes : int;
   docs : doc_info array;  (* ascending global_base *)
   by_shard : doc_info array array;  (* per shard, ascending local_base *)
+  by_name : (string, doc_info) Hashtbl.t;  (* immutable after [finish] *)
   cross : cross_link array;
 }
 
@@ -64,12 +65,10 @@ let global_of t ~shard ~local =
           (Printf.sprintf "Shard_plan.global_of: local node %d outside shard %d" local
              shard)
 
-let shard_of_doc t name =
-  (* Linear scan: plans hold at most a few thousand documents and the
-     coordinator resolves a doc name once per DESCENDANTS request. *)
-  Array.fold_left
-    (fun acc d -> match acc with Some _ -> acc | None -> if d.name = name then Some d.shard else None)
-    None t.docs
+let doc_root t name =
+  Option.map (fun d -> (d.shard, d.global_base)) (Hashtbl.find_opt t.by_name name)
+
+let shard_of_doc t name = Option.map fst (doc_root t name)
 
 (* --- construction ---------------------------------------------------- *)
 
@@ -89,13 +88,14 @@ let finish ~n_shards ~total_nodes ~docs ~cross =
           base := !base + d.n_nodes)
         shard_docs)
     by_shard;
-  (* Propagate the computed local bases back into the flat view. *)
+  (* Propagate the computed local bases back into the flat view; the
+     same table answers name lookups for the plan's lifetime. *)
   let by_name = Hashtbl.create (Array.length docs) in
   Array.iter
     (fun shard_docs -> Array.iter (fun d -> Hashtbl.replace by_name d.name d) shard_docs)
     by_shard;
   let docs = Array.map (fun d -> Hashtbl.find by_name d.name) docs in
-  { n_shards; total_nodes; docs; by_shard; cross }
+  { n_shards; total_nodes; docs; by_shard; by_name; cross }
 
 let plan ?(config = Meta_builder.default_hybrid) ~n_shards coll =
   if n_shards < 1 then invalid_arg "Shard_plan.plan: n_shards must be >= 1";

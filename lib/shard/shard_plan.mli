@@ -67,6 +67,10 @@ val locate : t -> int -> int * int
 val global_of : t -> shard:int -> local:int -> int
 (** Inverse of {!locate}. Raises [Invalid_argument] out of range. *)
 
+val doc_root : t -> string -> (int * int) option
+(** [(shard, root)] of the named document: the shard holding it and
+    the global id of its root. One hash lookup. *)
+
 val shard_of_doc : t -> string -> int option
 (** The shard holding the named document. *)
 

@@ -326,6 +326,23 @@ echo "probe rpcs=$rpcs subs=$subs"
 echo "$metrics" | grep -q "^flix_shard_probe_batch_size_bucket" || fail "batch-size histogram missing"
 metrics_well_formed coordinator
 
+echo "== warm coordinator requests: leg sets and names from the plan =="
+# CONNECTED 0 3 was asked above, so its leg set is cached: a repeat
+# sends nothing. DESCENDANTS by name resolves the name from the plan and
+# sends only the start's own stream, one round trip.
+rpcs_total() {
+  ask METRICS | awk '/^flix_shard_probe_rpcs_total\{/ { sum += $2 } END { print sum + 0 }'
+}
+before=$(rpcs_total)
+ask "CONNECTED 0 3" | grep -q "^DIST " || fail "repeated coordinator CONNECTED"
+after=$(rpcs_total)
+[ "$after" -eq "$before" ] || fail "warm CONNECTED 0 3 made $((after - before)) shard round trips, want 0"
+before=$after
+ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^DONE " || fail "repeated coordinator DESCENDANTS"
+after=$(rpcs_total)
+[ "$((after - before))" -eq 1 ] \
+  || fail "warm DESCENDANTS dblp_0000 made $((after - before)) shard round trips, want 1"
+
 echo "== repeated EVALUATE lands in the front's answer cache =="
 ask "EVALUATE article author 5" | grep -q "^DONE " || fail "repeat EVALUATE"
 hits=$(ask METRICS | awk '/^flix_eval_cache_hits_total / { print $2 }')
@@ -337,7 +354,7 @@ grep -q "portal closure:" "$EXTRA_DIR/coord.log" || fail "coordinator boot log s
 lookups=$(ask METRICS | awk '/^flix_coord_closure_lookups_total / { print $2 }')
 [ "${lookups:-0}" -gt 0 ] || fail "closure never consulted (lookups=${lookups:-0})"
 ask METRICS | grep -q "^flix_closure_label_entries" || fail "closure label gauge missing"
-echo "closure enumerator pops=$lookups"
+echo "closure lookups=$lookups"
 
 echo "== coordinator RELOAD: shard-by-shard sweep, single swap =="
 # After the probe/cache counters above: the swap replaces the

@@ -950,6 +950,166 @@ let batch_size_limits () =
       Alcotest.(check string) "still serving" "PONG" (input_line ic);
       Unix.close fd)
 
+(* --- one-sub batches ---------------------------------------------------- *)
+
+(* Send [header] and its sub-lines on [oc], then read the batch's [n]
+   answers as raw wire lines, by SUB index. *)
+let raw_batch oc ic header subs =
+  output_string oc (String.concat "\n" (header :: subs) ^ "\n");
+  flush oc;
+  let n = List.length subs in
+  let answers = Array.make n "" in
+  for _ = 1 to n do
+    let i = Scanf.sscanf (input_line ic) "SUB %d" Fun.id in
+    answers.(i) <- raw_response ic
+  done;
+  answers
+
+(* A one-sub batch is answered by its worker, not through the batch's
+   completion queue: the bytes must be those of the same sub inside a
+   larger batch, for every batch-allowed verb, for a malformed and a
+   disallowed sub, and under an expired DEADLINE envelope. *)
+let one_sub_batch_bytes () =
+  with_server (fun server ->
+      let port = Server.port server in
+      let fd = raw_connect port in
+      let oc = Unix.out_channel_of_descr fd in
+      let ic = Unix.in_channel_of_descr fd in
+      let flix = Lazy.force shared_flix in
+      let n0 = Option.get (Flix.node_of flix ~doc:(Dblp.doc_name 0) ~anchor:None) in
+      let n9 = Option.get (Flix.node_of flix ~doc:(Dblp.doc_name 9) ~anchor:None) in
+      let subs =
+        [
+          Printf.sprintf "CONNECTED %d %d" n9 n0;
+          Printf.sprintf "CONNECTED %d %d" n0 n9;
+          Printf.sprintf "NDESCENDANTS %d author 50" n9;
+          Printf.sprintf "NDESCENDANTS %d - 7 2" n0;
+          Printf.sprintf "ANCESTORS %d - 10" (n9 + 2);
+          Printf.sprintf "RESOLVE %s -" (Dblp.doc_name 3);
+          "RESOLVE no_such_doc -";
+          "SLEEP 1";
+          "CONNECTED 0";
+          "FROBNICATE 7";
+          "EVALUATE article author 5";
+          "DEADLINE 0 CONNECTED 0 0";
+        ]
+      in
+      List.iter
+        (fun (header, header2) ->
+          List.iter
+            (fun sub ->
+              let one = raw_batch oc ic header [ sub ] in
+              let two = raw_batch oc ic header2 [ sub; sub ] in
+              Alcotest.(check string) (header ^ " | " ^ sub) two.(0) one.(0);
+              Alcotest.(check string) (header ^ " | " ^ sub ^ ": both subs") two.(0) two.(1))
+            subs)
+        [ ("BATCH 1", "BATCH 2"); ("DEADLINE 0 BATCH 1", "DEADLINE 0 BATCH 2") ];
+      (* Under an expired envelope every sub answers TIMEOUT 0 or fails. *)
+      Alcotest.(check (array string)) "expired envelope" [| "TIMEOUT 0" |]
+        (raw_batch oc ic "DEADLINE 0 BATCH 1" [ "CONNECTED 0 0" ]);
+      output_string oc "PING\n";
+      flush oc;
+      Alcotest.(check string) "framing intact" "PONG" (input_line ic);
+      Unix.close fd)
+
+(* The batch and its one sub are each counted once, and the duration is
+   observed under "batch" only. *)
+let one_sub_batch_counted () =
+  with_server (fun server ->
+      let c = Client.connect ~port:(Server.port server) () in
+      (match Client.request_many c [| P.Connected { a = 0; b = 0; max_dist = None } |] with
+      | Ok [| P.Dist (Some 0) |] -> ()
+      | _ -> Alcotest.fail "one-sub batch should answer DIST 0");
+      let m = Server.metrics server in
+      Alcotest.(check int) "batch counted once" 1 (Metrics.requests_total m ~verb:"batch");
+      Alcotest.(check int) "sub verb counted once" 1 (Metrics.requests_total m ~verb:"connected");
+      Alcotest.(check int) "batch duration observed once" 1 (Metrics.observations m ~verb:"batch");
+      Alcotest.(check int) "no connected duration" 0 (Metrics.observations m ~verb:"connected");
+      (match Client.request_many ~deadline_ms:0 c [| P.Connected { a = 0; b = 0; max_dist = None } |] with
+      | Ok [| P.Items { timed_out = true; items = []; _ } |] -> ()
+      | _ -> Alcotest.fail "an expired one-sub batch should answer TIMEOUT 0");
+      Alcotest.(check int) "expired sub's timeout counted" 1
+        (Metrics.timeouts_total m ~verb:"connected");
+      Alcotest.(check int) "second batch observed" 2 (Metrics.observations m ~verb:"batch");
+      Client.close c)
+
+(* One worker and a queue of one, both held by naps: a one-sub batch
+   waits for room, as a larger batch does, and never answers BUSY. *)
+let one_sub_batch_backpressure () =
+  with_server
+    ~config:
+      { Server.default_config with workers = 1; queue_capacity = 1; deadline_ms = 10_000.0 }
+    (fun server ->
+      let port = Server.port server in
+      let sleeper () =
+        Thread.create
+          (fun () ->
+            let c = Client.connect ~port () in
+            ignore (Client.sleep c 300);
+            Client.close c)
+          ()
+      in
+      let t1 = sleeper () in
+      Thread.delay 0.1;
+      let t2 = sleeper () in
+      Thread.delay 0.1;
+      let c = Client.connect ~port () in
+      (match Client.sleep c 1 with
+      | Ok Client.Busy -> ()
+      | _ -> Alcotest.fail "the queue should be full");
+      (match Client.request_many c [| P.Connected { a = 0; b = 0; max_dist = None } |] with
+      | Ok [| P.Dist (Some 0) |] -> ()
+      | Ok [| r |] -> Alcotest.failf "one-sub batch answered %s" (render r)
+      | _ -> Alcotest.fail "one-sub batch failed");
+      List.iter Thread.join [ t1; t2 ];
+      Alcotest.(check int) "only the plain request was refused" 1
+        (Metrics.rejected_total (Server.metrics server));
+      Client.close c)
+
+(* A one-sub batch's worker writes to the socket itself, so a client
+   that reads one item and vanishes must free the worker, as for a
+   single request. *)
+let one_sub_batch_client_gone () =
+  let stream () =
+    let n = ref 0 in
+    let next () =
+      if !n > 0 then Thread.delay 0.001;
+      incr n;
+      Some { P.node = !n; dist = !n; meta = 0 }
+    in
+    { Server.next; flags = clean_flags }
+  in
+  let backend =
+    {
+      (Server.memory (Lazy.force shared_flix)) with
+      descendants = (fun ~deadline_ns:_ ~tag:_ ~k:_ ~max_dist:_ _ -> stream ());
+    }
+  in
+  let config = { Server.default_config with workers = 1; deadline_ms = 60_000.0 } in
+  let server = Server.start_backend ~config backend in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let port = Server.port server in
+      let fd = raw_connect port in
+      (* The first item must come while the stream runs, not with its
+         end 10 s later. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let oc = Unix.out_channel_of_descr fd in
+      let ic = Unix.in_channel_of_descr fd in
+      output_string oc "BATCH 1\nNDESCENDANTS 0 - 10000\n";
+      flush oc;
+      Alcotest.(check string) "sub framed" "SUB 0" (input_line ic);
+      Alcotest.(check string) "stream started" "ITEM 1 1 0" (input_line ic);
+      Unix.close fd;
+      let c = Client.connect ~recv_timeout:5.0 ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          match Client.connected c 5 5 with
+          | Ok (Client.Value (Some 0)) -> ()
+          | _ -> Alcotest.fail "a new connection should be answered while the stream runs"))
+
 (* --- disk backend ----------------------------------------------------- *)
 
 module Idx = Fx_index
@@ -1313,5 +1473,10 @@ let () =
           Alcotest.test_case "malformed sub mid-batch" `Quick batch_malformed_sub;
           Alcotest.test_case "deadline mid-batch" `Quick batch_deadline_mid;
           Alcotest.test_case "size limits" `Quick batch_size_limits;
+          Alcotest.test_case "one sub: same bytes" `Quick one_sub_batch_bytes;
+          Alcotest.test_case "one sub: counted once" `Quick one_sub_batch_counted;
+          Alcotest.test_case "one sub: backpressure, not BUSY" `Quick one_sub_batch_backpressure;
+          Alcotest.test_case "one sub: client gone frees the worker" `Quick
+            one_sub_batch_client_gone;
         ] );
     ]

@@ -284,6 +284,10 @@ let stream_eq ~what got want =
         true (ascending_dists g.items)
   | _ -> Alcotest.failf "%s: expected item streams from both endpoints" what)
 
+let lines_of = function
+  | Ok resp -> String.concat "|" (P.response_lines resp)
+  | Error e -> "transport error: " ^ e
+
 let coordinator_matches_single_server () =
   let coll = Lazy.force shared_collection in
   let plan = Lazy.force shared_plan in
@@ -565,6 +569,38 @@ let dead_shard_no_cache_poison () =
             | _ -> Alcotest.fail "healthy cluster should answer DONE"
           in
           let healthy_conns = ask_conns () in
+          (* ANCESTORS on entry portals of shard 1 that no CONNECTED above
+             targets: their leg sets are first probed while shard 1 is
+             down. The healthy answers come from a second coordinator, so
+             this one has cached nothing for them yet. *)
+          let plan = Lazy.force shared_plan in
+          let conn_targets = List.map snd conn_pairs in
+          let anc_nodes =
+            Plan.cross_links plan |> Array.to_list
+            |> List.map (fun (l : Plan.cross_link) -> l.dst)
+            |> List.sort_uniq Int.compare
+            |> List.filter (fun g -> fst (Plan.locate plan g) = 1 && not (List.mem g conn_targets))
+            |> List.filteri (fun i _ -> i < 8)
+          in
+          let anc g = P.Ancestors { node = g; tag = None; k = 10_000; max_dist = None } in
+          let healthy_anc =
+            let shards =
+              Array.to_list shard_servers |> List.map (fun s -> ("127.0.0.1", Server.port s))
+            in
+            let fresh =
+              Coordinator.create ~closure:(Lazy.force shared_closure) ~plan ~shards ()
+            in
+            let fresh_front = Server.start_backend (Coordinator.backend fresh) in
+            let fc = Client.connect ~port:(Server.port fresh_front) () in
+            Fun.protect
+              ~finally:(fun () ->
+                Client.close fc;
+                Server.stop fresh_front;
+                Coordinator.close fresh)
+              (fun () -> List.map (fun g -> lines_of (Client.request fc (anc g))) anc_nodes)
+          in
+          Alcotest.(check bool) "some healthy ANCESTORS crosses into shard 0" true
+            (List.exists (fun l -> Astring.String.is_infix ~affix:" 0|" l) healthy_anc);
           (* Kill shard 1, run the same load degraded — every probe into
              shard 1 now fails, and none of those failures may stick. *)
           let port1 = Server.port shard_servers.(1) in
@@ -573,6 +609,9 @@ let dead_shard_no_cache_poison () =
           | Ok (P.Items { partial = true; _ }) -> ()
           | _ -> Alcotest.fail "dead shard should degrade the evaluate");
           ignore (ask_conns () : P.response list);
+          List.iter
+            (fun g -> ignore (Client.request ~deadline_ms:3_000 c (anc g) : _ result))
+            anc_nodes;
           (* Bring shard 1 back on the same port and re-ask: the answers
              must match the healthy run exactly. *)
           shard_servers.(1) <-
@@ -599,18 +638,122 @@ let dead_shard_no_cache_poison () =
                     (P.response_lines want) (P.response_lines got)
               | Error e -> Alcotest.failf "recovered connected %d %d failed: %s" a b e)
             conn_pairs healthy_conns;
+          List.iter2
+            (fun g want ->
+              Alcotest.(check string)
+                (Printf.sprintf "recovered ancestors %d" g)
+                want
+                (lines_of (Client.request ~deadline_ms:3_000 c (anc g))))
+            anc_nodes healthy_anc;
           ignore coord))
 
-(* --- the closure against ground truth --------------------------------- *)
+(* A document on a dead shard is still named by the plan: DESCENDANTS by
+   its name answers what NDESCENDANTS on its root answers, PARTIAL with
+   the portal streams of the live shard. *)
+let dead_shard_descendants_by_name () =
+  with_cluster (fun ~coord:_ ~front ~shard_servers ->
+      let c = Client.connect ~port:(Server.port front) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let plan = Lazy.force shared_plan in
+          let closure = Lazy.force shared_closure in
+          let coll = Lazy.force shared_collection in
+          let entries0 =
+            Plan.cross_links plan |> Array.to_list
+            |> List.map (fun (l : Plan.cross_link) -> l.dst)
+            |> List.filter (fun g -> fst (Plan.locate plan g) = 0)
+          in
+          (* A document of shard 1 whose root reaches shard 0. *)
+          let d =
+            List.find
+              (fun d ->
+                let root = C.root_of_doc coll d in
+                fst (Plan.locate plan root) = 1
+                && List.exists (fun e -> Closure.distance closure root e <> None) entries0)
+              (List.init (C.n_docs coll) Fun.id)
+          in
+          Server.stop shard_servers.(1);
+          let by_name =
+            Client.request ~deadline_ms:5_000 c
+              (P.Descendants
+                 { doc = C.doc_name coll d; anchor = None; tag = None; k = 10_000; max_dist = None })
+          in
+          let by_root =
+            Client.request ~deadline_ms:5_000 c
+              (P.Node_descendants
+                 { node = C.root_of_doc coll d; tag = None; k = 10_000; max_dist = None })
+          in
+          Alcotest.(check string) "DESCENDANTS by name = NDESCENDANTS on the root"
+            (lines_of by_root) (lines_of by_name);
+          match by_name with
+          | Ok (P.Items { partial = true; items; _ }) ->
+              (* Shard 1's entry portals still emit themselves; their
+                 streams are lost. *)
+              Alcotest.(check bool) "the live shard's portal items" true
+                (List.exists (fun (it : P.item) -> it.meta = 0) items)
+          | other -> Alcotest.failf "expected PARTIAL with items, got %s" (lines_of other)))
 
-let lines_of = function
-  | Ok resp -> String.concat "|" (P.response_lines resp)
-  | Error e -> "transport error: " ^ e
+(* A shard with one worker and a queue of one, held by two naps: the
+   coordinator's anchored RESOLVE rides a one-sub BATCH, which waits for
+   room instead of meeting BUSY, so DESCENDANTS doc#anchor answers in
+   full rather than PARTIAL 0. *)
+let anchored_name_waits_for_full_shard () =
+  let coll =
+    Fx_workload.Inex_gen.collection { Fx_workload.Inex_gen.default with n_docs = 6; seed = 5 }
+  in
+  let plan = Plan.plan ~n_shards:2 coll in
+  let colls = Plan.shard_documents plan coll |> Array.map C.build in
+  let closure = Helpers.closure_of plan (Helpers.hopis_of colls) in
+  let doc = Fx_workload.Inex_gen.doc_name 0 and anchor = "sec2" in
+  Alcotest.(check bool) "the anchor exists" true
+    (Option.is_some (C.node_of_anchor coll ~doc ~anchor));
+  let config = { Server.default_config with workers = 1; queue_capacity = 1 } in
+  let shard_servers = Array.map (fun c -> Server.start ~config (Flix.build c)) colls in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Server.stop shard_servers)
+    (fun () ->
+      let shards =
+        Array.to_list shard_servers |> List.map (fun s -> ("127.0.0.1", Server.port s))
+      in
+      let coord = Coordinator.create ~closure ~plan ~shards () in
+      let front = Server.start_backend (Coordinator.backend coord) in
+      let c = Client.connect ~port:(Server.port front) () in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close c;
+          Server.stop front;
+          Coordinator.close coord)
+        (fun () ->
+          let port = Server.port shard_servers.(Option.get (Plan.shard_of_doc plan doc)) in
+          let sleeper () =
+            Thread.create
+              (fun () ->
+                let sc = Client.connect ~port () in
+                ignore (Client.sleep sc 300);
+                Client.close sc)
+              ()
+          in
+          let t1 = sleeper () in
+          Thread.delay 0.1;
+          let t2 = sleeper () in
+          Thread.delay 0.1;
+          let req = P.Descendants { doc; anchor = Some anchor; tag = None; k = 100; max_dist = None } in
+          let held = Client.request ~deadline_ms:5_000 c req in
+          List.iter Thread.join [ t1; t2 ];
+          (match held with
+          | Ok (P.Items { partial = false; timed_out = false; items }) ->
+              Alcotest.(check bool) "items" true (items <> [])
+          | other -> Alcotest.failf "expected a full answer, got %s" (lines_of other));
+          Alcotest.(check string) "same as on an idle shard"
+            (lines_of (Client.request c req)) (lines_of held)))
+
+(* --- the closure against ground truth --------------------------------- *)
 
 (* Boot a coordinator over disk shards next to one unsharded disk server
    over the whole collection: both report exact distances, so the
    unsharded server is the ground truth for every coordinator answer. *)
-let with_coordinator_and_truth ~plan ~closure coll colls f =
+let with_coordinator_truth_shards ~plan ~closure coll colls f =
   with_disk_servers
     (coll :: Array.to_list colls)
     (function
@@ -633,7 +776,11 @@ let with_coordinator_and_truth ~plan ~closure coll colls f =
                     ~finally:(fun () ->
                       Client.close cc;
                       Client.close sc)
-                    (fun () -> f ~coord ~cc ~sc))))
+                    (fun () -> f ~coord ~cc ~sc ~shard_servers))))
+
+let with_coordinator_and_truth ~plan ~closure coll colls f =
+  with_coordinator_truth_shards ~plan ~closure coll colls (fun ~coord ~cc ~sc ~shard_servers:_ ->
+      f ~coord ~cc ~sc)
 
 let reference_k = 10_000
 
@@ -838,6 +985,153 @@ let probe_cache_overflow () =
         incr a
       done;
       Alcotest.(check bool) "the shared table was reset at least twice" true (!resets >= 2))
+
+(* Requests the shard servers counted for [verb]. *)
+let shard_requests shard_servers ~verb =
+  List.fold_left
+    (fun acc s -> acc + Fx_server.Metrics.requests_total (Server.metrics s) ~verb)
+    0 shard_servers
+
+(* Leg sets: a CONNECTED into a target seen before — the same pair, or
+   a new anchored start on the other shard — makes no shard request,
+   and an ANCESTORS into it sends no CONNECTED probe (only its own and
+   its exits' streams). Every repeated answer is byte for byte the cold
+   one; CONNECTED answers are the unsharded server's, ANCESTORS its
+   top-k. *)
+let leg_sets_answer_repeats () =
+  let plan = Lazy.force shared_plan in
+  with_coordinator_truth_shards ~plan ~closure:(Lazy.force shared_closure)
+    (Lazy.force shared_collection) (Lazy.force shard_collections)
+    (fun ~coord ~cc ~sc ~shard_servers ->
+      let roots = Plan.doc_roots plan in
+      let n = Plan.total_nodes plan in
+      let shard_of g = fst (Plan.locate plan g) in
+      let entries =
+        Plan.cross_links plan |> Array.to_list
+        |> List.map (fun (l : Plan.cross_link) -> l.dst)
+        |> List.sort_uniq Int.compare
+      in
+      let targets =
+        [ 40; 100; n - 1 ]
+        @ List.filteri (fun i _ -> i mod 9 = 0) entries
+        @ List.init 6 (fun i -> ((i * 613) + 11) mod n)
+      in
+      let conn (a, b) = P.Connected { a; b; max_dist = None } in
+      let cold_pairs =
+        List.concat_map (fun b -> [ (roots.(0), b); ((b * 131) mod n, b); (n - 1, b) ]) targets
+      in
+      let cold = List.map (fun p -> lines_of (Client.request cc (conn p))) cold_pairs in
+      List.iter2
+        (fun p got ->
+          Alcotest.(check string) (P.request_line (conn p)) (lines_of (Client.request sc (conn p))) got)
+        cold_pairs cold;
+      let rpcs = Coordinator.probe_rpcs_total coord in
+      List.iter2
+        (fun p want ->
+          Alcotest.(check string) ("repeated " ^ P.request_line (conn p)) want
+            (lines_of (Client.request cc (conn p))))
+        cold_pairs cold;
+      let new_pairs =
+        List.concat_map
+          (fun b ->
+            Array.to_list roots
+            |> List.filter (fun r -> shard_of r <> shard_of b)
+            |> List.filteri (fun i _ -> i mod 7 = 0)
+            |> List.map (fun a -> (a, b)))
+          targets
+      in
+      List.iter
+        (fun p ->
+          Alcotest.(check string) (P.request_line (conn p))
+            (lines_of (Client.request sc (conn p)))
+            (lines_of (Client.request cc (conn p))))
+        new_pairs;
+      Alcotest.(check int) "warm CONNECTED asked no shard" rpcs (Coordinator.probe_rpcs_total coord);
+      (* ANCESTORS into the targets above, then into entry portals no
+         request has named: cold, then repeated. *)
+      let anc b = P.Ancestors { node = b; tag = None; k = 10_000; max_dist = None } in
+      let leg_probes f =
+        let before = shard_requests shard_servers ~verb:"connected" in
+        let r = f () in
+        (r, shard_requests shard_servers ~verb:"connected" - before)
+      in
+      let (), probes =
+        leg_probes (fun () -> List.iter (fun b -> check_top_k ~cc ~sc (anc b)) targets)
+      in
+      Alcotest.(check int) "ANCESTORS on CONNECTED targets sent no leg probe" 0 probes;
+      let fresh = List.filteri (fun i _ -> i mod 9 = 4) entries in
+      let cold, probes =
+        leg_probes (fun () -> List.map (fun b -> lines_of (Client.request cc (anc b))) fresh)
+      in
+      Alcotest.(check bool) "cold ANCESTORS probed its legs" true (probes > 0);
+      let warm, probes =
+        leg_probes (fun () -> List.map (fun b -> lines_of (Client.request cc (anc b))) fresh)
+      in
+      Alcotest.(check int) "repeated ANCESTORS sent no leg probe" 0 probes;
+      Alcotest.(check (list string)) "repeated ANCESTORS = cold" cold warm;
+      List.iter (fun b -> check_top_k ~cc ~sc (anc b)) fresh)
+
+(* Document names are answered from the plan: RESOLVE and DESCENDANTS
+   by name for every document match the unsharded server byte for byte
+   but for [meta], RESOLVE is byte for byte what the shard's own answer
+   globalizes to, and no shard counts a RESOLVE. An unknown name gets
+   the same answers. *)
+let names_from_plan () =
+  let plan = Lazy.force shared_plan in
+  let coll = Lazy.force shared_collection in
+  with_coordinator_truth_shards ~plan ~closure:(Lazy.force shared_closure) coll
+    (Lazy.force shard_collections)
+    (fun ~coord:_ ~cc ~sc ~shard_servers ->
+      let docs = List.init (C.n_docs coll) (C.doc_name coll) in
+      let resolve doc = P.Resolve { doc; anchor = None } in
+      let desc doc = P.Descendants { doc; anchor = None; tag = None; k = 10_000; max_dist = None } in
+      (* The coordinator reports the owning shard in [meta], the disk
+         server 0; every other byte must match. *)
+      let meta0 = function
+        | Ok (P.Items r) ->
+            let items = List.map (fun (it : P.item) -> { it with meta = 0 }) r.items in
+            lines_of (Ok (P.Items { r with items }))
+        | other -> lines_of other
+      in
+      let answers =
+        List.map
+          (fun doc ->
+            let r = Client.request cc (resolve doc) in
+            List.iter
+              (fun (req, got) ->
+                Alcotest.(check string) (P.request_line req)
+                  (meta0 (Client.request sc req))
+                  (meta0 got))
+              [ (resolve doc, r); (desc doc, Client.request cc (desc doc)) ];
+            (doc, lines_of r))
+          docs
+      in
+      List.iter
+        (fun req ->
+          Alcotest.(check string) (P.request_line req)
+            (lines_of (Client.request sc req))
+            (lines_of (Client.request cc req)))
+        [ resolve "no_such_doc"; desc "no_such_doc" ];
+      Alcotest.(check int) "no shard resolved a name" 0 (shard_requests shard_servers ~verb:"resolve");
+      (* The bytes the shard's own answer globalizes to. *)
+      List.iteri
+        (fun i (doc, got) ->
+          if i mod 10 = 0 then begin
+            let shard = Option.get (Plan.shard_of_doc plan doc) in
+            let s = Client.connect ~port:(Server.port (List.nth shard_servers shard)) () in
+            Fun.protect
+              ~finally:(fun () -> Client.close s)
+              (fun () ->
+                match Client.request s (resolve doc) with
+                | Ok (P.Items { items = [ it ]; _ }) ->
+                    Alcotest.(check string) ("globalized " ^ doc)
+                      (Printf.sprintf "ITEM %d 0 %d|DONE 1"
+                         (Plan.global_of plan ~shard ~local:it.node)
+                         shard)
+                      got
+                | other -> Alcotest.failf "shard RESOLVE %s answered %s" doc (lines_of other))
+          end)
+        answers)
 
 (* Same exactness contract on a fresh randomized 3-shard split, so the
    2-shard topology is not a lucky special case. *)
@@ -1419,6 +1713,8 @@ let () =
           enumerator_matches_pairwise;
           Alcotest.test_case "lazy portal opening" `Quick lazy_portal_opening;
           Alcotest.test_case "shards named by host name" `Quick hostname_shards;
+          Alcotest.test_case "leg sets answer repeats" `Quick leg_sets_answer_repeats;
+          Alcotest.test_case "names from the plan" `Quick names_from_plan;
           Alcotest.test_case "probe cache overflow keeps answers" `Quick
             probe_cache_overflow;
         ] );
@@ -1429,6 +1725,10 @@ let () =
           Alcotest.test_case "dead shard degrades to PARTIAL" `Quick dead_shard_degrades;
           Alcotest.test_case "query cache hits" `Quick query_cache_hits;
           Alcotest.test_case "batch size per round trip" `Quick batch_size_per_round_trip;
+          Alcotest.test_case "dead shard: DESCENDANTS by name" `Quick
+            dead_shard_descendants_by_name;
+          Alcotest.test_case "anchored name waits for a full shard" `Quick
+            anchored_name_waits_for_full_shard;
           Alcotest.test_case "dead shard does not poison caches" `Quick
             dead_shard_no_cache_poison;
         ] );
