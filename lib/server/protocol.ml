@@ -316,9 +316,9 @@ let trailer_of_line line =
       | _ -> None)
   | _ -> None
 
-(* The generic response reader, parameterized over item delivery so the
-   buffering and the streaming entry points share one parser. *)
-let read_response_gen read_line ~on_item ~items_value =
+(* One full response, stream items accumulated in arrival order. *)
+let read_response read_line =
+  let acc = ref [] in
   (* One line of pushback so the first ITEM/DONE line can be re-examined
      by the item-stream loop. *)
   let pending = ref None in
@@ -339,12 +339,13 @@ let read_response_gen read_line ~on_item ~items_value =
               (int_of_string_opt node, int_of_string_opt dist, int_of_string_opt meta)
             with
             | Some node, Some dist, Some meta ->
-                on_item { node; dist; meta };
+                acc := { node; dist; meta } :: !acc;
                 items (n + 1)
             | _ -> Error (Printf.sprintf "malformed ITEM line %S" line))
         | ("DONE" | "TIMEOUT" | "PARTIAL") :: _ -> (
             match trailer_of_line line with
-            | Some t when t.count = n -> Ok (items_value t)
+            | Some t when t.count = n ->
+                Ok (Items { items = List.rev !acc; timed_out = t.timed_out; partial = t.partial })
             | Some _ -> Error (Printf.sprintf "trailer count mismatch in %S" line)
             | None -> Error (Printf.sprintf "malformed trailer line %S" line))
         | _ -> Error (Printf.sprintf "unexpected line %S in item stream" line))
@@ -386,18 +387,6 @@ let read_response_gen read_line ~on_item ~items_value =
           pending := Some line;
           items 0
       | _ -> Error (Printf.sprintf "unexpected response line %S" line))
-
-let read_response read_line =
-  let acc = ref [] in
-  read_response_gen read_line
-    ~on_item:(fun it -> acc := it :: !acc)
-    ~items_value:(fun t ->
-      Items { items = List.rev !acc; timed_out = t.timed_out; partial = t.partial })
-
-let read_item_stream read_line ~on_item =
-  read_response_gen read_line ~on_item
-    ~items_value:(fun t ->
-      Items { items = []; timed_out = t.timed_out; partial = t.partial })
 
 (* Read the [n] SUB-tagged answers of a batch. Sub-responses arrive in
    completion order, not request order; each is delivered through

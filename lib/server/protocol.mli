@@ -198,19 +198,6 @@ val read_response : (unit -> string option) -> (response, string) result
 (** [read_response read_line] parses one full response by pulling lines
     from [read_line] ([None] = connection closed). *)
 
-type trailer = { count : int; timed_out : bool; partial : bool }
-
-val read_item_stream :
-  (unit -> string option) ->
-  on_item:(item -> unit) ->
-  (response, string) result
-(** Like {!read_response}, but delivers [ITEM] lines through [on_item]
-    as they are read instead of accumulating them — the consuming side
-    of the server's incremental flushing. The final [Items] response
-    carries an empty list; its [timed_out]/[partial] flags and the
-    verified trailer count reflect the full stream. Non-stream
-    responses ([BUSY], [ERR], [DIST], ...) are returned unchanged. *)
-
 val read_batch_responses :
   (unit -> string option) ->
   n:int ->

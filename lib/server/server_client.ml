@@ -49,11 +49,6 @@ let request ?deadline_ms t req =
   | Error _ as e -> e
   | Ok () -> Protocol.read_response (read_line_of t)
 
-let request_stream ?deadline_ms t req ~on_item =
-  match send t ?deadline_ms req with
-  | Error _ as e -> e
-  | Ok () -> Protocol.read_item_stream (read_line_of t) ~on_item
-
 (* Pipelined batch: one BATCH header plus every sub-request line goes
    out in a single buffered write + flush, then the SUB-tagged answers
    are read back in completion order. [on_response] sees each answer as

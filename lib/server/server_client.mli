@@ -83,17 +83,6 @@ val request :
 (** Escape hatch: send any request (optionally with a [DEADLINE <ms>]
     envelope) and read one response. *)
 
-val request_stream :
-  ?deadline_ms:int ->
-  t ->
-  Protocol.request ->
-  on_item:(Protocol.item -> unit) ->
-  (Protocol.response, string) result
-(** Like {!request}, but delivers [ITEM] lines through [on_item] as
-    they arrive — the consuming side of the server's incremental
-    flushing, used by the coordinator's k-way merge. The returned
-    [Items] carries an empty list; see {!Protocol.read_item_stream}. *)
-
 val request_batch :
   ?deadline_ms:int ->
   t ->

@@ -21,9 +21,32 @@ type located_link = {
   dst_ci : int;
 }
 
-(* Each memoized probe table is reset when it reaches this many
-   entries; a leg set counts one entry per leg, plus one. *)
+(* A table shared by every request, under its own lock. Shard indexes
+   are immutable, so an entry never goes stale; the table is reset
+   whole when a store would take the weight it holds past
+   [probe_cache_limit], [weigh] being what one value counts. *)
+type ('k, 'v) bounded = {
+  m : Mutex.t;
+  tbl : ('k, 'v) Hashtbl.t;
+  weigh : 'v -> int;
+  mutable weight : int;
+}
+
 let probe_cache_limit = 65536
+
+let bounded weigh = { m = Mutex.create (); tbl = Hashtbl.create 256; weigh; weight = 0 }
+let bounded_find b key = with_lock b.m (fun () -> Hashtbl.find_opt b.tbl key)
+let bounded_length b = with_lock b.m (fun () -> Hashtbl.length b.tbl)
+
+let bounded_store b key v =
+  with_lock b.m (fun () ->
+      if b.weight + b.weigh v > probe_cache_limit then begin
+        Hashtbl.reset b.tbl;
+        b.weight <- 0
+      end;
+      Option.iter (fun old -> b.weight <- b.weight - b.weigh old) (Hashtbl.find_opt b.tbl key);
+      Hashtbl.replace b.tbl key v;
+      b.weight <- b.weight + b.weigh v)
 
 (* A deduplicated portal, located once at create time, with its
    portal-closure index [ci]. [tag] is the node's tag name for entry
@@ -36,24 +59,14 @@ type t = {
   shards : Shard_client.t array;
   addrs : (string * int) list;  (* the addresses [shards] was built from *)
   links : located_link array;
-  (* memoized probe results; shard indexes are immutable so entries
-     never go stale. One mutex guards every table (probe volume, not
-     contention, is the cost being managed here). *)
-  cache_m : Mutex.t;
-  (* exit legs and same-shard direct probes: shard, a, b (local) *)
-  conn_cache : (int * int * int, int option) Hashtbl.t;
+  (* The memo: clean shard answers, keyed by the shard and the request
+     it was sent (see [ask]). Each counts 1. *)
+  memo : (int * P.request, P.response) bounded;
   (* Leg sets: by global target node, the (closure index, distance) of
      every entry portal of its shard that reaches it, ascending by
-     closure index. Stored whole or not at all (see [plan_legs]), and
-     [leg_entries] counts what they hold. *)
-  leg_cache : (int, (int * int) array) Hashtbl.t;
-  mutable leg_entries : int;
-  start_cache : (int * int * string, int option) Hashtbl.t;  (* shard, node, tag *)
-  (* Entry-portal streams, cached raw — local
-     ids, no offset — so one fetch serves every start that reaches the
-     portal. Keyed by everything the shard sees (shard, local, tag, k,
-     remaining); only successful fetches are stored. *)
-  stream_cache : (int * int * string option * int * int option, P.item list) Hashtbl.t;
+     closure index. Stored whole or not at all (see [legs_into]); a set
+     counts its legs plus 1, since one can hold a thousand. *)
+  leg_sets : (int, (int * int) array) bounded;
   (* The portal closure; [create] refuses one built for another plan. *)
   closure : Portal_closure.t;
   (* Every distinct link target / link source, located once, by shard
@@ -137,12 +150,8 @@ let create ~closure ~plan ~shards () =
     shards = clients;
     addrs = shards;
     links;
-    cache_m = Mutex.create ();
-    conn_cache = Hashtbl.create 256;
-    leg_cache = Hashtbl.create 256;
-    leg_entries = 0;
-    start_cache = Hashtbl.create 256;
-    stream_cache = Hashtbl.create 256;
+    memo = bounded (fun _ -> 1);
+    leg_sets = bounded (fun legs -> 1 + Array.length legs);
     closure;
     entries_by_shard;
     exits_by_shard;
@@ -184,29 +193,21 @@ let remaining_ms ctx =
 (* Collapse the transport/server failure planes into the degradation
    flags: [None] means the shard's contribution is lost ([partial]) —
    the response degrades rather than fails, which is the whole point of
-   sharded fault tolerance. Successful answers come back as
-   [(items, response-with-empty-items)], the same shape whether the
-   exchange was a single call or a batch slot, so [inline_items] folds
-   the items [Shard_client.call] splits off back into the response. *)
-let inline_items (items, resp) =
-  match resp with
-  | P.Items { timed_out; partial; _ } -> P.Items { items; timed_out; partial }
-  | resp -> resp
-
+   sharded fault tolerance. A stream answer carries its items inline,
+   whether it came from a single call or a batch slot. *)
 let classify ctx = function
-  | Error _ ->
+  | Error _ | Ok (P.Busy | P.Err _) ->
+      (* A shard that answered but refused or failed the request loses
+         its contribution all the same. *)
       Atomic.set ctx.partial true;
       None
-  | Ok (P.Busy | P.Err _) ->
-      (* The shard answered but refused or failed the request: its
-         contribution is lost all the same. *)
-      Atomic.set ctx.partial true;
-      None
-  | Ok (P.Items { items; timed_out; partial }) ->
+  | Ok (P.Items { timed_out; partial; _ } as resp) ->
       if timed_out then Atomic.set ctx.timed_out true;
       if partial then Atomic.set ctx.partial true;
-      Some (items, P.Items { items = []; timed_out; partial })
-  | Ok resp -> Some ([], resp)
+      Some resp
+  | Ok resp -> Some resp
+
+let items_of = function Some (P.Items { items; _ }) -> items | Some _ | None -> []
 
 (* One fan-out call. *)
 let shard_call t ctx shard req =
@@ -219,138 +220,145 @@ let shard_call t ctx shard req =
     let sw = Stopwatch.start () in
     let result = Shard_client.call ~deadline_ms:left t.shards.(shard) req in
     Metrics.Histogram.observe t.fanout (Stopwatch.elapsed_ms sw);
-    classify ctx (Result.map inline_items result)
+    classify ctx result
   end
 
-(* Run one shard's share of a probe wave as pipelined BATCH round
-   trips ([Shard_client.call_many] splits and retries it). *)
+(* Run one shard's share of a wave as pipelined BATCH round trips
+   ([Shard_client.call_many] splits and retries it). *)
 let exec_shard t ctx shard reqs =
-  let n = Array.length reqs in
-  let out = Array.make n None in
   let left = remaining_ms ctx in
-  if left <= 0 then Atomic.set ctx.timed_out true
+  if left <= 0 then begin
+    Atomic.set ctx.timed_out true;
+    Array.map (fun _ -> None) reqs
+  end
   else begin
     let sw = Stopwatch.start () in
     let results = Shard_client.call_many ~deadline_ms:left t.shards.(shard) reqs in
     Metrics.Histogram.observe t.fanout (Stopwatch.elapsed_ms sw);
-    Array.iteri (fun i r -> out.(i) <- classify ctx r) results
-  end;
-  out
+    Array.map (classify ctx) results
+  end
 
-(* --- memoized probes -------------------------------------------------- *)
+(* --- waves: plan, run, read ------------------------------------------- *)
 
-let cache_find t table key =
-  with_lock t.cache_m (fun () -> Hashtbl.find_opt table key)
-
-let cache_store t table key v =
-  with_lock t.cache_m (fun () ->
-      if Hashtbl.length table >= probe_cache_limit then Hashtbl.reset table;
-      Hashtbl.replace table key v)
-
-(* A leg set can hold a thousand legs, so the leg-set table is bounded
-   by the legs it holds, not by its sets. *)
-let store_legs t g legs =
-  let size legs = 1 + Array.length legs in
-  with_lock t.cache_m (fun () ->
-      if t.leg_entries + size legs > probe_cache_limit then begin
-        Hashtbl.reset t.leg_cache;
-        t.leg_entries <- 0
-      end;
-      Option.iter
-        (fun old -> t.leg_entries <- t.leg_entries - size old)
-        (Hashtbl.find_opt t.leg_cache g);
-      Hashtbl.replace t.leg_cache g legs;
-      t.leg_entries <- t.leg_entries + size legs)
-
-(* --- probe waves ------------------------------------------------------ *)
-
-(* One wave of shard work — every probe a request can issue before it
-   needs their answers — accumulated probe by probe and fired as one
-   batch per shard. Each entry pairs a request with the closure
-   that consumes its (classified) answer; [run_plan] executes the wire
-   calls on per-shard threads but runs every [apply] sequentially on
-   the calling thread, so the closures mutate the plan, the caches and
-   stream accumulators without any locking of their own. *)
-type wave_plan = {
-  per_shard : (P.request * ((P.item list * P.response) option -> unit)) list array;
-  (* The request's own probe answers: shared-cache hits are copied in
-     when a probe is planned and wire answers recorded as they arrive.
-     The joins read only these, so a reset of a shared table — even one
-     this wave's own stores trigger — cannot lose an answer between its
-     store and its read. *)
-  conn : (int * int * int, int option) Hashtbl.t;
-  start : (int * int * string, int option) Hashtbl.t;
-  (* probes already queued this wave — several joins can ask for the
-     same segment distance *)
-  queued_conn : (int * int * int, unit) Hashtbl.t;
-  queued_start : (int * int * string, unit) Hashtbl.t;
+(* One wave of shard work — every request a query can send before it
+   needs their answers — planned request by request, fired as one batch
+   per shard, then read from [replies]. A request planned twice in one
+   wave is sent once. *)
+type wave = {
+  (* per shard, newest first; [true] marks a request whose clean reply
+     goes into the memo *)
+  queued : (P.request * bool) list array;
+  (* every planned request: [None] until its reply arrives, and after a
+     run when the shard failed it (the degradation flags are set) *)
+  replies : (int * P.request, P.response option) Hashtbl.t;
 }
 
-let new_plan t =
-  {
-    per_shard = Array.make (Array.length t.shards) [];
-    conn = Hashtbl.create 16;
-    start = Hashtbl.create 8;
-    queued_conn = Hashtbl.create 16;
-    queued_start = Hashtbl.create 8;
-  }
+let new_wave t = { queued = Array.make (Array.length t.shards) []; replies = Hashtbl.create 16 }
 
-let plan_add plan shard req apply =
-  plan.per_shard.(shard) <- (req, apply) :: plan.per_shard.(shard)
+let queue wave ~memo shard req =
+  if not (Hashtbl.mem wave.replies (shard, req)) then begin
+    Hashtbl.replace wave.replies (shard, req) None;
+    wave.queued.(shard) <- (req, memo) :: wave.queued.(shard)
+  end
 
-(* Plan one memoized probe: an answer already in this wave or in the
-   shared [cache] is copied into [answers]; otherwise the probe is
-   queued (once per wave), and its answer — when [answer_of] accepts
-   the reply — lands in both. *)
-let plan_probe plan t ~cache ~answers ~queued ~shard key req answer_of =
-  if not (Hashtbl.mem answers key || Hashtbl.mem queued key) then
-    match cache_find t cache key with
-    | Some v -> Hashtbl.replace answers key v
-    | None ->
-        Hashtbl.replace queued key ();
-        plan_add plan shard req (fun reply ->
-            match answer_of reply with
-            | Some v ->
-                Hashtbl.replace answers key v;
-                cache_store t cache key v
-            | None -> ())
+(* Plan a request whose answer is not worth remembering. *)
+let send wave shard req = queue wave ~memo:false shard req
 
-(* Queue a within-shard distance probe unless it is trivial, known, or
-   already part of this wave. Probes carry no max_dist so one cache
-   entry serves every request; readers prune. A failed or cut-off probe
-   stays unrecorded, so a later request re-asks once the shard
-   recovers. *)
-let plan_conn plan t ~shard ~a ~b =
-  if a <> b then
-    plan_probe plan t ~cache:t.conn_cache ~answers:plan.conn ~queued:plan.queued_conn
-      ~shard (shard, a, b)
-      (P.Connected { a; b; max_dist = None })
-      (function Some (_, P.Dist d) -> Some d | Some _ | None -> None)
+(* Plan a request whose answer any later query may reuse: a memoized
+   answer is copied into the wave, anything else is sent, and a clean
+   reply is stored once the wave has run. *)
+let ask t wave shard req =
+  if not (Hashtbl.mem wave.replies (shard, req)) then
+    match bounded_find t.memo (shard, req) with
+    | Some resp -> Hashtbl.replace wave.replies (shard, req) (Some resp)
+    | None -> queue wave ~memo:true shard req
+
+let reply wave shard req = Option.join (Hashtbl.find_opt wave.replies (shard, req))
+
+(* The memo's one store rule, the front answer cache's: a distance, or
+   a stream neither cut off nor degraded. A cut-off stream stored would
+   be replayed as complete. *)
+let clean = function
+  | P.Dist _ -> true
+  | P.Items { timed_out; partial; _ } -> not (timed_out || partial)
+  | _ -> false
+
+(* Fire the wave: one batch per shard, shards in parallel, then record
+   the replies on this thread. A shard thread that dies before its
+   answers are in fails every slot of its shard, as a lost shard does,
+   so the request degrades to PARTIAL instead of reading those segments
+   as unreachable. Readers hold the wave's own replies, so a memo reset
+   — even one this wave's stores trigger — cannot lose an answer. *)
+let run_plan t ctx wave =
+  let groups = ref [] in
+  Array.iteri
+    (fun shard queued ->
+      if queued <> [] then groups := (shard, Array.of_list (List.rev queued)) :: !groups)
+    wave.queued;
+  let exec (shard, queued) = exec_shard t ctx shard (Array.map fst queued) in
+  let record (shard, queued) out =
+    Array.iteri
+      (fun i resp ->
+        let req, memo = queued.(i) in
+        Hashtbl.replace wave.replies (shard, req) resp;
+        match resp with
+        | Some resp when memo && clean resp -> bounded_store t.memo (shard, req) resp
+        | Some _ | None -> ())
+      out
+  in
+  match !groups with
+  | [] -> ()
+  | [ group ] ->
+      (* One shard: no thread hop needed. *)
+      record group (exec group)
+  | groups ->
+      let running =
+        List.map
+          (fun group ->
+            let out = ref None in
+            (Thread.create (fun () -> out := Some (exec group)) (), group, out))
+          groups
+      in
+      List.iter (fun (th, _, _) -> Thread.join th) running;
+      List.iter
+        (fun (_, group, out) ->
+          record group
+            (match !out with
+            | Some out -> out
+            | None -> Array.map (fun _ -> classify ctx (Error "shard thread failed")) (snd group)))
+        running
+
+(* The within-shard distance from [a] down to [b], planned with [plan]
+   ([ask t] or [send]) and read once the wave has run: [Some d] for a
+   [DIST d] reply, [None] when the probe failed. Probes carry no
+   max_dist so one answer serves every request; readers prune. A node
+   is at 0 from itself, with no probe. *)
+let distance plan wave ~shard ~a ~b =
+  if a = b then fun () -> Some (Some 0)
+  else begin
+    let req = P.Connected { a; b; max_dist = None } in
+    plan wave shard req;
+    fun () -> match reply wave shard req with Some (P.Dist d) -> Some d | Some _ | None -> None
+  end
 
 (* The final legs into global node [g] ([local] on [shard]) as a leg
-   set: a cached one costs one lookup. Otherwise one probe per entry
-   portal of the shard rides [plan], and the set read once the plan has
-   run is stored only when every probe answered cleanly — a failed or
+   set: a stored one costs one lookup. Otherwise one probe per entry
+   portal of the shard rides [wave], and the set read once it has run
+   is stored only when every probe answered [DIST] — a failed or
    cut-off probe would make a missing leg look like an unreachable
-   entry. Entries are sorted by global id, and so by closure index,
-   which keeps the set sorted for [leg_of]. Readers hold the immutable
-   array, so a reset of the shared table cannot lose an answer. *)
-let plan_legs plan t ~g ~shard ~local =
-  match cache_find t t.leg_cache g with
+   entry. The probes are sent, not asked: the set is what is kept.
+   Entries are sorted by global id, and so by closure index, which
+   keeps the set sorted for [leg_of]. *)
+let legs_into t wave ~g ~shard ~local =
+  match bounded_find t.leg_sets g with
   | Some legs -> fun () -> legs
   | None ->
       let entries = t.entries_by_shard.(shard) in
-      (* [None] until the entry's probe answers [DIST]. *)
-      let dists = Array.make (Array.length entries) None in
-      Array.iteri
-        (fun i (e : portal) ->
-          if e.local = local then dists.(i) <- Some (Some 0)
-          else
-            plan_add plan shard
-              (P.Connected { a = e.local; b = local; max_dist = None })
-              (function Some (_, P.Dist d) -> dists.(i) <- Some d | Some _ | None -> ()))
-        entries;
+      let dists =
+        Array.map (fun (e : portal) -> distance send wave ~shard ~a:e.local ~b:local) entries
+      in
       fun () ->
+        let dists = Array.map (fun read -> read ()) dists in
         let legs = ref [] in
         for i = Array.length entries - 1 downto 0 do
           match dists.(i) with
@@ -358,7 +366,7 @@ let plan_legs plan t ~g ~shard ~local =
           | Some None | None -> ()
         done;
         let legs = Array.of_list !legs in
-        if Array.for_all Option.is_some dists then store_legs t g legs;
+        if Array.for_all Option.is_some dists then bounded_store t.leg_sets g legs;
         legs
 
 (* The leg of the entry portal with closure index [ci], by binary
@@ -373,68 +381,14 @@ let leg_of legs ci =
   in
   go 0 (Array.length legs)
 
-(* Queue a nearest-start probe: distance from the closest [tag]-named
-   node above [node] (ancestors-or-self) within its shard. *)
-let plan_start plan t ~shard ~node ~tag =
-  plan_probe plan t ~cache:t.start_cache ~answers:plan.start ~queued:plan.queued_start
-    ~shard (shard, node, tag)
-    (P.Ancestors { node; tag = Some tag; k = 1; max_dist = None })
-    (function
-      | Some (it :: _, _) -> Some (Some it.P.dist)
-      | Some ([], P.Items { timed_out = false; partial = false; _ }) ->
-          (* Only a clean empty answer is a real negative: an empty
-             TIMEOUT/PARTIAL answer must stay unrecorded or a slow probe
-             would poison the cache with a false "no start above". *)
-          Some None
-      | Some _ | None -> None)
+(* The nearest-start probe: distance from the closest [tag]-named node
+   above [node] (ancestors-or-self) within its shard. *)
+let start_probe ~node ~tag = P.Ancestors { node; tag = Some tag; k = 1; max_dist = None }
 
-(* Fire the wave: one batch per shard, shards in parallel, then the
-   applies in order on this thread. A shard thread that dies before
-   its answers are in fails every slot of its shard, as a lost shard
-   does, so the request degrades to PARTIAL instead of reading those
-   segments as unreachable. *)
-let run_plan t ctx plan =
-  let groups = ref [] in
-  Array.iteri
-    (fun shard entries ->
-      if entries <> [] then groups := (shard, Array.of_list (List.rev entries)) :: !groups)
-    plan.per_shard;
-  let apply entries out = Array.iteri (fun i r -> snd entries.(i) r) out in
-  match !groups with
-  | [] -> ()
-  | [ (shard, entries) ] ->
-      (* One shard: no thread hop needed. *)
-      apply entries (exec_shard t ctx shard (Array.map fst entries))
-  | groups ->
-      let running =
-        List.map
-          (fun (shard, entries) ->
-            let out = ref None in
-            let th =
-              Thread.create
-                (fun () -> out := Some (exec_shard t ctx shard (Array.map fst entries)))
-                ()
-            in
-            (th, entries, out))
-          groups
-      in
-      List.iter (fun (th, _, _) -> Thread.join th) running;
-      List.iter
-        (fun (_, entries, out) ->
-          apply entries
-            (match !out with
-            | Some out -> out
-            | None -> Array.map (fun _ -> classify ctx (Error "shard thread failed")) entries))
-        running
-
-(* Readers of the plan's answers for the joins that follow [run_plan].
-   An absent entry means the probe failed this wave (the degradation
-   flags are already set); treat the segment as unreachable. *)
-let conn_dist plan ~shard ~a ~b =
-  if a = b then Some 0 else Option.join (Hashtbl.find_opt plan.conn (shard, a, b))
-
-let start_dist plan ~shard ~node ~tag =
-  Option.join (Hashtbl.find_opt plan.start (shard, node, tag))
+let start_dist wave ~shard ~node ~tag =
+  match items_of (reply wave shard (start_probe ~node ~tag)) with
+  | it :: _ -> Some it.P.dist
+  | [] -> None
 
 (* --- the portal closure ------------------------------------------------ *)
 
@@ -458,21 +412,22 @@ let nearest t toward ~max_dist seeds =
 
 (* The forward seeds of global node [g]: itself when the portal graph
    carries it as a source, else its shard's exit portals at their
-   within-shard distances, probed in [plan] — read the seeds once the
-   plan has run. *)
-let forward_seeds t plan ~g ~shard ~local =
+   within-shard distances, asked in [wave] — read the seeds once the
+   wave has run. *)
+let forward_seeds t wave ~g ~shard ~local =
   match Hashtbl.find_opt t.source_index g with
   | Some i -> fun () -> [ (i, 0) ]
   | None ->
-      let exits = t.exits_by_shard.(shard) in
-      Array.iter (fun (x : portal) -> plan_conn plan t ~shard ~a:local ~b:x.local) exits;
+      let legs =
+        Array.map
+          (fun (x : portal) -> (x.ci, distance (ask t) wave ~shard ~a:local ~b:x.local))
+          t.exits_by_shard.(shard)
+      in
       fun () ->
         Array.fold_right
-          (fun (x : portal) acc ->
-            match conn_dist plan ~shard ~a:local ~b:x.local with
-            | Some d -> (x.ci, d) :: acc
-            | None -> acc)
-          exits []
+          (fun (ci, read) acc ->
+            match Option.join (read ()) with Some d -> (ci, d) :: acc | None -> acc)
+          legs []
 
 (* --- stream merge ------------------------------------------------------ *)
 
@@ -485,25 +440,45 @@ let flags ctx =
 
 let degraded ctx = Atomic.get ctx.timed_out || Atomic.get ctx.partial
 
-(* k-way merge of per-shard streams (each ascending by distance) with
-   the same priority queue the PEE uses, preserving the approximately-
-   ascending contract end to end: a pull stream, so the front's deadline
-   and [k] cut it like any other. Nodes reachable through several
-   shards or portals are deduplicated on first — i.e. nearest —
-   occurrence. Ties break on global node id — the key packs
-   (dist, node) into one integer — so the merged bytes are a function
-   of the stream multiset alone, not of the order the streams arrived
-   in.
+(* Open portal [p], reached at distance [d]: an entry portal pushes its
+   own item when its tag matches, then its [NDESCENDANTS] stream; an
+   exit portal its ancestors-or-self [ANCESTORS] stream, which reports
+   the portal itself at distance 0. A stream does not depend on who
+   reached the portal, so it is asked: one fetch serves every start,
+   and a replay is exactly the bytes the shard would send again. The
+   stream is pushed by the returned reader once the wave has run. *)
+let open_portal t toward ~tag ~k ~max_dist wave ~push (p : portal) d =
+  let max_dist = Option.map (fun m -> m - d) max_dist in
+  let req =
+    match toward with
+    | Portal_closure.Entries ->
+        if match tag with None -> true | Some w -> w = p.tag then
+          push [ { P.node = p.g; dist = d; meta = p.shard } ];
+        P.Node_descendants { node = p.local; tag; k; max_dist }
+    | Exits -> P.Ancestors { node = p.local; tag; k; max_dist }
+  in
+  ask t wave p.shard req;
+  fun () ->
+    push (List.map (globalize t ~shard:p.shard ~offset:d) (items_of (reply wave p.shard req)))
+
+(* k-way merge of [streams] and the portals nearest [seeds] (each
+   stream ascending by distance) with the same priority queue the PEE
+   uses, preserving the approximately-ascending contract end to end: a
+   pull stream, so the front's deadline and [k] cut it like any other.
+   Nodes reachable through several shards or portals are deduplicated
+   on first — i.e. nearest — occurrence. Ties break on global node id —
+   the key packs (dist, node) into one integer — so the merged bytes
+   are a function of the stream multiset alone, not of the order the
+   streams arrived in.
 
    Portals open lazily, the PEE's entry-point expansion one level up:
-   [portals] yields them nearest first, and before an item at distance
-   [d] is emitted every portal at offset [<= d] is open — [open_portal]
-   pushes what it has at hand and queues the rest into one wave per
-   level, one BATCH per shard. Every item of an unopened portal lies
-   past the front, so the merged bytes are those of a merge over every
-   portal's stream. Shard waves run inside [next], so the front reads
-   the degradation flags after its last pull. *)
-let merge_streams t ctx ~exclude ~portals ~open_portal streams =
+   before an item at distance [d] is emitted every portal at offset
+   [<= d] is open, the portals of one distance in one wave, one BATCH
+   per shard. Every item of an unopened portal lies past the front, so
+   the merged bytes are those of a merge over every portal's stream.
+   Shard waves run inside [next], so the front reads the degradation
+   flags after its last pull. *)
+let merge_streams t ctx ~exclude toward ~tag ~k ~max_dist ~seeds streams =
   let total = Shard_plan.total_nodes t.plan in
   let pq = PQ.create () in
   let push = function
@@ -511,22 +486,24 @@ let merge_streams t ctx ~exclude ~portals ~open_portal streams =
     | (it : P.item) :: rest -> PQ.insert pq ((it.dist * total) + it.node) (it, rest)
   in
   List.iter push streams;
+  let portals = nearest t toward ~max_dist seeds in
   let pending = ref (portals ()) in
   let front () = if PQ.is_empty pq then max_int else PQ.min_prio pq / total in
   let rec settle () =
     match !pending with
     | Some (_, d) when d <= front () ->
-        let plan = new_plan t in
-        let rec open_level () =
+        let wave = new_wave t in
+        let rec open_level reads =
           match !pending with
           | Some (p, d') when d' = d ->
-              open_portal plan ~push p d;
+              let read = open_portal t toward ~tag ~k ~max_dist wave ~push p d in
               pending := portals ();
-              open_level ()
-          | Some _ | None -> ()
+              open_level (read :: reads)
+          | Some _ | None -> List.rev reads
         in
-        open_level ();
-        run_plan t ctx plan;
+        let reads = open_level [] in
+        run_plan t ctx wave;
+        List.iter (fun read -> read ()) reads;
         settle ()
     | Some _ | None -> ()
   in
@@ -546,77 +523,44 @@ let merge_streams t ctx ~exclude ~portals ~open_portal streams =
   in
   { Server.next; flags = (fun () -> flags ctx) }
 
-(* Open an entry portal reached at distance [d]: the portal itself when
-   its tag matches, then its stream — replayed from the stream cache
-   when a previous request fetched it (the probe is a pure read of the
-   shard's index, so the replay is exactly the bytes the probe would
-   return), otherwise fetched in the level's wave. *)
-let open_entry t ~tag ~k ~max_dist plan ~push (e : portal) d =
-  if match tag with None -> true | Some w -> w = e.tag then
-    push [ { P.node = e.g; dist = d; meta = e.shard } ];
-  let remaining = Option.map (fun m -> m - d) max_dist in
-  let key = (e.shard, e.local, tag, k, remaining) in
-  let admit items = push (List.map (globalize t ~shard:e.shard ~offset:d) items) in
-  match cache_find t t.stream_cache key with
-  | Some items -> admit items
-  | None ->
-      plan_add plan e.shard
-        (P.Node_descendants { node = e.local; tag; k; max_dist = remaining })
-        (function
-          | Some (items, _) ->
-              cache_store t t.stream_cache key items;
-              admit items
-          | None -> ())
-
 (* --- the verbs --------------------------------------------------------- *)
+
+(* The start's own stream, sent in [wave] and globalized once it has
+   run. It is not memoized: starts rarely repeat, and remembering them
+   all would cost far more than it saves. *)
+let own_stream t wave ~shard req =
+  send wave shard req;
+  fun () -> List.map (globalize t ~shard ~offset:0) (items_of (reply wave shard req))
 
 (* Descendants of one global node, across shards: the start's own
    stream, fetched with its exit legs in one wave, merged with one
    offset stream per entry portal the merge reaches. *)
 let descendants_of_node t ctx ~start ~tag ~k ~max_dist =
   let shard0, local0 = Shard_plan.locate t.plan start in
-  let streams = ref [] in
-  let plan = new_plan t in
-  plan_add plan shard0
-    (P.Node_descendants { node = local0; tag; k; max_dist })
-    (function
-      | Some (items, _) ->
-          streams := List.map (globalize t ~shard:shard0 ~offset:0) items :: !streams
-      | None -> ());
-  let seeds = forward_seeds t plan ~g:start ~shard:shard0 ~local:local0 in
-  run_plan t ctx plan;
-  merge_streams t ctx ~exclude:start !streams
-    ~portals:(nearest t Entries ~max_dist (seeds ()))
-    ~open_portal:(open_entry t ~tag ~k ~max_dist)
+  let wave = new_wave t in
+  let own =
+    own_stream t wave ~shard:shard0 (P.Node_descendants { node = local0; tag; k; max_dist })
+  in
+  let seeds = forward_seeds t wave ~g:start ~shard:shard0 ~local:local0 in
+  run_plan t ctx wave;
+  merge_streams t ctx ~exclude:start Entries ~tag ~k ~max_dist ~seeds:(seeds ()) [ own () ]
 
 (* Ancestors: rdist(x), the distance from exit portal [x] down to
    [node], decomposes as the closure leg from [x] to some entry portal
    of [node]'s shard plus that entry's within-shard distance down to
    [node] — [node]'s leg set, probed on its own shard only when it is
-   not cached. The exits then come nearest first, and each opens its
-   ancestors-or-self stream, which reports [x] itself at distance 0.
-   Anchors cannot help here: the portal graph has no edges into a doc
-   root. *)
+   not stored. The exits then come nearest first, each opening its
+   stream. Anchors cannot help here: the portal graph has no edges into
+   a doc root. *)
 let ancestors_of_node t ctx ~node ~tag ~k ~max_dist =
   let shard0, local0 = Shard_plan.locate t.plan node in
-  let streams = ref [] in
-  let plan = new_plan t in
-  plan_add plan shard0
-    (P.Ancestors { node = local0; tag; k; max_dist })
-    (function
-      | Some (items, _) ->
-          streams := List.map (globalize t ~shard:shard0 ~offset:0) items :: !streams
-      | None -> ());
-  let legs = plan_legs plan t ~g:node ~shard:shard0 ~local:local0 in
-  run_plan t ctx plan;
-  merge_streams t ctx ~exclude:(-1) !streams
-    ~portals:(nearest t Exits ~max_dist (Array.to_list (legs ())))
-    ~open_portal:(fun plan ~push (x : portal) d ->
-      plan_add plan x.shard
-        (P.Ancestors { node = x.local; tag; k; max_dist = Option.map (fun m -> m - d) max_dist })
-        (function
-          | Some (items, _) -> push (List.map (globalize t ~shard:x.shard ~offset:d) items)
-          | None -> ()))
+  let wave = new_wave t in
+  let own = own_stream t wave ~shard:shard0 (P.Ancestors { node = local0; tag; k; max_dist }) in
+  let legs = legs_into t wave ~g:node ~shard:shard0 ~local:local0 in
+  run_plan t ctx wave;
+  merge_streams t ctx ~exclude:(-1) Exits ~tag ~k ~max_dist
+    ~seeds:(Array.to_list (legs ()))
+    [ own () ]
 
 let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist =
   (* Phase 1: every shard answers over its own sub-collection, in
@@ -634,30 +578,26 @@ let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist =
           ())
   in
   List.iter Thread.join threads;
-  List.concat
-    (List.mapi
-       (fun s result ->
-         match result with
-         | Some (items, _) -> [ List.map (globalize t ~shard:s ~offset:0) items ]
-         | None -> [])
-       (Array.to_list phase1))
+  Array.to_list
+    (Array.mapi
+       (fun s result -> List.map (globalize t ~shard:s ~offset:0) (items_of result))
+       phase1)
 
 (* EVALUATE: phase 1 per shard, then phase 2 for cross-shard reach.
    Phase 2 seeds every entry portal from its links' sources (nearest
-   start-tag node above each, probed in one wave and cached across
-   requests) and reaches the other entry portals nearest first from the
-   seeded ones. *)
+   start-tag node above each, asked in one wave) and reaches the other
+   entry portals nearest first from the seeded ones. *)
 let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist =
   let streams = evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist in
-  let seed_plan = new_plan t in
+  let wave = new_wave t in
   Array.iter
-    (fun l -> plan_start seed_plan t ~shard:l.src_shard ~node:l.src_local ~tag:start_tag)
+    (fun l -> ask t wave l.src_shard (start_probe ~node:l.src_local ~tag:start_tag))
     t.links;
-  run_plan t ctx seed_plan;
+  run_plan t ctx wave;
   let seed_d = Hashtbl.create 32 in
   Array.iter
     (fun l ->
-      match start_dist seed_plan ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
+      match start_dist wave ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
       | Some d0 -> (
           let d = d0 + 1 in
           match Hashtbl.find_opt seed_d l.dst_ci with
@@ -665,10 +605,9 @@ let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist =
           | _ -> Hashtbl.replace seed_d l.dst_ci d)
       | None -> ())
     t.links;
-  let tag = Some target_tag in
-  merge_streams t ctx ~exclude:(-1) streams
-    ~portals:(nearest t Entries ~max_dist (Hashtbl.fold (fun i d acc -> (i, d) :: acc) seed_d []))
-    ~open_portal:(open_entry t ~tag ~k ~max_dist)
+  merge_streams t ctx ~exclude:(-1) Entries ~tag:(Some target_tag) ~k ~max_dist
+    ~seeds:(Hashtbl.fold (fun i d acc -> (i, d) :: acc) seed_d [])
+    streams
 
 (* Up to this many seed-by-leg pairs, CONNECTED joins each pair's
    labels (about a microsecond each) instead of walking the entry
@@ -676,20 +615,20 @@ let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist =
    answer — hundreds when [b] is out of reach. *)
 let join_limit = 32
 
-(* CONNECTED: one conn batch (the same-shard direct probe, [a]'s exit
-   legs unless anchored, and [b]'s leg set unless cached — a warm
-   request sends nothing), then the best path through a final leg: by
-   one label join per seed and leg when there are few, else by entry
-   portals nearest first until the next one is no nearer than the best
-   path found or every final leg's portal has been reached. Past
-   [max_dist] every path answers NODIST, so the walk stops there too —
-   unless the request degraded, where only a path found (however long)
-   keeps it from answering PARTIAL. Both find the shortest path through
-   the legs; each join and each pop counts as a closure lookup. *)
+(* CONNECTED: one wave (the same-shard direct probe, [a]'s exit legs
+   unless anchored, and [b]'s leg set unless stored — a warm request
+   sends nothing), then the best path through a final leg: by one label
+   join per seed and leg when there are few, else by entry portals
+   nearest first until the next one is no nearer than the best path
+   found or every final leg's portal has been reached. Past [max_dist]
+   every path answers NODIST, so the walk stops there too — unless the
+   request degraded, where only a path found (however long) keeps it
+   from answering PARTIAL. Both find the shortest path through the
+   legs; each join and each pop counts as a closure lookup. *)
 let connected t ctx ~a ~b ~max_dist =
   let shard_a, local_a = Shard_plan.locate t.plan a in
   let shard_b, local_b = Shard_plan.locate t.plan b in
-  let plan = new_plan t in
+  let wave = new_wave t in
   (* An entry portal [a] reaches [b] through its own leg, which the
      join below reads at closure distance 0: only another [a] on [b]'s
      shard needs the direct probe. *)
@@ -698,15 +637,16 @@ let connected t ctx ~a ~b ~max_dist =
     | Some i -> Option.is_some t.entry_at.(i)
     | None -> false
   in
-  if shard_a = shard_b && not a_is_entry then
-    plan_conn plan t ~shard:shard_a ~a:local_a ~b:local_b;
-  let seeds = forward_seeds t plan ~g:a ~shard:shard_a ~local:local_a in
-  let legs = plan_legs plan t ~g:b ~shard:shard_b ~local:local_b in
-  run_plan t ctx plan;
-  let legs = legs () in
-  let best =
-    ref (if shard_a = shard_b then conn_dist plan ~shard:shard_a ~a:local_a ~b:local_b else None)
+  let direct =
+    if shard_a = shard_b && (a = b || not a_is_entry) then
+      distance (ask t) wave ~shard:shard_a ~a:local_a ~b:local_b
+    else fun () -> None
   in
+  let seeds = forward_seeds t wave ~g:a ~shard:shard_a ~local:local_a in
+  let legs = legs_into t wave ~g:b ~shard:shard_b ~local:local_b in
+  run_plan t ctx wave;
+  let legs = legs () in
+  let best = ref (Option.join (direct ())) in
   let beats d = match !best with Some b -> d < b | None -> true in
   let seeds = seeds () in
   let joins = List.length seeds * Array.length legs in
@@ -757,9 +697,9 @@ let resolve t ctx ~doc ~anchor =
   | None, _ -> Ok None
   | Some (shard, root), None -> Ok (Some { P.node = root; dist = 0; meta = shard })
   | Some (shard, _), Some _ -> (
-      match (exec_shard t ctx shard [| P.Resolve { doc; anchor } |]).(0) with
-      | Some (it :: _, _) -> Ok (Some (globalize t ~shard ~offset:0 it))
-      | Some ([], _) | None -> if degraded ctx then Error (flags ctx) else Ok None)
+      match items_of (exec_shard t ctx shard [| P.Resolve { doc; anchor } |]).(0) with
+      | it :: _ -> Ok (Some (globalize t ~shard ~offset:0 it))
+      | [] -> if degraded ctx then Error (flags ctx) else Ok None)
 
 let stats_lines t =
   ("backend: coordinator (scatter-gather over shard servers)"
@@ -771,16 +711,8 @@ let stats_lines t =
              (Shard_client.address s) (Shard_client.errors_total s))
          t.shards)
   @ [
-      (let conn, start, stream, legs =
-         with_lock t.cache_m (fun () ->
-             ( Hashtbl.length t.conn_cache,
-               Hashtbl.length t.start_cache,
-               Hashtbl.length t.stream_cache,
-               Hashtbl.length t.leg_cache ))
-       in
-       Printf.sprintf
-         "probe cache: %d connected, %d nearest-start, %d portal-stream entries, %d leg sets"
-         conn start stream legs);
+      Printf.sprintf "probe cache: %d answers, %d leg sets" (bounded_length t.memo)
+        (bounded_length t.leg_sets);
       Printf.sprintf "probe rpcs: %d round trips carrying %d sub-requests"
         (probe_rpcs_total t) (probe_subs_total t);
       Printf.sprintf "%s; %d lookups (enumerator pops and label joins)"
@@ -866,9 +798,9 @@ let backend t =
    would need within-shard distances the shards would have to probe for.
 
    The new [t] reconnects from scratch (the old one still owns its
-   connection pools until it is retired) and starts with empty probe
-   caches. Merged answers are cached by the front server, whose RELOAD
-   swap clears them. *)
+   connection pools until it is retired) and starts with an empty memo
+   and no leg sets. Merged answers are cached by the front server, whose
+   RELOAD swap clears them. *)
 let probe_deadline_ms = 2_000
 let reload_deadline_ms = 120_000
 
@@ -890,8 +822,8 @@ let reload t ~plan ~closure =
         if i >= n then Ok ()
         else
           match Shard_client.call ~deadline_ms t.shards.(i) req with
-          | Ok (_, P.Epoch _) -> go (i + 1)
-          | Ok (_, P.Err msg) -> fail_at i (Printf.sprintf "refused %s: %s" verb msg)
+          | Ok (P.Epoch _) -> go (i + 1)
+          | Ok (P.Err msg) -> fail_at i (Printf.sprintf "refused %s: %s" verb msg)
           | Ok _ -> fail_at i (Printf.sprintf "answered %s with the wrong response" verb)
           | Error msg -> fail_at i (Printf.sprintf "unreachable during %s: %s" verb msg)
       in

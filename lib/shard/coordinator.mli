@@ -41,10 +41,10 @@
       none can beat the best path found.
 
     The merge opens portals lazily: before it emits an item at distance
-    [d] it opens every portal at offset [<= d] — its own item, its
-    stream replayed from a cache shared by every request, or fetched
-    in that level's wave — so a top-[k] request reads only the portals
-    nearer than its [k]-th answer. Each round of probes goes out as
+    [d] it opens every portal at offset [<= d] — its own item, and its
+    stream, replayed from the answer memo or fetched in that level's
+    wave — so a top-[k] request reads only the portals nearer than its
+    [k]-th answer. Each round of probes goes out as
     one pipelined [BATCH] per shard, which a shard meets with
     backpressure, never [BUSY]; only [EVALUATE]'s phase 1 goes out as
     plain requests. Round trips and the batch-size
@@ -88,14 +88,23 @@ val create :
     when the shard count does not match the plan, when a host does not
     resolve, or when
     {!Portal_closure.matches} fails — a closure built for another plan
-    would join wrong distances, so it is refused, never used. Probe
-    results ([CONNECTED] exit legs and direct distances, leg sets,
-    nearest-start [ANCESTORS], portal streams) are memoized in shared
-    tables; shard indexes are immutable, so entries never go stale, and
-    a table is reset whole when it fills. A leg set is stored only when
-    every probe behind it answered cleanly. Each request joins only the
-    probe answers of its own waves and the leg sets it holds, so a reset
-    never changes an answer. *)
+    would join wrong distances, so it is refused, never used.
+
+    Shard answers are remembered in one memo, keyed by the shard and
+    the request sent to it: [CONNECTED] exit legs and same-shard direct
+    distances, nearest-start [ANCESTORS], and the portal streams
+    ([NDESCENDANTS] of an entry portal, [ANCESTORS] of an exit portal).
+    Its one store rule is the front answer cache's: a [DIST], or a
+    stream with neither a [TIMEOUT] nor a [PARTIAL] trailer, so a
+    cut-off answer is asked again, never replayed. A start's own stream
+    is not remembered. Final legs are kept as one leg set per target,
+    stored only when every probe behind it answered [DIST]. Shard
+    indexes are immutable, so nothing stored goes stale; the memo and
+    the leg sets are each reset whole when a store would take them past
+    65,536 (an answer counts 1, a leg set its legs plus 1). A request
+    reads only the replies of its own waves and the leg sets it holds,
+    so a reset never changes an answer. STATS reports
+    [probe cache: <answers> answers, <sets> leg sets]. *)
 
 val closure_lookups_total : t -> int
 (** Portal-closure lookups: enumerator pops (see
@@ -137,8 +146,8 @@ val reload : t -> plan:Shard_plan.t -> closure:Portal_closure.t -> (t, string) r
     old epoch whole; there is no mixed state. On success the caller
     publishes the returned coordinator (e.g. via the server's snapshot
     swap) and eventually {!close}s the old one. The returned coordinator
-    starts with empty probe caches; the front server's swap clears its
-    [EVALUATE] answer cache. *)
+    starts with an empty memo and no leg sets; the front server's swap
+    clears its [EVALUATE] answer cache. *)
 
 val close : t -> unit
 (** Close pooled shard connections. *)

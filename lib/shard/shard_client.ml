@@ -100,42 +100,30 @@ let give_back t c =
 (* One exchange on one connection. A transport failure (including a
    tripped receive timeout) poisons the connection — a late response
    would desynchronize the framing — so it is closed, never pooled. *)
-let recv_timeout deadline_ms =
-  match deadline_ms with
-  | None -> None
-  | Some ms -> Some ((float_of_int ms /. 1000.0) +. recv_slack_s)
-
-let attempt t ~deadline_ms req =
-  Atomic.incr t.rpcs;
-  Atomic.incr t.subs;
+let exchange t ~deadline_ms f =
   match borrow t with
   | Error _ as e -> e
   | Ok conn ->
-      Client.set_recv_timeout conn (recv_timeout deadline_ms);
-      let items = ref [] in
-      let result =
-        Client.request_stream ?deadline_ms conn req ~on_item:(fun it ->
-            items := it :: !items)
-      in
+      Client.set_recv_timeout conn
+        (Option.map (fun ms -> (float_of_int ms /. 1000.0) +. recv_slack_s) deadline_ms);
+      let result = f conn in
       (match result with
       | Ok _ -> give_back t conn
       | Error _ -> Client.close conn);
-      Result.map (fun resp -> (List.rev !items, resp)) result
+      result
 
-let call ?deadline_ms t req =
+(* The one retry loop: [attempt ~deadline_ms] is one wire attempt given
+   what is left of the budget. A failed attempt counts one error and is
+   retried after a doubling backoff, at most [retries] times and never
+   past the deadline. *)
+let with_retries ?deadline_ms t attempt =
   let sw = Stopwatch.start () in
-  let budget_left () =
-    match deadline_ms with
-    | None -> Some None
-    | Some ms ->
-        let left = ms - int_of_float (Stopwatch.elapsed_ms sw) in
-        if left <= 0 then None else Some (Some left)
-  in
   let rec go attempt_no backoff =
-    match budget_left () with
-    | None -> Error "deadline exhausted before shard answered"
-    | Some deadline_ms -> (
-        match attempt t ~deadline_ms req with
+    let left = Option.map (fun ms -> ms - int_of_float (Stopwatch.elapsed_ms sw)) deadline_ms in
+    match left with
+    | Some left when left <= 0 -> Error "deadline exhausted before shard answered"
+    | deadline_ms -> (
+        match attempt ~deadline_ms with
         | Ok _ as ok -> ok
         | Error e ->
             Atomic.incr t.errors;
@@ -146,6 +134,12 @@ let call ?deadline_ms t req =
             end)
   in
   go 0 backoff_ms
+
+let call ?deadline_ms t req =
+  with_retries ?deadline_ms t (fun ~deadline_ms ->
+      Atomic.incr t.rpcs;
+      Atomic.incr t.subs;
+      exchange t ~deadline_ms (fun conn -> Client.request ?deadline_ms conn req))
 
 (* One batch of sub-requests in one pipelined round trip. Retries are
    per-batch but never re-send an answered sub-request: each retry
@@ -167,28 +161,20 @@ let call_many ?deadline_ms t reqs =
     Atomic.incr t.rpcs;
     ignore (Atomic.fetch_and_add t.subs (Array.length idx));
     Fx_server.Metrics.Histogram.observe t.batch_sizes (float_of_int (Array.length idx));
-    match borrow t with
-    | Error _ as e -> e
-    | Ok conn ->
-        Client.set_recv_timeout conn (recv_timeout deadline_ms);
-        let result =
-          Client.request_batch ?deadline_ms conn
-            (Array.map (fun i -> reqs.(i)) idx)
-            ~on_response:(fun j resp ->
-              let i = idx.(j) in
-              out.(i) <- Ok resp;
-              answered.(i) <- true)
-        in
-        (match result with
-        | Ok () -> give_back t conn
-        | Error _ -> Client.close conn);
-        result
+    exchange t ~deadline_ms (fun conn ->
+        Client.request_batch ?deadline_ms conn
+          (Array.map (fun i -> reqs.(i)) idx)
+          ~on_response:(fun j resp ->
+            let i = idx.(j) in
+            out.(i) <- Ok resp;
+            answered.(i) <- true))
   in
   (* A wave can outgrow the server's [max_batch] cap: split it into
      capped chunks, each its own round trip. Answers recorded by earlier
      chunks survive a later chunk's failure — the retry re-batches only
      what is still unanswered. *)
-  let attempt_batch ~deadline_ms idx =
+  let attempt_batch ~deadline_ms =
+    let idx = pending () in
     let len = Array.length idx in
     let rec chunks off =
       if off >= len then Ok ()
@@ -201,35 +187,9 @@ let call_many ?deadline_ms t reqs =
     chunks 0
   in
   if n > 0 then begin
-    let sw = Stopwatch.start () in
-    let budget_left () =
-      match deadline_ms with
-      | None -> Some None
-      | Some ms ->
-          let left = ms - int_of_float (Stopwatch.elapsed_ms sw) in
-          if left <= 0 then None else Some (Some left)
-    in
-    let fail msg =
-      Array.iteri (fun i a -> if not a then out.(i) <- Error msg) answered
-    in
-    let rec go attempt_no backoff =
-      match pending () with
-      | [||] -> ()
-      | idx -> (
-          match budget_left () with
-          | None -> fail "deadline exhausted before shard answered"
-          | Some deadline_ms -> (
-              match attempt_batch ~deadline_ms idx with
-              | Ok () -> ()
-              | Error e ->
-                  Atomic.incr t.errors;
-                  if attempt_no >= retries then fail e
-                  else begin
-                    Thread.delay (backoff /. 1000.0);
-                    go (attempt_no + 1) (backoff *. 2.0)
-                  end))
-    in
-    go 0 backoff_ms
+    match with_retries ?deadline_ms t attempt_batch with
+    | Ok () -> ()
+    | Error msg -> Array.iteri (fun i a -> if not a then out.(i) <- Error msg) answered
   end;
   out
 

@@ -50,11 +50,9 @@ val call :
   ?deadline_ms:int ->
   t ->
   Fx_server.Protocol.request ->
-  (Fx_server.Protocol.item list * Fx_server.Protocol.response, string) result
-(** One request/response exchange. [Ok (items, resp)] carries the
-    response's item stream in arrival order (empty for non-stream
-    responses) and the terminal response — for stream verbs an
-    [Items { items = []; _ }] whose flags describe the trailer.
+  (Fx_server.Protocol.response, string) result
+(** One request/response exchange. A stream answer carries its items
+    inline, in arrival order, with flags that describe the trailer.
     [Error _] means the exchange failed even after retries; the shard
     should be treated as down for this request. *)
 
@@ -65,8 +63,7 @@ val call_many :
   (Fx_server.Protocol.response, string) result array
 (** One pipelined [BATCH] exchange carrying every request, answered
     slot by slot — split into chunks of at most 512 sub-requests, each
-    its own round trip, when the wave outgrows that cap. Unlike {!call}, each [Ok] response carries its items
-    inline ([Items { items; _ }] fully populated). Retries re-batch
+    its own round trip, when the wave outgrows that cap. Retries re-batch
     only the still-unanswered slots — answers delivered before a
     transport failure stand and are never re-requested — with the same
     doubling backoff and deadline budget as {!call}. Slots the shard

@@ -326,7 +326,7 @@ echo "probe rpcs=$rpcs subs=$subs"
 echo "$metrics" | grep -q "^flix_shard_probe_batch_size_bucket" || fail "batch-size histogram missing"
 metrics_well_formed coordinator
 
-echo "== warm coordinator requests: leg sets and names from the plan =="
+echo "== warm coordinator requests: leg sets, names from the plan, exit streams =="
 # CONNECTED 0 3 was asked above, so its leg set is cached: a repeat
 # sends nothing. DESCENDANTS by name resolves the name from the plan and
 # sends only the start's own stream, one round trip.
@@ -342,6 +342,22 @@ ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^DONE " || fail "repeated coor
 after=$(rpcs_total)
 [ "$((after - before))" -eq 1 ] \
   || fail "warm DESCENDANTS dblp_0000 made $((after - before)) shard round trips, want 1"
+# ANCESTORS remembers its exit portals' streams: on the first node
+# whose cold answer opened exit portals (more than the one round trip of
+# its own stream and leg probes), a repeat sends only its own stream.
+anc_node=
+for n in $(seq 0 60); do
+  before=$(rpcs_total)
+  ask "ANCESTORS $n - 100" | grep -q "^DONE " || fail "coordinator ANCESTORS $n"
+  after=$(rpcs_total)
+  if [ "$((after - before))" -ge 2 ]; then anc_node=$n; break; fi
+done
+[ -n "$anc_node" ] || fail "no coordinator ANCESTORS on nodes 0-60 opened an exit portal"
+before=$(rpcs_total)
+ask "ANCESTORS $anc_node - 100" | grep -q "^DONE " || fail "repeated coordinator ANCESTORS"
+after=$(rpcs_total)
+[ "$((after - before))" -eq 1 ] \
+  || fail "warm ANCESTORS $anc_node made $((after - before)) shard round trips, want 1"
 
 echo "== repeated EVALUATE lands in the front's answer cache =="
 ask "EVALUATE article author 5" | grep -q "^DONE " || fail "repeat EVALUATE"

@@ -694,6 +694,25 @@ let dead_shard_descendants_by_name () =
                 (List.exists (fun (it : P.item) -> it.meta = 0) items)
           | other -> Alcotest.failf "expected PARTIAL with items, got %s" (lines_of other)))
 
+(* Fill a shard that runs one worker and a queue of one: a nap of [ms]
+   on the worker and a second one in the queue, 0.1 s apart, then 0.1 s
+   to settle. The returned function waits for both naps to end. *)
+let hold_shard ~ms server =
+  let port = Server.port server in
+  let sleeper () =
+    Thread.create
+      (fun () ->
+        let sc = Client.connect ~port () in
+        ignore (Client.sleep sc ms);
+        Client.close sc)
+      ()
+  in
+  let t1 = sleeper () in
+  Thread.delay 0.1;
+  let t2 = sleeper () in
+  Thread.delay 0.1;
+  fun () -> List.iter Thread.join [ t1; t2 ]
+
 (* A shard with one worker and a queue of one, held by two naps: the
    coordinator's anchored RESOLVE rides a one-sub BATCH, which waits for
    room instead of meeting BUSY, so DESCENDANTS doc#anchor answers in
@@ -725,28 +744,69 @@ let anchored_name_waits_for_full_shard () =
           Server.stop front;
           Coordinator.close coord)
         (fun () ->
-          let port = Server.port shard_servers.(Option.get (Plan.shard_of_doc plan doc)) in
-          let sleeper () =
-            Thread.create
-              (fun () ->
-                let sc = Client.connect ~port () in
-                ignore (Client.sleep sc 300);
-                Client.close sc)
-              ()
+          let release =
+            hold_shard ~ms:300 shard_servers.(Option.get (Plan.shard_of_doc plan doc))
           in
-          let t1 = sleeper () in
-          Thread.delay 0.1;
-          let t2 = sleeper () in
-          Thread.delay 0.1;
           let req = P.Descendants { doc; anchor = Some anchor; tag = None; k = 100; max_dist = None } in
           let held = Client.request ~deadline_ms:5_000 c req in
-          List.iter Thread.join [ t1; t2 ];
+          release ();
           (match held with
           | Ok (P.Items { partial = false; timed_out = false; items }) ->
               Alcotest.(check bool) "items" true (items <> [])
           | other -> Alcotest.failf "expected a full answer, got %s" (lines_of other));
           Alcotest.(check string) "same as on an idle shard"
             (lines_of (Client.request c req)) (lines_of held)))
+
+(* A portal stream cut off by the deadline is not remembered: an
+   NDESCENDANTS from a shard-0 root under DEADLINE 200, while shard 1 is
+   held past it, gets TIMEOUT; the same request once shard 1 is free
+   answers byte for byte what a fresh coordinator answers. *)
+let timed_out_stream_not_replayed () =
+  let plan = Lazy.force shared_plan in
+  let closure = Lazy.force shared_closure in
+  let coll = Lazy.force shared_collection in
+  let entries1 =
+    Plan.cross_links plan |> Array.to_list
+    |> List.map (fun (l : Plan.cross_link) -> l.dst)
+    |> List.filter (fun g -> fst (Plan.locate plan g) = 1)
+  in
+  let root =
+    List.init (C.n_docs coll) (C.root_of_doc coll)
+    |> List.find (fun r ->
+           fst (Plan.locate plan r) = 0
+           && List.exists (fun e -> Closure.distance closure r e <> None) entries1)
+  in
+  let config = { Server.default_config with workers = 1; queue_capacity = 1 } in
+  let shard_servers = Array.map (Server.start ~config) (Lazy.force shard_flixes) in
+  let shards = Array.to_list shard_servers |> List.map (fun s -> ("127.0.0.1", Server.port s)) in
+  let with_front f =
+    let coord = Coordinator.create ~closure ~plan ~shards () in
+    let front = Server.start_backend (Coordinator.backend coord) in
+    let c = Client.connect ~port:(Server.port front) () in
+    Fun.protect
+      ~finally:(fun () ->
+        Client.close c;
+        Server.stop front;
+        Coordinator.close coord)
+      (fun () -> f c)
+  in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Server.stop shard_servers)
+    (fun () ->
+      let req = P.Node_descendants { node = root; tag = None; k = 10_000; max_dist = None } in
+      let repeated =
+        with_front (fun c ->
+            let release = hold_shard ~ms:800 shard_servers.(1) in
+            let cut = Client.request ~deadline_ms:200 c req in
+            release ();
+            (match cut with
+            | Ok (P.Items { timed_out = true; _ }) -> ()
+            | other -> Alcotest.failf "expected TIMEOUT, got %s" (lines_of other));
+            lines_of (Client.request c req))
+      in
+      Alcotest.(check string) "repeat = a fresh coordinator's answer"
+        (with_front (fun c -> lines_of (Client.request c req)))
+        repeated)
 
 (* --- the closure against ground truth --------------------------------- *)
 
@@ -945,7 +1005,7 @@ let probe_cache_overflow () =
         | Ok (Client.Value lines) -> (
             match
               List.find_map
-                (fun l -> Scanf.sscanf_opt l "probe cache: %d connected" Fun.id)
+                (fun l -> Scanf.sscanf_opt l "probe cache: %d answers" Fun.id)
                 lines
             with
             | Some n -> n
@@ -995,9 +1055,10 @@ let shard_requests shard_servers ~verb =
 (* Leg sets: a CONNECTED into a target seen before — the same pair, or
    a new anchored start on the other shard — makes no shard request,
    and an ANCESTORS into it sends no CONNECTED probe (only its own and
-   its exits' streams). Every repeated answer is byte for byte the cold
-   one; CONNECTED answers are the unsharded server's, ANCESTORS its
-   top-k. *)
+   its exits' streams). A repeated ANCESTORS fetches only its own
+   stream: its exits' streams are remembered. Every repeated answer is
+   byte for byte the cold one; CONNECTED answers are the unsharded
+   server's, ANCESTORS its top-k. *)
 let leg_sets_answer_repeats () =
   let plan = Lazy.force shared_plan in
   with_coordinator_truth_shards ~plan ~closure:(Lazy.force shared_closure)
@@ -1050,24 +1111,31 @@ let leg_sets_answer_repeats () =
       (* ANCESTORS into the targets above, then into entry portals no
          request has named: cold, then repeated. *)
       let anc b = P.Ancestors { node = b; tag = None; k = 10_000; max_dist = None } in
-      let leg_probes f =
-        let before = shard_requests shard_servers ~verb:"connected" in
+      let counted verb f =
+        let before = shard_requests shard_servers ~verb in
         let r = f () in
-        (r, shard_requests shard_servers ~verb:"connected" - before)
+        (r, shard_requests shard_servers ~verb - before)
       in
+      let leg_probes f = counted "connected" f in
       let (), probes =
         leg_probes (fun () -> List.iter (fun b -> check_top_k ~cc ~sc (anc b)) targets)
       in
       Alcotest.(check int) "ANCESTORS on CONNECTED targets sent no leg probe" 0 probes;
       let fresh = List.filteri (fun i _ -> i mod 9 = 4) entries in
-      let cold, probes =
-        leg_probes (fun () -> List.map (fun b -> lines_of (Client.request cc (anc b))) fresh)
+      let (cold, probes), cold_streams =
+        counted "ancestors" (fun () ->
+            leg_probes (fun () -> List.map (fun b -> lines_of (Client.request cc (anc b))) fresh))
       in
       Alcotest.(check bool) "cold ANCESTORS probed its legs" true (probes > 0);
-      let warm, probes =
-        leg_probes (fun () -> List.map (fun b -> lines_of (Client.request cc (anc b))) fresh)
+      Alcotest.(check bool) "cold ANCESTORS opened exit streams" true
+        (cold_streams > List.length fresh);
+      let (warm, probes), streams =
+        counted "ancestors" (fun () ->
+            leg_probes (fun () -> List.map (fun b -> lines_of (Client.request cc (anc b))) fresh))
       in
       Alcotest.(check int) "repeated ANCESTORS sent no leg probe" 0 probes;
+      Alcotest.(check int) "repeated ANCESTORS fetched only their own streams"
+        (List.length fresh) streams;
       Alcotest.(check (list string)) "repeated ANCESTORS = cold" cold warm;
       List.iter (fun b -> check_top_k ~cc ~sc (anc b)) fresh)
 
@@ -1729,6 +1797,8 @@ let () =
             dead_shard_descendants_by_name;
           Alcotest.test_case "anchored name waits for a full shard" `Quick
             anchored_name_waits_for_full_shard;
+          Alcotest.test_case "timed-out stream is not replayed" `Quick
+            timed_out_stream_not_replayed;
           Alcotest.test_case "dead shard does not poison caches" `Quick
             dead_shard_no_cache_poison;
         ] );
