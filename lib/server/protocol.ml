@@ -388,10 +388,10 @@ let read_response read_line =
           items 0
       | _ -> Error (Printf.sprintf "unexpected response line %S" line))
 
-(* Read the [n] SUB-tagged answers of a batch. Sub-responses arrive in
-   completion order, not request order; each is delivered through
-   [on_response] as soon as its trailer is read, so a transport failure
-   mid-batch still leaves the caller with the answered prefix. *)
+(* Read the [n] SUB-tagged answers of a batch, each matched by its SUB
+   index and delivered through [on_response] as soon as its trailer is
+   read, so a transport failure mid-batch still leaves the caller with
+   the answered prefix. *)
 let read_batch_responses read_line ~n ~on_response =
   let seen = Array.make n false in
   let rec sub remaining =

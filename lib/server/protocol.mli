@@ -53,17 +53,17 @@
     batch envelope: the next [n] lines are sub-requests, one per line,
     drawn from the probe verbs [CONNECTED], [NDESCENDANTS], [ANCESTORS],
     [RESOLVE] (and the diagnostic [SLEEP]) — see {!batch_allowed}. The
-    server fans the sub-requests across its worker pool and answers with
-    exactly [n] sub-responses, each introduced by a [SUB <i>] line
-    carrying the 0-based index of the sub-request it answers, followed
-    by that sub-request's ordinary response lines. Sub-responses arrive
-    in {e completion} order, not request order. A malformed or
-    disallowed sub-request line fails only its own slot ([SUB <i>] then
-    [ERR ...]); the batch framing stays intact. The [DEADLINE] budget
-    covers the whole batch: sub-requests still queued when it expires
-    answer [TIMEOUT 0]. A queue-full server backpressures sub-request
-    dispatch rather than rejecting any sub with [BUSY] — a batch may
-    legitimately be larger than the server's work queue.
+    server answers with exactly [n] sub-responses, each introduced by a
+    [SUB <i>] line carrying the 0-based index of the sub-request it
+    answers, followed by that sub-request's ordinary response lines. The
+    server writes them in index order; a client matches them by the
+    index. A malformed or disallowed sub-request line fails only its own
+    slot ([SUB <i>] then [ERR ...]); the batch framing stays intact. The
+    [DEADLINE] budget covers the whole batch: sub-requests not yet
+    started when it expires answer [TIMEOUT 0]. A batch is admitted as
+    one request, and a queue-full server makes it wait rather than
+    answering [BUSY] — a batch may legitimately be larger than the
+    server's work queue.
 
     {2 Administration}
 
@@ -205,7 +205,8 @@ val read_batch_responses :
   (unit, string) result
 (** [read_batch_responses read_line ~n ~on_response] reads the [n]
     [SUB]-tagged answers of a batch, delivering each through
-    [on_response index response] as soon as its last line is read —
-    sub-responses arrive in completion order, and a transport failure
-    mid-batch still leaves the caller with every answer delivered so
-    far. Rejects out-of-range and duplicate indexes. *)
+    [on_response index response] as soon as its last line is read, by
+    its [SUB] index whatever the order the answers arrive in — so a
+    transport failure mid-batch still leaves the caller with every
+    answer delivered so far. Rejects out-of-range and duplicate
+    indexes. *)

@@ -113,36 +113,28 @@ let write_response oc resp =
   Conn_io.flush oc
 
 (* The one handoff between a connection's thread and the workers, made
-   once per connection. While a single request's job runs — or the one
-   sub of a one-sub batch — the connection thread waits here for
-   [finished], so the socket's output side belongs to the worker, which
-   writes the answer itself and then sets [finished] (and [client_gone]
-   when a write found the client gone). A larger batch's workers instead
-   queue each finished sub here, items and response together, for the
-   connection thread to write. *)
+   once per connection. While a job runs the connection thread waits
+   here for [finished], so the connection's output [oc] belongs to the
+   worker, which writes the answer itself and then sets [finished] (and
+   [client_gone] when a write found the client gone). *)
 type cell = {
+  oc : Conn_io.output;
   m : Mutex.t;
   c : Condition.t;
   mutable finished : bool;
   mutable client_gone : bool;
-  mutable subs : (int * Protocol.item list * Protocol.response) list; (* newest first *)
 }
 
-type reply =
-  | Write of {
-      oc : Conn_io.output;
-      cell : cell;
-      verb : string;
-      sw : Stopwatch.t;
-      sub0 : bool;
-    }
-      (* a single request, or with [sub0] the one sub of a one-sub batch:
-         the worker writes the answer to [oc], after a [SUB 0] line for a
-         sub, and observes its duration under [verb], or under "batch"
-         for a sub *)
-  | Sub of { cell : cell; i : int } (* sub-request [i] of the connection's batch *)
-
-type job = { req : Protocol.request; deadline_ns : int64; reply : reply }
+(* One request line's work: a single request, or every sub of a batch,
+   each parsed into a request or failed at parse into the ERR it
+   answers. *)
+type job = {
+  subs : (Protocol.request, Protocol.response) result array;
+  batch : bool; (* each answer follows its [SUB i] line *)
+  deadline_ns : int64;
+  cell : cell;
+  sw : Stopwatch.t;
+}
 
 (* A write from a worker found the client gone: the evaluation stops and
    the connection thread closes the connection. *)
@@ -436,10 +428,9 @@ let cap_k cap (req : Protocol.request) =
    only a clean answer (no TIMEOUT or PARTIAL trailer) is stored, under
    the pinned [epoch] — which the cache refuses once a swap has moved
    past it. *)
-let eval t (backend : backend) ~epoch ~sink (job : job) =
-  let deadline_ns = job.deadline_ns in
+let eval t (backend : backend) ~epoch ~sink ~deadline_ns req =
   let in_range v = v >= 0 && v < backend.n_nodes in
-  match cap_k t.cfg.max_results job.req with
+  match cap_k t.cfg.max_results req with
   | Protocol.Ping | Protocol.Metrics | Protocol.Evict _ | Protocol.Reload
   | Protocol.Epoch_query ->
       (* Answered inline on the connection thread: never pool-bound
@@ -523,84 +514,99 @@ let count_outcome t ~verb = function
   | Protocol.Err _ -> Metrics.incr_errors t.metrics
   | _ -> ()
 
-(* Evaluate [job] with its snapshot pinned for the whole evaluation: a
-   swap published mid-request retires the old backend only after this
-   pin (and every other) drains, so the request finishes on the epoch it
-   started on. *)
-let run t job sink =
-  let epoch, backend = Snapshot.pin t.snapshot in
-  Fun.protect
-    ~finally:(fun () -> Snapshot.unpin t.snapshot epoch)
-    (fun () ->
-      try eval t backend ~epoch ~sink job with
-      | (Out_of_memory | Stack_overflow) as fatal ->
-          (* Fatal resource exhaustion must not be flattened into an ERR
-             line (FL004); let it take the domain down so stop/join
-             surfaces it. *)
-          raise fatal
-      | Client_gone ->
-          (* The answer's own write failed: there is no client to tell. *)
-          raise Client_gone
-      | exn -> Protocol.Err ("internal: " ^ Printexc.to_string exn))
+(* [eval] with its failures turned into an ERR answer. *)
+let run t backend ~epoch ~sink ~deadline_ns req =
+  try eval t backend ~epoch ~sink ~deadline_ns req with
+  | (Out_of_memory | Stack_overflow) as fatal ->
+      (* Fatal resource exhaustion must not be flattened into an ERR
+         line (FL004); let it take the domain down so stop/join
+         surfaces it. *)
+      raise fatal
+  | Client_gone ->
+      (* The answer's own write failed: there is no client to tell. *)
+      raise Client_gone
+  | exn -> Protocol.Err ("internal: " ^ Printexc.to_string exn)
 
-(* A single request: the worker writes its ITEMs straight into the
-   connection's output. The first is flushed once the stream is pulled
-   again, later ones when 1 ms has passed since the last flush, and the
-   rest with the trailer — a slow stream reaches the client (and a
-   merging coordinator) incrementally, a fast one in few writes. The
-   outcome counters are bumped and the duration observed before the last
-   flush, so a client that has read the trailer finds its request
-   counted. *)
-let answer_single t job ~oc ~cell ~verb ~sw ~sub0 =
-  let flush () = try Conn_io.flush oc with Unix.Unix_error _ -> raise Client_gone in
-  let emitted = ref 0 and last_flush = ref 0L in
+let flush_answer oc = try Conn_io.flush oc with Unix.Unix_error _ -> raise Client_gone
+
+(* The one writer of evaluated answers. It answers [job]'s subs in index
+   order, each after its [SUB i] line in a batch, writing the ITEMs
+   straight into the connection's output as they stream and then the
+   trailer. Output is flushed at once for the job's first item, then
+   once 1 ms has passed since the last flush (or since the job began,
+   while nothing has been flushed) — checked before a stream is pulled
+   again and between subs — and finally after the last answer: a slow
+   stream reaches the client (and a merging coordinator) incrementally,
+   a fast one or a batch of probes in few writes. A batch sub reached after
+   the deadline answers [TIMEOUT 0] without being evaluated; a sub that
+   failed at parse answers its ERR, counted then. The outcome counters
+   are bumped and the duration observed before the last flush, so a
+   client that has read the trailer finds its request counted. The
+   snapshot is pinned once for the whole job: a swap published mid-job
+   retires the old backend only after this pin (and every other) drains,
+   so the job finishes on the epoch it started on.
+   @raise Client_gone when a write found the client gone. *)
+let answer t job =
+  let oc = job.cell.oc in
+  let items = ref 0 (* ITEM lines written, every sub *) in
+  let last_flush = ref 0L (* none yet: the first item goes out at once *) in
+  let pace now =
+    if Int64.sub now !last_flush >= 1_000_000L then begin
+      flush_answer oc;
+      last_flush := now
+    end
+  in
   let sink =
     {
       emit =
         (fun it ->
-          incr emitted;
+          incr items;
           Conn_io.output_item oc it);
-      pace =
-        (fun now ->
-          if !emitted = 1 || Int64.sub now !last_flush >= 1_000_000L then begin
-            flush ();
-            last_flush := now
-          end);
+      pace;
     }
   in
-  let deliver () =
-    if sub0 then write_line oc (Protocol.sub_line 0);
-    let resp = run t job sink in
-    count_outcome t ~verb resp;
-    write_answer oc ~emitted:!emitted resp;
-    Metrics.observe_ms t.metrics
-      ~verb:(if sub0 then "batch" else verb)
-      (Stopwatch.elapsed_ms sw);
-    flush ()
-  in
-  let client_gone = match deliver () with () -> false | exception Client_gone -> true in
-  with_lock cell.m (fun () ->
-      cell.finished <- true;
-      cell.client_gone <- client_gone;
-      Condition.signal cell.c)
-
-(* A batch sub: its items collect here and travel with the response, one
-   hand-over per sub. *)
-let answer_sub t job ~cell ~i =
-  let items = ref [] in
-  let resp = run t job { emit = (fun it -> items := it :: !items); pace = ignore } in
-  with_lock cell.m (fun () ->
-      cell.subs <- (i, List.rev !items, resp) :: cell.subs;
-      Condition.signal cell.c)
+  let n = Array.length job.subs in
+  let epoch, backend = Snapshot.pin t.snapshot in
+  Fun.protect
+    ~finally:(fun () -> Snapshot.unpin t.snapshot epoch)
+    (fun () ->
+      for i = 0 to n - 1 do
+        if job.batch then write_line oc (Protocol.sub_line i);
+        let before = !items in
+        let resp =
+          match job.subs.(i) with
+          | Error resp -> resp
+          | Ok req ->
+              let resp =
+                if job.batch && expired job.deadline_ns then no_items ~timed_out:true ()
+                else run t backend ~epoch ~sink ~deadline_ns:job.deadline_ns req
+              in
+              count_outcome t ~verb:(Protocol.verb req) resp;
+              resp
+        in
+        write_answer oc ~emitted:(!items - before) resp;
+        if i < n - 1 && (!last_flush <> 0L || Stopwatch.elapsed_ns job.sw >= 1_000_000L) then
+          pace (Stopwatch.now_ns ())
+      done;
+      let verb =
+        match job.subs with
+        | [| Ok req |] when not job.batch -> Protocol.verb req
+        | _ -> "batch"
+      in
+      Metrics.observe_ms t.metrics ~verb (Stopwatch.elapsed_ms job.sw);
+      flush_answer oc)
 
 let worker_loop t () =
   let rec loop () =
     match Work_queue.pop t.queue with
     | None -> ()
     | Some job ->
-        (match job.reply with
-        | Write { oc; cell; verb; sw; sub0 } -> answer_single t job ~oc ~cell ~verb ~sw ~sub0
-        | Sub { cell; i } -> answer_sub t job ~cell ~i);
+        let gone = match answer t job with () -> false | exception Client_gone -> true in
+        let cell = job.cell in
+        with_lock cell.m (fun () ->
+            cell.finished <- true;
+            cell.client_gone <- gone;
+            Condition.signal cell.c);
         loop ()
   in
   loop ()
@@ -718,7 +724,7 @@ let apply_reload t =
 
 (* --- connection handling (thread side) ------------------------------ *)
 
-(* Wait until the worker has written the single request's answer.
+(* Wait until the worker has written the job's answer.
    @raise Client_gone when one of its writes found the client gone. *)
 let await_answer cell =
   let gone =
@@ -731,7 +737,8 @@ let await_answer cell =
   in
   if gone then raise Client_gone
 
-let handle_request t oc cell line =
+let handle_request t cell line =
+  let oc = cell.oc in
   match Protocol.parse_envelope line with
   | Error msg ->
       Metrics.incr_errors t.metrics;
@@ -768,7 +775,7 @@ let handle_request t oc cell line =
         let deadline_ns =
           Int64.add (Stopwatch.now_ns ()) (Int64.of_float (budget_ms *. 1e6))
         in
-        let job = { req; deadline_ns; reply = Write { oc; cell; verb; sw; sub0 = false } } in
+        let job = { subs = [| Ok req |]; batch = false; deadline_ns; cell; sw } in
         if Work_queue.try_push t.queue job then await_answer cell
         else begin
           Metrics.incr_rejected t.metrics;
@@ -778,130 +785,14 @@ let handle_request t oc cell line =
 
 (* --- batches -------------------------------------------------------- *)
 
-(* A one-sub batch is answered like a single request: its worker
-   writes [SUB 0], the items and the trailer while this thread waits on
-   the cell. It is admitted like a batch, though: a full queue means
-   backpressure — short polls — until the deadline, never BUSY, and a
-   sub still unpushed at the deadline answers [TIMEOUT 0] here. *)
-let answer_one_sub t oc cell ~sw ~deadline_ns req =
-  let verb = Protocol.verb req in
-  let job = { req; deadline_ns; reply = Write { oc; cell; verb; sw; sub0 = true } } in
-  let rec admit () =
-    if expired deadline_ns then begin
-      let resp = no_items ~timed_out:true () in
-      count_outcome t ~verb resp;
-      write_line oc (Protocol.sub_line 0);
-      write_answer oc ~emitted:0 resp;
-      Metrics.observe_ms t.metrics ~verb:"batch" (Stopwatch.elapsed_ms sw);
-      Conn_io.flush oc
-    end
-    else if Work_queue.try_push t.queue job then await_answer cell
-    else begin
-      Thread.delay 0.002;
-      admit ()
-    end
-  in
-  admit ()
-
-(* Fan the [n] parsed-or-failed sub-requests of one batch across
-   the worker pool and write SUB-tagged answers back in completion
-   order. Each worker hands its finished sub — items and response
-   together — to the connection's completion queue in [cell] with one
-   signal; this (connection) thread takes every queued sub per wake-up,
-   writes each whole and flushes once. Batch items are buffered per sub
-   rather than interleaved on the wire — a batch is a probe plane, not a
-   streaming plane.
-
-   Admission control happened for the batch as a whole, so sub-requests
-   meet a full queue with {e backpressure}, not BUSY: pushes resume as
-   this batch's own jobs complete (or, when the queue is full of other
-   connections' work, by short polls). Sub-requests still unpushed when
-   the deadline expires answer [TIMEOUT 0], exactly like a queued job
-   whose deadline expired. *)
-let fan_out_batch t oc cell ~sw ~deadline_ns subs =
-  let n = Array.length subs in
-  let verbs = Array.make n "other" in
-  (* Subs answered on this thread — malformed, disallowed, or expired
-     before a worker took them — newest first. *)
-  let local = ref [] in
-  let answer_here i resp = local := (i, [], resp) :: !local in
-  let to_push = ref [] in
-  Array.iteri
-    (fun i sub ->
-      match sub with
-      | Error resp -> answer_here i resp
-      | Ok req ->
-          verbs.(i) <- Protocol.verb req;
-          to_push := (i, { req; deadline_ns; reply = Sub { cell; i } }) :: !to_push)
-    subs;
-  let to_push = ref (List.rev !to_push) in
-  let in_flight = ref 0 in
-  (* Push pending jobs until the queue refuses; an expired deadline
-     answers the rest without burning worker time on them. *)
-  let rec push_more () =
-    match !to_push with
-    | [] -> ()
-    | (i, job) :: rest ->
-        if expired deadline_ns then begin
-          answer_here i (no_items ~timed_out:true ());
-          to_push := rest;
-          push_more ()
-        end
-        else if Work_queue.try_push t.queue job then begin
-          incr in_flight;
-          to_push := rest;
-          push_more ()
-        end
-  in
-  (* The subs finished since the last call, oldest first. Wait only when
-     nothing is at hand and one of our own jobs is in flight — its
-     completion signals [cell.c] under [cell.m], so the check cannot
-     miss it. *)
-  let take_finished () =
-    let done_here = List.rev !local in
-    local := [];
-    let from_workers =
-      with_lock cell.m (fun () ->
-          if done_here = [] && !in_flight > 0 then
-            while cell.subs = [] do
-              Condition.wait cell.c cell.m
-            done;
-          let subs = cell.subs in
-          cell.subs <- [];
-          subs)
-    in
-    in_flight := !in_flight - List.length from_workers;
-    done_here @ List.rev from_workers
-  in
-  let rec drain remaining =
-    if remaining > 0 then begin
-      push_more ();
-      match take_finished () with
-      | [] ->
-          (* Nothing in flight: the queue is full of other connections'
-             work, so poll. *)
-          Thread.delay 0.002;
-          drain remaining
-      | finished ->
-          List.iter
-            (fun (i, items, resp) ->
-              (* "other" slots failed to parse and were counted then. *)
-              if verbs.(i) <> "other" then count_outcome t ~verb:verbs.(i) resp;
-              write_line oc (Protocol.sub_line i);
-              List.iter (Conn_io.output_item oc) items;
-              write_answer oc ~emitted:(List.length items) resp)
-            finished;
-          Conn_io.flush oc;
-          drain (remaining - List.length finished)
-    end
-  in
-  drain n;
-  Metrics.observe_ms t.metrics ~verb:"batch" (Stopwatch.elapsed_ms sw)
-
-(* Count the batch and each sub-request line, parsed into a request for
-   the workers or failed into the ERR this thread answers, then answer
-   a lone request through its worker and anything else fanned out. *)
-let handle_batch t oc cell ~deadline_ms lines =
+(* Count the batch and each sub-request line, parsed into a request or
+   failed into the ERR it answers, then queue the batch as one job. It
+   was counted as one request, so a full queue means backpressure —
+   short polls — until the deadline, never BUSY: a batch may be larger
+   than the queue. A batch still unqueued at the deadline is answered
+   here, with nothing evaluated: every sub answers TIMEOUT 0 or its
+   ERR. *)
+let handle_batch t cell ~deadline_ms lines =
   Metrics.incr_requests t.metrics ~verb:"batch";
   let sw = Stopwatch.start () in
   let budget_ms =
@@ -926,9 +817,16 @@ let handle_batch t oc cell ~deadline_ms lines =
             Ok req)
       lines
   in
-  match subs with
-  | [| Ok req |] -> answer_one_sub t oc cell ~sw ~deadline_ns req
-  | subs -> fan_out_batch t oc cell ~sw ~deadline_ns subs
+  let job = { subs; batch = true; deadline_ns; cell; sw } in
+  let rec admit () =
+    if expired deadline_ns then answer t job
+    else if Work_queue.try_push t.queue job then await_answer cell
+    else begin
+      Thread.delay 0.002;
+      admit ()
+    end
+  in
+  admit ()
 
 (* Read one request line while buffering at most [max_bytes]: a client
    cannot exhaust memory by streaming an endless line (input_line would
@@ -958,11 +856,11 @@ let conn_loop t fd =
   let oc = Conn_io.output fd in
   let cell =
     {
+      oc;
       m = Mutex.create ();
       c = Condition.create ();
       finished = false;
       client_gone = false;
-      subs = [];
     }
   in
   let cleanup () =
@@ -1123,7 +1021,7 @@ let conn_loop t fd =
               match read_batch_lines n with
               | None -> ()
               | Some lines ->
-                  handle_batch t oc cell ~deadline_ms lines;
+                  handle_batch t cell ~deadline_ms lines;
                   loop ())
           | Ok (Protocol.Batch { n; _ }) ->
               Metrics.incr_errors t.metrics;
@@ -1137,7 +1035,7 @@ let conn_loop t fd =
           | Ok (Protocol.Single _) | Error _ ->
               (* [handle_request] re-parses and owns the ERR answer for
                  malformed lines. *)
-              handle_request t oc cell line;
+              handle_request t cell line;
               loop ())
     in
     (* The try must wrap the whole loop body, not just the read: with

@@ -25,8 +25,8 @@
     the backend's answer and stores it only when it is clean (no
     [TIMEOUT] or [PARTIAL] trailer).
 
-    The worker that evaluates a single request writes its answer
-    itself, straight into the connection's output: while the job runs
+    The worker that evaluates a request writes its answer itself,
+    straight into the connection's output: while the job runs
     the connection thread waits on the connection's completion cell, so
     the socket's output side belongs to the worker, and the request
     crosses domains once each way whatever its item count. Stream verbs
@@ -59,24 +59,20 @@
     answer is [TIMEOUT 0]. An [EVALUATE] cache hit is replayed
     whatever its deadline.
 
-    Batches: a [BATCH <n>] header fans its [n] sub-requests across the
-    worker pool as [n] independent jobs and answers each with a
-    [SUB <i>]-tagged response as it completes (completion order, not
-    request order) — one round trip for a whole probe wave. A sub's
-    items stay with its worker until it finishes, then travel with its
-    response to the connection thread, which writes finished subs
-    whole. A one-sub batch — most of a coordinator's probe waves — skips
-    that hand-over: its worker writes [SUB 0] and the answer itself, as
-    for a single request, with the same bytes and the batch's admission
-    rule. The
-    [DEADLINE] budget covers the batch: sub-requests still queued when
-    it expires answer [TIMEOUT 0]. Admission control happens once for
-    the whole batch, so a full work queue backpressures sub-request
-    dispatch rather than answering [BUSY] per overflowing sub — a batch
-    may legitimately exceed [queue_capacity]. A malformed or
-    disallowed sub-request fails only
-    its own slot. Batches larger than [max_batch] are consumed and
-    answered with a single [ERR], framing intact.
+    Batches: a [BATCH <n>] header and its [n] sub-requests are one job
+    — one round trip and one queue slot for a whole probe wave. One
+    worker answers the subs in index order, writing each [SUB <i>]
+    line, the items and the trailer into the connection's output as for
+    a single request, with the same flush pacing across the whole job.
+    The [DEADLINE] budget covers the batch: a sub the worker reaches
+    after it answers [TIMEOUT 0] without being evaluated. Admission
+    control happens once for the whole batch, and a full work queue
+    makes it wait until its deadline rather than answering [BUSY] — a
+    batch still unqueued then answers from the connection thread with
+    nothing evaluated: [TIMEOUT 0] for every well-formed sub. A
+    malformed or disallowed sub-request fails only its own slot.
+    Batches larger than [max_batch] are consumed and answered with a
+    single [ERR], framing intact.
 
     Resource limits: request lines are buffered up to [max_line_bytes]
     (overflow answers [ERR] with the rest of the line discarded), and

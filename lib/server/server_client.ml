@@ -51,7 +51,7 @@ let request ?deadline_ms t req =
 
 (* Pipelined batch: one BATCH header plus every sub-request line goes
    out in a single buffered write + flush, then the SUB-tagged answers
-   are read back in completion order. [on_response] sees each answer as
+   are read back by SUB index. [on_response] sees each answer as
    soon as it is parsed, so a transport failure mid-batch still leaves
    the caller with the answered prefix. *)
 let request_batch ?deadline_ms t reqs ~on_response =

@@ -91,7 +91,7 @@ val request_batch :
   (unit, string) result
 (** Pipelined [BATCH]: writes the header and every sub-request in one
     flush, then reads the [SUB]-tagged answers, delivering each through
-    [on_response index response] in completion order. On a transport
+    [on_response index response] as it arrives. On a transport
     failure mid-batch the already-delivered answers stand — the
     retrying caller ({!Fx_shard.Shard_client.call_many}) re-sends only
     the unanswered sub-requests. An empty array is a no-op. *)

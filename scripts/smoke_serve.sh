@@ -4,7 +4,8 @@
 # skip the index build), drive PING / DESCENDANTS / CONNECTED / METRICS
 # over the wire, check that a repeated disk EVALUATE is an answer-cache
 # hit, that an unknown tag answers exactly DONE 0 and METRICS is well
-# formed on the disk, memory and coordinator deployments, and that a
+# formed on the disk, memory and coordinator deployments, that a BATCH
+# with a malformed sub answers its subs in index order, and that a
 # mangled store (or a zero-entry --coord-cache) dies with a one-line
 # error instead of a backtrace. Then hot reload: INGEST and RELOAD
 # against a live in-memory server under concurrent query load (zero
@@ -210,6 +211,18 @@ wait_port || { cat "$DIR/mem.log" >&2; fail "in-memory server did not come up"; 
 [ "$(ask EPOCH)" = "EPOCH 1" ] || fail "EPOCH before any swap"
 ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^ITEM " || fail "memory DESCENDANTS"
 unknown_tags memory
+
+# A batch's subs answer in index order, a malformed one in its own slot:
+# each of these subs answers one line after its SUB header.
+exec 8<>"/dev/tcp/127.0.0.1/$PORT" || fail "connect for BATCH"
+printf 'BATCH 3\nCONNECTED 0 3\nFROBNICATE\nCONNECTED 0 0\n' >&8
+headers=
+for _ in 1 2 3 4 5 6; do
+  IFS= read -r -t 10 line <&8 || fail "short BATCH answer"
+  case $line in SUB\ *) headers="$headers${headers:+, }$line" ;; esac
+done
+exec 8<&- 8>&-
+[ "$headers" = "SUB 0, SUB 1, SUB 2" ] || fail "BATCH sub headers arrived as: $headers"
 m=$(ask METRICS)
 echo "$m" | grep -q "^flix_snapshot_epoch 1$" || fail "flix_snapshot_epoch gauge missing"
 echo "$m" | grep -q "^flix_snapshot_pinned{epoch=" || fail "flix_snapshot_pinned gauge missing"

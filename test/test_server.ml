@@ -950,6 +950,51 @@ let batch_size_limits () =
       Alcotest.(check string) "still serving" "PONG" (input_line ic);
       Unix.close fd)
 
+(* One worker and a queue of two: a batch of eight naps takes one queue
+   slot, so single requests sent while it runs wait behind it instead of
+   being refused BUSY. Two of them, 20 ms apart, so that neither can slip
+   into a moment when a queue holding the batch's subs had room. *)
+let batch_one_queue_slot () =
+  with_server
+    ~config:{ Server.default_config with workers = 1; queue_capacity = 2 }
+    (fun server ->
+      let port = Server.port server in
+      let after delay f =
+        let result = ref (Error "no answer") in
+        let th =
+          Thread.create
+            (fun () ->
+              Thread.delay delay;
+              let c = Client.connect ~port () in
+              result := f c;
+              Client.close c)
+            ()
+        in
+        (th, result)
+      in
+      let batch = after 0.0 (fun c -> Client.request_many c (Array.make 8 (P.Sleep 40))) in
+      let singles =
+        List.map
+          (fun delay ->
+            after delay (fun c -> Client.request c (P.Connected { a = 0; b = 0; max_dist = None })))
+          [ 0.1; 0.12 ]
+      in
+      List.iter (fun (th, _) -> Thread.join th) singles;
+      Thread.join (fst batch);
+      List.iter
+        (fun (_, answer) ->
+          match !answer with
+          | Ok (P.Dist (Some 0)) -> ()
+          | Ok r -> Alcotest.failf "single request answered %s" (render r)
+          | Error e -> Alcotest.failf "single request failed: %s" e)
+        singles;
+      (match !(snd batch) with
+      | Ok got ->
+          Alcotest.(check (array string)) "every nap answers OK" (Array.make 8 "OK")
+            (Array.map render got)
+      | Error e -> Alcotest.failf "batch failed: %s" e);
+      Alcotest.(check int) "nothing refused" 0 (Metrics.rejected_total (Server.metrics server)))
+
 (* --- one-sub batches ---------------------------------------------------- *)
 
 (* Send [header] and its sub-lines on [oc], then read the batch's [n]
@@ -965,10 +1010,10 @@ let raw_batch oc ic header subs =
   done;
   answers
 
-(* A one-sub batch is answered by its worker, not through the batch's
-   completion queue: the bytes must be those of the same sub inside a
-   larger batch, for every batch-allowed verb, for a malformed and a
-   disallowed sub, and under an expired DEADLINE envelope. *)
+(* A sub's answer does not depend on the batch around it: the bytes of
+   a one-sub batch must be those of the same sub inside a larger batch,
+   for every batch-allowed verb, for a malformed and a disallowed sub,
+   and under an expired DEADLINE envelope. *)
 let one_sub_batch_bytes () =
   with_server (fun server ->
       let port = Server.port server in
@@ -1004,6 +1049,28 @@ let one_sub_batch_bytes () =
               Alcotest.(check string) (header ^ " | " ^ sub ^ ": both subs") two.(0) two.(1))
             subs)
         [ ("BATCH 1", "BATCH 2"); ("DEADLINE 0 BATCH 1", "DEADLINE 0 BATCH 2") ];
+      (* All the subs in one batch: the wire carries their one-sub answers
+         in index order, each after its own SUB line. *)
+      let wire_lines header =
+        output_string oc (String.concat "\n" (header :: subs) ^ "\n");
+        flush oc;
+        List.map
+          (fun _ ->
+            let sub_line = input_line ic in
+            sub_line ^ "\n" ^ raw_response ic)
+          subs
+      in
+      List.iter
+        (fun (one_header, prefix) ->
+          let want =
+            List.mapi
+              (fun i sub ->
+                Printf.sprintf "SUB %d\n%s" i (raw_batch oc ic one_header [ sub ]).(0))
+              subs
+          in
+          let header = Printf.sprintf "%sBATCH %d" prefix (List.length subs) in
+          Alcotest.(check (list string)) (header ^ ": index order") want (wire_lines header))
+        [ ("BATCH 1", ""); ("DEADLINE 0 BATCH 1", "DEADLINE 0 ") ];
       (* Under an expired envelope every sub answers TIMEOUT 0 or fails. *)
       Alcotest.(check (array string)) "expired envelope" [| "TIMEOUT 0" |]
         (raw_batch oc ic "DEADLINE 0 BATCH 1" [ "CONNECTED 0 0" ]);
@@ -1473,6 +1540,7 @@ let () =
           Alcotest.test_case "malformed sub mid-batch" `Quick batch_malformed_sub;
           Alcotest.test_case "deadline mid-batch" `Quick batch_deadline_mid;
           Alcotest.test_case "size limits" `Quick batch_size_limits;
+          Alcotest.test_case "one queue slot" `Quick batch_one_queue_slot;
           Alcotest.test_case "one sub: same bytes" `Quick one_sub_batch_bytes;
           Alcotest.test_case "one sub: counted once" `Quick one_sub_batch_counted;
           Alcotest.test_case "one sub: backpressure, not BUSY" `Quick one_sub_batch_backpressure;
