@@ -48,6 +48,13 @@ let bounded_store b key v =
       Hashtbl.replace b.tbl key v;
       b.weight <- b.weight + b.weigh v)
 
+(* A shard answer as the coordinator reads it, converted once when its
+   reply is recorded: a within-shard distance, or a stream as a packed
+   global run — [dist * total_nodes + global node] per item, in the
+   shard's order. A run costs one word per item, where a list of
+   [P.item] records costs about seven. *)
+type answer = Dist of int option | Run of int array
+
 (* A deduplicated portal, located once at create time, with its
    portal-closure index [ci]. [tag] is the node's tag name for entry
    portals (link targets emit themselves into matching streams) and
@@ -59,9 +66,9 @@ type t = {
   shards : Shard_client.t array;
   addrs : (string * int) list;  (* the addresses [shards] was built from *)
   links : located_link array;
-  (* The memo: clean shard answers, keyed by the shard and the request
-     it was sent (see [ask]). Each counts 1. *)
-  memo : (int * P.request, P.response) bounded;
+  (* The memo: clean shard answers, converted, keyed by the shard and
+     the request it was sent (see [ask]). Each counts 1. *)
+  memo : (int * P.request, answer) bounded;
   (* Leg sets: by global target node, the (closure index, distance) of
      every entry portal of its shard that reaches it, ascending by
      closure index. Stored whole or not at all (see [legs_into]); a set
@@ -207,8 +214,6 @@ let classify ctx = function
       Some resp
   | Ok resp -> Some resp
 
-let items_of = function Some (P.Items { items; _ }) -> items | Some _ | None -> []
-
 (* One fan-out call. *)
 let shard_call t ctx shard req =
   let left = remaining_ms ctx in
@@ -242,38 +247,40 @@ let exec_shard t ctx shard reqs =
 
 (* One wave of shard work — every request a query can send before it
    needs their answers — planned request by request, fired as one batch
-   per shard, then read from [replies]. A request planned twice in one
-   wave is sent once. *)
+   per shard, then read through the reader each plan returns. A request
+   planned twice in one wave is sent once. A wave is built by the first
+   request queued in it, so one whose every request is a memo hit is
+   never built and never runs. *)
 type wave = {
   (* per shard, newest first; [true] marks a request whose clean reply
      goes into the memo *)
   queued : (P.request * bool) list array;
-  (* every planned request: [None] until its reply arrives, and after a
+  (* every queued request: [None] until its reply arrives, and after a
      run when the shard failed it (the degradation flags are set) *)
-  replies : (int * P.request, P.response option) Hashtbl.t;
+  replies : (int * P.request, answer option) Hashtbl.t;
 }
 
-let new_wave t = { queued = Array.make (Array.length t.shards) []; replies = Hashtbl.create 16 }
+let new_wave t =
+  lazy { queued = Array.make (Array.length t.shards) []; replies = Hashtbl.create 16 }
 
 let queue wave ~memo shard req =
+  let wave = Lazy.force wave in
   if not (Hashtbl.mem wave.replies (shard, req)) then begin
     Hashtbl.replace wave.replies (shard, req) None;
     wave.queued.(shard) <- (req, memo) :: wave.queued.(shard)
-  end
+  end;
+  fun () -> Option.join (Hashtbl.find_opt wave.replies (shard, req))
 
 (* Plan a request whose answer is not worth remembering. *)
 let send wave shard req = queue wave ~memo:false shard req
 
 (* Plan a request whose answer any later query may reuse: a memoized
-   answer is copied into the wave, anything else is sent, and a clean
-   reply is stored once the wave has run. *)
+   answer is read as it is, anything else is sent, and a clean reply is
+   stored once the wave has run. *)
 let ask t wave shard req =
-  if not (Hashtbl.mem wave.replies (shard, req)) then
-    match bounded_find t.memo (shard, req) with
-    | Some resp -> Hashtbl.replace wave.replies (shard, req) (Some resp)
-    | None -> queue wave ~memo:true shard req
-
-let reply wave shard req = Option.join (Hashtbl.find_opt wave.replies (shard, req))
+  match bounded_find t.memo (shard, req) with
+  | Some a -> fun () -> Some a
+  | None -> queue wave ~memo:true shard req
 
 (* The memo's one store rule, the front answer cache's: a distance, or
    a stream neither cut off nor degraded. A cut-off stream stored would
@@ -283,13 +290,29 @@ let clean = function
   | P.Items { timed_out; partial; _ } -> not (timed_out || partial)
   | _ -> false
 
-(* Fire the wave: one batch per shard, shards in parallel, then record
-   the replies on this thread. A shard thread that dies before its
-   answers are in fails every slot of its shard, as a lost shard does,
-   so the request degrades to PARTIAL instead of reading those segments
-   as unreachable. Readers hold the wave's own replies, so a memo reset
-   — even one this wave's stores trigger — cannot lose an answer. *)
-let run_plan t ctx wave =
+(* A reply as it is read: a stream's items are globalized here, once,
+   and every replay reads the run. Any other response reads as a failed
+   probe. *)
+let answer_of t ~shard = function
+  | P.Dist d -> Some (Dist d)
+  | P.Items { items; _ } ->
+      let total = Shard_plan.total_nodes t.plan in
+      let run = Array.make (List.length items) 0 in
+      List.iteri
+        (fun i (it : P.item) ->
+          run.(i) <- (it.dist * total) + Shard_plan.global_of t.plan ~shard ~local:it.node)
+        items;
+      Some (Run run)
+  | _ -> None
+
+(* Fire a built wave: one batch per shard, shards in parallel, then
+   record the replies on this thread, each converted once. A shard
+   thread that dies before its answers are in fails every slot of its
+   shard, as a lost shard does, so the request degrades to PARTIAL
+   instead of reading those segments as unreachable. Readers hold the
+   wave's own replies, so a memo reset — even one this wave's stores
+   trigger — cannot lose an answer. *)
+let fire t ctx wave =
   let groups = ref [] in
   Array.iteri
     (fun shard queued ->
@@ -300,10 +323,11 @@ let run_plan t ctx wave =
     Array.iteri
       (fun i resp ->
         let req, memo = queued.(i) in
-        Hashtbl.replace wave.replies (shard, req) resp;
-        match resp with
-        | Some resp when memo && clean resp -> bounded_store t.memo (shard, req) resp
-        | Some _ | None -> ())
+        let a = Option.bind resp (answer_of t ~shard) in
+        Hashtbl.replace wave.replies (shard, req) a;
+        match (resp, a) with
+        | Some resp, Some a when memo && clean resp -> bounded_store t.memo (shard, req) a
+        | _ -> ())
       out
   in
   match !groups with
@@ -328,6 +352,8 @@ let run_plan t ctx wave =
             | None -> Array.map (fun _ -> classify ctx (Error "shard thread failed")) (snd group)))
         running
 
+let run_plan t ctx wave = if Lazy.is_val wave then fire t ctx (Lazy.force wave)
+
 (* The within-shard distance from [a] down to [b], planned with [plan]
    ([ask t] or [send]) and read once the wave has run: [Some d] for a
    [DIST d] reply, [None] when the probe failed. Probes carry no
@@ -336,9 +362,8 @@ let run_plan t ctx wave =
 let distance plan wave ~shard ~a ~b =
   if a = b then fun () -> Some (Some 0)
   else begin
-    let req = P.Connected { a; b; max_dist = None } in
-    plan wave shard req;
-    fun () -> match reply wave shard req with Some (P.Dist d) -> Some d | Some _ | None -> None
+    let read = plan wave shard (P.Connected { a; b; max_dist = None }) in
+    fun () -> match read () with Some (Dist d) -> Some d | Some (Run _) | None -> None
   end
 
 (* The final legs into global node [g] ([local] on [shard]) as a leg
@@ -385,10 +410,11 @@ let leg_of legs ci =
    above [node] (ancestors-or-self) within its shard. *)
 let start_probe ~node ~tag = P.Ancestors { node; tag = Some tag; k = 1; max_dist = None }
 
-let start_dist wave ~shard ~node ~tag =
-  match items_of (reply wave shard (start_probe ~node ~tag)) with
-  | it :: _ -> Some it.P.dist
-  | [] -> None
+(* The nearest start's distance: the first key of the probe's run. *)
+let start_dist t read =
+  match read () with
+  | Some (Run run) when Array.length run > 0 -> Some (run.(0) / Shard_plan.total_nodes t.plan)
+  | Some _ | None -> None
 
 (* --- the portal closure ------------------------------------------------ *)
 
@@ -431,9 +457,18 @@ let forward_seeds t wave ~g ~shard ~local =
 
 (* --- stream merge ------------------------------------------------------ *)
 
-let globalize t ~shard ~offset (it : P.item) =
-  { P.node = Shard_plan.global_of t.plan ~shard ~local:it.node; dist = it.dist + offset;
-    meta = shard }
+(* A run read at [offset] from [shard]: its head's heap key is
+   [base + run.(pos)] with [base = offset * total_nodes], the packed
+   [(dist + offset, global node)] of the item it stands for. *)
+type cursor = { base : int; run : int array; mutable pos : int; shard : int }
+
+let cursor t ~shard ~offset run =
+  { base = offset * Shard_plan.total_nodes t.plan; run; pos = 0; shard }
+
+(* A stream reply as a cursor; a failed one is an empty run. *)
+let stream t ~shard ~offset = function
+  | Some (Run run) -> cursor t ~shard ~offset run
+  | Some (Dist _) | None -> cursor t ~shard ~offset [||]
 
 let flags ctx =
   { Server.timed_out = Atomic.get ctx.timed_out; partial = Atomic.get ctx.partial }
@@ -441,11 +476,12 @@ let flags ctx =
 let degraded ctx = Atomic.get ctx.timed_out || Atomic.get ctx.partial
 
 (* Open portal [p], reached at distance [d]: an entry portal pushes its
-   own item when its tag matches, then its [NDESCENDANTS] stream; an
-   exit portal its ancestors-or-self [ANCESTORS] stream, which reports
-   the portal itself at distance 0. A stream does not depend on who
-   reached the portal, so it is asked: one fetch serves every start,
-   and a replay is exactly the bytes the shard would send again. The
+   own item, a one-element run at offset [d], when its tag matches, then
+   its [NDESCENDANTS] stream; an exit portal its ancestors-or-self
+   [ANCESTORS] stream, which reports the portal itself at distance 0. A
+   stream does not depend on who reached the portal, so it is asked:
+   one fetch serves every start, and a replay reads the run of exactly
+   the bytes the shard would send again, at this portal's offset. The
    stream is pushed by the returned reader once the wave has run. *)
 let open_portal t toward ~tag ~k ~max_dist wave ~push (p : portal) d =
   let max_dist = Option.map (fun m -> m - d) max_dist in
@@ -453,13 +489,12 @@ let open_portal t toward ~tag ~k ~max_dist wave ~push (p : portal) d =
     match toward with
     | Portal_closure.Entries ->
         if match tag with None -> true | Some w -> w = p.tag then
-          push [ { P.node = p.g; dist = d; meta = p.shard } ];
+          push (cursor t ~shard:p.shard ~offset:d [| p.g |]);
         P.Node_descendants { node = p.local; tag; k; max_dist }
     | Exits -> P.Ancestors { node = p.local; tag; k; max_dist }
   in
-  ask t wave p.shard req;
-  fun () ->
-    push (List.map (globalize t ~shard:p.shard ~offset:d) (items_of (reply wave p.shard req)))
+  let read = ask t wave p.shard req in
+  fun () -> push (stream t ~shard:p.shard ~offset:d (read ()))
 
 (* k-way merge of [streams] and the portals nearest [seeds] (each
    stream ascending by distance) with the same priority queue the PEE
@@ -469,7 +504,8 @@ let open_portal t toward ~tag ~k ~max_dist wave ~push (p : portal) d =
    on first — i.e. nearest — occurrence. Ties break on global node id —
    the key packs (dist, node) into one integer — so the merged bytes
    are a function of the stream multiset alone, not of the order the
-   streams arrived in.
+   streams arrived in. The heap holds one cursor per run, keyed by its
+   head; an item is built only when it is emitted.
 
    Portals open lazily, the PEE's entry-point expansion one level up:
    before an item at distance [d] is emitted every portal at offset
@@ -481,10 +517,7 @@ let open_portal t toward ~tag ~k ~max_dist wave ~push (p : portal) d =
 let merge_streams t ctx ~exclude toward ~tag ~k ~max_dist ~seeds streams =
   let total = Shard_plan.total_nodes t.plan in
   let pq = PQ.create () in
-  let push = function
-    | [] -> ()
-    | (it : P.item) :: rest -> PQ.insert pq ((it.dist * total) + it.node) (it, rest)
-  in
+  let push c = if c.pos < Array.length c.run then PQ.insert pq (c.base + c.run.(c.pos)) c in
   List.iter push streams;
   let portals = nearest t toward ~max_dist seeds in
   let pending = ref (portals ()) in
@@ -512,12 +545,15 @@ let merge_streams t ctx ~exclude toward ~tag ~k ~max_dist ~seeds streams =
     settle ();
     if PQ.is_empty pq then None
     else begin
-      let (it : P.item), rest = PQ.pop pq in
-      push rest;
-      if it.node = exclude || Hashtbl.mem seen it.node then next ()
+      let key = PQ.min_prio pq in
+      let c = PQ.pop pq in
+      c.pos <- c.pos + 1;
+      push c;
+      let node = key mod total in
+      if node = exclude || Hashtbl.mem seen node then next ()
       else begin
-        Hashtbl.replace seen it.node ();
-        Some it
+        Hashtbl.replace seen node ();
+        Some { P.node; dist = key / total; meta = c.shard }
       end
     end
   in
@@ -525,12 +561,12 @@ let merge_streams t ctx ~exclude toward ~tag ~k ~max_dist ~seeds streams =
 
 (* --- the verbs --------------------------------------------------------- *)
 
-(* The start's own stream, sent in [wave] and globalized once it has
-   run. It is not memoized: starts rarely repeat, and remembering them
-   all would cost far more than it saves. *)
+(* The start's own stream, sent in [wave] and read at offset 0 once it
+   has run. It is not memoized: starts rarely repeat, and remembering
+   them all would cost far more than it saves. *)
 let own_stream t wave ~shard req =
-  send wave shard req;
-  fun () -> List.map (globalize t ~shard ~offset:0) (items_of (reply wave shard req))
+  let read = send wave shard req in
+  fun () -> stream t ~shard ~offset:0 (read ())
 
 (* Descendants of one global node, across shards: the start's own
    stream, fetched with its exit legs in one wave, merged with one
@@ -580,7 +616,7 @@ let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist =
   List.iter Thread.join threads;
   Array.to_list
     (Array.mapi
-       (fun s result -> List.map (globalize t ~shard:s ~offset:0) (items_of result))
+       (fun s result -> stream t ~shard:s ~offset:0 (Option.bind result (answer_of t ~shard:s)))
        phase1)
 
 (* EVALUATE: phase 1 per shard, then phase 2 for cross-shard reach.
@@ -590,14 +626,14 @@ let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist =
 let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist =
   let streams = evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist in
   let wave = new_wave t in
-  Array.iter
-    (fun l -> ask t wave l.src_shard (start_probe ~node:l.src_local ~tag:start_tag))
-    t.links;
+  let starts =
+    Array.map (fun l -> ask t wave l.src_shard (start_probe ~node:l.src_local ~tag:start_tag)) t.links
+  in
   run_plan t ctx wave;
   let seed_d = Hashtbl.create 32 in
-  Array.iter
-    (fun l ->
-      match start_dist wave ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
+  Array.iteri
+    (fun i l ->
+      match start_dist t starts.(i) with
       | Some d0 -> (
           let d = d0 + 1 in
           match Hashtbl.find_opt seed_d l.dst_ci with
@@ -697,9 +733,10 @@ let resolve t ctx ~doc ~anchor =
   | None, _ -> Ok None
   | Some (shard, root), None -> Ok (Some { P.node = root; dist = 0; meta = shard })
   | Some (shard, _), Some _ -> (
-      match items_of (exec_shard t ctx shard [| P.Resolve { doc; anchor } |]).(0) with
-      | it :: _ -> Ok (Some (globalize t ~shard ~offset:0 it))
-      | [] -> if degraded ctx then Error (flags ctx) else Ok None)
+      match (exec_shard t ctx shard [| P.Resolve { doc; anchor } |]).(0) with
+      | Some (P.Items { items = it :: _; _ }) ->
+          Ok (Some { it with node = Shard_plan.global_of t.plan ~shard ~local:it.node; meta = shard })
+      | Some _ | None -> if degraded ctx then Error (flags ctx) else Ok None)
 
 let stats_lines t =
   ("backend: coordinator (scatter-gather over shard servers)"

@@ -43,11 +43,11 @@
     The merge opens portals lazily: before it emits an item at distance
     [d] it opens every portal at offset [<= d] — its own item, and its
     stream, replayed from the answer memo or fetched in that level's
-    wave — so a top-[k] request reads only the portals nearer than its
-    [k]-th answer. Each round of probes goes out as
-    one pipelined [BATCH] per shard, which a shard meets with
-    backpressure, never [BUSY]; only [EVALUATE]'s phase 1 goes out as
-    plain requests. Round trips and the batch-size
+    wave (a level of memo hits sends nothing) — so a top-[k] request
+    reads only the portals nearer than its [k]-th answer. Each round of
+    probes goes out as one pipelined [BATCH] per shard, which a shard
+    meets with backpressure, never [BUSY]; only [EVALUATE]'s phase 1
+    goes out as plain requests. Round trips and the batch-size
     distribution are exported as [flix_shard_probe_rpcs_total] /
     [flix_shard_probe_subs_total] / [flix_shard_probe_batch_size],
     enumerator pops and label joins as
@@ -94,7 +94,12 @@ val create :
     the request sent to it: [CONNECTED] exit legs and same-shard direct
     distances, nearest-start [ANCESTORS], and the portal streams
     ([NDESCENDANTS] of an entry portal, [ANCESTORS] of an exit portal).
-    Its one store rule is the front answer cache's: a [DIST], or a
+    An answer is held as it is read: a distance, or a stream as one
+    packed run of [dist * total_nodes + global node] per item, built
+    once when the reply arrives. The merge reads a run through a cursor
+    at the offset its portal was reached at, so one run serves every
+    start, and builds an [ITEM] only for an item it emits. Its one store
+    rule is the front answer cache's: a [DIST], or a
     stream with neither a [TIMEOUT] nor a [PARTIAL] trailer, so a
     cut-off answer is asked again, never replayed. A start's own stream
     is not remembered. Final legs are kept as one leg set per target,

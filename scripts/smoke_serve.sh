@@ -355,6 +355,22 @@ ask "DESCENDANTS dblp_0000 - author 5" | grep -q "^DONE " || fail "repeated coor
 after=$(rpcs_total)
 [ "$((after - before))" -eq 1 ] \
   || fail "warm DESCENDANTS dblp_0000 made $((after - before)) shard round trips, want 1"
+# Portal streams are remembered as packed runs and replayed through
+# cursors. dblp_0039's articles reach across shards (dblp_0000 reaches
+# no portal at 40 documents): its cold answer fetches portal streams,
+# and a repeat answers the cold bytes with only the start's own stream.
+before=$(rpcs_total)
+cold=$(ask "DESCENDANTS dblp_0039 - article 100")
+after=$(rpcs_total)
+echo "$cold" | grep -q "^ITEM " || fail "coordinator DESCENDANTS dblp_0039 - article 100 answered no item"
+[ "$((after - before))" -ge 2 ] \
+  || fail "cold DESCENDANTS dblp_0039 - article 100 opened no portal stream"
+before=$after
+warm=$(ask "DESCENDANTS dblp_0039 - article 100")
+after=$(rpcs_total)
+[ "$warm" = "$cold" ] || fail "warm DESCENDANTS dblp_0039 - article 100 differs from its cold answer"
+[ "$((after - before))" -eq 1 ] \
+  || fail "warm DESCENDANTS dblp_0039 - article 100 made $((after - before)) shard round trips, want 1"
 # ANCESTORS remembers its exit portals' streams: on the first node
 # whose cold answer opened exit portals (more than the one round trip of
 # its own stream and leg probes), a repeat sends only its own stream.

@@ -813,7 +813,7 @@ let timed_out_stream_not_replayed () =
 (* Boot a coordinator over disk shards next to one unsharded disk server
    over the whole collection: both report exact distances, so the
    unsharded server is the ground truth for every coordinator answer. *)
-let with_coordinator_truth_shards ~plan ~closure coll colls f =
+let with_coordinator_truth_shards ?config ~plan ~closure coll colls f =
   with_disk_servers
     (coll :: Array.to_list colls)
     (function
@@ -824,9 +824,7 @@ let with_coordinator_truth_shards ~plan ~closure coll colls f =
           Fun.protect
             ~finally:(fun () -> Coordinator.close coord)
             (fun () ->
-              let front =
-                Server.start_backend (Coordinator.backend coord)
-              in
+              let front = Server.start_backend ?config (Coordinator.backend coord) in
               Fun.protect
                 ~finally:(fun () -> Server.stop front)
                 (fun () ->
@@ -862,10 +860,11 @@ let uncut = function
    reference's uncut answer W: equal flags, |G| = min(k, |W|), G's
    distances ascending and equal to W's |G| smallest, and every
    (node, dist) of G in W with no node twice. Which of several nodes
-   tied at the k-th distance make the cut is left open. *)
-let check_top_k ~cc ~sc req =
+   tied at the k-th distance make the cut is left open. [got] is the
+   coordinator's answer to [req]. *)
+let check_top_k_answer ~sc req got =
   let what = P.request_line req in
-  match (Client.request cc req, Client.request sc (uncut req)) with
+  match (got, Client.request sc (uncut req)) with
   | Ok (P.Items g), Ok (P.Items w) ->
       Alcotest.(check (pair bool bool))
         (what ^ ": flags")
@@ -891,6 +890,8 @@ let check_top_k ~cc ~sc req =
             Alcotest.failf "%s: (%d, %d) not in the reference answer" what it.node it.dist)
         g.items
   | _ -> Alcotest.failf "%s: expected item streams from both endpoints" what
+
+let check_top_k ~cc ~sc req = check_top_k_answer ~sc req (Client.request cc req)
 
 let check_connected ~cc ~sc (a, b) =
   match (Client.connected cc a b, Client.connected sc a b) with
@@ -1138,6 +1139,104 @@ let leg_sets_answer_repeats () =
         (List.length fresh) streams;
       Alcotest.(check (list string)) "repeated ANCESTORS = cold" cold warm;
       List.iter (fun b -> check_top_k ~cc ~sc (anc b)) fresh)
+
+(* Shard streams are remembered as packed runs of global keys, read by
+   a cursor at the offset of whichever start reached them. Every cold
+   answer is the unsharded server's top-k with each item's [meta] its
+   owning shard, and the same request again — its portals' runs now
+   replayed from the memo, and with no front answer cache — answers the
+   cold bytes. Two starts reach one entry portal at different
+   distances, so its one run is read at two offsets. *)
+let warm_streams_replay_cold_bytes () =
+  let plan = Lazy.force shared_plan in
+  let closure = Lazy.force shared_closure in
+  let coll = Lazy.force shared_collection in
+  let config = { Server.default_config with eval_cache_capacity = 0 } in
+  with_coordinator_truth_shards ~config ~plan ~closure coll (Lazy.force shard_collections)
+    (fun ~coord:_ ~cc ~sc ~shard_servers:_ ->
+      let roots = Plan.doc_roots plan in
+      let links = Plan.cross_links plan in
+      let entries =
+        Array.to_list links
+        |> List.map (fun (l : Plan.cross_link) -> l.dst)
+        |> List.sort_uniq Int.compare
+      in
+      (* The document whose root reaches the most entry portals. *)
+      let reach i =
+        let r = C.root_of_doc coll i in
+        List.length (List.filter (fun e -> Closure.distance closure r e <> None) entries)
+      in
+      let doc =
+        List.init (C.n_docs coll) Fun.id
+        |> List.fold_left (fun best i -> if reach i > reach best then i else best) 0
+        |> C.doc_name coll
+      in
+      let cold req =
+        let got = Client.request cc req in
+        check_top_k_answer ~sc req got;
+        (match got with
+        | Ok (P.Items { items; _ }) ->
+            List.iter
+              (fun (it : P.item) ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: meta of %d" (P.request_line req) it.node)
+                  (fst (Plan.locate plan it.node))
+                  it.meta)
+              items
+        | _ -> ());
+        (req, lines_of got)
+      in
+      let descendants =
+        List.concat_map
+          (fun k ->
+            List.map
+              (fun tag -> P.Descendants { doc; anchor = None; tag; k; max_dist = None })
+              [ None; Some "article"; Some "author" ])
+          [ 1; 10; 100; 10_000 ]
+      in
+      let interior =
+        (Array.to_list links
+        |> List.find (fun (l : Plan.cross_link) -> not (Array.mem l.src roots)))
+          .src
+      in
+      let answers =
+        List.map cold
+          (descendants
+          @ [
+              P.Node_descendants { node = interior; tag = None; k = 10_000; max_dist = None };
+              P.Ancestors
+                { node = List.nth entries (List.length entries / 2); tag = None; k = 10_000;
+                  max_dist = None };
+              P.Evaluate { start_tag = "article"; target_tag = "author"; k = 200; max_dist = None };
+            ])
+      in
+      List.iter
+        (fun (req, want) ->
+          Alcotest.(check string) ("repeated " ^ P.request_line req) want
+            (lines_of (Client.request cc req)))
+        answers;
+      let offsets =
+        List.find_map
+          (fun e ->
+            let at =
+              Array.to_list roots
+              |> List.filter_map (fun r ->
+                     if r = e then None
+                     else Option.map (fun d -> (r, d)) (Closure.distance closure r e))
+            in
+            match at with
+            | (r1, d1) :: rest ->
+                Option.map (fun (r2, _) -> (r1, r2)) (List.find_opt (fun (_, d) -> d <> d1) rest)
+            | [] -> None)
+          entries
+      in
+      match offsets with
+      | None -> Alcotest.fail "no entry portal is reached at two distances"
+      | Some (r1, r2) ->
+          List.iter
+            (fun node ->
+              ignore (cold (P.Node_descendants { node; tag = None; k = 10_000; max_dist = None })))
+            [ r1; r2 ])
 
 (* Document names are answered from the plan: RESOLVE and DESCENDANTS
    by name for every document match the unsharded server byte for byte
@@ -1783,6 +1882,8 @@ let () =
           Alcotest.test_case "shards named by host name" `Quick hostname_shards;
           Alcotest.test_case "leg sets answer repeats" `Quick leg_sets_answer_repeats;
           Alcotest.test_case "names from the plan" `Quick names_from_plan;
+          Alcotest.test_case "warm streams replay cold bytes" `Quick
+            warm_streams_replay_cold_bytes;
           Alcotest.test_case "probe cache overflow keeps answers" `Quick
             probe_cache_overflow;
         ] );
