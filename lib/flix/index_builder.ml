@@ -1,6 +1,15 @@
 module Path_index = Fx_index.Path_index
 
-type impl = Ppo_tree of Fx_index.Ppo.t | Opaque
+module Ppo = Fx_index.Ppo
+
+type impl = Ppo_tree of Ppo.t | Opaque
+
+(* PPO forward: the staged rows; PPO backward: the tree and the set,
+   walked per expansion; HOPI, TC and APEX: the index's staged lookup. *)
+type links =
+  | Rows of Ppo.link_rows
+  | Chain of Ppo.t * Fx_graph.Bitset.t
+  | Staged of (int -> (int * int) list)
 
 type built = {
   meta : Meta_document.t;
@@ -8,9 +17,20 @@ type built = {
   index : Path_index.instance;
   fallback : bool;
   impl : impl;
-  out_lookup : int -> (int * int) list;
-  in_lookup : int -> (int * int) list;
+  out_links : links;
+  in_links : links;
 }
+
+let iter_links links l f =
+  match links with
+  | Rows rows -> Ppo.iter_link_row rows l f
+  | Chain (ppo, set) -> Ppo.iter_ancestors_in ppo set l f
+  | Staged lookup ->
+      let rec walk = function
+        | (lv, dist) :: rest -> if f ~link:lv ~dist then walk rest
+        | [] -> ()
+      in
+      walk (lookup l)
 
 type t = {
   registry : Meta_document.registry;
@@ -51,18 +71,23 @@ let equal_structure (a : Meta_document.t) (b : Meta_document.t) =
   && a.Meta_document.tag = b.Meta_document.tag
   && Fx_graph.Digraph.edges a.Meta_document.graph = Fx_graph.Digraph.edges b.Meta_document.graph
 
-(* The link lookups are staged here, once per meta document, so a query
-   pays only for the link nodes it meets. *)
-let stage ~meta ~strategy ~index ~fallback ~impl =
-  {
-    meta;
-    strategy;
-    index;
-    fallback;
-    impl;
-    out_lookup = index.Path_index.restricted_descendants meta.Meta_document.link_nodes;
-    in_lookup = index.Path_index.restricted_ancestors meta.Meta_document.in_link_nodes;
-  }
+(* The link sets are staged here, once per meta document, so a query
+   pays only for the link nodes it meets. A PPO meta document lays out
+   its rows (or takes [rows], staged for the same tree and link set);
+   the other strategies keep their staged lookups. *)
+let stage ?rows ~meta ~strategy ~index ~fallback ~impl () =
+  let out_links, in_links =
+    match impl with
+    | Ppo_tree ppo ->
+        let rows =
+          match rows with Some r -> r | None -> Ppo.link_rows ppo meta.Meta_document.link_nodes
+        in
+        (Rows rows, Chain (ppo, meta.Meta_document.in_link_nodes))
+    | Opaque ->
+        ( Staged (index.Path_index.restricted_descendants meta.Meta_document.link_nodes),
+          Staged (index.Path_index.restricted_ancestors meta.Meta_document.in_link_nodes) )
+  in
+  { meta; strategy; index; fallback; impl; out_links; in_links }
 
 let instantiate strategy dg =
   match (strategy : Strategy_selector.strategy) with
@@ -78,16 +103,16 @@ let build_one policy (m : Meta_document.t) =
   | Strategy_selector.PPO ->
       (* Build the numbering directly so it can be handed to
          [Ppo.extend] on a later incremental rebuild. *)
-      (match Fx_index.Ppo.build dg with
+      (match Ppo.build dg with
       | ppo ->
-          stage ~meta:m ~strategy:requested ~index:(Fx_index.Ppo.instance_of ppo)
-            ~fallback:false ~impl:(Ppo_tree ppo)
-      | exception Fx_index.Ppo.Not_a_forest ->
+          stage ~meta:m ~strategy:requested ~index:(Ppo.instance_of ppo) ~fallback:false
+            ~impl:(Ppo_tree ppo) ()
+      | exception Ppo.Not_a_forest ->
           let strategy = Strategy_selector.HOPI { partition_size = 5000 } in
-          stage ~meta:m ~strategy ~index:(instantiate strategy dg) ~fallback:true ~impl:Opaque)
+          stage ~meta:m ~strategy ~index:(instantiate strategy dg) ~fallback:true ~impl:Opaque ())
   | _ ->
       stage ~meta:m ~strategy:requested ~index:(instantiate requested dg) ~fallback:false
-        ~impl:Opaque
+        ~impl:Opaque ()
 
 let build ?(policy = Strategy_selector.default_auto) ?reuse ?(jobs = 1)
     (registry : Meta_document.registry) =
@@ -132,13 +157,12 @@ let build ?(policy = Strategy_selector.default_auto) ?reuse ?(jobs = 1)
               int_array_prefix om.Meta_document.nodes m.Meta_document.nodes
               && int_array_prefix om.Meta_document.tag m.Meta_document.tag
             then
-              match Fx_index.Ppo.extend ppo (Meta_document.data_graph m) with
+              match Ppo.extend ppo (Meta_document.data_graph m) with
               | Some ppo' ->
                   Atomic.incr extended;
                   Some
-                    (stage ~meta:m ~strategy:Strategy_selector.PPO
-                       ~index:(Fx_index.Ppo.instance_of ppo') ~fallback:false
-                       ~impl:(Ppo_tree ppo'))
+                    (stage ~meta:m ~strategy:Strategy_selector.PPO ~index:(Ppo.instance_of ppo')
+                       ~fallback:false ~impl:(Ppo_tree ppo') ())
               | None -> None
             else None)
           ppo_pool
@@ -151,8 +175,16 @@ let build ?(policy = Strategy_selector.default_auto) ?reuse ?(jobs = 1)
         Atomic.incr reused;
         (* The structure matches but the link sets and the id may have
            changed: rebind the instance to the new meta document and
-           stage its link sets afresh. *)
-        stage ~meta:m ~strategy:b.strategy ~index:b.index ~fallback:b.fallback ~impl:b.impl
+           stage its link sets afresh, except for rows staged for the
+           same tree and an equal link set, which are shared. *)
+        let rows =
+          match b.out_links with
+          | Rows r when Fx_graph.Bitset.equal b.meta.Meta_document.link_nodes m.Meta_document.link_nodes
+            ->
+              Some r
+          | Rows _ | Chain _ | Staged _ -> None
+        in
+        stage ?rows ~meta:m ~strategy:b.strategy ~index:b.index ~fallback:b.fallback ~impl:b.impl ()
     | None -> (
         match try_extend m with Some b -> b | None -> build_one policy m)
   in
@@ -217,6 +249,15 @@ let total_size_bytes t =
 let total_entries t =
   Array.fold_left (fun acc b -> acc + b.index.Path_index.stats.entries) 0 t.indexes
 
+(* The staged PPO rows: (node, link) pairs and bytes. *)
+let link_rows_size t =
+  Array.fold_left
+    (fun (pairs, bytes) b ->
+      match b.out_links with
+      | Rows r -> (pairs + Ppo.link_row_pairs r, bytes + Ppo.link_row_bytes r)
+      | Chain _ | Staged _ -> (pairs, bytes))
+    (0, 0) t.indexes
+
 let strategy_histogram t =
   let tbl = Hashtbl.create 8 in
   Array.iter
@@ -235,6 +276,9 @@ let report t =
        (Meta_document.total_out_links t.registry)
        (float_of_int (total_size_bytes t) /. 1048576.0)
        (Int64.to_float t.build_ns /. 1e6));
+  let pairs, bytes = link_rows_size t in
+  Buffer.add_string buf
+    (Printf.sprintf "link rows: %d pairs, %.2f MB\n" pairs (float_of_int bytes /. 1048576.0));
   List.iter
     (fun (s, n) -> Buffer.add_string buf (Printf.sprintf "  %-10s %d meta documents\n" s n))
     (strategy_histogram t);

@@ -12,24 +12,36 @@ type impl = Ppo_tree of Fx_index.Ppo.t | Opaque
 (** The concrete structure behind [index], when the builder keeps it
     around for incremental maintenance ({!Fx_index.Ppo.extend}). *)
 
+type links
+(** A meta document's link set [L(a)], one direction of it: the link
+    nodes below (or above) a local node [a], with their distances from
+    it. On a PPO meta document the forward set is every node's row of
+    [L_i], laid out once ({!Fx_index.Ppo.link_rows}), and the backward
+    set a walk up the parent chain ({!Fx_index.Ppo.iter_ancestors_in});
+    HOPI, TC and APEX keep the index's staged
+    [restricted_descendants]/[restricted_ancestors] lookup. *)
+
+val iter_links : links -> int -> (link:int -> dist:int -> bool) -> unit
+(** [iter_links links a f] calls [f ~link ~dist] on [L(a)] in
+    (distance, node) order until [f] returns [false]. On a PPO meta
+    document it sorts nothing and allocates no list. *)
+
 type built = {
   meta : Meta_document.t;
   strategy : Strategy_selector.strategy;  (** what was actually built *)
   index : Fx_index.Path_index.instance;
   fallback : bool;  (** true when the requested strategy was unusable *)
   impl : impl;
-  out_lookup : int -> (int * int) list;
-      (** [index.restricted_descendants meta.link_nodes], staged once for
-          this meta document: local node -> [(link node, distance)] for
-          the nodes of [L_i] below it, in (distance, node) order. *)
-  in_lookup : int -> (int * int) list;
-      (** [index.restricted_ancestors meta.in_link_nodes], staged the
-          same way, for ancestor queries. *)
+  out_links : links;
+      (** [L(a)] over [meta.link_nodes], the nodes whose outgoing links
+          the index does not reflect. *)
+  in_links : links;  (** The same over [meta.in_link_nodes], for ancestor queries. *)
 }
-(** Both lookups are staged whenever a record is made: at build, after
-    {!Fx_index.Ppo.extend}, and when a reused index is rebound to a new
-    meta document, whose link sets may differ from the old one's. They
-    are immutable values. *)
+(** Both link sets are staged whenever a record is made: at build,
+    after {!Fx_index.Ppo.extend}, and when a reused index is rebound to
+    a new meta document, whose link sets may differ from the old one's.
+    A rebound PPO record whose [link_nodes] equal the old record's
+    shares the old rows; they are immutable. *)
 
 type t = {
   registry : Meta_document.registry;
@@ -71,4 +83,7 @@ val strategy_histogram : t -> (string * int) list
 (** How many meta documents each strategy indexes, descending count. *)
 
 val report : t -> string
-(** Multi-line build report: strategies, sizes, link counts. *)
+(** Multi-line build report: strategies, sizes, link counts, and a
+    [link rows: <pairs> pairs, <MB> MB] line for the staged PPO rows.
+    {!total_size_bytes} does not count the rows: it is the paper's
+    index-size measure (Table 1). *)

@@ -15,9 +15,9 @@ type item = { node : int; dist : int; meta : int }
    operations and outgoing links, ancestors the mirrored ones. *)
 type direction = {
   matches_in_meta : Path_index.instance -> int -> int option -> (int * int) list;
-  link_lookup : Index_builder.built -> int -> (int * int) list;
-      (* the staged L(a): local link node -> its distance from/to the
-         local node, for every relevant link node below/above it *)
+  links : Index_builder.built -> Index_builder.links;
+      (* the staged L(a): every relevant link node below/above a local
+         node, with its distance from/to it *)
   link_ends : Meta_document.t -> int list array;
       (* local link node -> global link endpoints on the other side *)
   covers : Path_index.instance -> int -> int -> bool;
@@ -31,7 +31,7 @@ type direction = {
 let forward : direction =
   {
     matches_in_meta = (fun idx l tag -> idx.Path_index.descendants_by_tag l tag);
-    link_lookup = (fun b l -> b.Index_builder.out_lookup l);
+    links = (fun b -> b.Index_builder.out_links);
     link_ends = (fun m -> m.Meta_document.out_links);
     covers = (fun idx entry v -> idx.Path_index.reachable entry v);
     local_dist = (fun idx entry v -> idx.Path_index.distance entry v);
@@ -40,17 +40,17 @@ let forward : direction =
 let backward : direction =
   {
     matches_in_meta = (fun idx l tag -> idx.Path_index.ancestors_by_tag l tag);
-    link_lookup = (fun b l -> b.Index_builder.in_lookup l);
+    links = (fun b -> b.Index_builder.in_links);
     link_ends = (fun m -> m.Meta_document.in_links);
     covers = (fun idx entry v -> idx.Path_index.reachable v entry);
     local_dist = (fun idx entry v -> idx.Path_index.distance v entry);
   }
 
 (* Follow the links that are not reflected in [b]'s index: the far end
-   of every link at a link node [lookup l] returns goes into [queue] at
-   priority [d + dist + 1], in the lookup's (distance, node) order and
-   each node's link-list order. The distances ascend, so the first link
-   node past [max_dist] ends the walk: none after it would be pushed. *)
+   of every link at a link node of [L(l)] goes into [queue] at priority
+   [d + dist + 1], in (distance, node) order and each node's link-list
+   order. The distances ascend, so the first link node past [max_dist]
+   ends the walk: none after it would be pushed. *)
 let push_links pee dir queue b l d ~max_dist =
   let ends = dir.link_ends b.Index_builder.meta in
   let rec push prio = function
@@ -60,16 +60,12 @@ let push_links pee dir queue b l d ~max_dist =
         PQ.insert queue prio other_end;
         push prio rest
   in
-  let rec walk = function
-    | [] -> ()
-    | (lv, dl) :: rest ->
-        let prio = d + dl + 1 in
-        if prio <= max_dist then begin
-          push prio ends.(lv);
-          walk rest
-        end
-  in
-  walk (dir.link_lookup b l)
+  Index_builder.iter_links (dir.links b) l (fun ~link ~dist ->
+      let prio = d + dist + 1 in
+      prio <= max_dist
+      &&
+      (push prio ends.(link);
+       true))
 
 (* A negative tag is the id of no element (an unknown name resolves to
    -1): such a query has no answers, and the connection test uses it to

@@ -45,8 +45,8 @@ type instance = {
           descendants of a and L_i" (paper, Section 4.2).
 
           Staged: [let lookup = restricted_descendants set] does the
-          per-set work once (PPO collects the members' preorder ranks in
-          ascending order; the other strategies keep the set and scan
+          per-set work once (PPO lays out every node's row,
+          {!Ppo.link_rows}; the other strategies keep the set and scan
           per call), and [lookup a] then answers for one node. A stage
           is immutable and holds no cache: the set must not change while
           [lookup] is in use, and a changed set is staged afresh. *)

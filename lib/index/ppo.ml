@@ -215,34 +215,96 @@ let descendants_by_tag t x want =
   | Some w -> window t x t.by_tag.(w)
 
 (* Walking up from [x] meets each ancestor once, at distances 0, 1, 2,
-   ...: the reversed walk is already in (distance, node) order. *)
-let ancestors_matching t x matches =
-  let rec walk v d acc =
-    let acc = if matches v then (v, d) :: acc else acc in
-    if t.parent.(v) < 0 then acc else walk t.parent.(v) (d + 1) acc
+   ...: already (distance, node) order. [f] is called on those that
+   [keep] accepts, until it answers false. *)
+let iter_ancestors t keep x f =
+  let rec walk v d =
+    if ((not (keep v)) || f ~link:v ~dist:d) && t.parent.(v) >= 0 then walk t.parent.(v) (d + 1)
   in
-  List.rev (walk x 0 [])
+  walk x 0
+
+let collect iter =
+  let acc = ref [] in
+  iter (fun ~link ~dist ->
+      acc := (link, dist) :: !acc;
+      true);
+  List.rev !acc
 
 let ancestors_by_tag t x want =
   match want with
-  | None -> ancestors_matching t x (fun _ -> true)
-  | Some w -> ancestors_matching t x (fun v -> t.dg.tag.(v) = w)
+  | None -> collect (iter_ancestors t (fun _ -> true) x)
+  | Some w -> collect (iter_ancestors t (fun v -> t.dg.tag.(v) = w) x)
 
-(* Staged: the set's members as ascending preorder ranks, collected once
-   by one pass over [order]; each lookup is then a window search. *)
+(* --- staged link rows ------------------------------------------------ *)
+
+module I32 = Bigarray.Array1
+
+type int32s = (int32, Bigarray.int32_elt, Bigarray.c_layout) I32.t
+
+(* Row [x] is [links.{offsets.{x}} .. links.{offsets.{x + 1} - 1}]. A
+   distance is not stored: it is [depth lv - depth x], read from the
+   numbering's depths, which the rows share. An empty set keeps no
+   offsets at all. *)
+type link_rows = { depths : int array; offsets : int32s; links : int32s }
+
+let int32s n = I32.create Bigarray.int32 Bigarray.c_layout n
+
+(* Each member is appended to the row of every ancestor-or-self by a
+   walk up its parent chain; the members go in (depth, node) order, so
+   within any one row (whose distances are the members' depths minus a
+   constant) they land in (distance, node) order without a per-row
+   sort. One walk counts the rows' lengths, the second fills them. *)
+let link_rows t set =
+  let n = Array.length t.pre in
+  let members = Array.of_list (Bitset.to_list set) in
+  if Array.length members = 0 then { depths = t.depth; offsets = int32s 0; links = int32s 0 }
+  else begin
+    Array.stable_sort (fun a b -> Int.compare t.depth.(a) t.depth.(b)) members;
+    let fill = Array.make (n + 1) 0 in
+    let rec up v f =
+      f v;
+      if t.parent.(v) >= 0 then up t.parent.(v) f
+    in
+    Array.iter (fun lv -> up lv (fun a -> fill.(a + 1) <- fill.(a + 1) + 1)) members;
+    for x = 1 to n do
+      fill.(x) <- fill.(x) + fill.(x - 1)
+    done;
+    if fill.(n) > Int32.to_int Int32.max_int then invalid_arg "Ppo.link_rows: table too large";
+    let offsets = int32s (n + 1) in
+    Array.iteri (fun x o -> offsets.{x} <- Int32.of_int o) fill;
+    let links = int32s fill.(n) in
+    Array.iter
+      (fun lv ->
+        up lv (fun a ->
+            links.{fill.(a)} <- Int32.of_int lv;
+            fill.(a) <- fill.(a) + 1))
+      members;
+    { depths = t.depth; offsets; links }
+  end
+
+let iter_link_row r x f =
+  if I32.dim r.offsets > 0 then begin
+    let dx = r.depths.(x) in
+    let stop = Int32.to_int r.offsets.{x + 1} in
+    let rec go i =
+      if i < stop then begin
+        let lv = Int32.to_int r.links.{i} in
+        if f ~link:lv ~dist:(r.depths.(lv) - dx) then go (i + 1)
+      end
+    in
+    go (Int32.to_int r.offsets.{x})
+  end
+
+let link_row_pairs r = I32.dim r.links
+let link_row_bytes r = 4 * (I32.dim r.offsets + I32.dim r.links)
+
+let iter_ancestors_in t set x f = iter_ancestors t (Bitset.mem set) x f
+
 let restricted_descendants t set =
-  let ranks = Array.make (Bitset.cardinal set) 0 in
-  let i = ref 0 in
-  Array.iteri
-    (fun r v ->
-      if Bitset.mem set v then begin
-        ranks.(!i) <- r;
-        incr i
-      end)
-    t.order;
-  fun x -> window t x ranks
+  let rows = link_rows t set in
+  fun x -> collect (iter_link_row rows x)
 
-let restricted_ancestors t set x = ancestors_matching t x (Bitset.mem set)
+let restricted_ancestors t set x = collect (iter_ancestors_in t set x)
 
 let parent t v = if t.parent.(v) < 0 then None else Some t.parent.(v)
 

@@ -56,14 +56,45 @@ val descendants_by_tag : t -> int -> int option -> (int * int) list
 
 val ancestors_by_tag : t -> int -> int option -> (int * int) list
 
+(** {1 Link sets}
+
+    FliX's [L(a)] lookup: the members of a node set (a meta document's
+    link nodes [L_i]) that are descendants-or-self, or
+    ancestors-or-self, of [a], in (distance, node) order. *)
+
+type link_rows
+(** [L(a)] laid out once for every node [a]: one flat table of rows
+    (CSR), stored as int32 outside the OCaml heap. Immutable. *)
+
+val link_rows : t -> Fx_graph.Bitset.t -> link_rows
+(** [link_rows t set] stages the descendants-or-self of every node
+    restricted to [set], in O(n + pairs) after sorting the members by
+    (depth, node): each member is appended to the row of every
+    ancestor-or-self, so each row comes out in (distance, node) order
+    without a per-row sort. An empty set stages nothing. *)
+
+val iter_link_row : link_rows -> int -> (link:int -> dist:int -> bool) -> unit
+(** [iter_link_row r a f] calls [f ~link ~dist] on [a]'s row in
+    (distance, node) order until [f] returns [false]. It allocates
+    nothing. *)
+
+val link_row_pairs : link_rows -> int
+(** (node, link) pairs stored: the total length of the rows. *)
+
+val link_row_bytes : link_rows -> int
+(** Bytes of the table: four per offset and per pair. *)
+
+val iter_ancestors_in : t -> Fx_graph.Bitset.t -> int -> (link:int -> dist:int -> bool) -> unit
+(** [iter_ancestors_in t set a f]: the ancestors-or-self of [a] that are
+    in [set], like {!iter_link_row}. A walk up the parent chain meets
+    them in distance order already, so nothing is staged. *)
+
 val restricted_descendants : t -> Fx_graph.Bitset.t -> int -> (int * int) list
 (** Staged ({!Path_index.instance}): [restricted_descendants t set]
-    collects the members of [set] as ascending preorder ranks once, and
-    the returned lookup answers each node by the same window search as
-    {!descendants_by_tag}. *)
+    builds {!link_rows} once, and the returned lookup lists a row. *)
 
 val restricted_ancestors : t -> Fx_graph.Bitset.t -> int -> (int * int) list
-(** Walks [x]'s parent chain, keeping the members of the set. *)
+(** {!iter_ancestors_in} as a list. *)
 
 (** {1 Other XPath axes}
 

@@ -640,6 +640,21 @@ let snapshot_metric_lines t () =
   @ gauge "flix_eval_cache_entries" "Resident EVALUATE cache entries."
       (Eval_cache.length t.eval_cache)
 
+(* The process's OCaml heap, from [Gc.quick_stat]: what a deployment's
+   RSS holds in its major heap, and how often the collector ran. *)
+let gc_metric_lines () =
+  let family = Metrics.family in
+  let s = Gc.quick_stat () in
+  let gauge name help v = family name ~help `Gauge @ [ Printf.sprintf "%s %d" name v ] in
+  let counter name help v = family name ~help `Counter @ [ Printf.sprintf "%s %d" name v ] in
+  gauge "flix_gc_heap_words" "Words in the OCaml major heap." s.Gc.heap_words
+  @ gauge "flix_gc_top_heap_words" "Largest size of the OCaml major heap, in words."
+      s.Gc.top_heap_words
+  @ counter "flix_gc_minor_collections_total" "Minor collections since the process started."
+      s.Gc.minor_collections
+  @ counter "flix_gc_major_collections_total" "Major collection cycles since the process started."
+      s.Gc.major_collections
+
 (* Publish [next] as the serving snapshot, moving the answer cache to
    the new epoch first: entries the delta cannot affect stay warm,
    everything else is dropped. Runs under the admin lock, so the epoch
@@ -1150,6 +1165,7 @@ let start_backend ?(config = default_config) ?reload backend =
       let epoch, b = Snapshot.pin t.snapshot in
       Fun.protect ~finally:(fun () -> Snapshot.unpin t.snapshot epoch) b.metric_lines);
   Metrics.register_collector t.metrics (snapshot_metric_lines t);
+  Metrics.register_collector t.metrics gc_metric_lines;
   t.workers <- List.init (max 1 config.workers) (fun _ -> Domain.spawn (worker_loop t));
   t.acceptor <- Some (Thread.create (accept_loop t) ());
   t

@@ -11,7 +11,8 @@
 # against a live in-memory server under concurrent query load (zero
 # dropped connections, post-reload answers byte-identical to a fresh
 # server), with the snapshot epoch / pin / reload-duration metrics
-# asserted on METRICS. Then the sharded path: build a 2-shard
+# and the GC gauges asserted on METRICS, and a nonzero count of staged
+# link rows on STATS. Then the sharded path: build a 2-shard
 # deployment, boot both shard servers plus a coordinator, query through
 # the coordinator (including a coordinator-wide RELOAD sweep), check
 # that a manifest without a portal closure is refused at boot, and
@@ -223,7 +224,11 @@ for _ in 1 2 3 4 5 6; do
 done
 exec 8<&- 8>&-
 [ "$headers" = "SUB 0, SUB 1, SUB 2" ] || fail "BATCH sub headers arrived as: $headers"
+# STATS counts the PPO link rows staged for the memory PEE.
+pairs=$(ask STATS | sed -n 's/^link rows: \([0-9]*\) pairs.*/\1/p')
+[ "${pairs:-0}" -gt 0 ] || fail "STATS has no nonzero 'link rows:' line (pairs=${pairs:-none})"
 m=$(ask METRICS)
+echo "$m" | grep -q "^flix_gc_heap_words [0-9]" || fail "flix_gc_heap_words gauge missing"
 echo "$m" | grep -q "^flix_snapshot_epoch 1$" || fail "flix_snapshot_epoch gauge missing"
 echo "$m" | grep -q "^flix_snapshot_pinned{epoch=" || fail "flix_snapshot_pinned gauge missing"
 echo "$m" | grep -q "^flix_reload_duration_seconds_bucket" || fail "reload histogram missing"

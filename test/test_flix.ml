@@ -1048,6 +1048,57 @@ let test_staging_follows_link_sets () =
       (MB.Spanning_ppo, IB.extended_count, false);
     ]
 
+(* Every meta document's staged link sets, read node by node in both
+   directions, in iteration order. *)
+let staged_links (b : IB.t) =
+  let iterated links l =
+    let acc = ref [] in
+    IB.iter_links links l (fun ~link ~dist ->
+        acc := (link, dist) :: !acc;
+        true);
+    List.rev !acc
+  in
+  Array.map
+    (fun (x : IB.built) ->
+      List.init (MD.n_nodes x.meta) (fun l -> (iterated x.out_links l, iterated x.in_links l)))
+    b.indexes
+
+(* Rebinding a reused index to a new meta document restages its link
+   sets, and shares the old PPO rows only when the link set is equal.
+   On a DBLP-shaped collection: remove a cited document (the documents
+   citing it shift down and lose those links), then ingest it again at
+   the end (now their structure is unchanged, so their indexes are
+   reused, but their link sets grew back). After every step each
+   meta document's link sets equal a fresh build's of the same
+   registry, and the re-ingest really rebinds indexes whose link set
+   changed. *)
+let test_rebound_rows_equal_fresh () =
+  let docs = Fx_workload.Dblp_gen.generate { Fx_workload.Dblp_gen.default with n_docs = 150 } in
+  let cited = List.nth docs 3 in
+  let f = Flix.build (C.build docs) in
+  let removed = Flix.remove f [ cited.X.name ] in
+  let back = Flix.extend removed [ cited ] in
+  let fresh_equal what g =
+    let b = Flix.built g in
+    let fresh = IB.build (Flix.registry g) in
+    check (what ^ ": link sets = a fresh build's") true (staged_links b = staged_links fresh)
+  in
+  fresh_equal "remove" removed;
+  fresh_equal "re-ingest" back;
+  let old = Flix.registry removed in
+  let changed =
+    Array.fold_left
+      (fun n (m : MD.t) ->
+        match
+          Array.find_opt (fun (o : MD.t) -> o.MD.nodes = m.MD.nodes && o.MD.tag = m.MD.tag) old.MD.metas
+        with
+        | Some o when not (Fx_graph.Bitset.equal o.MD.link_nodes m.MD.link_nodes) -> n + 1
+        | Some _ | None -> n)
+      0 (Flix.registry back).MD.metas
+  in
+  check "re-ingest reuses indexes" true (IB.reused_count (Flix.built back) > 0);
+  check "some reused index's link set changed" true (changed > 0)
+
 (* --- result stream ------------------------------------------------------------- *)
 
 let test_stream_basics () =
@@ -1223,6 +1274,8 @@ let () =
             test_extend_link_into_old_doc_rebuilds_it;
           Alcotest.test_case "staged link sets follow the meta document" `Quick
             test_staging_follows_link_sets;
+          Alcotest.test_case "rebound link rows = a fresh build's" `Quick
+            test_rebound_rows_equal_fresh;
         ] );
       ( "self_tuning",
         [

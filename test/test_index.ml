@@ -273,8 +273,30 @@ let random_sets (dg : Pi.data_graph) ~seed =
   in
   [ Bitset.create n; random 15; random 50; Bitset.of_list n (List.init n Fun.id) ]
 
+(* The pairs a link-set iteration visits, in its order. *)
+let iterated iter =
+  let acc = ref [] in
+  iter (fun ~link ~dist ->
+      acc := (link, dist) :: !acc;
+      true);
+  List.rev !acc
+
+(* A callback that answers false at the [i]th pair is called on the
+   first [i + 1] pairs and no more, for every [i]. *)
+let stops_early iter expected =
+  List.for_all
+    (fun i ->
+      let seen = ref [] in
+      iter (fun ~link ~dist ->
+          seen := (link, dist) :: !seen;
+          List.length !seen <= i);
+      List.rev !seen = List.filteri (fun j _ -> j <= i) expected)
+    (List.init (List.length expected) Fun.id)
+
 (* Every node against every tag (the wildcard, each tag, -1, ids past
-   the last tag) and random link sets, each staged once; the derived
+   the last tag) and random link sets, each staged once — as a list
+   lookup, as rows ({!Ppo.link_rows}) and as a parent-chain walk,
+   stopped early at every pair too; the derived
    postorder ranks and the window test for reachability against the
    DFS numbering. *)
 let ppo_matches_fold (dg : Pi.data_graph) (t : Ppo.t) ~seed =
@@ -300,11 +322,20 @@ let ppo_matches_fold (dg : Pi.data_graph) (t : Ppo.t) ~seed =
   && List.for_all
        (fun set ->
          let below = inst.restricted_descendants set and above = inst.restricted_ancestors set in
+         let rows = Ppo.link_rows t set in
+         let pairs = ref 0 in
          List.for_all
            (fun x ->
-             below x = Fold_ppo.restricted_descendants r x set
-             && above x = Fold_ppo.restricted_ancestors r x set)
-           nodes)
+             let row = iterated (Ppo.iter_link_row rows x) in
+             pairs := !pairs + List.length row;
+             row = Fold_ppo.restricted_descendants r x set
+             && iterated (Ppo.iter_ancestors_in t set x) = Fold_ppo.restricted_ancestors r x set
+             && below x = row
+             && above x = Fold_ppo.restricted_ancestors r x set
+             && stops_early (Ppo.iter_link_row rows x) row
+             && stops_early (Ppo.iter_ancestors_in t set x) (Fold_ppo.restricted_ancestors r x set))
+           nodes
+         && Ppo.link_row_pairs rows = !pairs)
        (random_sets dg ~seed)
 
 let prop_ppo_rank_search_matches_fold =
