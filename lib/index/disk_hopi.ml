@@ -1,5 +1,4 @@
-module PQ = Fx_graph.Priority_queue
-module Int_tbl = Hashtbl.Make (Int)
+module Run_merge = Fx_graph.Run_merge
 
 type t = Disk_labels.t
 
@@ -19,61 +18,43 @@ let reachable = Disk_labels.reachable
 
 type stream = unit -> (int * int) option
 
-(* Heap keys pack (d, y) so that integer order is Path_index.sort_results
-   order; node ids and distances stay below 2^31. *)
-let node_bits = 31
-let node_mask = (1 lsl node_bits) - 1
-
 (* One label entry (hop, d1) of a start: its run's entries reach their
    node at [d1 + d2], and [skip] (the start, or -1) is never emitted. *)
 type source = { hop : int; d1 : int; skip : int }
 
 type live = { cursor : Disk_labels.cursor; src : source }
 
-(* The distance-ordered k-way merge behind every tag query. By the
-   2-hop cover property every (y, d1 + d2) is a real path and the
-   shortest one is among them, so popping by (d, y) yields each node
-   first at its exact distance, in sort_results order; later pops of it
-   are dropped. A source's run is opened only once the merge front
-   reaches its d1, so a top-k answer reads the runs of the nearest hops
-   and no others. *)
+(* The distance merge (DESIGN.md) over the hop runs of every tag query.
+   By the 2-hop cover property every (y, d1 + d2) is a real path and the
+   shortest one is among them. A run is cut past [max_dist], and a
+   source's run is opened only once the merge front reaches its d1, so
+   a top-k answer reads the runs of the nearest hops and no others. *)
 let merge t dir ?max_dist want sources : stream =
   let limit = Option.value max_dist ~default:max_int in
+  let bits = Run_merge.bits (Disk_labels.n_nodes t) in
   Array.stable_sort (fun a b -> Int.compare a.d1 b.d1) sources;
   let opened = ref 0 in
-  let heap = PQ.create () in
-  let seen = Int_tbl.create 16 in
-  let rec push l =
-    if Disk_labels.advance l.cursor then begin
+  let rec step l =
+    if not (Disk_labels.advance l.cursor) then -1
+    else begin
       let y = Disk_labels.cursor_node l.cursor in
       let d = l.src.d1 + Disk_labels.cursor_dist l.cursor in
-      if y = l.src.skip then push l
-      else if d <= limit then PQ.insert heap ((d lsl node_bits) lor y) l
+      if y = l.src.skip then step l else if d <= limit then Run_merge.pack ~bits d y else -1
     end
   in
-  let rec next () =
-    let front = if PQ.is_empty heap then limit else PQ.min_prio heap lsr node_bits in
-    if !opened < Array.length sources && sources.(!opened).d1 <= front then begin
+  let rec open_reached m =
+    if !opened < Array.length sources && sources.(!opened).d1 <= Int.min limit (Run_merge.front m)
+    then begin
       let src = sources.(!opened) in
       incr opened;
       List.iter
-        (fun cursor -> push { cursor; src })
+        (fun cursor -> Run_merge.add m { cursor; src })
         (Disk_labels.open_runs t dir ~hop:src.hop want);
-      next ()
-    end
-    else if PQ.is_empty heap then None
-    else begin
-      let key = PQ.min_prio heap in
-      push (PQ.pop heap);
-      let y = key land node_mask in
-      if Int_tbl.mem seen y then next ()
-      else begin
-        Int_tbl.add seen y ();
-        Some (y, key lsr node_bits)
-      end
+      open_reached m
     end
   in
-  next
+  let m = Run_merge.create ~bits ~before_pop:open_reached ~emit:(fun _ y d -> (y, d)) step in
+  fun () -> Run_merge.next m
 
 (* One source per label entry of every start, each skipping its own
    start when [strict]. *)

@@ -5,9 +5,10 @@
 
     A descendants query [a//w] runs entirely from disk as the 2-hop
     join [desc(a) = ⋃_{h ∈ L_out(a)} L_in⁻¹(h)]: one fetch of [L_out(a)],
-    then a distance-ordered merge over the [w]-runs of its hops, opened
-    nearest hop first. It reads as many runs as the first [k] answers
-    need, however many nodes carry tag [w].
+    then a {!Fx_graph.Run_merge} over the [(d1 + d2, y)] keys of the
+    [w]-runs of its hops, opened nearest hop first. It reads as many
+    runs as the first [k] answers need, however many nodes carry tag
+    [w].
 
     [save] writes one file, [<path>.labels]. *)
 

@@ -1,6 +1,7 @@
 module Pager = Fx_store.Pager
 module Heap = Fx_store.Heap_file
 module Codec = Fx_util.Codec
+module Run_merge = Fx_graph.Run_merge
 
 (* File layout (records in one heap file):
      [label record]*          one per non-empty L_in / L_out
@@ -75,16 +76,11 @@ let add_uvarint b v =
   in
   go v
 
-(* Entries in flight pack (d, y) into one int, d above bit 31, so
-   integer order is (d, y) order. *)
-let node_bits = 31
-let node_mask = (1 lsl node_bits) - 1
-
-(* Sort a tag group's packed keys. They arrive ascending by y, so a
-   stable counting pass over the group's few distinct distances
-   finishes the (d, y) order in linear time; tiny groups take an
-   insertion sort. *)
-let sort_group a lo hi =
+(* Sort a tag group's (d, y) keys, packed by [Run_merge.pack]. They
+   arrive ascending by y, so a stable counting pass over the group's
+   few distinct distances finishes the (d, y) order in linear time;
+   tiny groups take an insertion sort. *)
+let sort_group ~bits a lo hi =
   let len = hi - lo in
   if len <= 16 then
     for i = lo + 1 to hi - 1 do
@@ -99,7 +95,7 @@ let sort_group a lo hi =
   else begin
     let d_lo = ref max_int and d_hi = ref 0 in
     for i = lo to hi - 1 do
-      let d = a.(i) lsr node_bits in
+      let d = Run_merge.dist ~bits a.(i) in
       if d < !d_lo then d_lo := d;
       if d > !d_hi then d_hi := d
     done;
@@ -113,7 +109,7 @@ let sort_group a lo hi =
       else begin
         let next = Array.make (range + 1) 0 in
         for i = lo to hi - 1 do
-          let k = (a.(i) lsr node_bits) - !d_lo + 1 in
+          let k = Run_merge.dist ~bits a.(i) - !d_lo + 1 in
           next.(k) <- next.(k) + 1
         done;
         for k = 1 to range do
@@ -121,7 +117,7 @@ let sort_group a lo hi =
         done;
         let out = Array.make len 0 in
         for i = lo to hi - 1 do
-          let k = (a.(i) lsr node_bits) - !d_lo in
+          let k = Run_merge.dist ~bits a.(i) - !d_lo in
           out.(next.(k)) <- a.(i);
           next.(k) <- next.(k) + 1
         done;
@@ -156,6 +152,7 @@ let group_by_tag tags =
    per entry in flight, no per-entry tuples. *)
 let write_runs add labels side ~tags ~by_tag =
   let n = Two_hop.n_nodes labels in
+  let bits = Run_merge.bits n in
   let start = Array.make (n + 1) 0 in
   for y = 0 to n - 1 do
     Two_hop.iter_label labels side y (fun h _ -> start.(h + 1) <- start.(h + 1) + 1)
@@ -168,8 +165,9 @@ let write_runs add labels side ~tags ~by_tag =
   Array.iter
     (fun y ->
       Two_hop.iter_label labels side y (fun h d ->
-          if d > node_mask then invalid_arg "Disk_labels.save: distance too large";
-          dy.(fill.(h)) <- (d lsl node_bits) lor y;
+          if d > Run_merge.dist ~bits max_int then
+            invalid_arg "Disk_labels.save: distance too large";
+          dy.(fill.(h)) <- Run_merge.pack ~bits d y;
           fill.(h) <- fill.(h) + 1))
     by_tag;
   let handles = Array.make n (-1) in
@@ -182,15 +180,15 @@ let write_runs add labels side ~tags ~by_tag =
       Buffer.clear groups;
       let n_groups = ref 0 and p = ref start.(h) in
       while !p < start.(h + 1) do
-        let tag = tags.(dy.(!p) land node_mask) in
+        let tag = tags.(Run_merge.node ~bits dy.(!p)) in
         let first = !p and bytes = Buffer.length payload in
-        while !p < start.(h + 1) && tags.(dy.(!p) land node_mask) = tag do
+        while !p < start.(h + 1) && tags.(Run_merge.node ~bits dy.(!p)) = tag do
           incr p
         done;
-        sort_group dy first !p;
+        sort_group ~bits dy first !p;
         for i = first to !p - 1 do
-          add_uvarint payload (dy.(i) lsr node_bits);
-          add_uvarint payload (dy.(i) land node_mask)
+          add_uvarint payload (Run_merge.dist ~bits dy.(i));
+          add_uvarint payload (Run_merge.node ~bits dy.(i))
         done;
         add_uvarint groups tag;
         add_uvarint groups (!p - first);
@@ -226,7 +224,7 @@ let save ?page_size ~tags ~path labels =
   let n = Two_hop.n_nodes labels in
   if Array.length tags <> n then invalid_arg "Disk_labels.save: tag array length mismatch";
   if Array.exists (fun tag -> tag < 0) tags then invalid_arg "Disk_labels.save: negative tag id";
-  if n > node_mask then invalid_arg "Disk_labels.save: too many nodes";
+  if Run_merge.bits n > 31 then invalid_arg "Disk_labels.save: too many nodes";
   (* Unlink, never truncate: a server still reading the old file keeps
      its inode whole. *)
   if Sys.file_exists path then Sys.remove path;

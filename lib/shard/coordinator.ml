@@ -1,7 +1,7 @@
 module P = Fx_server.Protocol
 module Server = Fx_server.Server
 module Metrics = Fx_server.Metrics
-module PQ = Fx_graph.Priority_queue
+module Run_merge = Fx_graph.Run_merge
 module Stopwatch = Fx_util.Stopwatch
 
 let with_lock m f =
@@ -49,9 +49,9 @@ let bounded_store b key v =
       b.weight <- b.weight + b.weigh v)
 
 (* A shard answer as the coordinator reads it, converted once when its
-   reply is recorded: a within-shard distance, or a stream as a packed
-   global run — [dist * total_nodes + global node] per item, in the
-   shard's order. A run costs one word per item, where a list of
+   reply is recorded: a within-shard distance, or a stream as a run of
+   (dist, global node) keys packed by [Run_merge.pack] with [t.bits],
+   in the shard's order. A run costs one word per item, where a list of
    [P.item] records costs about seven. *)
 type answer = Dist of int option | Run of int array
 
@@ -63,6 +63,7 @@ type portal = { g : int; shard : int; local : int; tag : string; ci : int }
 
 type t = {
   plan : Shard_plan.t;
+  bits : int;  (* [Run_merge.bits] of the collection's node count *)
   shards : Shard_client.t array;
   addrs : (string * int) list;  (* the addresses [shards] was built from *)
   links : located_link array;
@@ -154,6 +155,7 @@ let create ~closure ~plan ~shards () =
   Array.iter (fun (l : located_link) -> Hashtbl.replace source_index l.dst l.dst_ci) links;
   {
     plan;
+    bits = Run_merge.bits (Shard_plan.total_nodes plan);
     shards = clients;
     addrs = shards;
     links;
@@ -296,11 +298,11 @@ let clean = function
 let answer_of t ~shard = function
   | P.Dist d -> Some (Dist d)
   | P.Items { items; _ } ->
-      let total = Shard_plan.total_nodes t.plan in
       let run = Array.make (List.length items) 0 in
       List.iteri
         (fun i (it : P.item) ->
-          run.(i) <- (it.dist * total) + Shard_plan.global_of t.plan ~shard ~local:it.node)
+          run.(i) <-
+            Run_merge.pack ~bits:t.bits it.dist (Shard_plan.global_of t.plan ~shard ~local:it.node))
         items;
       Some (Run run)
   | _ -> None
@@ -413,7 +415,7 @@ let start_probe ~node ~tag = P.Ancestors { node; tag = Some tag; k = 1; max_dist
 (* The nearest start's distance: the first key of the probe's run. *)
 let start_dist t read =
   match read () with
-  | Some (Run run) when Array.length run > 0 -> Some (run.(0) / Shard_plan.total_nodes t.plan)
+  | Some (Run run) when Array.length run > 0 -> Some (Run_merge.dist ~bits:t.bits run.(0))
   | Some _ | None -> None
 
 (* --- the portal closure ------------------------------------------------ *)
@@ -457,13 +459,19 @@ let forward_seeds t wave ~g ~shard ~local =
 
 (* --- stream merge ------------------------------------------------------ *)
 
-(* A run read at [offset] from [shard]: its head's heap key is
-   [base + run.(pos)] with [base = offset * total_nodes], the packed
-   [(dist + offset, global node)] of the item it stands for. *)
+(* A run read at [offset] from [shard]: its next key plus [base], the
+   packed offset, is the key of [(dist + offset, global node)]. *)
 type cursor = { base : int; run : int array; mutable pos : int; shard : int }
 
 let cursor t ~shard ~offset run =
-  { base = offset * Shard_plan.total_nodes t.plan; run; pos = 0; shard }
+  { base = Run_merge.pack ~bits:t.bits offset 0; run; pos = 0; shard }
+
+let step c =
+  if c.pos < Array.length c.run then begin
+    c.pos <- c.pos + 1;
+    c.base + c.run.(c.pos - 1)
+  end
+  else -1
 
 (* A stream reply as a cursor; a failed one is an empty run. *)
 let stream t ~shard ~offset = function
@@ -496,40 +504,28 @@ let open_portal t toward ~tag ~k ~max_dist wave ~push (p : portal) d =
   let read = ask t wave p.shard req in
   fun () -> push (stream t ~shard:p.shard ~offset:d (read ()))
 
-(* k-way merge of [streams] and the portals nearest [seeds] (each
-   stream ascending by distance) with the same priority queue the PEE
-   uses, preserving the approximately-ascending contract end to end: a
-   pull stream, so the front's deadline and [k] cut it like any other.
-   Nodes reachable through several shards or portals are deduplicated
-   on first — i.e. nearest — occurrence. Ties break on global node id —
-   the key packs (dist, node) into one integer — so the merged bytes
-   are a function of the stream multiset alone, not of the order the
-   streams arrived in. The heap holds one cursor per run, keyed by its
-   head; an item is built only when it is emitted.
+(* The distance merge (DESIGN.md) of [streams] and the streams of the
+   portals nearest [seeds]: a pull stream, so the front's deadline and
+   [k] cut it like any other, and a node reachable through several
+   shards or portals is emitted once, nearest first, tagged with the
+   shard it came from.
 
    Portals open lazily, the PEE's entry-point expansion one level up:
-   before an item at distance [d] is emitted every portal at offset
-   [<= d] is open, the portals of one distance in one wave, one BATCH
-   per shard. Every item of an unopened portal lies past the front, so
-   the merged bytes are those of a merge over every portal's stream.
-   Shard waves run inside [next], so the front reads the degradation
-   flags after its last pull. *)
+   before every pop each portal at offset [<= front] is open, the
+   portals of one distance in one wave, one BATCH per shard. Shard
+   waves run inside [next], so the front reads the degradation flags
+   after its last pull. *)
 let merge_streams t ctx ~exclude toward ~tag ~k ~max_dist ~seeds streams =
-  let total = Shard_plan.total_nodes t.plan in
-  let pq = PQ.create () in
-  let push c = if c.pos < Array.length c.run then PQ.insert pq (c.base + c.run.(c.pos)) c in
-  List.iter push streams;
   let portals = nearest t toward ~max_dist seeds in
   let pending = ref (portals ()) in
-  let front () = if PQ.is_empty pq then max_int else PQ.min_prio pq / total in
-  let rec settle () =
+  let rec settle m =
     match !pending with
-    | Some (_, d) when d <= front () ->
+    | Some (_, d) when d <= Run_merge.front m ->
         let wave = new_wave t in
         let rec open_level reads =
           match !pending with
           | Some (p, d') when d' = d ->
-              let read = open_portal t toward ~tag ~k ~max_dist wave ~push p d in
+              let read = open_portal t toward ~tag ~k ~max_dist wave ~push:(Run_merge.add m) p d in
               pending := portals ();
               open_level (read :: reads)
           | Some _ | None -> List.rev reads
@@ -537,27 +533,13 @@ let merge_streams t ctx ~exclude toward ~tag ~k ~max_dist ~seeds streams =
         let reads = open_level [] in
         run_plan t ctx wave;
         List.iter (fun read -> read ()) reads;
-        settle ()
+        settle m
     | Some _ | None -> ()
   in
-  let seen = Hashtbl.create 64 in
-  let rec next () =
-    settle ();
-    if PQ.is_empty pq then None
-    else begin
-      let key = PQ.min_prio pq in
-      let c = PQ.pop pq in
-      c.pos <- c.pos + 1;
-      push c;
-      let node = key mod total in
-      if node = exclude || Hashtbl.mem seen node then next ()
-      else begin
-        Hashtbl.replace seen node ();
-        Some { P.node; dist = key / total; meta = c.shard }
-      end
-    end
-  in
-  { Server.next; flags = (fun () -> flags ctx) }
+  let emit c node dist = { P.node; dist; meta = c.shard } in
+  let m = Run_merge.create ~bits:t.bits ~exclude ~before_pop:settle ~emit step in
+  List.iter (Run_merge.add m) streams;
+  { Server.next = (fun () -> Run_merge.next m); flags = (fun () -> flags ctx) }
 
 (* --- the verbs --------------------------------------------------------- *)
 

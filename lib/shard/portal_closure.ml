@@ -1,7 +1,7 @@
 module Codec = Fx_util.Codec
 module Two_hop = Fx_index.Two_hop
 module Stopwatch = Fx_util.Stopwatch
-module PQ = Fx_graph.Priority_queue
+module Run_merge = Fx_graph.Run_merge
 
 (* The portal closure: an exact distance oracle over the shard plan's
    portal graph, built at shard-plan time and shipped in the manifest.
@@ -12,8 +12,8 @@ module PQ = Fx_graph.Priority_queue
    was not built for. *)
 
 (* One inverted label side over the targets of one direction: for every
-   hub rank [h], the targets whose label holds [h], packed as
-   [d * n + target] and sorted ascending — so by (distance, index). *)
+   hub rank [h], the targets whose label holds [h] as (distance, index)
+   keys packed by [Run_merge.pack], sorted ascending. *)
 type inverted = { heads : int array; packed : int array }
 
 type t = {
@@ -45,6 +45,7 @@ let index_of nodes g =
    each hub's run. *)
 let invert labels side is_target =
   let n = Array.length is_target in
+  let bits = Run_merge.bits n in
   let heads = Array.make (n + 1) 0 in
   let each f =
     Array.iteri (fun v target -> if target then Two_hop.iter_label labels side v (f v)) is_target
@@ -56,7 +57,7 @@ let invert labels side is_target =
   let packed = Array.make heads.(n) 0 in
   let fill = Array.sub heads 0 n in
   each (fun v h d ->
-      packed.(fill.(h)) <- (d * n) + v;
+      packed.(fill.(h)) <- Run_merge.pack ~bits d v;
       fill.(h) <- fill.(h) + 1);
   for h = 0 to n - 1 do
     let run = Array.sub packed heads.(h) (heads.(h + 1) - heads.(h)) in
@@ -114,57 +115,47 @@ let distance t a b =
 
 type toward = Entries | Exits
 
-(* A walk down one hub's inverted run from [base], the nearest seed's
-   offset plus its label distance to the hub. A seed that is itself a
-   target is an empty run ([pos = stop]) pushed at its offset. *)
-type cursor = { base : int; mutable pos : int; stop : int }
+(* A walk down one hub's inverted run from [base], the packed offset of
+   the hub's nearest seed plus its label distance to the hub. A seed
+   that is itself a target is a one-key run of its own. *)
+type cursor = { base : int; run : int array; mutable pos : int; stop : int }
 
-(* A k-way merge over the seeds' hubs: each hub's run ascends, so the
-   queue pops candidates in ascending [offset + d(seed, hub) + d(hub,
-   target)], and a target's first pop is its exact distance — the
-   min-plus join {!distance} computes, over every seed at once. Only
-   the nearest seed of a hub can win through it, so each hub is walked
-   once, from that seed's base. *)
-let nearest t toward ?(on_pop = ignore) seeds =
-  let n = n_nodes t in
+let step c =
+  if c.pos < c.stop then begin
+    c.pos <- c.pos + 1;
+    c.base + c.run.(c.pos - 1)
+  end
+  else -1
+
+(* The distance merge (DESIGN.md) over the seeds' hubs: a target's first
+   pop is the min-plus join {!distance} computes, over every seed at
+   once. Only the nearest seed of a hub can win through it, so each hub
+   is walked once, from that seed's base. *)
+let nearest t toward ?on_pop seeds =
+  let bits = Run_merge.bits (n_nodes t) in
   let inv, side, is_target =
     match toward with
     | Entries -> (t.to_entries, Two_hop.Out, t.is_entry)
     | Exits -> (t.to_exits, Two_hop.In, t.is_exit)
   in
-  let pq = PQ.create () in
+  let m = Run_merge.create ~bits ?on_pop ~emit:(fun _ v d -> (v, d)) step in
   let hubs = Hashtbl.create 64 in
   List.iter
     (fun (v, offset) ->
       if is_target.(v) then
-        PQ.insert pq ((offset * n) + v) { base = offset; pos = 0; stop = 0 };
+        Run_merge.add m { base = Run_merge.pack ~bits offset 0; run = [| v |]; pos = 0; stop = 1 };
       Two_hop.iter_label t.labels side v (fun h d ->
           match Hashtbl.find_opt hubs h with
           | Some base when base <= offset + d -> ()
           | Some _ | None -> Hashtbl.replace hubs h (offset + d)))
     seeds;
-  let push c = if c.pos < c.stop then PQ.insert pq ((c.base * n) + inv.packed.(c.pos)) c in
   Hashtbl.iter
-    (fun h base -> push { base; pos = inv.heads.(h); stop = inv.heads.(h + 1) })
+    (fun h base ->
+      Run_merge.add m
+        { base = Run_merge.pack ~bits base 0; run = inv.packed; pos = inv.heads.(h);
+          stop = inv.heads.(h + 1) })
     hubs;
-  let seen = Hashtbl.create 16 in
-  let rec next () =
-    if PQ.is_empty pq then None
-    else begin
-      let key = PQ.min_prio pq in
-      let c = PQ.pop pq in
-      on_pop ();
-      c.pos <- c.pos + 1;
-      push c;
-      let v = key mod n in
-      if Hashtbl.mem seen v then next ()
-      else begin
-        Hashtbl.replace seen v ();
-        Some (v, key / n)
-      end
-    end
-  in
-  next
+  fun () -> Run_merge.next m
 
 let describe t =
   Printf.sprintf "portal closure: %d nodes, %d label entries, built in %.3f s"

@@ -58,8 +58,9 @@ val nearest :
     reachable from (for [Entries]) or reaching (for [Exits]) any seed
     [(index, offset)], as [(index, d)] pairs in ascending exact
     distance [d = min (offset + distance)] over the seeds — one
-    priority-queue merge over the seeds' label hubs, each target
-    reported once, at its first pop. A seed that is itself a target is
+    {!Fx_graph.Run_merge} over the seeds' label hubs, each hub's list
+    walked once from its nearest seed, each target reported once, at
+    its first pop. A seed that is itself a target is
     reported at its own offset, as [distance x x = 0]. [on_pop] runs once
     per queue pop, duplicates included. *)
 

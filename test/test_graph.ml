@@ -4,6 +4,7 @@ module Digraph = Fx_graph.Digraph
 module Traversal = Fx_graph.Traversal
 module Bitset = Fx_graph.Bitset
 module Pq = Fx_graph.Priority_queue
+module Run_merge = Fx_graph.Run_merge
 module Uf = Fx_graph.Union_find
 module Scc = Fx_graph.Scc
 module Partition = Fx_graph.Partition
@@ -294,6 +295,120 @@ let test_pq_empty_raises () =
       ignore (Pq.min_prio q));
   Alcotest.check_raises "pop" (Invalid_argument "Priority_queue.pop: empty") (fun () ->
       ignore (Pq.pop q))
+
+(* --- Run merge ----------------------------------------------------------- *)
+
+let test_run_merge_bits () =
+  check_int "0 nodes" 0 (Run_merge.bits 0);
+  check_int "1 node" 0 (Run_merge.bits 1);
+  for k = 1 to 30 do
+    check_int (Printf.sprintf "2^%d nodes" k) k (Run_merge.bits (1 lsl k));
+    check_int (Printf.sprintf "2^%d + 1 nodes" k) (k + 1) (Run_merge.bits ((1 lsl k) + 1));
+    if k >= 2 then check_int (Printf.sprintf "2^%d - 1 nodes" k) k (Run_merge.bits ((1 lsl k) - 1))
+  done;
+  let bits = Run_merge.bits 1000 in
+  let key = Run_merge.pack ~bits 7 999 in
+  check_int "dist" 7 (Run_merge.dist ~bits key);
+  check_int "node" 999 (Run_merge.node ~bits key)
+
+(* A merge case: [n] nodes, the node never emitted (or -1), and sources
+   as (offset, run) with each run's (d, node) pairs ascending. *)
+type merge_case = { n : int; exclude : int; sources : (int * (int * int) list) list }
+
+(* Few nodes, distances and offsets, so ties across runs abound; runs
+   of length 0 and 1 are common. *)
+let merge_case_arb =
+  let open QCheck.Gen in
+  let case =
+    int_range 1 12 >>= fun n ->
+    let key = pair (int_range 0 4) (int_bound (n - 1)) in
+    let run = map (List.sort_uniq compare) (list_size (int_range 0 5) key) in
+    map2
+      (fun exclude sources -> { n; exclude; sources })
+      (int_range (-1) (n - 1))
+      (list_size (int_range 0 6) (pair (int_range 0 6) run))
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "n=%d exclude=%d %s" c.n c.exclude
+        (String.concat " "
+           (List.map
+              (fun (o, run) ->
+                Printf.sprintf "@%d[%s]" o
+                  (String.concat ";" (List.map (fun (d, v) -> Printf.sprintf "%d,%d" d v) run)))
+              c.sources)))
+    case
+
+(* Every (offset + d, node) sorted, each node kept at its first one. *)
+let merge_reference c =
+  let all = List.concat_map (fun (o, run) -> List.map (fun (d, v) -> (o + d, v)) run) c.sources in
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun (d, v) ->
+      if v = c.exclude || Hashtbl.mem seen v then None
+      else begin
+        Hashtbl.replace seen v ();
+        Some (v, d)
+      end)
+    (List.sort compare all)
+
+type run_cursor = { base : int; keys : int array; mutable pos : int }
+
+let run_step c =
+  if c.pos < Array.length c.keys then begin
+    c.pos <- c.pos + 1;
+    c.base + c.keys.(c.pos - 1)
+  end
+  else -1
+
+(* A merge over [c]'s sources: all added up front, or — [lazily] — each
+   opened by the pre-pop hook once the front reaches its offset, nearest
+   offset first. Returns the merge, the offsets opened so far and the
+   pop count. *)
+let run_merge_of ~lazily c =
+  let bits = Run_merge.bits c.n in
+  let cursor (o, run) =
+    let keys = Array.of_list (List.map (fun (d, v) -> Run_merge.pack ~bits d v) run) in
+    { base = Run_merge.pack ~bits o 0; keys; pos = 0 }
+  in
+  let pending = ref (List.stable_sort (fun (a, _) (b, _) -> compare a b) c.sources) in
+  let opened = ref [] and pops = ref 0 in
+  let rec open_reached m =
+    match !pending with
+    | ((o, _) as src) :: rest when o <= Run_merge.front m ->
+        pending := rest;
+        opened := o :: !opened;
+        Run_merge.add m (cursor src);
+        open_reached m
+    | _ -> ()
+  in
+  let before_pop = if lazily then open_reached else ignore in
+  let m =
+    Run_merge.create ~bits ~exclude:c.exclude ~before_pop ~on_pop:(fun () -> incr pops)
+      ~emit:(fun _ v d -> (v, d)) run_step
+  in
+  if not lazily then List.iter (fun src -> Run_merge.add m (cursor src)) c.sources;
+  (m, opened, pops)
+
+let rec merge_take m k =
+  if k = 0 then [] else match Run_merge.next m with None -> [] | Some x -> x :: merge_take m (k - 1)
+
+let prop_run_merge_reference =
+  H.qtest ~count:500 "= sort and keep first occurrences" (QCheck.pair merge_case_arb QCheck.bool)
+    (fun (c, lazily) ->
+      let m, _, pops = run_merge_of ~lazily c in
+      let keys = List.fold_left (fun acc (_, run) -> acc + List.length run) 0 c.sources in
+      merge_take m max_int = merge_reference c && !pops = keys)
+
+let prop_run_merge_prefix_opens =
+  H.qtest ~count:500 "a k-prefix opens no source past its last distance"
+    (QCheck.pair merge_case_arb (QCheck.int_range 1 8))
+    (fun (c, k) ->
+      let m, opened, _ = run_merge_of ~lazily:true c in
+      match List.rev (merge_take m k) with
+      | (_, last) :: _ as prefix when List.length prefix = k ->
+          List.for_all (fun o -> o <= last) !opened
+      | _ -> true)
 
 (* --- Union-find -------------------------------------------------------- *)
 
@@ -589,6 +704,12 @@ let () =
           prop_pq_sorts;
           prop_pq_matches_boxed;
           Alcotest.test_case "empty min_prio/pop raise" `Quick test_pq_empty_raises;
+        ] );
+      ( "run_merge",
+        [
+          Alcotest.test_case "bits and packing" `Quick test_run_merge_bits;
+          prop_run_merge_reference;
+          prop_run_merge_prefix_opens;
         ] );
       ("union_find", [ Alcotest.test_case "basic" `Quick test_uf ]);
       ( "traversal",
